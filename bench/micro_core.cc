@@ -1,7 +1,8 @@
 /**
  * @file
  * Micro-benchmarks (google-benchmark) of the simulation substrate:
- * event queue, allocators, the link model, and the staging math.
+ * event queue, allocators, the link model, the staging math, and the
+ * prefix index's victim order.
  * These guard against performance regressions in the hot paths that
  * every figure harness exercises millions of times.
  */
@@ -12,6 +13,7 @@
 #include "hw/link.hh"
 #include "mem/block_allocator.hh"
 #include "mem/region_allocator.hh"
+#include "serve/prefix_index.hh"
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
 
@@ -162,6 +164,35 @@ BM_Pcg32(benchmark::State &state)
     benchmark::DoNotOptimize(sink);
 }
 BENCHMARK(BM_Pcg32);
+
+void
+BM_PrefixIndexEvictOne(benchmark::State &state)
+{
+    // One victim out, one entry in, at a steady index size: the
+    // pattern KvCache::allocateBlocks and forkBlock produce.
+    const auto entries = static_cast<std::uint64_t>(state.range(0));
+    constexpr std::uint32_t kBlockTokens = 16;
+    auto stream = [](std::uint64_t salt) -> serve::TokenFn {
+        return [salt](std::uint64_t pos) { return salt ^ (pos + 1); };
+    };
+    serve::PrefixIndex index(kBlockTokens);
+    sim::Tick now = 0;
+    for (std::uint64_t i = 0; i < entries; ++i) {
+        index.insert(stream(i), kBlockTokens,
+                     {static_cast<mem::BlockId>(i)}, ++now);
+    }
+    const std::function<bool(mem::BlockId)> any = [](mem::BlockId) {
+        return true;
+    };
+    std::uint64_t salt = entries;
+    for (auto _ : state) {
+        std::vector<mem::BlockId> victim = index.evictLru(1, any);
+        benchmark::DoNotOptimize(victim.data());
+        index.insert(stream(salt++), kBlockTokens, victim, ++now);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PrefixIndexEvictOne)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 16);
 
 } // anonymous namespace
 

@@ -1,7 +1,5 @@
 #include "serve/prefix_index.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace aqua::serve {
@@ -101,8 +99,7 @@ PrefixIndex::lookup(const TokenFn &tok, std::uint64_t maxTokens,
         m.blocks.push_back(e.block);
         m.tokens += blockTokens;
         if (touch) {
-            e.lastUse = now;
-            ++e.uses;
+            touchEntry(*it, now, /*hit=*/true);
             ++counters.hits;
         }
     }
@@ -124,8 +121,7 @@ PrefixIndex::lookup(const TokenFn &tok, std::uint64_t maxTokens,
                 m.tokens += rem;
                 m.partialTokens = rem;
                 if (touch) {
-                    e.lastUse = now;
-                    ++e.uses;
+                    touchEntry(*it, now, /*hit=*/true);
                     ++counters.partialHits;
                 }
             } else if (touch) {
@@ -154,7 +150,9 @@ PrefixIndex::insert(const TokenFn &tok, std::uint64_t tokens,
         ++depth;
         auto it = map.find(key);
         if (it == map.end()) {
-            map.emplace(key, Entry{block, verify, count, now, depth, 0});
+            it = map.emplace(key, Entry{block, verify, count, now, depth, 0})
+                     .first;
+            order.insert(&*it);
             ++held[block];
             ++counters.insertions;
             newly.push_back(block);
@@ -163,7 +161,7 @@ PrefixIndex::insert(const TokenFn &tok, std::uint64_t tokens,
         // Same content already cached (or a primary collision): keep
         // the existing entry; refresh its LRU stamp on a content match.
         if (it->second.verify == verify && it->second.tokens == count)
-            it->second.lastUse = now;
+            touchEntry(*it, now, /*hit=*/false);
         else
             ++counters.collisions;
     };
@@ -184,44 +182,65 @@ PrefixIndex::insert(const TokenFn &tok, std::uint64_t tokens,
     return newly;
 }
 
+bool
+PrefixIndex::VictimOrder::operator()(const Node *a, const Node *b) const
+{
+    const Entry &ea = a->second;
+    const Entry &eb = b->second;
+    if (policy == EvictionPolicy::CostAware) {
+        // Cheapest loss first: chain depth x hit count approximates
+        // the recompute bill of evicting.
+        std::uint64_t ca = ea.depth * ea.uses;
+        std::uint64_t cb = eb.depth * eb.uses;
+        if (ca != cb)
+            return ca < cb;
+    }
+    if (ea.lastUse != eb.lastUse)
+        return ea.lastUse < eb.lastUse;
+    if (ea.block != eb.block)
+        return ea.block < eb.block;
+    // One block can back a full and a stale partial entry with the
+    // same stamps; the key makes their order total.
+    return a->first < b->first;
+}
+
+void
+PrefixIndex::touchEntry(Node &node, aqua::sim::Tick now, bool hit)
+{
+    auto handle = order.extract(&node);
+    node.second.lastUse = now;
+    if (hit)
+        ++node.second.uses;
+    // A touch usually makes the entry the newest: hint the back.
+    order.insert(order.end(), std::move(handle));
+}
+
+void
+PrefixIndex::setEvictionPolicy(EvictionPolicy policy)
+{
+    order = decltype(order)(VictimOrder{policy});
+    for (const Node &node : map)
+        order.insert(&node);
+}
+
 std::vector<aqua::mem::BlockId>
 PrefixIndex::evictLru(
     std::size_t maxEntries,
     const std::function<bool(aqua::mem::BlockId)> &evictable)
 {
     std::vector<aqua::mem::BlockId> out;
-    if (maxEntries == 0 || map.empty())
-        return out;
-    // Candidates oldest first; re-check evictability as refs change
-    // while earlier evictions release sibling entries' blocks.
-    std::vector<std::uint64_t> keys;
-    keys.reserve(map.size());
-    for (const auto &[key, e] : map)
-        keys.push_back(key);
-    std::sort(keys.begin(), keys.end(),
-              [this](std::uint64_t a, std::uint64_t b) {
-                  const Entry &ea = map.find(a)->second;
-                  const Entry &eb = map.find(b)->second;
-                  if (eviction == EvictionPolicy::CostAware) {
-                      // Cheapest loss first: chain depth x hit count
-                      // approximates the recompute bill of evicting.
-                      std::uint64_t ca = ea.depth * ea.uses;
-                      std::uint64_t cb = eb.depth * eb.uses;
-                      if (ca != cb)
-                          return ca < cb;
-                  }
-                  if (ea.lastUse != eb.lastUse)
-                      return ea.lastUse < eb.lastUse;
-                  return ea.block < eb.block;
-              });
-    for (std::uint64_t key : keys) {
-        if (out.size() >= maxEntries)
-            break;
-        auto it = map.find(key);
-        aqua::mem::BlockId block = it->second.block;
-        if (!evictable(block))
+    // Walk oldest first; re-check evictability as refs change while
+    // earlier evictions release sibling entries' blocks.
+    for (auto it = order.begin();
+         it != order.end() && out.size() < maxEntries;) {
+        const Node *node = *it;
+        aqua::mem::BlockId block = node->second.block;
+        if (!evictable(block)) {
+            ++it;
             continue;
-        map.erase(it);
+        }
+        it = order.erase(it);
+        map.erase(node->first);
         auto h = held.find(block);
         if (h != held.end() && --h->second == 0)
             held.erase(h);
@@ -239,6 +258,7 @@ PrefixIndex::clear()
     for (const auto &[key, e] : map)
         out.push_back(e.block);
     counters.evictions += map.size();
+    order.clear();
     map.clear();
     held.clear();
     return out;

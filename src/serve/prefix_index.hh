@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -85,6 +86,10 @@ class PrefixIndex
   public:
     explicit PrefixIndex(std::uint32_t blockTokens);
 
+    // The victim order points into the entry map's nodes.
+    PrefixIndex(const PrefixIndex &) = delete;
+    PrefixIndex &operator=(const PrefixIndex &) = delete;
+
     /** Result of a lookup. */
     struct Match
     {
@@ -119,8 +124,11 @@ class PrefixIndex
            aqua::sim::Tick now);
 
     /**
-     * Evict up to @p maxEntries least-recently-used entries whose block
-     * satisfies @p evictable (typically: no borrower besides the index).
+     * Evict up to @p maxEntries entries, first in victim order, whose
+     * block satisfies @p evictable (typically: no borrower besides the
+     * index). Victim order is cost (CostAware only), then last use,
+     * then block id, then key; @p evictable is re-checked per entry,
+     * after the evictions before it.
      *
      * @return The evicted entries' blocks (the caller drops one
      *         reference per returned element).
@@ -161,9 +169,10 @@ class PrefixIndex
     std::vector<ChainKeys> chainKeysUpTo(const TokenFn &tok,
                                          std::size_t fullBlocks) const;
 
-    /** Select the eviction victim ordering (default Lru). */
-    void setEvictionPolicy(EvictionPolicy policy) { eviction = policy; }
-    EvictionPolicy evictionPolicy() const { return eviction; }
+    /** Select the eviction victim ordering (default Lru); re-ranks
+     *  the existing entries. */
+    void setEvictionPolicy(EvictionPolicy policy);
+    EvictionPolicy evictionPolicy() const { return order.key_comp().policy; }
 
     std::size_t entries() const { return map.size(); }
     const PrefixIndexStats &stats() const { return counters; }
@@ -206,10 +215,26 @@ class PrefixIndex
                              std::uint64_t partialVerify,
                              std::uint32_t tokens) const;
 
+    using Map = std::unordered_map<std::uint64_t, Entry>;
+    using Node = Map::value_type;
+
+    /** Victim order over map nodes, first victim first. */
+    struct VictimOrder
+    {
+        EvictionPolicy policy;
+        bool operator()(const Node *a, const Node *b) const;
+    };
+
+    /** Record a use of @p node at @p now, re-ranking it. */
+    void touchEntry(Node &node, aqua::sim::Tick now, bool hit);
+
     std::uint32_t blockTokens;
-    EvictionPolicy eviction = EvictionPolicy::Lru;
     std::uint64_t primaryMask = ~std::uint64_t(0);
-    std::unordered_map<std::uint64_t, Entry> map;
+    Map map;
+    /** Every map node, kept in victim order as entries change. Node
+     *  pointers of an unordered_map survive rehashing. */
+    std::set<const Node *, VictimOrder> order{
+        VictimOrder{EvictionPolicy::Lru}};
     /** Entries per block (a block can back a full and a stale partial
      *  entry at once); one index reference is held per entry. */
     std::unordered_map<aqua::mem::BlockId, std::uint32_t> held;
