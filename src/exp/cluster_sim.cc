@@ -193,7 +193,7 @@ ClusterSim::setup()
     for (std::size_t k = 0; k < cfg.placementEvents; ++k) {
         Tick when = static_cast<Tick>(
             aqua::sim::secToTicks((k + 1) * cfg.churnIntervalSec));
-        net.queueOf(0).schedule(when, [this, k] { runChurn(k); });
+        net.queue().schedule(when, [this, k] { runChurn(k); });
     }
 }
 
@@ -204,7 +204,7 @@ ClusterSim::scheduleNextArrival(std::size_t d)
     if (dom.arrivalsLeft == 0)
         return;
     --dom.arrivalsLeft;
-    aqua::sim::EventQueue &q = net.queueOf(d);
+    aqua::sim::EventQueue &q = net.queue();
     double gap = dom.arrivalRng.exponential(cfg.arrivalRatePerDomain);
     Tick when = q.now() + std::max<Tick>(
         1, static_cast<Tick>(aqua::sim::secToTicks(gap)));
@@ -219,7 +219,7 @@ void
 ClusterSim::onArrival(std::size_t d, ClusterRequest req)
 {
     Domain &dom = *domains[d];
-    Tick now = net.queueOf(d).now();
+    Tick now = net.queue().now();
     req.arrival = now;
     req.promptTokens = static_cast<std::uint32_t>(
         dom.shapeRng.uniformInt(64, 2048));
@@ -260,7 +260,7 @@ void
 ClusterSim::routeOrServe(std::size_t d, ClusterRequest req)
 {
     Domain &dom = *domains[d];
-    Tick now = net.queueOf(d).now();
+    Tick now = net.queue().now();
     int host = -1;
     if (req.model >= 0 &&
         static_cast<std::size_t>(req.model) < dom.view.domain.size())
@@ -322,7 +322,7 @@ bool
 ClusterSim::handleLocalPrefix(std::size_t d, const ClusterRequest &req)
 {
     Domain &dom = *domains[d];
-    aqua::sim::EventQueue &q = net.queueOf(d);
+    aqua::sim::EventQueue &q = net.queue();
     Tick now = q.now();
     std::uint64_t key = prefixKey(static_cast<std::size_t>(req.prefix));
     std::uint64_t verify =
@@ -353,7 +353,7 @@ ClusterSim::handleRemoteLookup(std::size_t home, std::size_t asker,
                                ClusterRequest req)
 {
     Domain &dom = *domains[home];
-    aqua::sim::EventQueue &q = net.queueOf(home);
+    aqua::sim::EventQueue &q = net.queue();
     Tick now = q.now();
     std::uint64_t key = prefixKey(static_cast<std::size_t>(req.prefix));
     std::uint64_t verify =
@@ -377,7 +377,7 @@ ClusterSim::handleRemoteLookup(std::size_t home, std::size_t asker,
             std::uint64_t pinId = pin.pin;
             q.schedule(now + streamTicks, [this, home, pinId] {
                 domains[home]->registry.unpin(
-                    pinId, net.queueOf(home).now());
+                    pinId, net.queue().now());
             });
         }
     } else {
@@ -411,7 +411,7 @@ ClusterSim::beginService(std::size_t d, ClusterRequest req,
 {
     (void)viaForward;
     Domain &dom = *domains[d];
-    aqua::sim::EventQueue &q = net.queueOf(d);
+    aqua::sim::EventQueue &q = net.queue();
     Tick now = q.now();
 
     // Least-loaded local GPU, lowest index on ties.
@@ -451,7 +451,7 @@ ClusterSim::beginService(std::size_t d, ClusterRequest req,
         // The origin learns of completion one fabric hop later.
         std::size_t origin = req.origin;
         q.schedule(finish, [this, d, origin, req, finish] {
-            Tick t = net.queueOf(d).now();
+            Tick t = net.queue().now();
             net.send(d, origin, t + net.lookahead(),
                      [this, origin, req, finish] {
                          completeAtOrigin(origin, req, finish);
@@ -465,7 +465,7 @@ ClusterSim::completeAtOrigin(std::size_t d, const ClusterRequest &req,
                              Tick finish)
 {
     Domain &dom = *domains[d];
-    Tick now = net.queueOf(d).now();
+    Tick now = net.queue().now();
     ++dom.stats.completed;
     dom.stats.sumRctTicks += now - req.arrival;
     digestEvent(d, now, evComplete, req.id, finish);
@@ -480,7 +480,7 @@ ClusterSim::completeAtOrigin(std::size_t d, const ClusterRequest &req,
 void
 ClusterSim::runChurn(std::size_t index)
 {
-    Tick now = net.queueOf(0).now();
+    Tick now = net.queue().now();
     ++pstats.churnEvents;
     placer::RepairOutcome out;
     std::uint64_t what = index % 3;
@@ -534,7 +534,7 @@ ClusterSim::runChurn(std::size_t index)
 void
 ClusterSim::broadcastView()
 {
-    Tick now = net.queueOf(0).now();
+    Tick now = net.queue().now();
     ++viewVersion;
     View view;
     view.version = viewVersion;
@@ -555,7 +555,7 @@ ClusterSim::applyView(std::size_t d, const View &view)
     dom.view = view;
     ++dom.stats.viewUpdates;
     dom.stats.viewVersion = view.version;
-    Tick now = net.queueOf(d).now();
+    Tick now = net.queue().now();
     digestEvent(d, now, evViewApply, view.version,
                 view.domain.size());
 }
@@ -612,12 +612,12 @@ ClusterSim::statsJson() const
 }
 
 ClusterRunResult
-runClusterSequential(const ClusterSimConfig &cfg)
+runClusterSim(const ClusterSimConfig &cfg)
 {
     ClusterRunResult res;
     aqua::sim::EventQueue q;
-    aqua::sim::SequentialDomainNet net(q, cfg.numDomains, cfg.seed,
-                                       cfg.lookahead());
+    aqua::sim::DomainNet net(q, cfg.numDomains, cfg.seed,
+                             cfg.lookahead());
     ClusterSim model(cfg, net);
     model.setup();
     auto t0 = std::chrono::steady_clock::now();
@@ -631,36 +631,6 @@ runClusterSequential(const ClusterSimConfig &cfg)
         for (std::size_t d = 0; d < cfg.numDomains; ++d)
             res.traces.push_back(model.traceJsonl(d));
     res.crossMessages = net.crossMessages();
-    res.windows = 0;
-    res.threads = 1;
-    return res;
-}
-
-ClusterRunResult
-runClusterSharded(const ClusterSimConfig &cfg, unsigned threads)
-{
-    ClusterRunResult res;
-    aqua::sim::ShardedSimulation::Config sc;
-    sc.numDomains = cfg.numDomains;
-    sc.seed = cfg.seed;
-    sc.lookahead = cfg.lookahead();
-    sc.threads = threads;
-    aqua::sim::ShardedSimulation sim(sc);
-    ClusterSim model(cfg, sim);
-    model.setup();
-    auto t0 = std::chrono::steady_clock::now();
-    res.eventsFired = sim.run();
-    auto t1 = std::chrono::steady_clock::now();
-    res.wallSeconds =
-        std::chrono::duration<double>(t1 - t0).count();
-    res.stats = model.statsJson();
-    res.digests = model.digests();
-    if (cfg.captureTrace)
-        for (std::size_t d = 0; d < cfg.numDomains; ++d)
-            res.traces.push_back(model.traceJsonl(d));
-    res.crossMessages = sim.crossMessages();
-    res.windows = sim.windows();
-    res.threads = sim.threadsUsed();
     return res;
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Cluster-scale simulation model, executor-agnostic.
+ * Cluster-scale simulation model.
  *
  * ClusterSim models a scale-up cluster of NVLink domains serving an
  * open-loop LLM request stream: per-domain arrivals, GPU queueing
@@ -16,12 +16,11 @@
  * keyed domainRandom() streams, and every cross-domain interaction —
  * request forwarding to the hosting domain, remote prefix
  * lookup/reply, completion notifications, view broadcasts — is a
- * timestamped send. That is the contract that makes one ClusterSim
- * run bit-identically on the sequential twin and the sharded
- * executor; the differential equivalence harness
- * (tests/test_sharded_sim.cc, bench/abl_sharded_sim.cc) checks
- * exactly that, via per-domain event digests (always), full
- * per-domain trace logs (small runs) and canonical end-state stats.
+ * timestamped send. A run reduces to per-domain event digests
+ * (always), full per-domain trace logs (small runs) and canonical
+ * end-state stats; tests/test_cluster_sim.cc pins them with a golden
+ * run and checks that two runs of one seed are identical, and
+ * bench/abl_cluster_sim.cc repeats that check on the 64-GPU headline.
  */
 
 #ifndef AQUA_EXP_CLUSTER_SIM_HH
@@ -36,7 +35,7 @@
 #include "hw/link.hh"
 #include "json/json.hh"
 #include "placer/incremental.hh"
-#include "sim/sharded_sim.hh"
+#include "sim/domain_net.hh"
 #include "trace/trace.hh"
 
 namespace aqua::exp {
@@ -74,14 +73,14 @@ struct ClusterSimConfig
      * Node budget of the placer's full solves. Cluster-scale
      * instances rarely prove optimality, so the budget is mostly
      * spent improving the greedy incumbent; keep it small — a full
-     * solve runs inline in a simulation event, on both executors.
+     * solve runs inline in a simulation event.
      */
     std::uint64_t placerNodeBudget = 500;
 
     /** Inter-server fabric: peak bandwidth (bytes/s) and latency. */
     double interBandwidth = 50e9;
     double interLatencyUs = 2.0;
-    /** Software floor on any cross-domain message; the executor
+    /** Software floor on any cross-domain message; the net's
      *  lookahead is interLatencyUs + rpcFloorUs. */
     double rpcFloorUs = 25.0;
 
@@ -92,7 +91,7 @@ struct ClusterSimConfig
     /** Capture full per-domain TraceLogs (small runs only). */
     bool captureTrace = false;
 
-    /** Conservative lookahead implied by the fabric floor. */
+    /** Cross-domain latency floor implied by the fabric. */
     aqua::sim::Tick
     lookahead() const
     {
@@ -134,7 +133,7 @@ struct ClusterPlacerStats
 
 /**
  * The model proper. Construct over a DomainNet, setup(), run the
- * net's executor, then read stats.
+ * net's queue, then read stats.
  */
 class ClusterSim
 {
@@ -159,8 +158,8 @@ class ClusterSim
 
     /**
      * Canonical end-state document: everything that must be
-     * identical between executors (and nothing that may not be —
-     * no wall-clock, no window counts).
+     * identical between two runs of one seed (and nothing that may
+     * not be — no wall-clock).
      */
     json::Object statsJson() const;
 
@@ -200,7 +199,7 @@ class ClusterSim
     std::uint64_t viewVersion = 0;
 };
 
-/** One executor run of the model, reduced to comparable artifacts. */
+/** One run of the model, reduced to comparable artifacts. */
 struct ClusterRunResult
 {
     json::Object stats;
@@ -208,24 +207,17 @@ struct ClusterRunResult
     std::vector<std::string> traces;
     std::uint64_t eventsFired = 0;
     std::uint64_t crossMessages = 0;
-    /** Sharded executor only (0 for sequential). */
-    std::uint64_t windows = 0;
-    unsigned threads = 1;
     /** Wall-clock; excluded from any equivalence comparison. */
     double wallSeconds = 0.0;
 };
 
-/** Run the model on the sequential single-queue twin. */
-ClusterRunResult runClusterSequential(const ClusterSimConfig &cfg);
-
-/** Run the model on the sharded executor (0 threads = auto). */
-ClusterRunResult runClusterSharded(const ClusterSimConfig &cfg,
-                                   unsigned threads = 0);
+/** Run the model to completion on one DomainNet. */
+ClusterRunResult runClusterSim(const ClusterSimConfig &cfg);
 
 /**
- * Differential equivalence: identical per-domain digests, identical
- * traces (when captured) and identical canonical stats. @p why gets
- * a human-readable reason on mismatch.
+ * Run equivalence: identical per-domain digests, identical traces
+ * (when captured) and identical canonical stats. @p why gets a
+ * human-readable reason on mismatch.
  */
 bool equivalentRuns(const ClusterRunResult &a,
                     const ClusterRunResult &b,

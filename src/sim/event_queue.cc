@@ -91,13 +91,6 @@ EventQueue::skipCancelled()
         popTop();
 }
 
-Tick
-EventQueue::nextEventTick()
-{
-    skipCancelled();
-    return heap.empty() ? maxTick : heap.front().when;
-}
-
 bool
 EventQueue::step()
 {

@@ -9,10 +9,10 @@
  *
  * Same-tick ordering can additionally be controlled through a small
  * signed *band*: at one tick, lower bands fire before higher bands,
- * and within a band schedule order still applies. Bands exist for the
- * sharded simulation's cross-domain deliveries, which must fire ahead
- * of same-tick local events in an order that does not depend on when
- * the delivery was enqueued (see sharded_sim.hh).
+ * and within a band schedule order still applies. Bands exist for
+ * DomainNet's cross-domain deliveries, which must fire ahead of
+ * same-tick local events in an order that does not depend on when the
+ * delivery was enqueued (see domain_net.hh).
  */
 
 #ifndef AQUA_SIM_EVENT_QUEUE_HH
@@ -88,13 +88,6 @@ class EventQueue
 
     /** Number of pending (not cancelled) events. */
     std::size_t pending() const { return numPending; }
-
-    /**
-     * Timestamp of the earliest pending event, or maxTick when the
-     * queue is empty. Used by the sharded executor to size its
-     * synchronization windows without firing anything.
-     */
-    Tick nextEventTick();
 
     /**
      * Run events until the queue drains.

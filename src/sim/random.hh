@@ -75,10 +75,9 @@ class Random
  * Unlike Simulation::makeRandom(), whose streams are numbered in
  * global creation order, the key here is structural: domain d's
  * stream s is the same generator no matter what other domains exist
- * or in which order they were built. The sharded executor and its
- * sequential twin both draw per-domain randomness through this
- * helper, which is what makes their runs comparable event-for-event
- * (see docs/simulation.md).
+ * or in which order they were built. DomainNet::domainRandom() draws
+ * per-domain randomness through this helper, so one domain's draws
+ * never perturb another's (see docs/simulation.md).
  */
 Random domainStream(std::uint64_t seed, std::uint32_t domain,
                     std::uint32_t stream);

@@ -540,7 +540,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalEquivalence,
 TEST(IncrementalPlacer, MutationSequenceIsDeterministic)
 {
     // Two placers fed the identical mutation sequence end in the
-    // identical state — the property the sharded simulation's churn
+    // identical state — the property the cluster simulation's churn
     // events rely on.
     auto run = [](std::vector<int> *assign, double *obj) {
         Random rng(99);

@@ -4,14 +4,15 @@
 #
 #   tools/run_tests.sh               # regular RelWithDebInfo build
 #   tools/run_tests.sh --sanitize    # ASan+UBSan build in build-asan/
-#   tools/run_tests.sh --tsan        # TSan build in build-tsan/
+#   tools/run_tests.sh --tsan        # TSan build in build-tsan/ (the
+#                                    # threaded code: Coordinator)
 #   tools/run_tests.sh --bench-smoke # + chaos/overload/cluster smoke
 #   tools/run_tests.sh --chaos-smoke # + bounded-seed chaos-soak run
 #   tools/run_tests.sh -R Staging    # extra args forwarded to ctest
 #
 # --sanitize (or --tsan) and --bench-smoke / --chaos-smoke compose
-# (in that order): the chaos, overload, cluster-prefix and tiering
-# smoke runs then execute under the sanitizers too.
+# (in that order): the chaos, overload, cluster-prefix, tiering and
+# cluster-simulation smoke runs then execute under the sanitizers too.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -51,6 +52,7 @@ if [[ "$bench_smoke" == 1 ]]; then
     "$build/bench/abl_tiering" --smoke
     "$build/bench/abl_kv_quant" --smoke
     "$build/bench/abl_federation" --smoke
+    "$build/bench/abl_cluster_sim" --smoke
 fi
 
 if [[ "$chaos_smoke" == 1 ]]; then
