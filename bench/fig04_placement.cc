@@ -74,11 +74,12 @@ main()
     placer::Placement placement = placer.place(input);
     describe("Fig. 4b AQUA-PLACER placement", input,
              placement.server);
-    std::printf("  optimal: %s, nodes: %llu, solve: %.3fs\n",
+    std::printf("  optimal: %s, nodes: %llu, LP iterations: %llu\n",
                 placement.optimal ? "yes" : "no",
                 static_cast<unsigned long long>(
                     placement.nodesExplored),
-                placement.solveSeconds);
+                static_cast<unsigned long long>(
+                    placement.lpIterations));
     for (const placer::Pairing &p : placement.pairs) {
         std::printf("  pair on server %d: consumer %s <- producer "
                     "%s\n", p.server,

@@ -24,17 +24,19 @@ place(const char *split)
     placer::PlacementInput input =
         exp::makeClusterInput(8, 2, split, /*seed=*/2026);
     placer::Placement greedy = placer::greedyPlace(input);
+    // The node budget alone ends the search, so the output is the
+    // same on any host.
     opt::MilpOptions milpOpt;
-    milpOpt.maxSeconds = 5.0;
+    milpOpt.maxNodes = 20000;
     placer::Placement best = placer::AquaPlacer(milpOpt).place(input);
 
     std::printf("--- split: %s ---\n", split);
     std::printf("greedy objective: %.1f GB | MILP objective: %.1f GB"
-                " (%s, %llu nodes, %.3f s)\n",
+                " (%s, %llu nodes, %llu LP iterations)\n",
                 greedy.objective / 1e9, best.objective / 1e9,
                 best.optimal ? "optimal" : "limit",
                 static_cast<unsigned long long>(best.nodesExplored),
-                best.solveSeconds);
+                static_cast<unsigned long long>(best.lpIterations));
     for (std::size_t s = 0; s < input.numServers; ++s) {
         std::printf("  server %zu:", s);
         for (std::size_t m = 0; m < input.models.size(); ++m) {

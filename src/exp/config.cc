@@ -329,7 +329,8 @@ runPlacementSpec(const Value &spec)
     }
 
     opt::MilpOptions milpOpt;
-    milpOpt.maxSeconds = spec.getDouble("max_solve_s", 5.0);
+    milpOpt.maxNodes = static_cast<std::uint64_t>(
+        spec.getInt("max_nodes", 20000));
     placer::Placement p = placer::AquaPlacer(milpOpt).place(input);
     if (!p.valid())
         return fail("placement: infeasible instance "
@@ -355,8 +356,8 @@ runPlacementSpec(const Value &spec)
     out["pairs"] = Value(std::move(pairs));
     out["objective"] = p.objective;
     out["optimal"] = p.optimal;
-    out["solve_s"] = p.solveSeconds;
     out["nodes"] = p.nodesExplored;
+    out["lp_iterations"] = p.lpIterations;
     return succeed(std::move(out));
 }
 

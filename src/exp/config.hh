@@ -11,6 +11,10 @@
  *
  * Supported experiments: "cfs", "long_prompt", "lora", "elastic",
  * "chatbot", "contention", "placement".
+ *
+ * "placement" bounds its branch and bound by "max_nodes" (default
+ * 20000) and reports "nodes" and "lp_iterations"; it has no
+ * wall-clock limit, so its output is the same on any host.
  */
 
 #ifndef AQUA_EXP_CONFIG_HH

@@ -1486,8 +1486,10 @@ runEndToEnd(const EndToEndConfig &cfg)
 {
     placer::PlacementInput input = makeClusterInput(
         cfg.numServers, cfg.gpusPerServer, cfg.split, cfg.seed);
+    // A node budget, not a wall-clock one, ends the search, so the
+    // placement and every number after it are the same on any host.
     opt::MilpOptions milpOpt;
-    milpOpt.maxSeconds = 3.0;
+    milpOpt.maxNodes = 3000;
     placer::Placement placement =
         placer::AquaPlacer(milpOpt).place(input);
     if (!placement.valid())

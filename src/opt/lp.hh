@@ -1,17 +1,23 @@
 /**
  * @file
- * Dense linear-programming solver (two-phase primal simplex).
+ * Linear-programming solver: a bounded-variable primal/dual simplex
+ * on a dense tableau.
  *
  * The substrate beneath AQUA-PLACER: the paper encodes Algorithm 1 in
  * Gurobi; we solve the same MILP with our own simplex + branch and
  * bound (opt/milp.hh). Problems are small (placement LPs have a few
- * hundred variables), so a dense tableau with Bland's anti-cycling
- * rule is simple, exact enough, and fast.
+ * hundred columns and a few dozen rows), so the tableau stays dense.
+ * Variable bounds are implicit: a nonbasic column sits at one of its
+ * bounds instead of occupying a row, so each row of the tableau is a
+ * real constraint. The tableau persists between solves, which lets
+ * branch and bound tighten a bound and re-solve warm with the dual
+ * simplex instead of starting over.
  */
 
 #ifndef AQUA_OPT_LP_HH
 #define AQUA_OPT_LP_HH
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -80,7 +86,18 @@ class LinearProgram
 };
 
 /** LP solve outcome. */
-enum class LpStatus { Optimal, Infeasible, Unbounded, IterLimit };
+enum class LpStatus
+{
+    Optimal,
+    Infeasible,
+    Unbounded,
+    IterLimit,
+    /**
+     * The dual simplex proved the optimum is at least the caller's
+     * cutoff before reaching it (BoundedSimplex::solve only).
+     */
+    Cutoff,
+};
 
 /** LP solution. */
 struct LpResult
@@ -100,7 +117,139 @@ struct SimplexOptions
     double eps = 1e-9;
 };
 
-/** Solve with two-phase primal simplex. */
+/**
+ * Bounded-variable simplex over a tableau that persists between
+ * solves.
+ *
+ * Columns are the LP's variables followed by one slack per row
+ * (a_i x + s_i = b_i; the slack's bounds encode the relation). Every
+ * nonbasic column sits at a finite bound. solve() picks its method
+ * from the current basis:
+ *  - dual feasible: dual simplex, which keeps dual feasibility and
+ *    restores primal feasibility. After a bound change this is the
+ *    warm start, and the placer's slack basis is dual feasible too,
+ *    so its root needs no phase 1;
+ *  - otherwise: composite primal simplex, which first minimizes the
+ *    sum of bound violations (phase 1) and then the objective.
+ * Both price with Dantzig's rule (most violated row, largest reduced
+ * cost) and switch to Bland's smallest-index rule after a run of
+ * degenerate pivots, until a pivot makes progress again. After a few
+ * hundred updates the tableau is rebuilt from the LP's rows for the
+ * current basis, which sheds accumulated round-off.
+ */
+class BoundedSimplex
+{
+  public:
+    /** Where a column sits in a basis. */
+    enum class Status : std::uint8_t { Basic, AtLower, AtUpper };
+    /** Compact basis: one status per column (variables, then rows). */
+    using Basis = std::vector<Status>;
+
+    explicit BoundedSimplex(const LinearProgram &lp,
+                            SimplexOptions options = {});
+
+    /** Set a variable's bounds; the next solve() starts warm. */
+    void setBounds(int var, double lo, double hi);
+
+    /** Restore every variable's bounds to the LP's. */
+    void resetBounds();
+
+    double lowerBound(int var) const { return lo.at(var); }
+    double upperBound(int var) const { return hi.at(var); }
+
+    /**
+     * Start over from the slack basis: each variable nonbasic at its
+     * lower bound, or at a finite upper bound if its cost is negative.
+     */
+    void coldStart();
+
+    /** The current basis. */
+    Basis basis() const;
+
+    /**
+     * Rebuild the tableau for @p basis from the LP's rows.
+     *
+     * @return false, leaving the tableau unusable until the next
+     *         coldStart() or loadBasis(), if @p basis is malformed or
+     *         singular.
+     */
+    bool loadBasis(const Basis &basis);
+
+    /**
+     * Solve from the current basis.
+     *
+     * @param cutoff Stop with LpStatus::Cutoff once the dual simplex
+     *        proves the optimum is at least this.
+     */
+    LpStatus solve(double cutoff = inf);
+
+    /** Objective of the current basic solution. */
+    double objective() const;
+
+    /** Variable values of the current basic solution. */
+    std::vector<double> solution() const;
+
+    /** Pivots and bound flips taken by the last solve(). */
+    std::uint64_t iterations() const { return iters; }
+
+  private:
+    double *row(int i) { return &tab[std::size_t(i) * width]; }
+    const double *row(int i) const
+    {
+        return &tab[std::size_t(i) * width];
+    }
+    bool fixed(int j) const { return lo[j] == hi[j]; }
+    /** Column @p j lies outside a bound by more than the tolerance. */
+    bool belowLower(int j) const
+    {
+        return x[j] < lo[j] - opt.eps * (1.0 + std::abs(lo[j]));
+    }
+    bool aboveUpper(int j) const
+    {
+        return x[j] > hi[j] + opt.eps * (1.0 + std::abs(hi[j]));
+    }
+
+    void computePrimal();
+    void computeDuals();
+    bool dualFeasible() const;
+    void pivot(int r, int q);
+    /** Move nonbasic @p q by @p delta; basic values follow. */
+    void shift(int q, double delta);
+    void noteStep(double step);
+    LpStatus dual(double cutoff);
+    LpStatus primal();
+
+    SimplexOptions opt;
+    /** Variables, rows, columns, tableau row stride (columns + rhs). */
+    int n = 0;
+    int m = 0;
+    int cols = 0;
+    int width = 0;
+    /** [A | I | b] as built from the LP, for cold starts and loads. */
+    std::vector<double> initial;
+    /** B^-1 [A | I | b]. */
+    std::vector<double> tab;
+    /** Column bounds now, and the LP's own. */
+    std::vector<double> lo;
+    std::vector<double> hi;
+    std::vector<double> baseLo;
+    std::vector<double> baseHi;
+    std::vector<double> cost;
+    /** Column values (basic values are current after each step). */
+    std::vector<double> x;
+    /** Reduced costs. */
+    std::vector<double> d;
+    std::vector<Status> status;
+    /** basic[i]: the column basic in row i. */
+    std::vector<int> basic;
+    std::vector<int> nonzero;
+    std::uint64_t iters = 0;
+    std::uint64_t pivotsSinceLoad = 0;
+    int degenerateRun = 0;
+    bool bland = false;
+};
+
+/** Solve cold with the bounded-variable simplex. */
 LpResult solveLp(const LinearProgram &lp, SimplexOptions options = {});
 
 } // namespace aqua::opt

@@ -3,9 +3,17 @@
  * Mixed-integer linear programming via LP-based branch and bound —
  * the solver behind AQUA-PLACER (the paper used Gurobi, §4).
  *
- * Best-bound search on the simplex relaxation, branching on the most
- * fractional integer variable. Node and time limits make it usable
- * inside the Fig. 14 convergence-time benchmark.
+ * Branches on the most fractional integer variable of the LP
+ * relaxation, which one BoundedSimplex keeps warm across the search:
+ *  - plunging: after branching, the child whose bound lies nearer the
+ *    LP value is solved next, by the dual simplex from the parent's
+ *    tableau. The sibling goes to the open list with the parent's
+ *    compact basis (one status byte per column);
+ *  - best bound: when a plunge ends, the open node with the lowest
+ *    parent bound is re-factored from its stored basis (or solved cold
+ *    if that basis is singular) and a new plunge starts there.
+ * A node budget bounds the search, which makes it deterministic: the
+ * same instance explores the same tree on any host.
  */
 
 #ifndef AQUA_OPT_MILP_HH
@@ -52,7 +60,12 @@ struct MilpResult
 struct MilpOptions
 {
     std::uint64_t maxNodes = 200000;
-    /** Wall-clock budget in seconds; 0 = unlimited. */
+    /**
+     * Host-side guard: wall-clock budget in seconds; 0, infinity or
+     * any value beyond the clock's range means unlimited. A search cut
+     * by it depends on host speed, so no path whose output lands in a
+     * result sets it; they bound the search with maxNodes.
+     */
     double maxSeconds = 0.0;
     double integerTolerance = 1e-6;
     /** Prune children whose bound is within this of the incumbent. */
@@ -83,13 +96,6 @@ class MilpSolver
     MilpResult solve();
 
   private:
-    struct Node
-    {
-        /** (var, lo, hi) bound overrides along this branch. */
-        std::vector<std::tuple<int, double, double>> bounds;
-        double bound = -inf;
-    };
-
     LinearProgram base;
     std::vector<int> integerVars;
     MilpOptions opt;

@@ -20,18 +20,6 @@ pairingLess(const Pairing &a, const Pairing &b)
     return a.consumerModel < b.consumerModel;
 }
 
-opt::MilpOptions
-deterministicMilp(const RepairConfig &cfg)
-{
-    opt::MilpOptions milp;
-    milp.maxNodes = cfg.solveMaxNodes;
-    // Effectively unlimited: AquaPlacer would replace 0 with a
-    // wall-clock default, and wall-clock cutoffs make time-limited
-    // searches replay differently run to run.
-    milp.maxSeconds = 1e9;
-    return milp;
-}
-
 } // anonymous namespace
 
 IncrementalPlacer::IncrementalPlacer(PlacementInput initial,
@@ -204,8 +192,9 @@ IncrementalPlacer::fullSolve()
         std::fill(load.begin(), load.end(), 0);
         return;
     }
-    AquaPlacer solver(deterministicMilp(cfg));
-    Placement p = solver.place(in);
+    opt::MilpOptions milp;
+    milp.maxNodes = cfg.solveMaxNodes;
+    Placement p = AquaPlacer(milp).place(in);
     if (!p.valid()) {
         // Live models exceed the shrunken uniform capacity. Keep the
         // incrementally repaired placement — it may still be feasible

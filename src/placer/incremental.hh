@@ -44,11 +44,7 @@ struct RepairConfig
     double qualitySlack = 0.10;
     /** Full re-solve at the latest after this many repairs. */
     std::size_t maxRepairsBeforeSolve = 128;
-    /**
-     * Node budget of the fallback MILP. The wall-clock budget is set
-     * effectively unlimited so only this (deterministic) limit can
-     * cut the search short.
-     */
+    /** Node budget of the fallback MILP, its only limit. */
     std::uint64_t solveMaxNodes = 20000;
 };
 

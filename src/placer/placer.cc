@@ -1,7 +1,6 @@
 #include "placer/placer.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <map>
 
@@ -11,6 +10,13 @@
 namespace aqua::placer {
 
 using aqua::sim::panic;
+
+namespace {
+
+/** Bytes to GB, so the LP works in O(1)-magnitude numbers. */
+constexpr double kScale = 1e-9;
+
+} // anonymous namespace
 
 double
 evaluateObjective(const PlacementInput &input,
@@ -200,22 +206,11 @@ greedyPlace(const PlacementInput &input)
 AquaPlacer::AquaPlacer(opt::MilpOptions milpOptions)
     : milpOpt(milpOptions)
 {
-    // Placement is a pre-launch planning step, but hard instances
-    // exist; guard an "unlimited" budget with a sane default so the
-    // greedy fallback kicks in rather than hanging the caller. Pass
-    // an explicit large maxSeconds for a truly exhaustive search.
-    if (milpOpt.maxSeconds == 0.0)
-        milpOpt.maxSeconds = 30.0;
 }
 
-Placement
-AquaPlacer::place(const PlacementInput &input) const
+PlacementMilp
+encodePlacement(const PlacementInput &input)
 {
-    auto t0 = std::chrono::steady_clock::now();
-    Placement greedy = greedyPlace(input);
-    if (!greedy.valid())
-        return greedy; // infeasible instance
-
     // Group identical models into types: y[t][s] counts instances of
     // type t on server s. This collapses instance-permutation
     // symmetry (clusters sample models with replacement, §6.1).
@@ -223,8 +218,9 @@ AquaPlacer::place(const PlacementInput &input) const
     for (std::size_t m = 0; m < input.models.size(); ++m)
         byMem[input.models[m].memBytes].push_back(
             static_cast<int>(m));
+    PlacementMilp milp;
     std::vector<std::int64_t> typeMem;
-    std::vector<std::vector<int>> typeMembers;
+    std::vector<std::vector<int>> &typeMembers = milp.typeMembers;
     for (auto &[mem, members] : byMem) {
         typeMem.push_back(mem);
         typeMembers.push_back(members);
@@ -232,13 +228,11 @@ AquaPlacer::place(const PlacementInput &input) const
     std::size_t T = typeMem.size();
     std::size_t S = input.numServers;
 
-    // Scale bytes to GB so the LP works in O(1)-magnitude numbers.
-    const double scale = 1e-9;
-
-    opt::LinearProgram lp;
+    opt::LinearProgram &lp = milp.lp;
     // y variables.
-    std::vector<std::vector<int>> y(T, std::vector<int>(S));
-    std::vector<int> integers;
+    std::vector<std::vector<int>> &y = milp.y;
+    y.assign(T, std::vector<int>(S));
+    std::vector<int> &integers = milp.integers;
     for (std::size_t t = 0; t < T; ++t) {
         for (std::size_t s = 0; s < S; ++s) {
             double hi = std::min<double>(
@@ -251,13 +245,13 @@ AquaPlacer::place(const PlacementInput &input) const
     // Min-max linearization variables (Eq. 5).
     double memMagnitude = 0.0;
     for (std::int64_t mem : typeMem)
-        memMagnitude += std::abs(static_cast<double>(mem)) * scale *
+        memMagnitude += std::abs(static_cast<double>(mem)) * kScale *
                         static_cast<double>(input.models.size());
     double countMagnitude =
         static_cast<double>(input.models.size()) + 1.0;
     int zMem = lp.addVar(-memMagnitude, opt::inf, 1.0);
     int zEq = lp.addVar(-countMagnitude, opt::inf,
-                        static_cast<double>(input.gpuMemBytes) * scale);
+                        static_cast<double>(input.gpuMemBytes) * kScale);
 
     // Eq. 1: every instance of a type lands somewhere.
     for (std::size_t t = 0; t < T; ++t) {
@@ -280,7 +274,7 @@ AquaPlacer::place(const PlacementInput &input) const
         std::vector<std::pair<int, double>> row;
         for (std::size_t t = 0; t < T; ++t) {
             row.emplace_back(
-                y[t][s], static_cast<double>(typeMem[t]) * scale);
+                y[t][s], static_cast<double>(typeMem[t]) * kScale);
         }
         row.emplace_back(zMem, -1.0);
         lp.addRow(std::move(row), opt::Relation::LessEq, 0.0);
@@ -298,9 +292,25 @@ AquaPlacer::place(const PlacementInput &input) const
         lp.addRow(std::move(row), opt::Relation::LessEq, 0.0);
     }
 
-    opt::MilpSolver solver(std::move(lp), std::move(integers),
-                           milpOpt);
-    solver.setIncumbentBound(greedy.objective * scale);
+    return milp;
+}
+
+Placement
+AquaPlacer::place(const PlacementInput &input) const
+{
+    Placement greedy = greedyPlace(input);
+    if (!greedy.valid())
+        return greedy; // infeasible instance
+
+    PlacementMilp encoded = encodePlacement(input);
+    const std::vector<std::vector<int>> &y = encoded.y;
+    const std::vector<std::vector<int>> &typeMembers =
+        encoded.typeMembers;
+    std::size_t T = typeMembers.size();
+    std::size_t S = input.numServers;
+    opt::MilpSolver solver(std::move(encoded.lp),
+                           std::move(encoded.integers), milpOpt);
+    solver.setIncumbentBound(greedy.objective * kScale);
     opt::MilpResult milp = solver.solve();
 
     Placement result;
@@ -336,9 +346,7 @@ AquaPlacer::place(const PlacementInput &input) const
         result.pairs = matchWithinServers(input, result.server);
     }
     result.nodesExplored = milp.nodesExplored;
-    auto t1 = std::chrono::steady_clock::now();
-    result.solveSeconds =
-        std::chrono::duration<double>(t1 - t0).count();
+    result.lpIterations = milp.lpIterations;
     return result;
 }
 

@@ -17,7 +17,9 @@
  * collapses the permutation symmetry that would otherwise blow up the
  * search (the paper's clusters sample models with replacement, §6.1).
  * A greedy first-fit placement provides the incumbent bound and a
- * fallback when node limits bite.
+ * fallback when the node budget bites. The budget (MilpOptions::
+ * maxNodes), not the host's speed, ends a search that does not prove
+ * optimality, so a placement is the same on every host.
  */
 
 #ifndef AQUA_PLACER_PLACER_HH
@@ -77,7 +79,8 @@ struct Placement
     /** Whether the MILP proved optimality. */
     bool optimal = false;
     std::uint64_t nodesExplored = 0;
-    double solveSeconds = 0.0;
+    /** Simplex iterations over all branch-and-bound nodes. */
+    std::uint64_t lpIterations = 0;
 
     bool
     valid() const
@@ -98,8 +101,26 @@ double evaluateObjective(const PlacementInput &input,
  */
 Placement greedyPlace(const PlacementInput &input);
 
+/** Algorithm 1 as a MILP over model types (what AquaPlacer solves). */
+struct PlacementMilp
+{
+    /** Objective and memory terms in GB. */
+    opt::LinearProgram lp;
+    /** The y variables, which must be integral. */
+    std::vector<int> integers;
+    /** y[t][s]: the variable counting type-t models on server s. */
+    std::vector<std::vector<int>> y;
+    /** typeMembers[t]: indices of the models of type t. */
+    std::vector<std::vector<int>> typeMembers;
+};
+
+/** Encode Algorithm 1 for @p input (exposed for solver tests). */
+PlacementMilp encodePlacement(const PlacementInput &input);
+
 /**
  * AQUA-PLACER: the Algorithm 1 MILP plus per-server stable matching.
+ * The MILP options are used as given; the default budget is
+ * MilpOptions::maxNodes nodes and no wall-clock limit.
  */
 class AquaPlacer
 {

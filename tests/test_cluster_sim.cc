@@ -164,12 +164,12 @@ TEST(ClusterGolden, SmallClusterSeed1)
     ClusterSimConfig cfg = smallCluster(1, false);
     ClusterRunResult r = runClusterSim(cfg);
     EXPECT_EQ(r.digests, (std::vector<std::uint64_t>{
-                             13607830910867280337ULL,
-                             4504717031429211051ULL,
-                             13387881023782490666ULL,
-                             7960605091135281427ULL}));
-    EXPECT_EQ(r.eventsFired, 8198u);
-    EXPECT_EQ(r.crossMessages, 4195u);
+                             5099149031715942978ULL,
+                             16241171371465176441ULL,
+                             12254082104969335520ULL,
+                             14705468325871038578ULL}));
+    EXPECT_EQ(r.eventsFired, 8246u);
+    EXPECT_EQ(r.crossMessages, 4243u);
 
     auto *completed = r.stats.find("total_completed");
     ASSERT_NE(completed, nullptr);

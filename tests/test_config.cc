@@ -109,7 +109,7 @@ TEST(Config, PlacementSpecWithSplit)
     ConfigRunResult r = runFromJsonText(
         R"({"experiment": "placement", "servers": 4,)"
         R"( "gpus_per_server": 2, "split": "llm-heavy",)"
-        R"( "max_solve_s": 2})");
+        R"( "max_nodes": 2000})");
     ASSERT_TRUE(r.ok) << r.error;
     const json::Value *assignment = r.results.find("assignment");
     ASSERT_TRUE(assignment && assignment->isArray());

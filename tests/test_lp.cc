@@ -1,12 +1,21 @@
 /**
  * @file
  * Tests for the simplex LP solver: textbook instances, bound
- * handling, infeasibility, unboundedness and degeneracy.
+ * handling, infeasibility, unboundedness and degeneracy, plus a
+ * differential harness against the dense two-phase solver it replaced
+ * (tests/reference_lp.hh), cold and after warm bound changes.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <random>
+
+#include "exp/experiments.hh"
 #include "opt/lp.hh"
+#include "placer/placer.hh"
+#include "tests/reference_lp.hh"
 
 using namespace aqua::opt;
 
@@ -164,4 +173,329 @@ TEST(Lp, EmptyObjectiveFeasibility)
     LpResult r = solveLp(lp);
     ASSERT_TRUE(r.optimal());
     EXPECT_GE(r.x[x], 5.0 - 1e-9);
+}
+
+namespace {
+
+/** Random small-integer LPs: bounded, free-above and fixed columns,
+ *  all three relations, zero and negative right-hand sides. */
+class LpGenerator
+{
+  public:
+    explicit LpGenerator(std::uint64_t seed) : rng(seed) {}
+
+    int
+    pick(int lo, int hi)
+    {
+        return std::uniform_int_distribution<int>(lo, hi)(rng);
+    }
+
+    LinearProgram
+    make()
+    {
+        LinearProgram lp;
+        int vars = pick(1, 7);
+        int rows = pick(0, 6);
+        for (int j = 0; j < vars; ++j) {
+            double lo = pick(0, 2) == 0 ? pick(-4, 3) : 0.0;
+            double hi = pick(0, 3) == 0 ? inf : lo + pick(0, 6);
+            lp.addVar(lo, hi, pick(-5, 5));
+        }
+        for (int i = 0; i < rows; ++i) {
+            std::vector<std::pair<int, double>> coeffs;
+            for (int j = 0; j < vars; ++j) {
+                if (pick(0, 9) < 6)
+                    coeffs.emplace_back(j, pick(-4, 4));
+            }
+            int rel = pick(0, 4);
+            // Zero right-hand sides make degenerate vertices common.
+            double rhs = pick(0, 2) == 0 ? 0.0 : pick(-10, 12);
+            lp.addRow(std::move(coeffs),
+                      rel < 2   ? Relation::LessEq
+                      : rel < 4 ? Relation::GreaterEq
+                                : Relation::Equal,
+                      rhs);
+        }
+        return lp;
+    }
+
+  private:
+    std::mt19937_64 rng;
+};
+
+double
+objectiveTolerance(double obj)
+{
+    return 1e-7 * std::max(1.0, std::abs(obj));
+}
+
+/** The solution satisfies the LP and matches its objective. */
+void
+expectFeasible(const LinearProgram &lp, const LpResult &r)
+{
+    ASSERT_EQ(r.x.size(), std::size_t(lp.numVars()));
+    double obj = 0.0;
+    for (int j = 0; j < lp.numVars(); ++j) {
+        EXPECT_GE(r.x[j], lp.lowerBound(j) - 1e-7);
+        EXPECT_LE(r.x[j], lp.upperBound(j) + 1e-7);
+        obj += lp.cost(j) * r.x[j];
+    }
+    EXPECT_NEAR(obj, r.objective, objectiveTolerance(obj));
+    for (const LinearProgram::Row &row : lp.constraints()) {
+        double a = 0.0;
+        for (const auto &[var, coeff] : row.coeffs)
+            a += coeff * r.x[var];
+        if (row.rel != Relation::GreaterEq) {
+            EXPECT_LE(a, row.rhs + 1e-7);
+        }
+        if (row.rel != Relation::LessEq) {
+            EXPECT_GE(a, row.rhs - 1e-7);
+        }
+    }
+}
+
+/** Same status, objectives within 1e-7 relative, feasible solution. */
+void
+expectMatchesReference(const LinearProgram &lp, LpStatus status,
+                       const LpResult &got)
+{
+    LpResult want = reference::solveLpDense(lp);
+    ASSERT_NE(want.status, LpStatus::IterLimit);
+    ASSERT_EQ(status, want.status);
+    if (want.optimal()) {
+        EXPECT_NEAR(got.objective, want.objective,
+                    objectiveTolerance(want.objective));
+        expectFeasible(lp, got);
+    }
+}
+
+} // anonymous namespace
+
+TEST(LpDifferential, RandomLpsMatchDenseReference)
+{
+    LpGenerator gen(20261017);
+    int seen[4] = {0, 0, 0, 0};
+    for (int k = 0; k < 5000; ++k) {
+        LinearProgram lp = gen.make();
+        LpResult got = solveLp(lp);
+        SCOPED_TRACE(k);
+        expectMatchesReference(lp, got.status, got);
+        if (HasFatalFailure())
+            return;
+        ++seen[static_cast<int>(got.status)];
+    }
+    // The generator reaches every outcome the solvers can agree on.
+    EXPECT_GT(seen[static_cast<int>(LpStatus::Optimal)], 1000);
+    EXPECT_GT(seen[static_cast<int>(LpStatus::Infeasible)], 500);
+    EXPECT_GT(seen[static_cast<int>(LpStatus::Unbounded)], 200);
+}
+
+TEST(LpDifferential, BealeCyclingLpMatchesReference)
+{
+    // Beale's LP cycles under the textbook largest-coefficient rule;
+    // the degenerate-stall switch to Bland must still terminate.
+    LinearProgram lp;
+    int x1 = lp.addVar(0.0, inf, -0.75);
+    int x2 = lp.addVar(0.0, inf, 150.0);
+    int x3 = lp.addVar(0.0, inf, -0.02);
+    int x4 = lp.addVar(0.0, inf, 6.0);
+    lp.addRow({{x1, 0.25}, {x2, -60.0}, {x3, -0.04}, {x4, 9.0}},
+              Relation::LessEq, 0.0);
+    lp.addRow({{x1, 0.5}, {x2, -90.0}, {x3, -0.02}, {x4, 3.0}},
+              Relation::LessEq, 0.0);
+    lp.addRow({{x3, 1.0}}, Relation::LessEq, 1.0);
+    LpResult got = solveLp(lp);
+    expectMatchesReference(lp, got.status, got);
+    EXPECT_NEAR(got.objective, -0.05, 1e-9);
+}
+
+TEST(LpDifferential, DegenerateDuplicateRowsMatchReference)
+{
+    // Every vertex of a box cut by repeated, redundant rows through
+    // the origin is degenerate.
+    LpGenerator gen(77);
+    for (int k = 0; k < 300; ++k) {
+        LinearProgram lp;
+        int vars = gen.pick(2, 6);
+        for (int j = 0; j < vars; ++j)
+            lp.addVar(0.0, gen.pick(0, 1) ? inf : 3.0, gen.pick(-3, 3));
+        std::vector<std::pair<int, double>> coeffs;
+        for (int j = 0; j < vars; ++j)
+            coeffs.emplace_back(j, gen.pick(-2, 2));
+        for (int copy = 0; copy < 3; ++copy)
+            lp.addRow(coeffs, Relation::LessEq, 0.0);
+        lp.addRow(coeffs, Relation::Equal, 0.0);
+        std::vector<std::pair<int, double>> sum;
+        for (int j = 0; j < vars; ++j)
+            sum.emplace_back(j, 1.0);
+        lp.addRow(sum, Relation::LessEq, gen.pick(0, 4));
+        LpResult got = solveLp(lp);
+        SCOPED_TRACE(k);
+        expectMatchesReference(lp, got.status, got);
+        if (HasFatalFailure())
+            return;
+    }
+}
+
+TEST(LpDifferential, WarmResolveAfterTighteningMatchesColdReference)
+{
+    // Branch and bound's two warm paths: re-solve the tableau in
+    // memory after a bound change (a plunge), or go back to an earlier
+    // optimal node, tighten a different bound, reset every bound and
+    // reload that node's basis (a best-bound pop). A cutoff must never
+    // prune an LP whose optimum lies below it.
+    LpGenerator gen(4242);
+    int plunges = 0;
+    int reloads = 0;
+    int cutoffs = 0;
+    for (int k = 0; k < 2500; ++k) {
+        LinearProgram lp = gen.make();
+        BoundedSimplex simplex(lp);
+        LpStatus status = simplex.solve();
+        // Earlier optimal nodes: their bounds and bases.
+        std::vector<std::pair<LinearProgram, BoundedSimplex::Basis>> seen;
+        for (int step = 0; step < 8; ++step) {
+            bool reload = status != LpStatus::Optimal ||
+                          (!seen.empty() && gen.pick(0, 2) == 0);
+            if (status == LpStatus::Optimal)
+                seen.emplace_back(lp, simplex.basis());
+            std::size_t from = 0;
+            if (reload) {
+                if (seen.empty())
+                    break;
+                from = gen.pick(0, int(seen.size()) - 1);
+                lp = seen[from].first;
+            }
+            int var = gen.pick(0, lp.numVars() - 1);
+            double lo = lp.lowerBound(var);
+            double hi = lp.upperBound(var);
+            double span = std::isfinite(hi) ? hi - lo : 6.0;
+            double newLo = lo + gen.pick(0, int(span));
+            double newHi = std::isfinite(hi) && gen.pick(0, 1)
+                         ? hi : newLo + gen.pick(0, 3);
+            if (std::isfinite(hi))
+                newHi = std::min(newHi, hi);
+            newLo = std::min(newLo, newHi);
+            lp.setBounds(var, newLo, newHi);
+            if (reload) {
+                simplex.resetBounds();
+                for (int j = 0; j < lp.numVars(); ++j)
+                    simplex.setBounds(j, lp.lowerBound(j),
+                                      lp.upperBound(j));
+                ASSERT_TRUE(simplex.loadBasis(seen[from].second));
+                ++reloads;
+            } else {
+                simplex.setBounds(var, newLo, newHi);
+                ++plunges;
+            }
+            // Some solves run under a cutoff just above or below the
+            // optimum, as branch and bound's incumbent imposes.
+            LpResult want = reference::solveLpDense(lp);
+            double cutoff = inf;
+            if (want.optimal() && gen.pick(0, 2) == 0)
+                cutoff = want.objective + (gen.pick(0, 1) ? 0.5 : -0.5);
+            status = simplex.solve(cutoff);
+            SCOPED_TRACE(testing::Message() << k << "/" << step);
+            if (status == LpStatus::Cutoff) {
+                // Only an optimum at or above the cutoff is pruned.
+                EXPECT_GE(want.objective, cutoff);
+                ++cutoffs;
+                continue;
+            }
+            LpResult got;
+            got.status = status;
+            got.x = simplex.solution();
+            got.objective = simplex.objective();
+            expectMatchesReference(lp, status, got);
+            if (HasFatalFailure())
+                return;
+        }
+    }
+    EXPECT_GT(plunges, 3000);
+    EXPECT_GT(reloads, 2000);
+    EXPECT_GT(cutoffs, 300);
+}
+
+TEST(LpDifferential, CutoffStopsOnlyAboveTheOptimum)
+{
+    LinearProgram lp;
+    int x = lp.addVar(0.0, 10.0, 1.0);
+    int y = lp.addVar(0.0, 10.0, 2.0);
+    lp.addRow({{x, 1.0}, {y, 1.0}}, Relation::GreaterEq, 4.0);
+    lp.addRow({{x, 1.0}, {y, -1.0}}, Relation::LessEq, 1.0);
+    // Optimum x = 2.5, y = 1.5, objective 5.5.
+    BoundedSimplex below(lp);
+    EXPECT_EQ(below.solve(5.0), LpStatus::Cutoff);
+    BoundedSimplex above(lp);
+    ASSERT_EQ(above.solve(6.0), LpStatus::Optimal);
+    EXPECT_NEAR(above.objective(), 5.5, 1e-9);
+}
+
+TEST(LpDifferential, MalformedOrSingularBasisIsRejected)
+{
+    LinearProgram lp;
+    int x = lp.addVar(0.0, 5.0, -1.0);
+    int y = lp.addVar(0.0, 5.0, -1.0);
+    lp.addRow({{x, 1.0}, {y, 1.0}}, Relation::LessEq, 6.0);
+    lp.addRow({{x, 2.0}, {y, 2.0}}, Relation::LessEq, 14.0);
+    BoundedSimplex simplex(lp);
+    using S = BoundedSimplex::Status;
+    EXPECT_FALSE(simplex.loadBasis({S::Basic}));
+    // Two basics for two rows, but x and y have parallel columns.
+    EXPECT_FALSE(
+        simplex.loadBasis({S::Basic, S::Basic, S::AtLower, S::AtLower}));
+    simplex.coldStart();
+    ASSERT_EQ(simplex.solve(), LpStatus::Optimal);
+    EXPECT_NEAR(simplex.objective(), -6.0, 1e-9);
+}
+
+TEST(LpDifferential, PlacerNodeLpsMatchReference)
+{
+    // The placer's own LPs (§6.1 clusters, and the same clusters
+    // after departures, like the incremental placer's fallback solve)
+    // along random branching paths, warm against a cold reference.
+    std::mt19937_64 rng(5);
+    int solves = 0;
+    for (std::uint64_t seed = 0; seed < 6; ++seed) {
+        for (std::size_t departed : {0, 3}) {
+            aqua::placer::PlacementInput input =
+                aqua::exp::makeClusterInput(8, 2, "balanced", seed);
+            input.models.resize(input.models.size() - departed);
+            aqua::placer::PlacementMilp milp =
+                aqua::placer::encodePlacement(input);
+            LinearProgram lp = milp.lp;
+            BoundedSimplex simplex(lp);
+            LpStatus status = simplex.solve();
+            for (int depth = 0; depth < 12; ++depth) {
+                LpResult got;
+                got.status = status;
+                got.x = simplex.solution();
+                got.objective = simplex.objective();
+                SCOPED_TRACE(testing::Message()
+                             << "seed " << seed << " departed "
+                             << departed
+                             << " depth " << depth);
+                expectMatchesReference(lp, status, got);
+                if (HasFatalFailure() || status != LpStatus::Optimal)
+                    break;
+                ++solves;
+                // Branch on a random y, down or up from its value.
+                int var = milp.integers[std::uniform_int_distribution<
+                    std::size_t>(0, milp.integers.size() - 1)(rng)];
+                double v = got.x[var];
+                double lo = lp.lowerBound(var);
+                double hi = lp.upperBound(var);
+                if (rng() % 2 && std::floor(v) >= lo)
+                    hi = std::floor(v);
+                else if (std::ceil(v) <= hi)
+                    lo = std::ceil(v);
+                if (lo == lp.lowerBound(var) && hi == lp.upperBound(var))
+                    lo = hi; // fix an integral value instead
+                lp.setBounds(var, lo, hi);
+                simplex.setBounds(var, lo, hi);
+                status = simplex.solve();
+            }
+        }
+    }
+    EXPECT_GT(solves, 60);
 }

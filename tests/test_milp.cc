@@ -1,13 +1,18 @@
 /**
  * @file
- * Tests for the branch-and-bound MILP solver.
+ * Tests for the branch-and-bound MILP solver, including proofs of
+ * optimality checked against brute-force integer enumeration.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <random>
 
+#include "exp/experiments.hh"
 #include "opt/milp.hh"
+#include "placer/placer.hh"
 
 using namespace aqua::opt;
 
@@ -170,4 +175,147 @@ TEST(Milp, CountsNodesAndIterations)
     MilpResult r = solver.solve();
     EXPECT_GE(r.nodesExplored, 1u);
     EXPECT_GE(r.lpIterations, 1u);
+}
+
+namespace {
+
+LinearProgram
+knapsack()
+{
+    LinearProgram lp;
+    int a = lp.addVar(0.0, 1.0, -10.0);
+    int b = lp.addVar(0.0, 1.0, -13.0);
+    int c = lp.addVar(0.0, 1.0, -7.0);
+    lp.addRow({{a, 3.0}, {b, 4.0}, {c, 2.0}}, Relation::LessEq, 6.0);
+    return lp;
+}
+
+} // anonymous namespace
+
+TEST(Milp, UnlimitedOrHugeWallBudgetMeansNoDeadline)
+{
+    // The deadline saturates instead of overflowing the clock's
+    // nanosecond count (undefined behaviour before).
+    for (double seconds : {inf, 1e12, 1e300}) {
+        MilpOptions opt;
+        opt.maxSeconds = seconds;
+        MilpSolver solver(knapsack(), {0, 1, 2}, opt);
+        MilpResult r = solver.solve();
+        ASSERT_EQ(r.status, MilpStatus::Optimal) << seconds;
+        EXPECT_FALSE(r.limitHit);
+        EXPECT_NEAR(r.objective, -20.0, 1e-6);
+    }
+}
+
+TEST(Milp, RandomIntegerProgramsMatchEnumeration)
+{
+    // Up to four integer variables in small boxes: enumerate every
+    // lattice point for the true optimum.
+    std::mt19937_64 rng(99);
+    auto pick = [&](int lo, int hi) {
+        return std::uniform_int_distribution<int>(lo, hi)(rng);
+    };
+    int optimal = 0;
+    for (int k = 0; k < 300; ++k) {
+        LinearProgram lp;
+        int vars = pick(1, 4);
+        std::vector<int> ints;
+        for (int j = 0; j < vars; ++j)
+            ints.push_back(lp.addVar(pick(-2, 0), pick(1, 3),
+                                     pick(-6, 6)));
+        int rows = pick(1, 4);
+        for (int i = 0; i < rows; ++i) {
+            std::vector<std::pair<int, double>> coeffs;
+            for (int j = 0; j < vars; ++j)
+                coeffs.emplace_back(j, pick(-3, 3) + 0.5 * pick(0, 1));
+            int rel = pick(0, 3);
+            lp.addRow(coeffs,
+                      rel == 0 ? Relation::GreaterEq
+                      : rel == 1 ? Relation::Equal
+                                 : Relation::LessEq,
+                      pick(-4, 6) + 0.5 * pick(0, 1));
+        }
+
+        double best = inf;
+        std::vector<double> x(vars);
+        std::function<void(int)> walk = [&](int j) {
+            if (j == vars) {
+                for (const LinearProgram::Row &row : lp.constraints()) {
+                    double a = 0.0;
+                    for (const auto &[var, coeff] : row.coeffs)
+                        a += coeff * x[var];
+                    if ((row.rel != Relation::GreaterEq &&
+                         a > row.rhs + 1e-9) ||
+                        (row.rel != Relation::LessEq &&
+                         a < row.rhs - 1e-9))
+                        return;
+                }
+                double obj = 0.0;
+                for (int v = 0; v < vars; ++v)
+                    obj += lp.cost(v) * x[v];
+                best = std::min(best, obj);
+                return;
+            }
+            for (double v = lp.lowerBound(j); v <= lp.upperBound(j);
+                 v += 1.0) {
+                x[j] = v;
+                walk(j + 1);
+            }
+        };
+        walk(0);
+
+        MilpResult r = MilpSolver(lp, ints).solve();
+        SCOPED_TRACE(k);
+        if (!std::isfinite(best)) {
+            EXPECT_EQ(r.status, MilpStatus::Infeasible);
+            continue;
+        }
+        ASSERT_EQ(r.status, MilpStatus::Optimal);
+        EXPECT_NEAR(r.objective, best, 1e-7);
+        ++optimal;
+    }
+    EXPECT_GT(optimal, 100);
+}
+
+TEST(Milp, SmallPlacerInstancesProveTheEnumeratedOptimum)
+{
+    // Every assignment of models to servers within the GPU count.
+    for (const char *split : {"balanced", "llm-heavy"}) {
+        for (std::size_t servers : {3, 4}) {
+            for (std::uint64_t seed = 0; seed < 4; ++seed) {
+                aqua::placer::PlacementInput input =
+                    aqua::exp::makeClusterInput(servers, 2, split, seed);
+                std::size_t models = input.models.size();
+                std::vector<int> assign(models, 0);
+                std::vector<std::size_t> load(servers, 0);
+                double best = inf;
+                std::function<void(std::size_t)> walk =
+                    [&](std::size_t m) {
+                        if (m == models) {
+                            best = std::min(
+                                best, aqua::placer::evaluateObjective(
+                                          input, assign));
+                            return;
+                        }
+                        for (std::size_t s = 0; s < servers; ++s) {
+                            if (load[s] == input.gpusPerServer)
+                                continue;
+                            ++load[s];
+                            assign[m] = static_cast<int>(s);
+                            walk(m + 1);
+                            --load[s];
+                        }
+                    };
+                walk(0);
+
+                aqua::placer::Placement p =
+                    aqua::placer::AquaPlacer().place(input);
+                SCOPED_TRACE(testing::Message()
+                             << split << " " << servers << "x2 seed "
+                             << seed);
+                EXPECT_TRUE(p.optimal);
+                EXPECT_NEAR(p.objective, best, 1e-6 * std::abs(best));
+            }
+        }
+    }
 }

@@ -130,6 +130,47 @@ TEST(Placer, MilpNeverWorseThanGreedy)
     }
 }
 
+TEST(Placer, BudgetedClusterPlacementsAreValidAndRepeatable)
+{
+    // The §6.1 cluster at a small node budget: the search stops on
+    // the budget, never worse than the greedy seed, and replays the
+    // same tree (no wall clock can cut it short).
+    opt::MilpOptions milpOpt;
+    milpOpt.maxNodes = 300;
+    for (std::uint64_t seed = 0; seed < 6; ++seed) {
+        PlacementInput input =
+            exp::makeClusterInput(8, 2, "balanced", seed);
+        Placement greedy = greedyPlace(input);
+        Placement a = AquaPlacer(milpOpt).place(input);
+        Placement b = AquaPlacer(milpOpt).place(input);
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        ASSERT_TRUE(a.valid());
+        EXPECT_EQ(a.server.size(), input.models.size());
+        std::vector<std::size_t> load(input.numServers, 0);
+        for (int s : a.server) {
+            ASSERT_GE(s, 0);
+            ASSERT_LT(static_cast<std::size_t>(s), input.numServers);
+            ++load[s];
+        }
+        for (std::size_t l : load)
+            EXPECT_LE(l, input.gpusPerServer);
+        EXPECT_DOUBLE_EQ(a.objective,
+                         evaluateObjective(input, a.server));
+        EXPECT_LE(a.objective, greedy.objective);
+        EXPECT_TRUE(a.optimal || a.nodesExplored == milpOpt.maxNodes);
+
+        EXPECT_EQ(a.server, b.server);
+        EXPECT_EQ(a.objective, b.objective);
+        EXPECT_EQ(a.nodesExplored, b.nodesExplored);
+        EXPECT_EQ(a.lpIterations, b.lpIterations);
+        ASSERT_EQ(a.pairs.size(), b.pairs.size());
+        for (std::size_t i = 0; i < a.pairs.size(); ++i) {
+            EXPECT_EQ(a.pairs[i].consumerModel, b.pairs[i].consumerModel);
+            EXPECT_EQ(a.pairs[i].producerModel, b.pairs[i].producerModel);
+        }
+    }
+}
+
 TEST(Placer, PairsLinkConsumersToProducersOnSameServer)
 {
     PlacementInput input = exp::makeClusterInput(4, 2, "balanced", 7);

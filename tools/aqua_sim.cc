@@ -42,7 +42,8 @@ usage()
         "  {\"experiment\": \"contention\", \"model\": "
         "\"Llama-2-13B\", \"batch_sizes\": [1, 8, 32, 64]}\n"
         "  {\"experiment\": \"placement\", \"servers\": 8, "
-        "\"gpus_per_server\": 2, \"split\": \"balanced\"}\n"
+        "\"gpus_per_server\": 2, \"split\": \"balanced\", "
+        "\"max_nodes\": 20000}\n"
         "  {\"experiment\": \"e2e\", \"split\": \"balanced\", "
         "\"servers\": 8, \"duration_s\": 300}\n");
 }
