@@ -123,7 +123,7 @@ FederationDirectory::onChainPublished(
     e.server = cfg.serverId;
     e.version = ++seq;
     e.tombstone = false;
-    local[key] = e;
+    putLocal(e);
     ++counters.advertsPublished;
     jlog("advert", advertToJson(e));
     trace("fed_advert", e);
@@ -136,9 +136,10 @@ FederationDirectory::onChainInvalidated(std::uint64_t key)
     auto it = local.find(key);
     if (it == local.end() || it->second.tombstone)
         return;
-    DirectoryEntry &e = it->second;
+    DirectoryEntry e = it->second;
     e.tombstone = true;
     e.version = ++seq;
+    putLocal(e);
     ++counters.tombstones;
     Value f;
     f["key"] = static_cast<std::int64_t>(key);
@@ -146,6 +147,40 @@ FederationDirectory::onChainInvalidated(std::uint64_t key)
     jlog("tombstone", std::move(f));
     trace("fed_tombstone", e);
     pushToPeers(e);
+}
+
+std::uint64_t
+FederationDirectory::advertHash(std::uint64_t key,
+                                std::uint64_t version)
+{
+    // splitmix64's finaliser over the key, then over the version
+    // folded into the mixed key: distinct (key, version) pairs
+    // collide only by accident of the 64-bit hash.
+    auto mix = [](std::uint64_t z) {
+        z += 0x9e3779b97f4a7c15ull;
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        return z ^ (z >> 31);
+    };
+    return mix(mix(key) ^ version);
+}
+
+std::uint64_t
+FederationDirectory::remoteDigest(std::uint32_t origin) const
+{
+    auto it = remoteSums.find(origin);
+    return it == remoteSums.end() ? 0 : it->second;
+}
+
+void
+FederationDirectory::putLocal(const DirectoryEntry &e)
+{
+    auto [it, fresh] = local.try_emplace(e.key, e);
+    if (!fresh) {
+        localSum -= advertHash(e.key, it->second.version);
+        it->second = e;
+    }
+    localSum += advertHash(e.key, e.version);
 }
 
 void
@@ -206,11 +241,23 @@ FederationDirectory::antiEntropyRound()
     ++counters.antiEntropyRounds;
     // A crashed coordinator does not gossip; its table repairs after
     // recovery unfreezes it.
-    if (frozenFlag)
+    if (frozenFlag || local.empty())
         return;
+    Value digest;
+    digest["server"] = static_cast<std::int64_t>(cfg.serverId);
+    digest["digest"] = localSum;
+    // A peer that cannot answer is treated as behind: the fallback is
+    // the full push, so repair odds never drop below a full resend.
+    std::vector<const Peer *> behind;
+    for (const Peer &p : peers) {
+        core::RestResponse resp =
+            p.router->dispatch("POST /federation/digest", digest);
+        if (!resp.ok() || !resp.body.getBool("match", false))
+            behind.push_back(&p);
+    }
     for (const auto &[key, entry] : local) {
-        for (const Peer &p : peers)
-            pushToPeer(p, entry);
+        for (const Peer *p : behind)
+            pushToPeer(*p, entry);
     }
 }
 
@@ -219,11 +266,16 @@ FederationDirectory::applyAdvert(const DirectoryEntry &entry)
 {
     if (entry.server == cfg.serverId)
         return;
-    DirectoryEntry &slot = remote[entry.key][entry.server];
+    auto [it, fresh] = remote[entry.key].try_emplace(entry.server);
+    DirectoryEntry &slot = it->second;
     if (entry.version <= slot.version && slot.version != 0) {
         ++counters.advertsStale;
         return;
     }
+    std::uint64_t &sum = remoteSums[entry.server];
+    if (!fresh)
+        sum -= advertHash(entry.key, slot.version);
+    sum += advertHash(entry.key, entry.version);
     slot = entry;
     ++counters.advertsApplied;
 }
@@ -275,16 +327,27 @@ FederationDirectory::requestFetch(const DirectoryEntry &entry)
         g.reason = resp.ok()
                        ? resp.body.getString("reason", "refused")
                        : "unreachable";
-        // An unreachable or stale home cannot serve this advert;
-        // tombstone the learned copy so the next request does not
-        // retry a dead end before anti-entropy repairs the view.
-        if (g.reason == "stale" || g.reason == "unreachable") {
-            auto it = remote.find(entry.key);
-            if (it != remote.end()) {
-                auto slot = it->second.find(entry.server);
-                if (slot != it->second.end())
-                    slot->second.tombstone = true;
-            }
+        // An unreachable or stale home cannot serve this advert, so
+        // the next request must not retry a dead end. A stale home
+        // withdrew the chain: tombstone the learned copy until the
+        // withdrawal's own advert lands. An unreachable home may
+        // still hold it: forget the copy, so the view's digest no
+        // longer matches the home's and its next anti-entropy round
+        // restores it.
+        auto it = remote.find(entry.key);
+        if (it == remote.end())
+            return g;
+        auto slot = it->second.find(entry.server);
+        if (slot == it->second.end())
+            return g;
+        if (g.reason == "stale") {
+            slot->second.tombstone = true;
+        } else if (g.reason == "unreachable") {
+            remoteSums[entry.server] -=
+                advertHash(entry.key, slot->second.version);
+            it->second.erase(slot);
+            if (it->second.empty())
+                remote.erase(it);
         }
         return g;
     }
@@ -421,6 +484,8 @@ FederationDirectory::reset()
 {
     local.clear();
     remote.clear();
+    localSum = 0;
+    remoteSums.clear();
     fetches.clear();
     seq = 0;
 }
@@ -431,10 +496,8 @@ FederationDirectory::restoreState(const Value &snapshot)
     reset();
     seq = static_cast<std::uint64_t>(snapshot.getInt("seq", 0));
     if (const Value *list = snapshot.find("adverts")) {
-        for (const Value &a : list->asArray()) {
-            DirectoryEntry e = advertFromJson(a);
-            local[e.key] = e;
-        }
+        for (const Value &a : list->asArray())
+            putLocal(advertFromJson(a));
     }
 }
 
@@ -444,7 +507,7 @@ FederationDirectory::applyJournalRecord(const std::string &op,
 {
     if (op == "advert") {
         DirectoryEntry e = advertFromJson(fields);
-        local[e.key] = e;
+        putLocal(e);
         seq = std::max(seq, e.version);
         return;
     }
@@ -455,8 +518,10 @@ FederationDirectory::applyJournalRecord(const std::string &op,
             static_cast<std::uint64_t>(fields.getInt("version", 0));
         auto it = local.find(key);
         if (it != local.end()) {
-            it->second.tombstone = true;
-            it->second.version = version;
+            DirectoryEntry e = it->second;
+            e.tombstone = true;
+            e.version = version;
+            putLocal(e);
         }
         seq = std::max(seq, version);
         return;

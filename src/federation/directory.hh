@@ -21,8 +21,19 @@
  *    version is newer than what they hold.
  *  - Pushes ride the peer coordinator's REST router, so a crashed or
  *    unreachable coordinator silently loses them. A periodic
- *    anti-entropy round re-sends the full local table to every peer,
- *    repairing losses within one period.
+ *    anti-entropy round repairs losses within one period, digest
+ *    first: each directory keeps a 64-bit digest of its local table
+ *    (the wrapping sum of advertHash(key, version) over every entry,
+ *    tombstones included) and one per origin over its remote view,
+ *    both updated in O(1) at every mutation. A round sends each peer
+ *    one digest; only a peer whose view of this origin differs — or
+ *    that cannot answer (outage, crash, dropped message, frozen) —
+ *    gets the full local table, exactly as a push. Matching digests
+ *    mean (barring a 64-bit hash collision) the peer already holds
+ *    every (key, version) the full table would carry, so the resend
+ *    would be all stale no-ops: views converge to the same state as
+ *    under full-table resends, while an agreeing round costs
+ *    O(peers) instead of O(table x peers).
  *  - Remote fetches are granted by the home server (admission-capped
  *    — a home serves at most maxRemoteConsumers concurrent remote
  *    streams, so federation load cannot starve local serving) but the
@@ -34,9 +45,10 @@
  *    impossible (the stream always completes, only its payload may be
  *    declared worthless).
  *  - Local adverts are journal-backed (recovery/StateJournal) and
- *    replay through the PR 9 recovery machinery after a
+ *    replay through the recovery machinery after a
  *    coordinator_crash; remote views are soft state refilled by the
- *    peers' next anti-entropy rounds.
+ *    peers' next anti-entropy rounds (an emptied view's digest
+ *    mismatches, so one round refills it).
  */
 
 #ifndef AQUA_FEDERATION_DIRECTORY_HH
@@ -65,7 +77,7 @@ struct DirectoryConfig
     std::uint32_t serverId = 0;
     /** Delay before a changed advert reaches each peer. */
     aqua::sim::Tick gossipDelay = 100 * aqua::sim::nsPerUs;
-    /** Full-table anti-entropy refresh period. */
+    /** Anti-entropy (digest, then full table on mismatch) period. */
     aqua::sim::Tick antiEntropyPeriod = 50 * aqua::sim::nsPerMs;
     /**
      * Harvest-style admission cap: concurrent remote consumers this
@@ -103,7 +115,8 @@ struct FederationLookup
 struct FetchGrant
 {
     bool ok = false;
-    /** Refusal reason when !ok ("cap", "stale", "frozen"). */
+    /** Refusal reason when !ok ("cap", "stale", "unreachable",
+     *  "unknown_server"). */
     std::string reason;
     std::uint64_t ticket = 0;
     hw::GpuId homeGpu = hw::hostDramId;
@@ -172,14 +185,34 @@ class FederationDirectory
     void addPeer(std::uint32_t serverId, core::RestRouter &router);
 
     /**
-     * Start periodic anti-entropy: every period, re-send the full
-     * local advert table to every peer, until @p until (exclusive).
-     * The horizon keeps the event queue finite for sim.run().
+     * Start periodic anti-entropy: every period, run
+     * antiEntropyRound(), until @p until (exclusive). The horizon
+     * keeps the event queue finite for sim.run().
      */
     void startAntiEntropy(aqua::sim::Tick until);
 
-    /** Run one anti-entropy round now (also used by tests). */
+    /**
+     * Run one anti-entropy round now (also used by tests): send each
+     * peer this directory's local digest (POST /federation/digest),
+     * then push the full local table, advert by advert, to every peer
+     * whose digest differs or whose call failed. A frozen directory
+     * skips the round; an empty table sends nothing.
+     */
     void antiEntropyRound();
+
+    /**
+     * One (key, version) pair's share of a table digest: a
+     * splitmix64 mix of both words. Digests are wrapping sums of
+     * these, so adding, replacing or dropping an entry is O(1).
+     */
+    static std::uint64_t advertHash(std::uint64_t key,
+                                    std::uint64_t version);
+
+    /** Digest of the local advert table, tombstones included. */
+    std::uint64_t localDigest() const { return localSum; }
+
+    /** Digest of the remote view learned from @p origin (0 if none). */
+    std::uint64_t remoteDigest(std::uint32_t origin) const;
 
     /** Optional event log (fed_advert, fed_tombstone, ...). */
     void setTraceLog(trace::TraceLog *log) { tracer = log; }
@@ -201,7 +234,9 @@ class FederationDirectory
      * Ask @p entry's home server to admit a fetch: dispatches
      * POST /federation/fetch_begin on the home coordinator's router.
      * Refused when the home is unreachable, over its admission cap,
-     * or no longer holds the chain.
+     * or no longer holds the chain. A "stale" refusal tombstones the
+     * learned advert; an "unreachable" one forgets it, so the home's
+     * next anti-entropy round (its digest now differs) restores it.
      */
     FetchGrant requestFetch(const DirectoryEntry &entry);
 
@@ -220,6 +255,13 @@ class FederationDirectory
 
     /** Apply one gossiped advert from a peer. */
     void applyAdvert(const DirectoryEntry &entry);
+
+    /** Learned peer adverts: key -> origin server -> latest. */
+    using RemoteView =
+        std::map<std::uint64_t, std::map<std::uint32_t, DirectoryEntry>>;
+
+    /** The remote view, tombstones included (read-only). */
+    const RemoteView &remoteView() const { return remote; }
 
     /** Admit (or refuse) a remote fetch of a locally homed chain. */
     FetchGrant fetchBegin(std::uint64_t key, std::uint64_t verify,
@@ -292,6 +334,9 @@ class FederationDirectory
     /** Registry observer: a chain lost its last local copy. */
     void onChainInvalidated(std::uint64_t key);
 
+    /** Insert or replace a local advert, keeping localSum current. */
+    void putLocal(const DirectoryEntry &e);
+
     /** Push one advert to every peer after the gossip delay. */
     void pushToPeers(const DirectoryEntry &entry);
 
@@ -308,9 +353,10 @@ class FederationDirectory
     /** Authoritative adverts of locally homed chains, by key
      *  (tombstones retained so re-publishes keep version order). */
     std::map<std::uint64_t, DirectoryEntry> local;
-    /** Learned peer adverts: key -> origin server -> latest. */
-    std::map<std::uint64_t, std::map<std::uint32_t, DirectoryEntry>>
-        remote;
+    RemoteView remote;
+    /** Digest of local, and of remote per origin server. */
+    std::uint64_t localSum = 0;
+    std::map<std::uint32_t, std::uint64_t> remoteSums;
     /** Open fetch grants by ticket. */
     std::map<std::uint64_t, ActiveFetch> fetches;
     std::uint64_t nextTicket = 1;

@@ -74,6 +74,19 @@ bindFederationRoutes(core::RestRouter &router,
         });
 
     router.route(
+        "POST /federation/digest",
+        [&directory](const json::Value &body) {
+            if (directory.frozen())
+                return resyncing();
+            json::Object out;
+            out["match"] =
+                directory.remoteDigest(static_cast<std::uint32_t>(
+                    body.getInt("server", 0))) ==
+                asU64(body, "digest");
+            return okBody(std::move(out));
+        });
+
+    router.route(
         "POST /federation/fetch_begin",
         [&directory](const json::Value &body) {
             if (directory.frozen())

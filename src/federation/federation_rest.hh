@@ -5,8 +5,10 @@
  * Two audiences share the /federation routes on a coordinator's
  * router (see docs/PROTOCOL.md):
  *
- *  - Peer directories (cross-server): /federation/advertise carries
- *    gossip and anti-entropy pushes; /federation/fetch_begin and
+ *  - Peer directories (cross-server): /federation/digest opens an
+ *    anti-entropy round (does the peer's view of the caller match the
+ *    caller's table?); /federation/advertise carries gossip and
+ *    anti-entropy pushes; /federation/fetch_begin and
  *    /federation/fetch_end are the home-side admission and validation
  *    handshake around a KV stream.
  *  - The local engine's AquaLib (southbound): /federation/lookup,

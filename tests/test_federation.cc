@@ -3,16 +3,22 @@
  * Tests for cross-server prefix federation: the inter-server fabric
  * model (bandwidth ramp, degradation, NIC serialization, estimate
  * accuracy), the shared stream-vs-recompute crossover, the federation
- * directory (gossip, version ordering, tombstones, anti-entropy
- * repair, admission caps, fetch-ticket validation, journal replay,
- * frozen routes), the multi-server testbed factory, and the
+ * directory (gossip, version ordering, tombstones, digest-first
+ * anti-entropy repair and its differential check against the
+ * full-table reference round, admission caps, fetch-ticket
+ * validation, journal replay, frozen routes), the multi-server
+ * testbed factory, and the
  * engine-level race of a home eviction against an in-flight
  * federation stream.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
 #include <memory>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "cluster/prefix_registry.hh"
@@ -90,6 +96,205 @@ struct DirectoryPair
     settle()
     {
         sim.runUntil(sim.now() + d0->config().gossipDelay * 2);
+    }
+};
+
+/** Per-route dispatch counts seen by a router's fault hook. */
+struct RouteCounter
+{
+    std::map<std::string, std::size_t> calls;
+    /** Routes rejected with 503 (an outage) while counted. */
+    std::vector<std::string> rejected;
+
+    core::FaultHook
+    hook()
+    {
+        return [this](const std::string &route, const json::Value &) {
+            ++calls[route];
+            core::DispatchFault f;
+            for (const std::string &r : rejected) {
+                if (r == route)
+                    f.fate = core::DispatchFault::Fate::Reject;
+            }
+            return f;
+        };
+    }
+};
+
+/** Digest of @p d's local table, summed from scratch. */
+std::uint64_t
+recomputeLocalDigest(const FederationDirectory &d)
+{
+    std::uint64_t sum = 0;
+    json::Value state = d.exportState();
+    for (const json::Value &a : state.find("adverts")->asArray()) {
+        DirectoryEntry e = FederationDirectory::advertFromJson(a);
+        sum += FederationDirectory::advertHash(e.key, e.version);
+    }
+    return sum;
+}
+
+/** Digest of @p d's view of @p origin, summed from scratch. */
+std::uint64_t
+recomputeRemoteDigest(const FederationDirectory &d,
+                      std::uint32_t origin)
+{
+    std::uint64_t sum = 0;
+    for (const auto &[key, origins] : d.remoteView()) {
+        auto it = origins.find(origin);
+        if (it != origins.end())
+            sum += FederationDirectory::advertHash(key,
+                                                   it->second.version);
+    }
+    return sum;
+}
+
+bool
+sameEntry(const DirectoryEntry &a, const DirectoryEntry &b)
+{
+    return a.key == b.key && a.verify == b.verify &&
+           a.blocks == b.blocks && a.tokens == b.tokens &&
+           a.bytes == b.bytes && a.chainSig == b.chainSig &&
+           a.server == b.server && a.version == b.version &&
+           a.tombstone == b.tombstone;
+}
+
+/** Field-for-field equality of two remote views. */
+::testing::AssertionResult
+sameView(const FederationDirectory::RemoteView &a,
+         const FederationDirectory::RemoteView &b)
+{
+    auto describe = [](const FederationDirectory::RemoteView &v) {
+        std::string out;
+        for (const auto &slots : v) {
+            for (const auto &slot : slots.second)
+                out += " " +
+                       FederationDirectory::advertToJson(slot.second)
+                           .dump();
+        }
+        return out;
+    };
+    bool equal = a.size() == b.size();
+    for (auto ia = a.begin(), ib = b.begin();
+         equal && ia != a.end(); ++ia, ++ib) {
+        equal = ia->first == ib->first &&
+                ia->second.size() == ib->second.size();
+        for (auto ea = ia->second.begin(), eb = ib->second.begin();
+             equal && ea != ia->second.end(); ++ea, ++eb)
+            equal = ea->first == eb->first &&
+                    sameEntry(ea->second, eb->second);
+    }
+    if (equal)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "views differ:\n  " << describe(a) << "\nvs\n  "
+           << describe(b);
+}
+
+/**
+ * Reference anti-entropy round: the full-table resend the digest
+ * round replaced. Every local advert, tombstones included, goes to
+ * every peer router in key order, every round.
+ */
+void
+referenceRound(const FederationDirectory &origin,
+               const std::vector<core::RestRouter *> &peers)
+{
+    if (origin.frozen())
+        return;
+    json::Value state = origin.exportState();
+    for (const json::Value &advert : state.find("adverts")->asArray()) {
+        for (core::RestRouter *peer : peers)
+            peer->dispatch("POST /federation/advertise", advert);
+    }
+}
+
+/** splitmix64 step, for the fleet's content-keyed fault draws. */
+std::uint64_t
+mix64(std::uint64_t z)
+{
+    z += 0x9e3779b97f4a7c15ull;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
+/**
+ * Three directories over three registries, peered every way. Each
+ * router's fault hook rejects a seeded subset of federation
+ * messages, decided from the destination, the message content and
+ * the simulated time only, so two fleets fed the same operations
+ * reject the same pushes whichever round implementation sends them.
+ */
+struct Fleet
+{
+    static constexpr std::size_t n = 3;
+    Simulation sim{1};
+    std::array<cluster::PrefixRegistry, n> regs;
+    std::array<core::RestRouter, n> routers;
+    std::vector<std::unique_ptr<FederationDirectory>> dirs;
+    std::uint64_t salt;
+    bool faults = true;
+    std::size_t advertiseCalls = 0;
+
+    explicit Fleet(std::uint64_t faultSalt) : salt(faultSalt)
+    {
+        for (std::size_t i = 0; i < n; ++i) {
+            DirectoryConfig c;
+            c.serverId = static_cast<std::uint32_t>(i);
+            dirs.push_back(
+                std::make_unique<FederationDirectory>(sim, regs[i], c));
+            bindFederationRoutes(routers[i], *dirs[i]);
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t j = 0; j < n; ++j) {
+                if (i != j)
+                    dirs[i]->addPeer(static_cast<std::uint32_t>(j),
+                                     routers[j]);
+            }
+            routers[i].setFaultHook(
+                [this, i](const std::string &route,
+                          const json::Value &body) {
+                    return fate(i, route, body);
+                });
+        }
+    }
+
+    core::DispatchFault
+    fate(std::size_t dest, const std::string &route,
+         const json::Value &body)
+    {
+        std::uint64_t draw = mix64(salt ^ mix64(dest ^ sim.now()));
+        std::uint64_t percent = 0;
+        if (route == "POST /federation/advertise") {
+            ++advertiseCalls;
+            draw = mix64(draw ^ mix64(std::uint64_t(
+                                    body.getInt("key", 0)) ^
+                                mix64(std::uint64_t(
+                                    body.getInt("version", 0)))));
+            percent = 25;
+        } else if (route == "POST /federation/digest") {
+            draw = mix64(draw ^ std::uint64_t(body.getInt("server", 0)));
+            percent = 15;
+        } else if (route == "POST /federation/fetch_begin") {
+            draw = mix64(draw ^ std::uint64_t(body.getInt("key", 0)));
+            percent = 50;
+        }
+        core::DispatchFault f;
+        if (faults && draw % 100 < percent)
+            f.fate = core::DispatchFault::Fate::Reject;
+        return f;
+    }
+
+    std::vector<core::RestRouter *>
+    peersOf(std::size_t i)
+    {
+        std::vector<core::RestRouter *> out;
+        for (std::size_t j = 0; j < n; ++j) {
+            if (j != i)
+                out.push_back(&routers[j]);
+        }
+        return out;
     }
 };
 
@@ -416,6 +621,315 @@ TEST(Directory, FrozenRoutesAreRetryable)
                            std::move(begin));
     EXPECT_TRUE(r.ok()); // answered (refused as stale, but answered)
     EXPECT_FALSE(r.body.getBool("ok", true));
+}
+
+//
+// Digest-first anti-entropy.
+//
+
+TEST(AntiEntropy, MatchedDigestSendsNoAdvertise)
+{
+    DirectoryPair p;
+    ASSERT_TRUE(pub(p.reg0, 0, 0xa1, 0xb1));
+    ASSERT_TRUE(pub(p.reg0, 0, 0xc2, 0xd2));
+    p.reg0.evictNotify(0, 0xc2, 0xd2, p.sim.now());
+    p.settle();
+    ASSERT_EQ(p.d1->remoteDigest(0), p.d0->localDigest());
+
+    RouteCounter to1;
+    p.router1.setFaultHook(to1.hook());
+    p.d0->antiEntropyRound();
+    EXPECT_EQ(to1.calls["POST /federation/digest"], 1u);
+    EXPECT_EQ(to1.calls["POST /federation/advertise"], 0u);
+
+    // A directory with no local adverts sends nothing at all.
+    RouteCounter to0;
+    p.router0.setFaultHook(to0.hook());
+    p.d1->antiEntropyRound();
+    EXPECT_TRUE(to0.calls.empty());
+    EXPECT_EQ(p.d0->stats().antiEntropyRounds, 1u);
+    EXPECT_EQ(p.d1->stats().antiEntropyRounds, 1u);
+}
+
+TEST(AntiEntropy, MissedPushIsRepairedInOneRound)
+{
+    DirectoryPair p;
+    ASSERT_TRUE(pub(p.reg0, 0, 0xa1, 0xb1));
+    p.settle();
+    // The second advert's push is lost to an outage.
+    RouteCounter to1;
+    to1.rejected = {"POST /federation/advertise"};
+    p.router1.setFaultHook(to1.hook());
+    ASSERT_TRUE(pub(p.reg0, 0, 0xc2, 0xd2, p.sim.now()));
+    p.settle();
+    EXPECT_EQ(p.d0->stats().advertsDropped, 1u);
+    EXPECT_EQ(p.d1->remoteAdvertCount(), 1u);
+    EXPECT_NE(p.d1->remoteDigest(0), p.d0->localDigest());
+
+    // Outage over: the digest mismatches and the full table goes out.
+    p.router1.setFaultHook(nullptr);
+    RouteCounter after;
+    p.router1.setFaultHook(after.hook());
+    p.d0->antiEntropyRound();
+    EXPECT_EQ(after.calls["POST /federation/digest"], 1u);
+    EXPECT_EQ(after.calls["POST /federation/advertise"], 2u);
+    EXPECT_EQ(p.d1->remoteAdvertCount(), 2u);
+    EXPECT_EQ(p.d1->remoteDigest(0), p.d0->localDigest());
+    EXPECT_TRUE(
+        p.d1->lookup({cluster::CandidateKey{0xc2, 0xd2, 4}}).found);
+}
+
+TEST(AntiEntropy, ResetOrRestoredPeerIsRefilledInOneRound)
+{
+    DirectoryPair p;
+    ASSERT_TRUE(pub(p.reg0, 0, 0xa1, 0xb1));
+    ASSERT_TRUE(pub(p.reg0, 0, 0xc2, 0xd2));
+    ASSERT_TRUE(pub(p.reg0, 0, 0xe3, 0xf3));
+    p.reg0.evictNotify(0, 0xe3, 0xf3, p.sim.now());
+    p.settle();
+    const FederationDirectory::RemoteView before = p.d1->remoteView();
+    ASSERT_EQ(before.size(), 3u);
+
+    // A crash recovery drops the soft remote view.
+    p.d1->reset();
+    EXPECT_TRUE(p.d1->remoteView().empty());
+    EXPECT_EQ(p.d1->remoteDigest(0), 0u);
+    p.d0->antiEntropyRound();
+    EXPECT_TRUE(sameView(p.d1->remoteView(), before));
+
+    // restoreState() brings back local adverts only: the remote view
+    // is refilled by the peer, again in one round.
+    ASSERT_TRUE(pub(p.reg1, 0, 0x17, 0x18));
+    json::Value snapshot = p.d1->exportState();
+    p.d1->restoreState(snapshot);
+    EXPECT_TRUE(p.d1->remoteView().empty());
+    EXPECT_EQ(p.d1->localAdvertCount(), 1u);
+    p.d0->antiEntropyRound();
+    EXPECT_TRUE(sameView(p.d1->remoteView(), before));
+}
+
+TEST(AntiEntropy, IncrementalDigestsMatchRecomputation)
+{
+    DirectoryPair p;
+    recovery::StateJournal journal;
+    p.d0->attachJournal(&journal);
+    auto check = [&p] {
+        EXPECT_EQ(p.d0->localDigest(), recomputeLocalDigest(*p.d0));
+        EXPECT_EQ(p.d1->localDigest(), recomputeLocalDigest(*p.d1));
+        EXPECT_EQ(p.d1->remoteDigest(0), recomputeRemoteDigest(*p.d1, 0));
+        EXPECT_EQ(p.d0->remoteDigest(1), recomputeRemoteDigest(*p.d0, 1));
+    };
+    EXPECT_EQ(p.d0->localDigest(), 0u);
+    check();
+
+    // Publish, tombstone and re-publish, gossiped.
+    ASSERT_TRUE(pub(p.reg0, 0, 0xa1, 0xb1));
+    ASSERT_TRUE(pub(p.reg0, 0, 0xc2, 0xd2));
+    ASSERT_TRUE(pub(p.reg1, 0, 0x17, 0x18));
+    check();
+    p.settle();
+    check();
+    EXPECT_NE(p.d0->localDigest(), 0u);
+    EXPECT_EQ(p.d1->remoteDigest(0), p.d0->localDigest());
+    p.reg0.evictNotify(0, 0xc2, 0xd2, p.sim.now());
+    check();
+    p.settle();
+    ASSERT_TRUE(pub(p.reg0, 0, 0xc2, 0xd2, p.sim.now()));
+    p.settle();
+    check();
+    EXPECT_EQ(p.d1->remoteDigest(0), p.d0->localDigest());
+    const std::uint64_t live = p.d0->localDigest();
+
+    // Journal replay after a reset rebuilds the same digest.
+    p.d0->reset();
+    EXPECT_EQ(p.d0->localDigest(), 0u);
+    check();
+    for (const recovery::JournalRecord &r : journal.pending())
+        p.d0->applyJournalRecord(r.op, r.fields);
+    check();
+    EXPECT_EQ(p.d0->localDigest(), live);
+
+    // So does restoreState().
+    json::Value snapshot = p.d0->exportState();
+    p.d0->restoreState(snapshot);
+    check();
+    EXPECT_EQ(p.d0->localDigest(), live);
+
+    // The digest covers (key, version): any version change moves it.
+    EXPECT_NE(FederationDirectory::advertHash(0xa1, 1),
+              FederationDirectory::advertHash(0xa1, 2));
+    EXPECT_NE(FederationDirectory::advertHash(0xa1, 1),
+              FederationDirectory::advertHash(0xa2, 1));
+}
+
+TEST(AntiEntropy, FrozenPeerStillGetsTheFullPushFallback)
+{
+    DirectoryPair p;
+    p.d1->setFrozen(true);
+    ASSERT_TRUE(pub(p.reg0, 0, 0xa1, 0xb1));
+    ASSERT_TRUE(pub(p.reg0, 0, 0xc2, 0xd2));
+    p.settle();
+    EXPECT_EQ(p.d0->stats().advertsDropped, 2u); // gossip lost
+
+    // The frozen peer's 503 on the digest is not a match: the origin
+    // falls back to the full push, which the peer also refuses, and
+    // the drops count exactly as a full-table resend's would.
+    RouteCounter to1;
+    p.router1.setFaultHook(to1.hook());
+    p.d0->antiEntropyRound();
+    EXPECT_EQ(to1.calls["POST /federation/digest"], 1u);
+    EXPECT_EQ(to1.calls["POST /federation/advertise"], 2u);
+    EXPECT_EQ(p.d0->stats().advertsDropped, 4u);
+    EXPECT_EQ(p.d1->remoteAdvertCount(), 0u);
+
+    // Recovery unfreezes the peer; the next round repairs it.
+    p.d1->setFrozen(false);
+    p.d0->antiEntropyRound();
+    EXPECT_EQ(p.d1->remoteAdvertCount(), 2u);
+    EXPECT_EQ(p.d1->remoteDigest(0), p.d0->localDigest());
+}
+
+TEST(AntiEntropy, UnreachableRefusalIsRepairedAfterTheOutage)
+{
+    DirectoryPair p;
+    ASSERT_TRUE(pub(p.reg0, 0, 0xa1, 0xb1));
+    p.settle();
+    FederationLookup hit =
+        p.d1->lookup({cluster::CandidateKey{0xa1, 0xb1, 4}});
+    ASSERT_TRUE(hit.found);
+
+    // The home's coordinator is out: the fetch is refused as
+    // unreachable and the consumer stops offering the dead end.
+    RouteCounter to0;
+    to0.rejected = {"POST /federation/fetch_begin"};
+    p.router0.setFaultHook(to0.hook());
+    FetchGrant g = p.d1->requestFetch(hit.entry);
+    EXPECT_FALSE(g.ok);
+    EXPECT_EQ(g.reason, "unreachable");
+    EXPECT_FALSE(
+        p.d1->lookup({cluster::CandidateKey{0xa1, 0xb1, 4}}).found);
+    EXPECT_EQ(p.d1->remoteDigest(0), recomputeRemoteDigest(*p.d1, 0));
+
+    // The outage ends; the home still holds the chain, and one round
+    // makes it visible again.
+    p.router0.setFaultHook(nullptr);
+    p.d0->antiEntropyRound();
+    FederationLookup again =
+        p.d1->lookup({cluster::CandidateKey{0xa1, 0xb1, 4}});
+    ASSERT_TRUE(again.found);
+    EXPECT_TRUE(sameEntry(again.entry, hit.entry));
+    EXPECT_TRUE(p.d1->requestFetch(again.entry).ok);
+}
+
+TEST(AntiEntropy, StaleRefusalTombstonesTheView)
+{
+    DirectoryPair p;
+    ASSERT_TRUE(pub(p.reg0, 0, 0xa1, 0xb1));
+    p.settle();
+    FederationLookup hit =
+        p.d1->lookup({cluster::CandidateKey{0xa1, 0xb1, 4}});
+    ASSERT_TRUE(hit.found);
+
+    // The home evicts, but its tombstone has not landed yet.
+    p.reg0.evictNotify(0, 0xa1, 0xb1, p.sim.now());
+    FetchGrant g = p.d1->requestFetch(hit.entry);
+    EXPECT_EQ(g.reason, "stale");
+    EXPECT_FALSE(
+        p.d1->lookup({cluster::CandidateKey{0xa1, 0xb1, 4}}).found);
+    EXPECT_EQ(p.d1->remoteView().at(0xa1).at(0).version,
+              hit.entry.version);
+    p.settle();
+    EXPECT_GT(p.d1->remoteView().at(0xa1).at(0).version,
+              hit.entry.version);
+    EXPECT_EQ(p.d1->remoteDigest(0), p.d0->localDigest());
+}
+
+TEST(AntiEntropy, DigestRoundMatchesTheFullTableReference)
+{
+    // Random publish / evict / re-publish / fetch sequences over two
+    // identical three-server fleets: one repairs with the digest
+    // round, the other with the reference full-table round. Pushes,
+    // digests and fetches are rejected by the same content-keyed
+    // draws in both, and after every round each remote view must be
+    // identical field for field.
+    std::size_t digestAdvertises = 0, referenceAdvertises = 0;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        SCOPED_TRACE(seed);
+        Fleet digest(seed), reference(seed);
+        std::array<Fleet *, 2> fleets{&digest, &reference};
+        std::mt19937_64 rng(seed);
+        const Tick half = digest.dirs[0]->config().gossipDelay / 2;
+        auto compare = [&] {
+            for (std::size_t i = 0; i < Fleet::n; ++i) {
+                ASSERT_TRUE(sameView(digest.dirs[i]->remoteView(),
+                                     reference.dirs[i]->remoteView()))
+                    << "server " << i;
+                const FederationDirectory &d = *digest.dirs[i];
+                EXPECT_EQ(d.localDigest(), recomputeLocalDigest(d));
+                for (std::uint32_t o = 0; o < Fleet::n; ++o)
+                    EXPECT_EQ(d.remoteDigest(o),
+                              recomputeRemoteDigest(d, o));
+            }
+        };
+        auto round = [&] {
+            for (std::size_t i = 0; i < Fleet::n; ++i) {
+                digest.dirs[i]->antiEntropyRound();
+                referenceRound(*reference.dirs[i],
+                               reference.peersOf(i));
+            }
+        };
+        for (int step = 0; step < 300; ++step) {
+            std::uint64_t op = rng() % 10;
+            std::size_t s = rng() % Fleet::n;
+            std::uint64_t key = 0x100 + rng() % 6;
+            std::uint64_t verify = key * 7;
+            for (Fleet *f : fleets) {
+                if (op < 5) {
+                    ASSERT_TRUE(pub(f->regs[s], 0, key, verify,
+                                    f->sim.now()));
+                } else if (op < 8) {
+                    f->regs[s].evictNotify(0, key, verify,
+                                           f->sim.now());
+                } else {
+                    FederationLookup hit = f->dirs[s]->lookup(
+                        {cluster::CandidateKey{key, verify, 4}});
+                    if (!hit.found)
+                        continue;
+                    FetchGrant g = f->dirs[s]->requestFetch(hit.entry);
+                    if (g.ok)
+                        f->dirs[s]->finishFetch(g.homeServer, g.ticket);
+                }
+            }
+            Tick dt = (rng() % 4) * half;
+            for (Fleet *f : fleets)
+                f->sim.runUntil(f->sim.now() + dt);
+            if (step % 5 == 4) {
+                round();
+                compare();
+            }
+        }
+
+        // Faults off: after the last gossip lands, one round brings
+        // every view to its origin's local table.
+        for (Fleet *f : fleets) {
+            f->faults = false;
+            f->sim.runUntil(f->sim.now() + 4 * half);
+        }
+        round();
+        compare();
+        for (std::size_t i = 0; i < Fleet::n; ++i) {
+            for (std::uint32_t o = 0; o < Fleet::n; ++o) {
+                if (o != i) {
+                    EXPECT_EQ(digest.dirs[i]->remoteDigest(o),
+                              digest.dirs[o]->localDigest());
+                }
+            }
+        }
+        digestAdvertises += digest.advertiseCalls;
+        referenceAdvertises += reference.advertiseCalls;
+    }
+    // The digest round must actually have skipped pushes.
+    EXPECT_LT(digestAdvertises * 2, referenceAdvertises);
 }
 
 //
