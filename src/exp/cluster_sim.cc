@@ -28,6 +28,10 @@ enum : std::uint32_t
     evRemoteLookup = 9,
 };
 
+/** assignment values: a model that left, an arrival not yet placed. */
+constexpr int departed = -1;
+constexpr int unplaced = -2;
+
 constexpr std::uint64_t fnvPrime = 1099511628211ULL;
 
 std::uint64_t
@@ -106,7 +110,12 @@ ClusterSim::ClusterSim(const ClusterSimConfig &config,
                        sim::DomainNet &net)
     : cfg(config), net(net),
       interLink("inter-server", config.interBandwidth, 3ull << 20,
-                usToTicks(config.interLatencyUs))
+                usToTicks(config.interLatencyUs)),
+      solver([&] {
+          opt::MilpOptions milp;
+          milp.maxNodes = config.placerNodeBudget;
+          return milp;
+      }())
 {
     if (cfg.numDomains == 0 || cfg.numDomains != net.numDomains())
         sim::panic("ClusterSim: config/net domain mismatch (%zu vs "
@@ -163,21 +172,24 @@ void
 ClusterSim::setup()
 {
     // Initial placement: modelsPerDomain models per server sampled
-    // from the balanced split, placed by one full MILP solve. Server
-    // index s is served by domain s; the spare GPU slots absorb churn
+    // from the balanced split, placed by one cold solve. Server index
+    // s is served by domain s; the spare GPU slots absorb churn
     // arrivals.
-    placer::PlacementInput in = makeClusterInput(
-        cfg.numDomains, cfg.modelsPerDomain, "balanced", cfg.seed);
-    in.gpusPerServer = cfg.gpusPerDomain;
-    placer::RepairConfig rc;
-    rc.solveMaxNodes = cfg.placerNodeBudget;
-    placerState = std::make_unique<placer::IncrementalPlacer>(
-        std::move(in), rc);
+    cluster = makeClusterInput(cfg.numDomains, cfg.modelsPerDomain,
+                               "balanced", cfg.seed);
+    cluster.gpusPerServer = cfg.gpusPerDomain;
+    cluster.lostGpus.assign(cfg.numDomains, 0);
+    assignment = solver.place(cluster).server;
+    ++pstats.solves;
+    if (assignment.empty())
+        sim::panic("ClusterSim: %zu models do not fit %zu x %zu GPUs",
+                   cluster.models.size(), cfg.numDomains,
+                   cfg.gpusPerDomain);
 
     ++viewVersion;
     View initial;
     initial.version = viewVersion;
-    initial.domain = placerState->assignment();
+    initial.domain = assignment;
     for (auto &d : domains)
         d->view = initial;
 
@@ -295,10 +307,10 @@ ClusterSim::routeOrServe(std::size_t d, ClusterRequest req)
             }
             // Locally-homed prefix.
             bool hit = handleLocalPrefix(d, req);
-            beginService(d, req, 0, hit, viaForward);
+            beginService(d, req, 0, hit);
             return;
         }
-        beginService(d, req, 0, false, viaForward);
+        beginService(d, req, 0, false);
         return;
     }
 
@@ -399,17 +411,14 @@ ClusterSim::handleRemoteLookup(std::size_t home, std::size_t asker,
                  } else {
                      ++a.stats.prefixMisses;
                  }
-                 beginService(asker, req, streamTicks, hit,
-                              req.hops > 0);
+                 beginService(asker, req, streamTicks, hit);
              });
 }
 
 void
 ClusterSim::beginService(std::size_t d, ClusterRequest req,
-                         Tick extraDelay, bool prefixHit,
-                         bool viaForward)
+                         Tick extraDelay, bool prefixHit)
 {
-    (void)viaForward;
     Domain &dom = *domains[d];
     aqua::sim::EventQueue &q = net.queue();
     Tick now = q.now();
@@ -477,12 +486,50 @@ ClusterSim::completeAtOrigin(std::size_t d, const ClusterRequest &req,
     }());
 }
 
+placer::PlacementInput
+ClusterSim::liveInput(std::vector<std::size_t> *stable,
+                      std::vector<int> *prior) const
+{
+    placer::PlacementInput live = cluster;
+    live.models.clear();
+    for (std::size_t m = 0; m < assignment.size(); ++m) {
+        if (assignment[m] == departed)
+            continue;
+        live.models.push_back(cluster.models[m]);
+        stable->push_back(m);
+        prior->push_back(std::max(assignment[m], -1));
+    }
+    return live;
+}
+
+int
+ClusterSim::replace()
+{
+    std::vector<std::size_t> stable;
+    std::vector<int> prior;
+    placer::PlacementInput live = liveInput(&stable, &prior);
+    if (live.models.empty())
+        return 0;
+    placer::Placement p = solver.place(live, prior);
+    ++pstats.solves;
+    if (!p.valid())
+        return -1;
+    int moved = 0;
+    for (std::size_t i = 0; i < stable.size(); ++i) {
+        moved += prior[i] >= 0 && prior[i] != p.server[i];
+        assignment[stable[i]] = p.server[i];
+    }
+    pstats.modelsMoved += static_cast<std::uint64_t>(moved);
+    if (moved == 0)
+        ++pstats.kept;
+    return moved;
+}
+
 void
 ClusterSim::runChurn(std::size_t index)
 {
     Tick now = net.queue().now();
     ++pstats.churnEvents;
-    placer::RepairOutcome out;
     std::uint64_t what = index % 3;
 
     // Stream 3 of domain 0: churn decisions. Recreate lazily so the
@@ -490,42 +537,56 @@ ClusterSim::runChurn(std::size_t index)
     if (!churnRng)
         churnRng = std::make_unique<sim::Random>(net.domainRandom(0, 3));
 
+    int moved = -1;
     if (what == 0) {
-        // A new model joins: clone a random initial model.
-        const auto &models = placerState->models();
+        // A new model joins: clone a random model seen so far.
         auto pick = static_cast<std::size_t>(churnRng->uniformInt(
-            0, static_cast<std::int64_t>(models.size()) - 1));
-        placer::ModelToPlace m = models[pick];
+            0, static_cast<std::int64_t>(cluster.models.size()) - 1));
+        placer::ModelToPlace m = cluster.models[pick];
         m.name += "#churn" + std::to_string(index);
-        out = placerState->onArrival(m);
+        cluster.models.push_back(m);
+        assignment.push_back(unplaced);
+        moved = replace();
+        if (moved < 0) {
+            cluster.models.pop_back();
+            assignment.pop_back();
+        }
     } else if (what == 1) {
         // A random live model departs.
         std::vector<std::size_t> live;
-        for (std::size_t m = 0; m < placerState->models().size(); ++m)
-            if (placerState->live(m))
+        for (std::size_t m = 0; m < assignment.size(); ++m)
+            if (assignment[m] >= 0)
                 live.push_back(m);
         if (live.empty())
             return;
         auto pick = static_cast<std::size_t>(churnRng->uniformInt(
             0, static_cast<std::int64_t>(live.size()) - 1));
-        out = placerState->onDeparture(live[pick]);
+        assignment[live[pick]] = departed;
+        moved = replace();
     } else {
-        // A GPU fails on a random server.
-        auto server = static_cast<int>(churnRng->uniformInt(
+        // A GPU fails on a random server; the GPU stays lost even
+        // when its models cannot all be re-placed.
+        auto server = static_cast<std::size_t>(churnRng->uniformInt(
             0, static_cast<std::int64_t>(cfg.numDomains) - 1));
-        out = placerState->onGpuFailure(server);
+        if (cluster.capacity(server) > 0) {
+            ++cluster.lostGpus[server];
+            moved = replace();
+        }
     }
 
-    if (out.kind == placer::RepairOutcome::Kind::Infeasible)
+    bool infeasible = moved < 0;
+    if (infeasible)
         ++pstats.infeasible;
+    auto movedCount = static_cast<std::uint64_t>(infeasible ? 0 : moved);
     digestEvent(0, now, evChurn, what,
-                static_cast<std::uint64_t>(out.kind));
+                (static_cast<std::uint64_t>(infeasible) << 32) |
+                    movedCount);
     trace(0, now, "churn", [&] {
         json::Object o;
         o["index"] = static_cast<std::int64_t>(index);
         o["what"] = static_cast<std::int64_t>(what);
-        o["kind"] = static_cast<std::int64_t>(out.kind);
-        o["objective"] = out.objective;
+        o["infeasible"] = infeasible;
+        o["moved"] = movedCount;
         return o;
     }());
     broadcastView();
@@ -538,7 +599,7 @@ ClusterSim::broadcastView()
     ++viewVersion;
     View view;
     view.version = viewVersion;
-    view.domain = placerState->assignment();
+    view.domain = assignment;
 
     applyView(0, view);
     for (std::size_t d = 1; d < cfg.numDomains; ++d)
@@ -599,14 +660,17 @@ ClusterSim::statsJson() const
         : static_cast<double>(sumRct) /
               static_cast<double>(completed) / 1e3;
 
+    std::vector<std::size_t> stable;
+    std::vector<int> server;
+    placer::PlacementInput live = liveInput(&stable, &server);
     json::Object p;
     p["churn_events"] = pstats.churnEvents;
-    p["repairs"] = placerState ? placerState->repairs() : 0;
-    p["full_solves"] = placerState ? placerState->fullSolves() : 0;
+    p["solves"] = pstats.solves;
+    p["kept"] = pstats.kept;
+    p["models_moved"] = pstats.modelsMoved;
     p["infeasible"] = pstats.infeasible;
-    p["objective"] = placerState ? placerState->objective() : 0.0;
-    p["live_models"] = placerState
-        ? static_cast<std::uint64_t>(placerState->liveModels()) : 0;
+    p["objective"] = placer::evaluateObjective(live, server);
+    p["live_models"] = static_cast<std::uint64_t>(live.models.size());
     doc["placer"] = std::move(p);
     return doc;
 }

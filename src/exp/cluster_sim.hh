@@ -7,9 +7,10 @@
  * with analytic prefill/decode service times, a federated hot-prefix
  * layer (one cluster::PrefixRegistry per domain, consulted across
  * domains for remotely-homed chains), and live placement churn
- * (model arrival/departure/GPU failure handled by the domain-0
- * coordinator through placer::IncrementalPlacer and broadcast as
- * versioned assignment views).
+ * (model arrival/departure/GPU failure: the domain-0 coordinator
+ * re-places the live models with one AquaPlacer solve warm-started
+ * from the current assignment, and broadcasts the result as a
+ * versioned assignment view).
  *
  * The model is written against sim::DomainNet only: domain state is
  * private to its domain's events, randomness comes from structurally
@@ -34,7 +35,7 @@
 #include "cluster/prefix_registry.hh"
 #include "hw/link.hh"
 #include "json/json.hh"
-#include "placer/incremental.hh"
+#include "placer/placer.hh"
 #include "sim/domain_net.hh"
 #include "trace/trace.hh"
 
@@ -70,10 +71,10 @@ struct ClusterSimConfig
     /** Gap between churn events (simulated seconds). */
     double churnIntervalSec = 2.0;
     /**
-     * Node budget of the placer's full solves. Cluster-scale
-     * instances rarely prove optimality, so the budget is mostly
-     * spent improving the greedy incumbent; keep it small — a full
-     * solve runs inline in a simulation event.
+     * Node budget of every placer solve, initial and churn.
+     * Cluster-scale instances rarely prove optimality, so the budget
+     * is mostly spent improving the incumbent; keep it small — a
+     * churn solve runs inline in a simulation event.
      */
     std::uint64_t placerNodeBudget = 500;
 
@@ -124,11 +125,14 @@ struct ClusterDomainStats
 struct ClusterPlacerStats
 {
     std::uint64_t churnEvents = 0;
-    std::uint64_t repairs = 0;
-    std::uint64_t fullSolves = 0;
+    /** AquaPlacer solves, the initial one included. */
+    std::uint64_t solves = 0;
+    /** Churn solves that moved no previously placed model. */
+    std::uint64_t kept = 0;
+    /** Previously placed models moved to another server. */
+    std::uint64_t modelsMoved = 0;
+    /** Churn events with no feasible placement; nothing moved. */
     std::uint64_t infeasible = 0;
-    double finalObjective = 0.0;
-    std::uint64_t liveModels = 0;
 };
 
 /**
@@ -148,7 +152,6 @@ class ClusterSim
     void setup();
 
     const ClusterDomainStats &stats(std::size_t domain) const;
-    const ClusterPlacerStats &placerStats() const { return pstats; }
 
     /** Full trace of one domain as JSONL ("" unless captureTrace). */
     std::string traceJsonl(std::size_t domain) const;
@@ -173,13 +176,19 @@ class ClusterSim
     void routeOrServe(std::size_t d, ClusterRequest req);
     bool handleLocalPrefix(std::size_t d, const ClusterRequest &req);
     void beginService(std::size_t d, ClusterRequest req,
-                      aqua::sim::Tick extraDelay, bool prefixHit,
-                      bool viaForward);
+                      aqua::sim::Tick extraDelay, bool prefixHit);
     void handleRemoteLookup(std::size_t home, std::size_t asker,
                             ClusterRequest req);
     void completeAtOrigin(std::size_t d, const ClusterRequest &req,
                           aqua::sim::Tick finish);
     void runChurn(std::size_t index);
+    /** The live models compacted for the placer, with their stable
+     *  indices and prior servers (-1 for an unplaced arrival). */
+    placer::PlacementInput liveInput(std::vector<std::size_t> *stable,
+                                     std::vector<int> *prior) const;
+    /** One warm-started solve over the live models: models moved, or
+     *  -1 (assignment unchanged) when nothing feasible exists. */
+    int replace();
     void broadcastView();
     void applyView(std::size_t d, const View &view);
     void digestEvent(std::size_t d, aqua::sim::Tick t,
@@ -192,7 +201,12 @@ class ClusterSim
     sim::DomainNet &net;
     hw::Link interLink;
     std::vector<std::unique_ptr<Domain>> domains;
-    std::unique_ptr<placer::IncrementalPlacer> placerState;
+    /** Every solve runs under cfg.placerNodeBudget nodes. */
+    placer::AquaPlacer solver;
+    /** Every model ever seen (arrivals append) and the lost GPUs. */
+    placer::PlacementInput cluster;
+    /** server[m], -1 once model m has departed. */
+    std::vector<int> assignment;
     /** Coordinator churn stream (domain 0, stream 3), lazily built. */
     std::unique_ptr<sim::Random> churnRng;
     ClusterPlacerStats pstats;

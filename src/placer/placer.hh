@@ -20,6 +20,8 @@
  * fallback when the node budget bites. The budget (MilpOptions::
  * maxNodes), not the host's speed, ends a search that does not prove
  * optimality, so a placement is the same on every host.
+ * Re-placement after churn is the same solve, warm-started from the
+ * previous placement, which only a strictly better one replaces.
  */
 
 #ifndef AQUA_PLACER_PLACER_HH
@@ -57,6 +59,11 @@ struct PlacementInput
     /** G_mem: HBM per GPU, used to weigh the eq_s term. */
     std::uint64_t gpuMemBytes = 0;
     std::vector<ModelToPlace> models;
+    /** Failed GPUs per server; empty means none failed. */
+    std::vector<std::size_t> lostGpus;
+
+    /** Models server s can hold: G less its failed GPUs. */
+    std::size_t capacity(std::size_t s) const;
 };
 
 /** A producer-consumer pairing within a server. */
@@ -127,8 +134,15 @@ class AquaPlacer
   public:
     explicit AquaPlacer(opt::MilpOptions milpOptions = {});
 
-    /** Solve a placement instance. */
-    Placement place(const PlacementInput &input) const;
+    /**
+     * Solve a placement instance. @p prior is empty for a cold solve;
+     * otherwise prior[m] is model m's previous server, or -1 for a new
+     * model. New models, and models a failed GPU pushed off a full
+     * server, go to their cheapest server with room; that completion
+     * is returned unless greedy or the search is strictly better.
+     */
+    Placement place(const PlacementInput &input,
+                    const std::vector<int> &prior = {}) const;
 
   private:
     opt::MilpOptions milpOpt;
@@ -140,15 +154,6 @@ class AquaPlacer
  */
 std::vector<Pairing> matchWithinServers(const PlacementInput &input,
                                         const std::vector<int> &server);
-
-/**
- * Stable matching for one server only — the delta unit the
- * incremental placer re-runs when a repair touches a server.
- * Entries with server[m] != s (including -1 tombstones) are ignored.
- */
-std::vector<Pairing> matchWithinServer(const PlacementInput &input,
-                                       const std::vector<int> &server,
-                                       std::size_t s);
 
 } // namespace aqua::placer
 

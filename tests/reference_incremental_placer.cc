@@ -1,26 +1,13 @@
-#include "placer/incremental.hh"
+#include "tests/reference_incremental_placer.hh"
 
 #include <algorithm>
 #include <cmath>
 
 #include "sim/logging.hh"
 
-namespace aqua::placer {
+namespace aqua::placer::reference {
 
 using aqua::sim::panic;
-
-namespace {
-
-/** Sort key keeping the pairs vector canonical across repairs. */
-bool
-pairingLess(const Pairing &a, const Pairing &b)
-{
-    if (a.server != b.server)
-        return a.server < b.server;
-    return a.consumerModel < b.consumerModel;
-}
-
-} // anonymous namespace
 
 IncrementalPlacer::IncrementalPlacer(PlacementInput initial,
                                      RepairConfig config)
@@ -78,22 +65,6 @@ IncrementalPlacer::liveInput(std::vector<std::size_t> *liveIndex) const
             liveIndex->push_back(m);
     }
     return in;
-}
-
-void
-IncrementalPlacer::rebuildPairs(const std::vector<int> &servers)
-{
-    for (int s : servers) {
-        _pairs.erase(std::remove_if(_pairs.begin(), _pairs.end(),
-                                    [s](const Pairing &p) {
-                                        return p.server == s;
-                                    }),
-                     _pairs.end());
-        std::vector<Pairing> fresh = matchWithinServer(
-            base, serverOf, static_cast<std::size_t>(s));
-        _pairs.insert(_pairs.end(), fresh.begin(), fresh.end());
-    }
-    std::sort(_pairs.begin(), _pairs.end(), pairingLess);
 }
 
 double
@@ -188,7 +159,6 @@ IncrementalPlacer::fullSolve()
     ++numSolves;
     repairsSinceSolve = 0;
     if (in.models.empty()) {
-        _pairs.clear();
         std::fill(load.begin(), load.end(), 0);
         return;
     }
@@ -206,17 +176,6 @@ IncrementalPlacer::fullSolve()
         serverOf[liveIndex[i]] = p.server[i];
         ++load[p.server[i]];
     }
-    // Pairs come back in compact indices; remap to stable ones.
-    _pairs.clear();
-    for (const Pairing &pair : p.pairs) {
-        Pairing remapped = pair;
-        remapped.consumerModel =
-            static_cast<int>(liveIndex[pair.consumerModel]);
-        remapped.producerModel =
-            static_cast<int>(liveIndex[pair.producerModel]);
-        _pairs.push_back(remapped);
-    }
-    std::sort(_pairs.begin(), _pairs.end(), pairingLess);
 }
 
 RepairOutcome
@@ -234,7 +193,6 @@ IncrementalPlacer::onArrival(const ModelToPlace &model)
     serverOf.push_back(s);
     ++load[s];
     ++numLive;
-    rebuildPairs({s});
     out.kind = maybeResolve() ? RepairOutcome::Kind::FullSolve
                               : RepairOutcome::Kind::Repair;
     out.server = out.kind == RepairOutcome::Kind::Repair ? s : -1;
@@ -253,7 +211,6 @@ IncrementalPlacer::onDeparture(std::size_t model)
     serverOf[model] = -1;
     --load[s];
     --numLive;
-    rebuildPairs({s});
     // Departures go through the quality gate too: removing a
     // *consumer* raises the host's eq_s (and removes its negative
     // memBytes), so freeing a slot can degrade the max-objective.
@@ -342,7 +299,6 @@ IncrementalPlacer::onGpuFailure(int server)
     serverOf[bestModel] = bestDst;
     --load[s];
     ++load[bestDst];
-    rebuildPairs({server, bestDst});
     out.kind = maybeResolve() ? RepairOutcome::Kind::FullSolve
                               : RepairOutcome::Kind::Repair;
     out.server = out.kind == RepairOutcome::Kind::Repair ? server : -1;
@@ -350,4 +306,4 @@ IncrementalPlacer::onGpuFailure(int server)
     return out;
 }
 
-} // namespace aqua::placer
+} // namespace aqua::placer::reference

@@ -1,37 +1,34 @@
 /**
  * @file
- * Incremental placement repair.
+ * Reference incremental placer for differential tests (see
+ * reference_incremental_placer.cc).
  *
- * AQUA-PLACER's MILP is a pre-launch planning step; re-running it on
- * every model arrival, departure or GPU failure is what kept the
- * cluster simulation from scaling. IncrementalPlacer keeps a live
- * placement and applies *stable-matching deltas* instead: a mutation
- * moves at most one model, and only the touched servers re-run their
- * producer/consumer matching (matchWithinServer). An analytic lower
- * bound on the optimal objective (per-server averages of the mem and
- * eq terms; never above what any solver could reach) is recomputed
- * after every repair; when the repaired objective degrades past a
- * configurable slack of that bound — or after a budgeted number of
- * repairs — the placer falls back to one full (deterministically
- * budgeted) MILP solve and re-bases.
+ * This is the repair policy the cluster model used before churn
+ * re-placed through one warm-started AquaPlacer solve. It keeps a live
+ * placement and applies local deltas instead: a mutation moves at most
+ * one model. An analytic lower bound on the optimal objective
+ * (per-server averages of the mem and eq terms; never above what any
+ * solver could reach) is recomputed after every repair; when the
+ * repaired objective degrades past a configurable slack of that bound
+ * — or after a budgeted number of repairs — the placer falls back to
+ * one full, node-budgeted MILP solve of a uniform min-capacity
+ * instance and re-bases.
  *
  * Determinism: repairs are pure functions of the placement state
  * with index-order tie-breaks, and the fallback MILP runs under a
- * node limit with an effectively-infinite wall budget, so a given
- * mutation sequence always replays to the identical placement. That
- * is what lets the cluster simulation run placement events inside
- * the differential equivalence harness (see docs/simulation.md).
+ * node limit only, so a given mutation sequence always replays to the
+ * identical placement.
  */
 
-#ifndef AQUA_PLACER_INCREMENTAL_HH
-#define AQUA_PLACER_INCREMENTAL_HH
+#ifndef AQUA_TESTS_REFERENCE_INCREMENTAL_PLACER_HH
+#define AQUA_TESTS_REFERENCE_INCREMENTAL_PLACER_HH
 
 #include <cstdint>
 #include <vector>
 
 #include "placer/placer.hh"
 
-namespace aqua::placer {
+namespace aqua::placer::reference {
 
 /** Tunables for the repair/re-solve tradeoff. */
 struct RepairConfig
@@ -100,9 +97,6 @@ class IncrementalPlacer
     /** server[m], or -1 when model m has departed. */
     const std::vector<int> &assignment() const { return serverOf; }
 
-    /** Producer/consumer pairs, sorted by (server, consumer). */
-    const std::vector<Pairing> &pairs() const { return _pairs; }
-
     /** Algorithm 1 objective over the live models. */
     double objective() const;
 
@@ -133,9 +127,6 @@ class IncrementalPlacer
     std::uint64_t fullSolves() const { return numSolves; }
 
   private:
-    /** Re-run stable matching for the touched servers only. */
-    void rebuildPairs(const std::vector<int> &servers);
-
     /** Cheapest feasible server for @p m, or -1. Index-order ties. */
     int bestServerFor(const ModelToPlace &m) const;
 
@@ -162,13 +153,12 @@ class IncrementalPlacer
     std::vector<int> serverOf;
     std::vector<std::size_t> load;
     std::vector<std::size_t> cap;
-    std::vector<Pairing> _pairs;
     std::size_t numLive = 0;
     std::uint64_t numRepairs = 0;
     std::uint64_t numSolves = 0;
     std::size_t repairsSinceSolve = 0;
 };
 
-} // namespace aqua::placer
+} // namespace aqua::placer::reference
 
-#endif // AQUA_PLACER_INCREMENTAL_HH
+#endif // AQUA_TESTS_REFERENCE_INCREMENTAL_PLACER_HH

@@ -164,12 +164,12 @@ TEST(ClusterGolden, SmallClusterSeed1)
     ClusterSimConfig cfg = smallCluster(1, false);
     ClusterRunResult r = runClusterSim(cfg);
     EXPECT_EQ(r.digests, (std::vector<std::uint64_t>{
-                             5099149031715942978ULL,
-                             16241171371465176441ULL,
-                             12254082104969335520ULL,
-                             14705468325871038578ULL}));
-    EXPECT_EQ(r.eventsFired, 8246u);
-    EXPECT_EQ(r.crossMessages, 4243u);
+                             4122771661435016590ULL,
+                             5005948717635298513ULL,
+                             7030329734199904244ULL,
+                             10903468022577819310ULL}));
+    EXPECT_EQ(r.eventsFired, 8260u);
+    EXPECT_EQ(r.crossMessages, 4257u);
 
     auto *completed = r.stats.find("total_completed");
     ASSERT_NE(completed, nullptr);

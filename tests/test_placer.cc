@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for AQUA-PLACER and stable matching: Algorithm 1's
- * constraints and objective, the Fig. 4 colocation property, and
- * matching stability (with TEST_P property sweeps).
+ * constraints and objective, the Fig. 4 colocation property,
+ * warm-started re-placement from a prior, and matching stability
+ * (with TEST_P property sweeps).
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +13,6 @@
 #include <set>
 
 #include "exp/experiments.hh"
-#include "placer/incremental.hh"
 #include "placer/placer.hh"
 #include "placer/stable_matching.hh"
 #include "sim/random.hh"
@@ -220,6 +220,123 @@ TEST(Placer, MemoryRequirementSigns)
               0);
 }
 
+namespace {
+
+/** Per-server model counts, checked against each server's capacity. */
+void
+expectWithinCapacity(const PlacementInput &input, const Placement &p)
+{
+    ASSERT_TRUE(p.valid());
+    std::vector<std::size_t> load(input.numServers, 0);
+    for (int s : p.server) {
+        ASSERT_GE(s, 0);
+        ASSERT_LT(static_cast<std::size_t>(s), input.numServers);
+        ++load[s];
+    }
+    for (std::size_t s = 0; s < input.numServers; ++s)
+        EXPECT_LE(load[s], input.capacity(s)) << "server " << s;
+}
+
+std::size_t
+modelsMoved(const std::vector<int> &prior, const std::vector<int> &now)
+{
+    std::size_t moved = 0;
+    for (std::size_t m = 0; m < prior.size(); ++m)
+        moved += prior[m] >= 0 && prior[m] != now[m];
+    return moved;
+}
+
+} // anonymous namespace
+
+TEST(Placer, EmptyPriorReproducesColdPlacements)
+{
+    // The §6.1 cluster at 300 nodes, pinned to the placements the
+    // solver produced before warm starts existed: an empty prior must
+    // take exactly the cold path.
+    const std::vector<std::vector<int>> pinned = {
+        {6, 2, 0, 6, 5, 1, 7, 5, 2, 0, 3, 3, 1, 4, 4, 7},
+        {6, 1, 0, 6, 2, 2, 0, 4, 1, 7, 5, 3, 5, 3, 4, 7},
+        {0, 1, 5, 3, 6, 5, 1, 2, 0, 6, 4, 3, 7, 4, 7, 2},
+        {7, 5, 4, 6, 5, 0, 6, 2, 1, 7, 3, 3, 0, 4, 2, 1},
+        {7, 2, 0, 6, 4, 1, 6, 5, 2, 0, 5, 3, 1, 3, 4, 7},
+        {2, 3, 2, 0, 5, 4, 0, 6, 6, 4, 1, 7, 3, 1, 5, 7},
+    };
+    const std::vector<std::uint64_t> lpIterations = {2498, 2617, 2268,
+                                                     2389, 2449, 2113};
+    opt::MilpOptions milpOpt;
+    milpOpt.maxNodes = 300;
+    for (std::uint64_t seed = 0; seed < 6; ++seed) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        PlacementInput input =
+            exp::makeClusterInput(8, 2, "balanced", seed);
+        Placement p = AquaPlacer(milpOpt).place(input, {});
+        EXPECT_EQ(p.server, pinned[seed]);
+        EXPECT_EQ(p.nodesExplored, 300u);
+        EXPECT_EQ(p.lpIterations, lpIterations[seed]);
+    }
+}
+
+TEST(Placer, OptimalPriorMovesNothing)
+{
+    for (PlacementInput input :
+         {fig4Input(), exp::makeClusterInput(4, 2, "balanced", 3)}) {
+        Placement cold = AquaPlacer().place(input);
+        ASSERT_TRUE(cold.optimal);
+        Placement warm = AquaPlacer().place(input, cold.server);
+        EXPECT_EQ(warm.server, cold.server);
+        EXPECT_EQ(warm.objective, cold.objective);
+        EXPECT_TRUE(warm.optimal);
+    }
+}
+
+TEST(Placer, GpuFailureOverfillingItsServerStaysFeasible)
+{
+    // 5 models on 2 servers x 3 GPUs: one server hosts 3. Losing one
+    // of its GPUs over-fills it; the re-placement must fit the
+    // shrunken server without evicting anyone else.
+    PlacementInput input = fig4Input();
+    input.gpusPerServer = 3;
+    input.models.push_back({"fifth", 8 * gb});
+    Placement before = AquaPlacer().place(input);
+    ASSERT_TRUE(before.valid());
+    std::vector<std::size_t> load(input.numServers, 0);
+    for (int s : before.server)
+        ++load[static_cast<std::size_t>(s)];
+    std::size_t full = load[0] == 3 ? 0 : 1;
+    ASSERT_EQ(load[full], 3u);
+
+    input.lostGpus.assign(input.numServers, 0);
+    input.lostGpus[full] = 1;
+    EXPECT_EQ(input.capacity(full), 2u);
+    Placement after = AquaPlacer().place(input, before.server);
+    expectWithinCapacity(input, after);
+    EXPECT_GE(modelsMoved(before.server, after.server), 1u);
+}
+
+TEST(Placer, WarmArrivalIntoFullClusterIsInfeasible)
+{
+    PlacementInput input = fig4Input(); // 4 models, 2x2 GPUs: full
+    Placement before = AquaPlacer().place(input);
+    ASSERT_TRUE(before.valid());
+    input.models.push_back({"overflow", 10 * gb});
+    std::vector<int> prior = before.server;
+    prior.push_back(-1);
+    // No placement comes back, so the caller keeps its prior one.
+    EXPECT_FALSE(AquaPlacer().place(input, prior).valid());
+}
+
+TEST(Placer, LostGpusBoundColdSolveAndGreedy)
+{
+    // Lost GPUs shrink one server's slots, not every server's.
+    PlacementInput input = exp::makeClusterInput(4, 3, "balanced", 2);
+    input.models.resize(9);
+    input.lostGpus = {2, 0, 1, 0};
+    expectWithinCapacity(input, greedyPlace(input));
+    expectWithinCapacity(input, AquaPlacer().place(input));
+    input.lostGpus = {3, 3, 3, 1};
+    EXPECT_FALSE(AquaPlacer().place(input).valid());
+}
+
 TEST(StableMatching, TextbookInstance)
 {
     // Classic 3x3 instance with known proposer-optimal outcome.
@@ -297,307 +414,3 @@ TEST_P(MatchingProperty, AlwaysStable)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MatchingProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13));
-
-//
-// Incremental placement repair (placer/incremental.hh): the repaired
-// placement must stay equivalent to a from-scratch solve — same
-// feasibility, objective within the configured slack, and canonical
-// matching pairs — over randomized mutation sequences.
-//
-
-namespace {
-
-/** Small random instance the MILP solves to optimality quickly. */
-PlacementInput
-randomInstance(Random &rng)
-{
-    PlacementInput in;
-    in.numServers = static_cast<std::size_t>(rng.uniformInt(2, 4));
-    in.gpusPerServer = static_cast<std::size_t>(rng.uniformInt(2, 3));
-    in.gpuMemBytes = 80ull << 30;
-    std::size_t models = static_cast<std::size_t>(rng.uniformInt(
-        2, static_cast<std::int64_t>(in.numServers *
-                                     in.gpusPerServer) - 1));
-    for (std::size_t m = 0; m < models; ++m) {
-        std::int64_t mem = rng.uniformInt(5, 60) * gb;
-        if (rng.bernoulli(0.5))
-            mem = -mem;
-        in.models.push_back({"m" + std::to_string(m), mem});
-    }
-    return in;
-}
-
-/** A fresh model for arrival mutations. */
-ModelToPlace
-randomModel(Random &rng, int tag)
-{
-    std::int64_t mem = rng.uniformInt(5, 60) * gb;
-    if (rng.bernoulli(0.5))
-        mem = -mem;
-    return {"arr" + std::to_string(tag), mem};
-}
-
-/**
- * From-scratch objective on the placer's current live instance.
- * @return false when the compact instance (uniform min-capacity,
- * see IncrementalPlacer::liveInput) is infeasible from scratch —
- * the incremental state can still be valid against the true
- * per-server capacities, so there is nothing to compare to.
- */
-bool
-scratchObjective(const IncrementalPlacer &p, double *objective)
-{
-    PlacementInput live = p.liveInput();
-    if (live.models.empty()) {
-        *objective = 0.0;
-        return true;
-    }
-    Placement s = AquaPlacer().place(live);
-    if (!s.valid())
-        return false;
-    *objective = s.objective;
-    return true;
-}
-
-} // anonymous namespace
-
-TEST(IncrementalPlacer, InitialSolveMatchesFromScratch)
-{
-    PlacementInput in = fig4Input();
-    IncrementalPlacer inc(in);
-    Placement scratch = AquaPlacer().place(in);
-    ASSERT_TRUE(scratch.valid());
-    EXPECT_DOUBLE_EQ(inc.objective(), scratch.objective);
-    EXPECT_EQ(inc.fullSolves(), 1u);
-    EXPECT_EQ(inc.repairs(), 0u);
-}
-
-TEST(IncrementalPlacer, ArrivalPlacesOnFeasibleServer)
-{
-    // fig4 proper is full (4 models on 2x2 GPUs); widen the servers
-    // so the late arrival has somewhere to land.
-    PlacementInput in = fig4Input();
-    in.gpusPerServer = 3;
-    IncrementalPlacer inc(in);
-    RepairOutcome out = inc.onArrival({"late-consumer", -10 * gb});
-    EXPECT_NE(out.kind, RepairOutcome::Kind::Infeasible);
-    EXPECT_EQ(inc.liveModels(), 5u);
-    const std::vector<int> &assign = inc.assignment();
-    EXPECT_GE(assign.back(), 0);
-}
-
-TEST(IncrementalPlacer, DepartureTombstonesTheModel)
-{
-    PlacementInput in = fig4Input();
-    IncrementalPlacer inc(in);
-    // A departure can legitimately trip the quality gate (removing a
-    // consumer raises the host's eq term), so either Repair or
-    // FullSolve is fine — only Infeasible would be wrong.
-    RepairOutcome out = inc.onDeparture(2);
-    EXPECT_NE(out.kind, RepairOutcome::Kind::Infeasible);
-    EXPECT_FALSE(inc.live(2));
-    EXPECT_EQ(inc.assignment()[2], -1);
-    EXPECT_EQ(inc.liveModels(), 3u);
-    // The departed consumer's pairing is gone.
-    for (const Pairing &p : inc.pairs())
-        EXPECT_NE(p.consumerModel, 2);
-}
-
-TEST(IncrementalPlacer, ArrivalIntoFullClusterIsInfeasible)
-{
-    PlacementInput in = fig4Input(); // 4 models, 2x2 GPUs: full
-    IncrementalPlacer inc(in);
-    RepairOutcome out = inc.onArrival({"overflow", 10 * gb});
-    EXPECT_EQ(out.kind, RepairOutcome::Kind::Infeasible);
-    EXPECT_EQ(inc.liveModels(), 4u);
-}
-
-TEST(IncrementalPlacer, GpuFailureDisplacesWhenOverSubscribed)
-{
-    // 5 models on 2 servers x 3 GPUs: one server hosts 3, the other
-    // has a spare slot — failing the loaded server forces exactly one
-    // displacement (a full fig4 cluster would leave nowhere to go).
-    PlacementInput in = fig4Input();
-    in.gpusPerServer = 3;
-    in.models.push_back({"fifth", 8 * gb});
-    IncrementalPlacer inc(in);
-    std::vector<std::size_t> load(in.numServers, 0);
-    for (int s : inc.assignment())
-        ++load[static_cast<std::size_t>(s)];
-    int victim = 0;
-    for (std::size_t s = 1; s < in.numServers; ++s)
-        if (load[s] > load[static_cast<std::size_t>(victim)])
-            victim = static_cast<int>(s);
-    ASSERT_EQ(load[static_cast<std::size_t>(victim)], 3u);
-    RepairOutcome out = inc.onGpuFailure(victim);
-    EXPECT_NE(out.kind, RepairOutcome::Kind::Infeasible);
-    EXPECT_EQ(inc.capacity(victim), 2u);
-    std::size_t onVictim = 0;
-    for (std::size_t m = 0; m < inc.models().size(); ++m)
-        if (inc.live(m) && inc.assignment()[m] == victim)
-            ++onVictim;
-    EXPECT_LE(onVictim, 2u);
-}
-
-TEST(IncrementalPlacer, RepairBudgetForcesResolve)
-{
-    PlacementInput in = fig4Input();
-    RepairConfig rc;
-    rc.maxRepairsBeforeSolve = 2;
-    rc.qualitySlack = 1e9; // isolate the budget from the quality gate
-    IncrementalPlacer inc(in, rc);
-    inc.onDeparture(2);
-    RepairOutcome out = inc.onDeparture(3);
-    EXPECT_EQ(out.kind, RepairOutcome::Kind::FullSolve);
-    EXPECT_GE(inc.fullSolves(), 2u);
-}
-
-TEST(IncrementalPlacer, PairsStayCanonicalAndConsistent)
-{
-    Random rng(7);
-    PlacementInput in = randomInstance(rng);
-    IncrementalPlacer inc(in);
-    inc.onArrival(randomModel(rng, 0));
-    // Pairs sorted by (server, consumer) and match a re-derivation
-    // from the assignment.
-    std::vector<Pairing> expect =
-        matchWithinServers(
-            [&] {
-                PlacementInput all = in;
-                all.models.push_back(inc.models().back());
-                return all;
-            }(),
-            inc.assignment());
-    std::sort(expect.begin(), expect.end(),
-              [](const Pairing &a, const Pairing &b) {
-                  if (a.server != b.server)
-                      return a.server < b.server;
-                  return a.consumerModel < b.consumerModel;
-              });
-    ASSERT_EQ(inc.pairs().size(), expect.size());
-    for (std::size_t i = 0; i < expect.size(); ++i) {
-        EXPECT_EQ(inc.pairs()[i].server, expect[i].server);
-        EXPECT_EQ(inc.pairs()[i].consumerModel,
-                  expect[i].consumerModel);
-        EXPECT_EQ(inc.pairs()[i].producerModel,
-                  expect[i].producerModel);
-    }
-}
-
-/**
- * The headline equivalence property: after any mutation sequence the
- * repaired placement's objective stays within the configured slack of
- * a from-scratch solve of the same live instance, across a seed
- * sweep.
- */
-class IncrementalEquivalence : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(IncrementalEquivalence, RepairTracksFromScratchSolve)
-{
-    Random rng(static_cast<std::uint64_t>(GetParam()));
-    PlacementInput in = randomInstance(rng);
-    RepairConfig rc;
-    IncrementalPlacer inc(in, rc);
-
-    for (int step = 0; step < 12; ++step) {
-        double roll = rng.uniform();
-        if (roll < 0.4) {
-            inc.onArrival(randomModel(rng, step));
-        } else if (roll < 0.8) {
-            std::vector<std::size_t> live;
-            for (std::size_t m = 0; m < inc.models().size(); ++m)
-                if (inc.live(m))
-                    live.push_back(m);
-            if (live.empty())
-                continue;
-            inc.onDeparture(live[static_cast<std::size_t>(
-                rng.uniformInt(0,
-                               static_cast<std::int64_t>(live.size())
-                                   - 1))]);
-        } else {
-            int srv = static_cast<int>(rng.uniformInt(
-                0, static_cast<std::int64_t>(in.numServers) - 1));
-            RepairOutcome out = inc.onGpuFailure(srv);
-            if (out.kind == RepairOutcome::Kind::Infeasible) {
-                // Documented contract (incremental.hh): with nowhere
-                // to displace to, the placer leaves the failed server
-                // over-subscribed for the caller. Resolve it the way
-                // a real caller would — depart a model from it.
-                std::size_t srvLoad = 0;
-                for (std::size_t m = 0; m < inc.models().size(); ++m)
-                    if (inc.live(m) && inc.assignment()[m] == srv)
-                        ++srvLoad;
-                if (srvLoad > inc.capacity(srv)) {
-                    for (std::size_t m = 0; m < inc.models().size();
-                         ++m) {
-                        if (inc.live(m) &&
-                            inc.assignment()[m] == srv) {
-                            inc.onDeparture(m);
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-
-        if (inc.liveModels() == 0)
-            continue;
-        // Every live model is placed and no server over-subscribed.
-        std::vector<std::size_t> load(in.numServers, 0);
-        for (std::size_t m = 0; m < inc.models().size(); ++m) {
-            if (!inc.live(m))
-                continue;
-            int s = inc.assignment()[m];
-            ASSERT_GE(s, 0) << "live model unplaced at step " << step;
-            ++load[static_cast<std::size_t>(s)];
-        }
-        for (std::size_t s = 0; s < in.numServers; ++s)
-            EXPECT_LE(load[s], inc.capacity(static_cast<int>(s)))
-                << "server " << s << " over capacity at step "
-                << step;
-
-        // Objective within slack of the from-scratch solve. Skipped
-        // when the uniform min-capacity compact instance has become
-        // infeasible from scratch (the repaired state is then only
-        // valid against the true per-server capacities, which the
-        // load checks above already cover).
-        double scratch = 0.0;
-        if (scratchObjective(inc, &scratch)) {
-            double slack = rc.qualitySlack *
-                               (std::abs(scratch) +
-                                static_cast<double>(in.gpuMemBytes)) +
-                           1.0;
-            EXPECT_LE(inc.objective(), scratch + slack)
-                << "repair drifted past slack at step " << step;
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalEquivalence,
-                         ::testing::Values(1, 2, 3, 4, 5, 8, 13, 21));
-
-TEST(IncrementalPlacer, MutationSequenceIsDeterministic)
-{
-    // Two placers fed the identical mutation sequence end in the
-    // identical state — the property the cluster simulation's churn
-    // events rely on.
-    auto run = [](std::vector<int> *assign, double *obj) {
-        Random rng(99);
-        PlacementInput in = randomInstance(rng);
-        IncrementalPlacer inc(in);
-        inc.onArrival(randomModel(rng, 0));
-        inc.onGpuFailure(0);
-        inc.onArrival(randomModel(rng, 1));
-        inc.onDeparture(0);
-        *assign = inc.assignment();
-        *obj = inc.objective();
-    };
-    std::vector<int> a1, a2;
-    double o1 = 0.0, o2 = 0.0;
-    run(&a1, &o1);
-    run(&a2, &o2);
-    EXPECT_EQ(a1, a2);
-    EXPECT_EQ(o1, o2);
-}
