@@ -8,14 +8,15 @@
  * instance then runs twice and must reproduce itself exactly:
  * per-domain event digests, end-state stats and message counts.
  *
- * Host wall-clock numbers (and events/s) are printed to stdout only;
- * BENCH_cluster_sim.json carries exclusively deterministic values so
- * two runs of the same seed are byte-equal.
+ * Host wall-clock numbers (and events/s) are printed to stderr only;
+ * stdout and BENCH_cluster_sim.json carry exclusively deterministic
+ * values so two runs of the same seed are byte-equal.
  *
  * Flags: `--smoke` shrinks the workload for quick pipelines,
  * `--seed N` sets the seed.
  */
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -82,16 +83,18 @@ main(int argc, char **argv)
     ClusterRunResult head =
         runClusterSim(clusterConfig(seed, headlineRequests));
 
-    stats::Table t({"events", "cross msgs", "wall (s)", "events/s"});
+    stats::Table t({"events", "cross msgs"});
     t.addRow({std::to_string(head.eventsFired),
-              std::to_string(head.crossMessages),
-              std::to_string(head.wallSeconds),
-              head.wallSeconds > 0.0
-                  ? std::to_string(static_cast<double>(
-                                       head.eventsFired) /
-                                   head.wallSeconds)
-                  : "-"});
+              std::to_string(head.crossMessages)});
     bench::show(t);
+    stats::Table host({"wall (s)", "events/s"});
+    host.addRow({std::to_string(head.wallSeconds),
+                 head.wallSeconds > 0.0
+                     ? std::to_string(static_cast<double>(
+                                          head.eventsFired) /
+                                      head.wallSeconds)
+                     : "-"});
+    std::fprintf(stderr, "%s\n", host.render().c_str());
 
     json::Object headJson;
     headJson["requests"] = headlineRequests;

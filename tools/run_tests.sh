@@ -6,13 +6,14 @@
 #   tools/run_tests.sh --sanitize    # ASan+UBSan build in build-asan/
 #   tools/run_tests.sh --tsan        # TSan build in build-tsan/ (the
 #                                    # threaded code: Coordinator)
-#   tools/run_tests.sh --bench-smoke # + chaos/overload/cluster smoke
+#   tools/run_tests.sh --bench-smoke # + every bench diffed against
+#                                    # the committed bench/baseline/
 #   tools/run_tests.sh --chaos-smoke # + bounded-seed chaos-soak run
 #   tools/run_tests.sh -R Staging    # extra args forwarded to ctest
 #
 # --sanitize (or --tsan) and --bench-smoke / --chaos-smoke compose
-# (in that order): the chaos, overload, cluster-prefix, tiering and
-# cluster-simulation smoke runs then execute under the sanitizers too.
+# (in that order): the bench baseline and chaos-soak runs then execute
+# under the sanitizers too, and must still match the baseline.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -46,13 +47,10 @@ cmake --build "$build" -j "$(nproc)"
 ctest --test-dir "$build" --output-on-failure -j "$(nproc)" "$@"
 
 if [[ "$bench_smoke" == 1 ]]; then
-    "$build/bench/seed_robustness" --smoke
-    "$build/bench/abl_overload" --smoke
-    "$build/bench/abl_cluster_prefix" --smoke
-    "$build/bench/abl_tiering" --smoke
-    "$build/bench/abl_kv_quant" --smoke
-    "$build/bench/abl_federation" --smoke
-    "$build/bench/abl_cluster_sim" --smoke
+    out="$(mktemp -d)"
+    trap 'rm -rf "$out"' EXIT
+    "$repo/tools/bench_baseline.sh" "$build" "$out/bench"
+    diff -r "$repo/bench/baseline" "$out/bench"
 fi
 
 if [[ "$chaos_smoke" == 1 ]]; then
