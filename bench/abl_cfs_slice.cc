@@ -36,7 +36,7 @@ main()
                 .cell(exp::serveModeName(mode))
                 .cell(ttft.p95(), 2)
                 .cell(rct.median(), 2)
-                .cell(r.consumerSwapOuts);
+                .cell(r.swapOuts);
         }
     }
     bench::show(table);

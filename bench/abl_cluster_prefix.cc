@@ -48,40 +48,43 @@ cellJson(const exp::ClusterPrefixResult &r)
     o["rct_p95_sec"] = rct.p95();
     o["tokens_per_sec"] = r.tokensPerSec;
     o["aggregate_hit_rate"] = r.aggregateHitRate;
-    o["cached_tokens"] = static_cast<std::int64_t>(r.cachedTokens);
+    o["cached_tokens"] = static_cast<std::int64_t>(r.prefix.cachedTokens);
     o["resident_prefix_bytes"] =
         static_cast<std::int64_t>(r.residentPrefixBytes);
     o["single_copy_bytes"] =
         static_cast<std::int64_t>(r.singleCopyBytes);
     o["residency_factor"] = r.residencyFactor;
-    o["registry_hits"] = static_cast<std::int64_t>(r.registryHits);
-    o["registry_misses"] = static_cast<std::int64_t>(r.registryMisses);
+    o["registry_hits"] = static_cast<std::int64_t>(r.prefix.registryHits);
+    o["registry_misses"] =
+        static_cast<std::int64_t>(r.prefix.registryMisses);
     o["borrow_admissions"] =
-        static_cast<std::int64_t>(r.borrowAdmissions);
-    o["copy_admissions"] = static_cast<std::int64_t>(r.copyAdmissions);
+        static_cast<std::int64_t>(r.prefix.borrowAdmissions);
+    o["copy_admissions"] =
+        static_cast<std::int64_t>(r.prefix.copyAdmissions);
     o["remote_copy_bytes"] =
-        static_cast<std::int64_t>(r.remoteCopyBytes);
+        static_cast<std::int64_t>(r.prefix.remoteCopyBytes);
     o["remote_decode_read_bytes"] =
-        static_cast<std::int64_t>(r.remoteDecodeReadBytes);
+        static_cast<std::int64_t>(r.prefix.remoteDecodeReadBytes);
     o["remote_broken_chains"] =
-        static_cast<std::int64_t>(r.remoteBrokenChains);
+        static_cast<std::int64_t>(r.prefix.remoteBrokenChains);
     o["hit_tokens_local"] =
-        static_cast<std::int64_t>(r.hitTokensLocal);
+        static_cast<std::int64_t>(r.prefix.hitTokensLocal);
     o["hit_tokens_remote_peer"] =
-        static_cast<std::int64_t>(r.hitTokensRemote);
-    o["hit_tokens_dram"] = static_cast<std::int64_t>(r.hitTokensDram);
+        static_cast<std::int64_t>(r.prefix.hitTokensRemote);
+    o["hit_tokens_dram"] =
+        static_cast<std::int64_t>(r.prefix.hitTokensDram);
     o["hit_tokens_remote_server"] =
-        static_cast<std::int64_t>(r.hitTokensRemoteServer);
-    o["sig_mismatches"] = static_cast<std::int64_t>(r.sigMismatches);
+        static_cast<std::int64_t>(r.prefix.hitTokensRemoteServer);
+    o["sig_mismatches"] = static_cast<std::int64_t>(r.prefix.sigMismatches);
     o["cluster_sig_mismatches"] =
-        static_cast<std::int64_t>(r.clusterSigMismatches);
-    o["reg_publishes"] = static_cast<std::int64_t>(r.regPublishes);
+        static_cast<std::int64_t>(r.prefix.clusterSigMismatches);
+    o["reg_publishes"] = static_cast<std::int64_t>(r.registry.publishes);
     o["reg_replica_publishes"] =
-        static_cast<std::int64_t>(r.regReplicaPublishes);
-    o["reg_promotions"] = static_cast<std::int64_t>(r.regPromotions);
+        static_cast<std::int64_t>(r.registry.replicaPublishes);
+    o["reg_promotions"] = static_cast<std::int64_t>(r.registry.promotions);
     o["reg_invalidations"] =
-        static_cast<std::int64_t>(r.regInvalidations);
-    o["reg_broken_pins"] = static_cast<std::int64_t>(r.regBrokenPins);
+        static_cast<std::int64_t>(r.registry.invalidations);
+    o["reg_broken_pins"] = static_cast<std::int64_t>(r.registry.brokenPins);
     o["active_pins"] = static_cast<std::int64_t>(r.activePins);
     return o;
 }
@@ -121,8 +124,8 @@ main(int argc, char **argv)
                 .cell(registry ? "registry" : "per-engine")
                 .cell(r.residencyFactor, 2)
                 .cell(r.aggregateHitRate, 3)
-                .cell(double(r.remoteCopyBytes +
-                             r.remoteDecodeReadBytes) / (1 << 20), 1)
+                .cell(double(r.prefix.remoteCopyBytes +
+                             r.prefix.remoteDecodeReadBytes) / (1 << 20), 1)
                 .cell(r.tokensPerSec, 1)
                 .cell(r.unfinished);
             std::string key = std::to_string(consumers) +
@@ -150,9 +153,12 @@ main(int argc, char **argv)
     std::printf("chatbot (turns hop engines): hit rate %.3f -> %.3f, "
                 "remote hit tokens %llu, borrow/copy %llu/%llu\n",
                 chatOff.aggregateHitRate, chatOn.aggregateHitRate,
-                static_cast<unsigned long long>(chatOn.hitTokensRemote),
-                static_cast<unsigned long long>(chatOn.borrowAdmissions),
-                static_cast<unsigned long long>(chatOn.copyAdmissions));
+                static_cast<unsigned long long>(
+                    chatOn.prefix.hitTokensRemote),
+                static_cast<unsigned long long>(
+                    chatOn.prefix.borrowAdmissions),
+                static_cast<unsigned long long>(
+                    chatOn.prefix.copyAdmissions));
 
     // Cell 3: donor-kill chaos against the home GPU.
     trace::TraceLog chaosLog;
@@ -175,11 +181,11 @@ main(int argc, char **argv)
                 "invalidations %llu, active pins %llu\n",
                 static_cast<unsigned long long>(chaosR.unfinished),
                 static_cast<unsigned long long>(
-                    chaosR.remoteBrokenChains),
-                static_cast<unsigned long long>(chaosR.regBrokenPins),
-                static_cast<unsigned long long>(chaosR.regPromotions),
+                    chaosR.prefix.remoteBrokenChains),
+                static_cast<unsigned long long>(chaosR.registry.brokenPins),
+                static_cast<unsigned long long>(chaosR.registry.promotions),
                 static_cast<unsigned long long>(
-                    chaosR.regInvalidations),
+                    chaosR.registry.invalidations),
                 static_cast<unsigned long long>(chaosR.activePins));
 
     // Acceptance: at 4 consumers the hot preamble stays near one
@@ -195,8 +201,8 @@ main(int argc, char **argv)
     bool okIdentity = true;
     for (const exp::ClusterPrefixResult *r :
          {&off4, &on4, &chatOff, &chatOn, &chaosR}) {
-        okIdentity = okIdentity && r->sigMismatches == 0 &&
-                     r->clusterSigMismatches == 0;
+        okIdentity = okIdentity && r->prefix.sigMismatches == 0 &&
+                     r->prefix.clusterSigMismatches == 0;
     }
     bool okChaos = chaosR.unfinished == 0 && chaosR.activePins == 0 &&
                    unmatchedFaults == 1;

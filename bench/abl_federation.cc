@@ -51,54 +51,55 @@ cellJson(const exp::FederationRunResult &r)
     o["aggregate_hit_rate"] = r.aggregateHitRate;
     o["prompt_tokens"] = static_cast<std::int64_t>(r.promptTokens);
     o["tail_tokens"] = static_cast<std::int64_t>(r.tailTokens);
-    o["cached_tokens"] = static_cast<std::int64_t>(r.cachedTokens);
+    o["cached_tokens"] = static_cast<std::int64_t>(r.prefix.cachedTokens);
     o["hit_tokens_local"] =
-        static_cast<std::int64_t>(r.hitTokensLocal);
+        static_cast<std::int64_t>(r.prefix.hitTokensLocal);
     o["hit_tokens_remote_peer"] =
-        static_cast<std::int64_t>(r.hitTokensRemote);
-    o["hit_tokens_dram"] = static_cast<std::int64_t>(r.hitTokensDram);
+        static_cast<std::int64_t>(r.prefix.hitTokensRemote);
+    o["hit_tokens_dram"] =
+        static_cast<std::int64_t>(r.prefix.hitTokensDram);
     o["hit_tokens_remote_server"] =
-        static_cast<std::int64_t>(r.hitTokensRemoteServer);
-    o["sig_mismatches"] = static_cast<std::int64_t>(r.sigMismatches);
+        static_cast<std::int64_t>(r.prefix.hitTokensRemoteServer);
+    o["sig_mismatches"] = static_cast<std::int64_t>(r.prefix.sigMismatches);
     o["cluster_sig_mismatches"] =
-        static_cast<std::int64_t>(r.clusterSigMismatches);
-    o["fed_hits"] = static_cast<std::int64_t>(r.fedHits);
-    o["fed_misses"] = static_cast<std::int64_t>(r.fedMisses);
+        static_cast<std::int64_t>(r.prefix.clusterSigMismatches);
+    o["fed_hits"] = static_cast<std::int64_t>(r.prefix.fedHits);
+    o["fed_misses"] = static_cast<std::int64_t>(r.prefix.fedMisses);
     o["fed_stream_decisions"] =
-        static_cast<std::int64_t>(r.fedStreamDecisions);
+        static_cast<std::int64_t>(r.prefix.fedStreamDecisions);
     o["fed_recompute_decisions"] =
-        static_cast<std::int64_t>(r.fedRecomputeDecisions);
+        static_cast<std::int64_t>(r.prefix.fedRecomputeDecisions);
     o["fed_fetch_refusals"] =
-        static_cast<std::int64_t>(r.fedFetchRefusals);
+        static_cast<std::int64_t>(r.prefix.fedFetchRefusals);
     o["fed_streams_completed"] =
-        static_cast<std::int64_t>(r.fedStreamsCompleted);
+        static_cast<std::int64_t>(r.prefix.fedStreamsCompleted);
     o["fed_streams_invalidated"] =
-        static_cast<std::int64_t>(r.fedStreamsInvalidated);
+        static_cast<std::int64_t>(r.prefix.fedStreamsInvalidated);
     o["fed_stream_bytes"] =
-        static_cast<std::int64_t>(r.fedStreamBytes);
+        static_cast<std::int64_t>(r.prefix.fedStreamBytes);
     o["dir_adverts_published"] =
-        static_cast<std::int64_t>(r.dirAdvertsPublished);
-    o["dir_tombstones"] = static_cast<std::int64_t>(r.dirTombstones);
+        static_cast<std::int64_t>(r.directory.advertsPublished);
+    o["dir_tombstones"] = static_cast<std::int64_t>(r.directory.tombstones);
     o["dir_adverts_applied"] =
-        static_cast<std::int64_t>(r.dirAdvertsApplied);
+        static_cast<std::int64_t>(r.directory.advertsApplied);
     o["dir_adverts_dropped"] =
-        static_cast<std::int64_t>(r.dirAdvertsDropped);
+        static_cast<std::int64_t>(r.directory.advertsDropped);
     o["dir_anti_entropy_rounds"] =
-        static_cast<std::int64_t>(r.dirAntiEntropyRounds);
+        static_cast<std::int64_t>(r.directory.antiEntropyRounds);
     o["dir_fetch_grants"] =
-        static_cast<std::int64_t>(r.dirFetchGrants);
+        static_cast<std::int64_t>(r.directory.fetchGrants);
     o["dir_fetch_cap_rejects"] =
-        static_cast<std::int64_t>(r.dirFetchCapRejects);
+        static_cast<std::int64_t>(r.directory.fetchCapRejects);
     o["dir_fetch_validated"] =
-        static_cast<std::int64_t>(r.dirFetchValidated);
+        static_cast<std::int64_t>(r.directory.fetchValidated);
     o["dir_fetch_invalidated"] =
-        static_cast<std::int64_t>(r.dirFetchInvalidated);
+        static_cast<std::int64_t>(r.directory.fetchInvalidated);
     o["fabric_transfers"] =
-        static_cast<std::int64_t>(r.fabricTransfers);
+        static_cast<std::int64_t>(r.fabric.transfers);
     o["fabric_bytes_moved"] =
-        static_cast<std::int64_t>(r.fabricBytesMoved);
+        static_cast<std::int64_t>(r.fabric.bytesMoved);
     o["fabric_queue_ticks"] =
-        static_cast<std::int64_t>(r.fabricQueueTicks);
+        static_cast<std::int64_t>(r.fabric.queueTicks);
     o["output_digest"] = static_cast<std::int64_t>(r.outputDigest);
     return o;
 }
@@ -110,7 +111,8 @@ std::uint64_t
 preambleColdTokens(const exp::FederationRunResult &r)
 {
     std::uint64_t preamble = r.promptTokens - r.tailTokens;
-    return preamble > r.cachedTokens ? preamble - r.cachedTokens : 0;
+    std::uint64_t cached = r.prefix.cachedTokens;
+    return preamble > cached ? preamble - cached : 0;
 }
 
 } // anonymous namespace
@@ -143,7 +145,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(
                     std::uint64_t(base.servers) * base.prefixTokens),
                 static_cast<unsigned long long>(
-                    on.hitTokensRemoteServer));
+                    on.prefix.hitTokensRemoteServer));
 
     // Cell 1b: chatbot whose turns hop servers — the re-sent history
     // is only reachable through federation.
@@ -160,9 +162,9 @@ main(int argc, char **argv)
                 "remote-server hit tokens %llu, streams %llu\n",
                 chatOff.aggregateHitRate, chatOn.aggregateHitRate,
                 static_cast<unsigned long long>(
-                    chatOn.hitTokensRemoteServer),
+                    chatOn.prefix.hitTokensRemoteServer),
                 static_cast<unsigned long long>(
-                    chatOn.fedStreamsCompleted));
+                    chatOn.prefix.fedStreamsCompleted));
 
     // Cell 2: the stream-vs-recompute cost model against a sickening
     // wire. As degradation deepens the streamed-copy estimate crosses
@@ -180,9 +182,9 @@ main(int argc, char **argv)
         exp::FederationRunResult r = exp::runFederation(cfg);
         t.newRow()
             .cell(d, 2)
-            .cell(r.fedStreamDecisions)
-            .cell(r.fedRecomputeDecisions)
-            .cell(r.hitTokensRemoteServer)
+            .cell(r.prefix.fedStreamDecisions)
+            .cell(r.prefix.fedRecomputeDecisions)
+            .cell(r.prefix.hitTokensRemoteServer)
             .cell(r.aggregateHitRate, 3)
             .cell(r.unfinished);
         char key[32];
@@ -218,10 +220,11 @@ main(int argc, char **argv)
                 "%016llx)\n",
                 static_cast<unsigned long long>(chaosR.unfinished),
                 static_cast<unsigned long long>(
-                    chaosR.fedStreamsCompleted),
+                    chaosR.prefix.fedStreamsCompleted),
                 static_cast<unsigned long long>(
-                    chaosR.fedStreamsInvalidated),
-                static_cast<unsigned long long>(chaosR.dirTombstones),
+                    chaosR.prefix.fedStreamsInvalidated),
+                static_cast<unsigned long long>(
+                    chaosR.directory.tombstones),
                 static_cast<unsigned long long>(chaosR.outputDigest),
                 static_cast<unsigned long long>(twin.outputDigest),
                 static_cast<unsigned long long>(twinOff.outputDigest));
@@ -233,17 +236,17 @@ main(int argc, char **argv)
     //     rest, and improves the cross-server chatbot hit rate.
     std::uint64_t preambleBudget =
         std::uint64_t(base.servers) * (base.prefixTokens + 16);
-    bool okOnce = on.hitTokensRemoteServer > 0 &&
+    bool okOnce = on.prefix.hitTokensRemoteServer > 0 &&
                   preambleColdTokens(on) <= preambleBudget &&
                   on.aggregateHitRate > off.aggregateHitRate;
     bool okChat = chatOn.aggregateHitRate > chatOff.aggregateHitRate &&
-                  chatOn.hitTokensRemoteServer > 0;
+                  chatOn.prefix.hitTokensRemoteServer > 0;
     // (b) The cost model streams on a healthy wire, recomputes on a
     //     dead one, and nothing is left unfinished anywhere.
-    bool okCost = healthiest.fedStreamDecisions > 0 &&
-                  healthiest.fedRecomputeDecisions == 0 &&
-                  sickest.fedRecomputeDecisions > 0 &&
-                  sickest.fedStreamDecisions == 0;
+    bool okCost = healthiest.prefix.fedStreamDecisions > 0 &&
+                  healthiest.prefix.fedRecomputeDecisions == 0 &&
+                  sickest.prefix.fedRecomputeDecisions > 0 &&
+                  sickest.prefix.fedStreamDecisions == 0;
     bool okNothingStuck =
         off.unfinished == 0 && on.unfinished == 0 &&
         chatOff.unfinished == 0 && chatOn.unfinished == 0 &&
@@ -257,8 +260,8 @@ main(int argc, char **argv)
     for (const exp::FederationRunResult *r :
          {&off, &on, &chatOff, &chatOn, &healthiest, &sickest, &chaosR,
           &twin, &twinOff}) {
-        okIdentity = okIdentity && r->sigMismatches == 0 &&
-                     r->clusterSigMismatches == 0;
+        okIdentity = okIdentity && r->prefix.sigMismatches == 0 &&
+                     r->prefix.clusterSigMismatches == 0;
     }
     bool okTwin = chaosR.outputDigest == twin.outputDigest &&
                   twin.outputDigest == twinOff.outputDigest;

@@ -61,7 +61,7 @@ cellJson(const exp::PrefixAblationResult &r)
         static_cast<std::int64_t>(r.offloadWriteBytes);
     o["offload_read_bytes"] =
         static_cast<std::int64_t>(r.offloadReadBytes);
-    o["hit_rate"] = r.prefix.hitRate;
+    o["hit_rate"] = r.prefixIndex.hitRate();
     o["sig_mismatches"] =
         static_cast<std::int64_t>(r.prefix.sigMismatches);
     return o;
@@ -76,17 +76,17 @@ overloadJson(const exp::OverloadRunResult &r)
     o["attainment"] = r.attainment;
     o["queue_delay_p99_sec"] = r.queueDelayP99Sec;
     o["brownout_transitions"] =
-        static_cast<std::int64_t>(r.brownoutTransitions);
+        static_cast<std::int64_t>(r.brownout.transitions);
     o["brownout_escalations"] =
-        static_cast<std::int64_t>(r.brownoutEscalations);
+        static_cast<std::int64_t>(r.brownout.escalations);
     o["seconds_degraded"] = r.secondsDegraded;
     o["precision_reconfigs"] =
-        static_cast<std::int64_t>(r.precisionReconfigs);
+        static_cast<std::int64_t>(r.governor.reconfigurations);
     o["precision_demoted_payloads"] =
-        static_cast<std::int64_t>(r.precisionDemotedPayloads);
+        static_cast<std::int64_t>(r.governor.demotedPayloads);
     o["precision_saved_bytes"] =
-        static_cast<std::int64_t>(r.precisionSavedBytes);
-    o["sig_mismatches"] = static_cast<std::int64_t>(r.sigMismatches);
+        static_cast<std::int64_t>(r.governor.savedBytes);
+    o["sig_mismatches"] = static_cast<std::int64_t>(r.prefix.sigMismatches);
     o["unfinished"] = static_cast<std::int64_t>(r.unfinished);
     return o;
 }
@@ -133,7 +133,7 @@ main(int argc, char **argv)
                 .cell(double(r.peakLiveKvBytes) / (1 << 20), 1)
                 .cell(double(r.offloadWriteBytes) / (1 << 20), 1)
                 .cell(r.tokensPerSec, 1)
-                .cell(100.0 * r.prefix.hitRate, 1);
+                .cell(100.0 * r.prefixIndex.hitRate(), 1);
         }
     }
     bench::show(t);
@@ -191,19 +191,21 @@ main(int argc, char **argv)
                 "sparse 0.25 %llu (copies %llu), remote decode "
                 "reads %.1f -> %.1f MiB\n",
                 static_cast<unsigned long long>(
-                    clDense.borrowAdmissions),
+                    clDense.prefix.borrowAdmissions),
                 static_cast<unsigned long long>(
-                    clDense.copyAdmissions),
-                static_cast<unsigned long long>(clSp.borrowAdmissions),
-                static_cast<unsigned long long>(clSp.copyAdmissions),
-                double(clDense.remoteDecodeReadBytes) / (1 << 20),
-                double(clSp.remoteDecodeReadBytes) / (1 << 20));
+                    clDense.prefix.copyAdmissions),
+                static_cast<unsigned long long>(
+                    clSp.prefix.borrowAdmissions),
+                static_cast<unsigned long long>(clSp.prefix.copyAdmissions),
+                double(clDense.prefix.remoteDecodeReadBytes) / (1 << 20),
+                double(clSp.prefix.remoteDecodeReadBytes) / (1 << 20));
 
-    bool okBorrow = clSp.borrowAdmissions > clDense.borrowAdmissions;
-    bool okCluster = clDense.clusterSigMismatches == 0 &&
-                     clSp.clusterSigMismatches == 0 &&
-                     clDense.sigMismatches == 0 &&
-                     clSp.sigMismatches == 0 &&
+    bool okBorrow =
+        clSp.prefix.borrowAdmissions > clDense.prefix.borrowAdmissions;
+    bool okCluster = clDense.prefix.clusterSigMismatches == 0 &&
+                     clSp.prefix.clusterSigMismatches == 0 &&
+                     clDense.prefix.sigMismatches == 0 &&
+                     clSp.prefix.sigMismatches == 0 &&
                      clDense.unfinished == 0 && clSp.unfinished == 0;
 
     //
@@ -230,22 +232,22 @@ main(int argc, char **argv)
                 "reconfigs, %llu payloads demoted, %.1f MiB saved\n",
                 ovOff.goodputPerSec,
                 static_cast<unsigned long long>(
-                    ovOff.brownoutEscalations),
+                    ovOff.brownout.escalations),
                 ovOff.secondsDegraded, ovOn.goodputPerSec,
                 static_cast<unsigned long long>(
-                    ovOn.brownoutEscalations),
+                    ovOn.brownout.escalations),
                 ovOn.secondsDegraded,
                 static_cast<unsigned long long>(
-                    ovOn.precisionReconfigs),
+                    ovOn.governor.reconfigurations),
                 static_cast<unsigned long long>(
-                    ovOn.precisionDemotedPayloads),
-                double(ovOn.precisionSavedBytes) / (1 << 20));
+                    ovOn.governor.demotedPayloads),
+                double(ovOn.governor.savedBytes) / (1 << 20));
 
-    bool okGovernor = ovOn.precisionReconfigs > 0 &&
-                      ovOn.precisionDemotedPayloads > 0 &&
-                      ovOn.precisionSavedBytes > 0;
-    bool okOverload = ovOff.sigMismatches == 0 &&
-                      ovOn.sigMismatches == 0 &&
+    bool okGovernor = ovOn.governor.reconfigurations > 0 &&
+                      ovOn.governor.demotedPayloads > 0 &&
+                      ovOn.governor.savedBytes > 0;
+    bool okOverload = ovOff.prefix.sigMismatches == 0 &&
+                      ovOn.prefix.sigMismatches == 0 &&
                       ovOff.unfinished == 0 && ovOn.unfinished == 0;
 
     std::printf("acceptance: int4_peak_live_ge_3.5x %s, "
@@ -280,20 +282,20 @@ main(int argc, char **argv)
     json::Object cluster;
     json::Object cd;
     cd["borrow_admissions"] =
-        static_cast<std::int64_t>(clDense.borrowAdmissions);
+        static_cast<std::int64_t>(clDense.prefix.borrowAdmissions);
     cd["copy_admissions"] =
-        static_cast<std::int64_t>(clDense.copyAdmissions);
+        static_cast<std::int64_t>(clDense.prefix.copyAdmissions);
     cd["remote_decode_read_bytes"] =
-        static_cast<std::int64_t>(clDense.remoteDecodeReadBytes);
+        static_cast<std::int64_t>(clDense.prefix.remoteDecodeReadBytes);
     cd["aggregate_hit_rate"] = clDense.aggregateHitRate;
     cluster["dense"] = std::move(cd);
     json::Object cs;
     cs["borrow_admissions"] =
-        static_cast<std::int64_t>(clSp.borrowAdmissions);
+        static_cast<std::int64_t>(clSp.prefix.borrowAdmissions);
     cs["copy_admissions"] =
-        static_cast<std::int64_t>(clSp.copyAdmissions);
+        static_cast<std::int64_t>(clSp.prefix.copyAdmissions);
     cs["remote_decode_read_bytes"] =
-        static_cast<std::int64_t>(clSp.remoteDecodeReadBytes);
+        static_cast<std::int64_t>(clSp.prefix.remoteDecodeReadBytes);
     cs["aggregate_hit_rate"] = clSp.aggregateHitRate;
     cluster["sparse_25"] = std::move(cs);
     report.set("cluster", std::move(cluster));

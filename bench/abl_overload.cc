@@ -49,9 +49,9 @@ cellJson(const exp::OverloadRunResult &r)
     o["queue_delay_p99_sec"] = r.queueDelayP99Sec;
     o["fallback_swaps"] = static_cast<std::int64_t>(r.fallbackSwaps);
     o["brownout_transitions"] =
-        static_cast<std::int64_t>(r.brownoutTransitions);
+        static_cast<std::int64_t>(r.brownout.transitions);
     o["seconds_degraded"] = r.secondsDegraded;
-    o["sig_mismatches"] = static_cast<std::int64_t>(r.sigMismatches);
+    o["sig_mismatches"] = static_cast<std::int64_t>(r.prefix.sigMismatches);
     o["unfinished"] = static_cast<std::int64_t>(r.unfinished);
     o["elapsed_sec"] = r.elapsedSec;
     return o;
@@ -124,7 +124,7 @@ main(int argc, char **argv)
                 .cell(r.goodputPerSec, 2)
                 .cell(r.attainment, 2)
                 .cell(r.queueDelayP99Sec, 2)
-                .cell(static_cast<double>(r.brownoutTransitions), 0)
+                .cell(static_cast<double>(r.brownout.transitions), 0)
                 .cell(static_cast<double>(r.fallbackSwaps), 0);
             std::string key =
                 std::string(controlled ? "controlled" : "baseline") +
@@ -151,13 +151,13 @@ main(int argc, char **argv)
         raw4.goodputPerSec < 0.5 * raw1.goodputPerSec ||
         raw4.goodputPerSec < ctl4.goodputPerSec;
     // "Bounded": under the absolute bound the SLO implies (a met
-    // deadline caps queueing delay at (sloMultiple-1) x baseline) and
-    // strictly below the baseline's runaway delay.
+    // deadline caps queueing delay at (overloadSloMultiple - 1) x
+    // baseline) and strictly below the baseline's runaway delay.
     bool okQueueDelay =
         ctl4.queueDelayP99Sec < raw4.queueDelayP99Sec &&
         ctl4.queueDelayP99Sec <= 60.0;
     bool okNoStuck = ctl1.unfinished == 0 && ctl4.unfinished == 0;
-    bool okBrownout = ctl4.brownoutTransitions > 0 && ctl4.shed > 0;
+    bool okBrownout = ctl4.brownout.transitions > 0 && ctl4.shed > 0;
 
     // Fault+overload composition: chaos at x4 with controls on.
     trace::TraceLog chaosLog;
@@ -169,7 +169,7 @@ main(int argc, char **argv)
     chaosCfg.traceLog = &chaosLog;
     exp::OverloadRunResult chaos = exp::runOverload(chaosCfg);
     cells["chaos_controlled_x4"] = cellJson(chaos);
-    bool okChaos = chaos.sigMismatches == 0 && chaos.unfinished == 0;
+    bool okChaos = chaos.prefix.sigMismatches == 0 && chaos.unfinished == 0;
     std::size_t shedEvents = chaosLog.countCategory("shed");
     std::size_t levelEvents = chaosLog.countCategory("brownout_level");
 
@@ -185,7 +185,7 @@ main(int argc, char **argv)
                 "unfinished\n",
                 static_cast<unsigned long long>(shedEvents),
                 static_cast<unsigned long long>(levelEvents),
-                static_cast<unsigned long long>(chaos.sigMismatches),
+                static_cast<unsigned long long>(chaos.prefix.sigMismatches),
                 static_cast<unsigned long long>(chaos.unfinished));
     std::printf("acceptance: goodput>=80%% %s, baseline_collapses %s, "
                 "bounded_p99 %s, no_stuck %s, brownout_active %s, "
@@ -201,7 +201,7 @@ main(int argc, char **argv)
     report.set("smoke", smoke)
         .set("num_requests",
              static_cast<std::int64_t>(base.numRequests))
-        .set("slo_multiple", base.sloMultiple)
+        .set("slo_multiple", exp::overloadSloMultiple)
         .set("best_effort_fraction", base.bestEffortFraction);
     report.set("cells", std::move(cells));
     json::Object accept;

@@ -87,7 +87,8 @@ main(int argc, char **argv)
     costAware.eviction = serve::EvictionPolicy::CostAware;
     exp::PrefixAblationResult costR = exp::runPrefixAblation(costAware);
 
-    const exp::PrefixCacheReport &pc = onR.prefix;
+    const serve::PrefixIndexStats &pi = onR.prefixIndex;
+    const serve::PrefixCacheEngineStats &pc = onR.prefix;
     double hbmSaved =
         offR.peakLiveKvBytes > onR.peakLiveKvBytes
             ? double(offR.peakLiveKvBytes - onR.peakLiveKvBytes)
@@ -132,18 +133,18 @@ main(int argc, char **argv)
     t.newRow()
         .cell("hit_rate_pct")
         .cell(0.0, 1)
-        .cell(100.0 * pc.hitRate, 1)
-        .cell(100.0 * capR.prefix.hitRate, 1)
-        .cell(100.0 * costR.prefix.hitRate, 1);
+        .cell(100.0 * pi.hitRate(), 1)
+        .cell(100.0 * capR.prefixIndex.hitRate(), 1)
+        .cell(100.0 * costR.prefixIndex.hitRate(), 1);
     bench::show(t);
 
     std::printf("hit rate %.1f%% (%llu hits / %llu misses, %llu "
                 "partial), %llu tokens prefilled from cache, %llu "
                 "CoW forks\n",
-                100.0 * pc.hitRate,
-                static_cast<unsigned long long>(pc.hits),
-                static_cast<unsigned long long>(pc.misses),
-                static_cast<unsigned long long>(pc.partialHits),
+                100.0 * pi.hitRate(),
+                static_cast<unsigned long long>(pi.hits),
+                static_cast<unsigned long long>(pi.misses),
+                static_cast<unsigned long long>(pi.partialHits),
                 static_cast<unsigned long long>(pc.cachedTokens),
                 static_cast<unsigned long long>(pc.cowForks));
     std::printf("HBM saved at peak: %.1f MiB; offload bytes: %.1f -> "
@@ -154,7 +155,7 @@ main(int argc, char **argv)
                 double(pc.dedupSavedBytes) / (1 << 20),
                 double(pc.residentReuseBytes) / (1 << 20));
 
-    bool okHitRate = pc.hitRate > 0.5;
+    bool okHitRate = pi.hitRate() > 0.5;
     bool okPeak = onR.peakLiveKvBytes < offR.peakLiveKvBytes;
     bool okOffload = onR.offloadWriteBytes <= offR.offloadWriteBytes;
     bool okIdentity = pc.sigMismatches == 0 &&
@@ -163,7 +164,7 @@ main(int argc, char **argv)
     // Under the same retention cap, cost-aware victim selection must
     // not lose hit rate to LRU on a depth-skewed workload.
     bool okCostAware =
-        costR.prefix.hitRate >= capR.prefix.hitRate - 0.02;
+        costR.prefixIndex.hitRate() >= capR.prefixIndex.hitRate() - 0.02;
     std::printf("acceptance: hit_rate>50%% %s, peak_live on<off %s, "
                 "offload_write on<=off %s, byte_identity %s, "
                 "cost_aware_no_regression %s\n",
@@ -176,26 +177,26 @@ main(int argc, char **argv)
     report.set("smoke", smoke)
         .set("num_requests", static_cast<std::int64_t>(cfg.numRequests))
         .set("prefix_tokens", cfg.prefixTokens)
-        .set("num_groups", cfg.numGroups);
+        .set("num_groups", exp::prefixAblationGroups);
     report.set("sharing_off", modeJson(offR));
     report.set("sharing_on", modeJson(onR));
     json::Object cappedJson = modeJson(capR);
     cappedJson["max_cache_share"] = capped.maxCacheShare;
-    cappedJson["hit_rate"] = capR.prefix.hitRate;
+    cappedJson["hit_rate"] = capR.prefixIndex.hitRate();
     report.set("sharing_capped", std::move(cappedJson));
     json::Object costJson = modeJson(costR);
     costJson["max_cache_share"] = costAware.maxCacheShare;
-    costJson["hit_rate"] = costR.prefix.hitRate;
+    costJson["hit_rate"] = costR.prefixIndex.hitRate();
     costJson["evictions"] =
-        static_cast<std::int64_t>(costR.prefix.evictions);
+        static_cast<std::int64_t>(costR.prefixIndex.evictions);
     report.set("sharing_cost_aware", std::move(costJson));
     json::Object prefix;
-    prefix["hit_rate"] = pc.hitRate;
-    prefix["hits"] = static_cast<std::int64_t>(pc.hits);
-    prefix["misses"] = static_cast<std::int64_t>(pc.misses);
-    prefix["partial_hits"] = static_cast<std::int64_t>(pc.partialHits);
-    prefix["collisions"] = static_cast<std::int64_t>(pc.collisions);
-    prefix["evictions"] = static_cast<std::int64_t>(pc.evictions);
+    prefix["hit_rate"] = pi.hitRate();
+    prefix["hits"] = static_cast<std::int64_t>(pi.hits);
+    prefix["misses"] = static_cast<std::int64_t>(pi.misses);
+    prefix["partial_hits"] = static_cast<std::int64_t>(pi.partialHits);
+    prefix["collisions"] = static_cast<std::int64_t>(pi.collisions);
+    prefix["evictions"] = static_cast<std::int64_t>(pi.evictions);
     prefix["cached_tokens"] = static_cast<std::int64_t>(pc.cachedTokens);
     prefix["cow_forks"] = static_cast<std::int64_t>(pc.cowForks);
     prefix["dedup_saved_bytes"] =

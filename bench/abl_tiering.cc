@@ -54,13 +54,14 @@ cellJson(const exp::TieringRunResult &r)
     o["cold_ttft_p99_sec"] = r.coldTtftP99Sec;
     o["warm_ttft_p50_sec"] = r.warmTtftP50Sec;
     o["streams_started"] =
-        static_cast<std::int64_t>(r.streamsStarted);
+        static_cast<std::int64_t>(r.prefetch.streamsStarted);
     o["streams_completed"] =
-        static_cast<std::int64_t>(r.streamsCompleted);
+        static_cast<std::int64_t>(r.prefetch.streamsCompleted);
     o["streams_cancelled"] =
-        static_cast<std::int64_t>(r.streamsCancelled);
-    o["bytes_streamed"] = static_cast<std::int64_t>(r.bytesStreamed);
-    o["bytes_wasted"] = static_cast<std::int64_t>(r.bytesWasted);
+        static_cast<std::int64_t>(r.prefetch.streamsCancelled);
+    o["bytes_streamed"] =
+        static_cast<std::int64_t>(r.prefetch.bytesStreamed);
+    o["bytes_wasted"] = static_cast<std::int64_t>(r.prefetch.bytesWasted);
     o["overlap_efficiency_mean"] = r.overlapEfficiencyMean;
     o["ssd_bytes_read"] = static_cast<std::int64_t>(r.ssdBytesRead);
     o["ssd_bytes_written"] =
@@ -201,9 +202,10 @@ main(int argc, char **argv)
     std::printf("prefetch overlap efficiency %.2f over %llu streams "
                 "(%llu cancelled, %llu MiB wasted)\n",
                 on.overlapEfficiencyMean,
-                static_cast<unsigned long long>(on.streamsStarted),
-                static_cast<unsigned long long>(on.streamsCancelled),
-                static_cast<unsigned long long>(on.bytesWasted >>
+                static_cast<unsigned long long>(on.prefetch.streamsStarted),
+                static_cast<unsigned long long>(
+                    on.prefetch.streamsCancelled),
+                static_cast<unsigned long long>(on.prefetch.bytesWasted >>
                                                 20));
     std::printf("chaos cell: %llu stream / %llu recompute resumes, "
                 "%llu unfinished\n",

@@ -47,7 +47,7 @@ runRate(double rate)
             .cell(rct.median(), 2)
             .cell(rct.p95(), 2)
             .cell(bench::sloAttainment(r.metrics, 2.0), 2)
-            .cell(r.consumerSwapOuts);
+            .cell(r.swapOuts);
         results.push_back(std::move(r));
     }
     bench::show(summary);

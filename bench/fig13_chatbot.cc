@@ -101,11 +101,12 @@ main(int argc, char **argv)
                 "case is ~20%% and it matches vLLM for late "
                 "requests.\n");
 
-    const exp::PrefixCacheReport &pc = results[3].prefix;
+    const serve::PrefixIndexStats &pi = results[3].prefixIndex;
+    const serve::PrefixCacheEngineStats &pc = results[3].prefix;
     std::printf("prefix cache (AQUA+APC): hit rate %.1f%%, %llu "
                 "tokens prefilled from cache, %llu CoW forks, %llu "
                 "sig mismatches\n",
-                100.0 * pc.hitRate,
+                100.0 * pi.hitRate(),
                 static_cast<unsigned long long>(pc.cachedTokens),
                 static_cast<unsigned long long>(pc.cowForks),
                 static_cast<unsigned long long>(pc.sigMismatches));
@@ -134,10 +135,10 @@ main(int argc, char **argv)
     }
     report.set("systems", std::move(systems));
     json::Object prefix;
-    prefix["hit_rate"] = pc.hitRate;
-    prefix["hits"] = static_cast<std::int64_t>(pc.hits);
-    prefix["misses"] = static_cast<std::int64_t>(pc.misses);
-    prefix["partial_hits"] = static_cast<std::int64_t>(pc.partialHits);
+    prefix["hit_rate"] = pi.hitRate();
+    prefix["hits"] = static_cast<std::int64_t>(pi.hits);
+    prefix["misses"] = static_cast<std::int64_t>(pi.misses);
+    prefix["partial_hits"] = static_cast<std::int64_t>(pi.partialHits);
     prefix["cached_tokens"] = static_cast<std::int64_t>(pc.cachedTokens);
     prefix["cow_forks"] = static_cast<std::int64_t>(pc.cowForks);
     prefix["dedup_saved_bytes"] =

@@ -124,7 +124,7 @@ runCfs(const Value &spec)
 
     CfsExperimentResult r = runCfsExperiment(cfg);
     Value out = metricsToJson(r.metrics);
-    out["swap_outs"] = r.consumerSwapOuts;
+    out["swap_outs"] = r.swapOuts;
     out["producer_throughput"] = r.producerThroughput;
     return succeed(std::move(out));
 }

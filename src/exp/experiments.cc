@@ -1,8 +1,10 @@
 #include "exp/experiments.hh"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
+#include <set>
 
 #include "exp/testbed.hh"
 #include "fault/fault.hh"
@@ -44,6 +46,27 @@ offloadModeName(OffloadMode mode)
 
 namespace {
 
+/** Every two-GPU testbed serves its consumer on gpu 0 and its
+ *  producer on gpu 1. */
+constexpr hw::GpuId consumerGpu = 0;
+constexpr hw::GpuId producerGpu = 1;
+
+// Settings no caller varies; the config docs in experiments.hh name
+// them.
+const char *const loraBaseModel = "Mistral-7B";
+constexpr double elasticConsumerStartSec = 150.0;
+constexpr double elasticPhase2StartSec = 400.0;
+constexpr double clusterChaosAtSec = 40.0;
+constexpr double clusterChaosDrainSec = 30.0;
+constexpr double fedChaosAtSec = 20.0;
+constexpr double fedChaosDrainSec = 15.0;
+constexpr double fedDegradeAtSec = 4.0;
+constexpr double fedDegradeForSec = 30.0;
+constexpr double fedDegradeFactor = 0.05;
+constexpr double overloadQuietRate = 0.5;
+constexpr double overloadBurstRate = 1.5;
+constexpr double overloadPhaseSec = 15.0;
+
 /** Run the queue in slices until @p done or the cap is reached. */
 template <typename DonePredicate>
 void
@@ -55,53 +78,12 @@ runUntilDone(Simulation &sim, double maxSimSeconds, DonePredicate done)
         sim.runUntil(std::min(cap, sim.now() + slice));
 }
 
-/**
- * A producer workload generator and engine bundle: either a
- * compute-bound image/audio engine fed Parti-style arrivals, or an
- * LLM producer serving a light ShareGPT load (Table 2).
- */
-struct Producer
+/** Submit @p r to @p engine when it arrives. */
+void
+submitAt(Simulation &sim, serve::VllmEngine &engine,
+         const workload::Request &r)
 {
-    std::unique_ptr<serve::BatchEngine> batch;
-    std::unique_ptr<serve::VllmEngine> llm;
-    std::vector<workload::Request> trace;
-
-    double
-    throughput() const
-    {
-        return batch ? batch->throughput() : 0.0;
-    }
-};
-
-Producer
-makeProducer(Testbed &tb, hw::GpuId gpu, const std::string &name,
-             double ratePerSec, double horizonSec,
-             core::AquaLib *lib)
-{
-    Producer p;
-    ModelSpec spec = presetByName(name);
-    workload::TraceBuilder traces(tb.sim().makeRandom());
-    auto count = static_cast<std::size_t>(horizonSec * ratePerSec);
-    if (spec.isText()) {
-        serve::VllmEngineConfig cfg;
-        cfg.informEveryIters = 4;
-        auto &backend = tb.makeDramBackend(gpu);
-        p.llm = std::make_unique<serve::VllmEngine>(
-            tb.server(), gpu, spec,
-            std::make_unique<serve::FcfsPolicy>(), backend, cfg);
-        if (lib)
-            p.llm->attachAquaLib(lib);
-        p.trace = traces.interactive(ratePerSec, count);
-        driveTrace(tb.sim(), *p.llm, p.trace);
-    } else {
-        p.batch = std::make_unique<serve::BatchEngine>(tb.server(),
-                                                       gpu, spec);
-        if (lib)
-            p.batch->attachAquaLib(lib);
-        p.trace = traces.interactive(ratePerSec, count);
-        driveTrace(tb.sim(), *p.batch, p.trace);
-    }
-    return p;
+    sim.queue().schedule(r.arrival, [&engine, r] { engine.submit(r); });
 }
 
 std::unique_ptr<core::Informer>
@@ -112,6 +94,113 @@ makeInformerFor(const ModelSpec &spec)
     return std::make_unique<core::BatchInformer>();
 }
 
+/**
+ * A producer engine: either a compute-bound image/audio engine fed
+ * Parti-style arrivals, or an LLM producer serving a light ShareGPT
+ * load (Table 2). Either gets one request per second.
+ */
+struct Producer
+{
+    std::unique_ptr<serve::BatchEngine> batch;
+    std::unique_ptr<serve::VllmEngine> llm;
+
+    double
+    throughput() const
+    {
+        return batch ? batch->throughput() : 0.0;
+    }
+};
+
+Producer
+makeProducer(Testbed &tb, hw::GpuId gpu, const std::string &name,
+             double horizonSec, core::AquaLib *lib,
+             workload::TraceBuilder &traces)
+{
+    Producer p;
+    ModelSpec spec = presetByName(name);
+    auto count = static_cast<std::size_t>(horizonSec);
+    if (spec.isText()) {
+        serve::VllmEngineConfig cfg;
+        cfg.informEveryIters = 4;
+        auto &backend = tb.makeDramBackend(gpu);
+        p.llm = std::make_unique<serve::VllmEngine>(
+            tb.server(), gpu, spec,
+            std::make_unique<serve::FcfsPolicy>(), backend, cfg);
+        if (lib)
+            p.llm->attachAquaLib(lib);
+        driveTrace(tb.sim(), *p.llm, traces.interactive(1.0, count));
+    } else {
+        p.batch = std::make_unique<serve::BatchEngine>(tb.server(),
+                                                       gpu, spec);
+        if (lib)
+            p.batch->attachAquaLib(lib);
+        driveTrace(tb.sim(), *p.batch, traces.interactive(1.0, count));
+    }
+    return p;
+}
+
+/** As above, on a fresh random stream of its own. */
+Producer
+makeProducer(Testbed &tb, hw::GpuId gpu, const std::string &name,
+             double horizonSec, core::AquaLib *lib)
+{
+    workload::TraceBuilder traces(tb.sim().makeRandom());
+    return makeProducer(tb, gpu, name, horizonSec, lib, traces);
+}
+
+/** A consumer's offload backend and, with AQUA, the library of the
+ *  producer it borrows memory from. */
+struct ConsumerPair
+{
+    serve::OffloadBackend *backend = nullptr;
+    core::AquaLib *producerLib = nullptr;
+};
+
+/**
+ * Wire @p consumer's offload path. Without AQUA it offloads to host
+ * DRAM. With it, @p producer gets an AQUA library with the informer
+ * for @p producerModel, @p consumer gets one too, is assigned to
+ * @p target and offloads through an AQUA backend (staged unless the
+ * mode is AquaUnstaged).
+ */
+ConsumerPair
+makeConsumerPair(Testbed &tb, OffloadMode mode,
+                 const std::string &producerModel,
+                 hw::GpuId consumer = consumerGpu,
+                 hw::GpuId producer = producerGpu,
+                 hw::GpuId target = producerGpu)
+{
+    ConsumerPair pair;
+    if (mode == OffloadMode::Dram) {
+        pair.backend = &tb.makeDramBackend(consumer);
+        return pair;
+    }
+    core::AquaLibConfig libCfg;
+    libCfg.useStaging = mode != OffloadMode::AquaUnstaged;
+    pair.producerLib = &tb.makeAquaLib(
+        producer, makeInformerFor(presetByName(producerModel)), libCfg);
+    core::AquaLib &consumerLib = tb.makeAquaLib(consumer, nullptr, libCfg);
+    tb.assign(consumer, target);
+    pair.backend = &tb.makeAquaBackend(consumerLib);
+    return pair;
+}
+
+/** A ServeMode's offload path: only CfsAqua leaves host DRAM. */
+OffloadMode
+offloadOf(ServeMode mode)
+{
+    return mode == ServeMode::CfsAqua ? OffloadMode::Aqua
+                                      : OffloadMode::Dram;
+}
+
+std::unique_ptr<serve::SchedulerPolicy>
+policyFor(ServeMode mode)
+{
+    if (mode == ServeMode::VllmBaseline)
+        return std::make_unique<serve::FcfsPolicy>();
+    return std::make_unique<serve::CfsPolicy>();
+}
+
 /** Sort metrics by request id (arrival/issue order). */
 void
 sortById(std::vector<workload::RequestMetrics> &metrics)
@@ -120,29 +209,179 @@ sortById(std::vector<workload::RequestMetrics> &metrics)
               [](const auto &a, const auto &b) { return a.id < b.id; });
 }
 
-/** Collect the prefix-cache counters of a consumer engine. */
-PrefixCacheReport
-prefixReportFrom(const serve::VllmEngine &engine)
+/** Copy @p consumer's counters into @p s once the run has ended at
+ *  @p sim's now. */
+void
+readConsumerStats(ConsumerStats &s, const serve::VllmEngine &consumer,
+                  const Simulation &sim)
 {
-    PrefixCacheReport r;
-    const serve::PrefixIndexStats &is = engine.kvCache().prefixStats();
-    r.hitRate = is.hitRate();
-    r.hits = is.hits;
-    r.misses = is.misses;
-    r.partialHits = is.partialHits;
-    r.collisions = is.collisions;
-    r.evictions = is.evictions;
-    const serve::PrefixCacheEngineStats &es = engine.prefixEngineStats();
-    r.cachedTokens = es.cachedTokens;
-    r.cowForks = es.cowForks;
-    r.dedupSavedBytes = es.dedupSavedBytes;
-    r.residentReuseBytes = es.residentReuseBytes;
-    r.sigMismatches = es.sigMismatches;
-    r.hitTokensLocal = es.hitTokensLocal;
-    r.hitTokensRemote = es.hitTokensRemote;
-    r.hitTokensDram = es.hitTokensDram;
-    r.hitTokensRemoteServer = es.hitTokensRemoteServer;
-    return r;
+    s.prefixIndex = consumer.kvCache().prefixStats();
+    s.prefix = consumer.prefixEngineStats();
+    s.peakLiveKvBytes = consumer.kvCache().peakLiveKvBytes();
+    s.offloadWriteBytes = consumer.offloadWriteBytes();
+    s.offloadReadBytes = consumer.offloadReadBytes();
+    s.swapOuts = consumer.swapOutCount();
+    s.swapIns = consumer.swapInCount();
+    double elapsed = ticksToSec(sim.now());
+    s.tokensPerSec =
+        elapsed > 0.0
+            ? static_cast<double>(consumer.totalTokens()) / elapsed
+            : 0.0;
+}
+
+/** Picks the engine for a request: @p slot is the trace index of a
+ *  single-shot request, or user + turn of a chat turn. */
+using Route = std::function<serve::VllmEngine &(std::size_t slot,
+                                                Tick arrival)>;
+/** Sees every request as it is issued. */
+using Tally = std::function<void(const workload::Request &)>;
+
+/** Issue a single-shot @p trace; returns the requests to wait for. */
+std::size_t
+issueTrace(Simulation &sim, const std::vector<workload::Request> &trace,
+           const Route &route, const Tally &tally)
+{
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        tally(trace[i]);
+        submitAt(sim, route(i, trace[i].arrival), trace[i]);
+    }
+    return trace.size();
+}
+
+/**
+ * The chatbot driver (§8). Every user's first turn is issued up
+ * front; each completion issues that user's next turn, which re-sends
+ * the whole conversation so far as history. A follow-up leaves at
+ * now + the finished turn's idle gap, which is 0 unless the trace
+ * builder has an IdleSpec; a non-zero gap makes it a cold resume.
+ */
+class ChatDriver
+{
+  public:
+    ChatDriver(Simulation &sim, workload::TraceBuilder &traces,
+               std::uint32_t turns, std::uint32_t systemPromptTokens,
+               Route route, Tally tally = [](const workload::Request &) {})
+        : sim(sim), traces(traces), turns(turns),
+          systemPromptTokens(systemPromptTokens), route(std::move(route)),
+          tally(std::move(tally))
+    {
+    }
+
+    /** Engines' completion callbacks hold this driver's address. */
+    ChatDriver(const ChatDriver &) = delete;
+    ChatDriver &operator=(const ChatDriver &) = delete;
+
+    /** Issue @p users first turns and chain follow-ups off
+     *  @p engines; returns the requests to wait for. */
+    std::size_t
+    start(std::uint32_t users,
+          const std::vector<serve::VllmEngine *> &engines)
+    {
+        for (const workload::Request &r :
+             traces.chatbotFirstTurn(users, 0, systemPromptTokens))
+            issue(r);
+        for (serve::VllmEngine *engine : engines)
+            engine->onComplete([this](const workload::RequestMetrics &m) {
+                followUp(m);
+            });
+        return std::size_t(users) * turns;
+    }
+
+    std::uint32_t
+    turnOf(std::uint64_t id) const
+    {
+        return chats.at(id).turn;
+    }
+
+  private:
+    struct Turn
+    {
+        std::uint32_t user = 0;
+        std::uint32_t turn = 0;
+        std::uint32_t prompt = 0;
+        double idleGapSec = 0.0;
+    };
+
+    void
+    issue(const workload::Request &r)
+    {
+        chats[r.id] = {r.userId, r.turn, r.promptTokens, r.idleGapSec};
+        tally(r);
+        submitAt(sim, route(std::size_t(r.userId) + r.turn, r.arrival),
+                 r);
+    }
+
+    void
+    followUp(const workload::RequestMetrics &m)
+    {
+        Turn t = chats.at(m.id);
+        if (t.turn + 1 >= turns)
+            return;
+        workload::Request next = traces.chatbotFollowUp(
+            t.user, t.turn + 1, sim.now() + secToTicks(t.idleGapSec),
+            t.prompt + m.tokensGenerated, systemPromptTokens);
+        next.coldResume = t.idleGapSec > 0.0;
+        issue(next);
+    }
+
+    Simulation &sim;
+    workload::TraceBuilder &traces;
+    std::uint32_t turns;
+    std::uint32_t systemPromptTokens;
+    Route route;
+    Tally tally;
+    std::map<std::uint64_t, Turn> chats;
+};
+
+/**
+ * Run a fleet of engines until @p expected requests finished, then
+ * merge their output into @p result: metrics in id order, summed
+ * prefix counters, tokens/s and the hit rate over the prompt tokens
+ * the caller tallied into it.
+ */
+void
+runFleet(FleetResult &result, Simulation &sim, double maxSimSeconds,
+         const std::vector<std::unique_ptr<serve::VllmEngine>> &engines,
+         std::size_t expected)
+{
+    runUntilDone(sim, maxSimSeconds, [&] {
+        std::size_t done = 0;
+        for (const auto &engine : engines)
+            done += engine->finished().size();
+        return done >= expected;
+    });
+
+    std::uint64_t tokens = 0;
+    for (const auto &engine : engines) {
+        for (const workload::RequestMetrics &m : engine->finished())
+            result.metrics.push_back(m);
+        result.prefix += engine->prefixEngineStats();
+        tokens += engine->totalTokens();
+    }
+    sortById(result.metrics);
+    result.unfinished = expected > result.metrics.size()
+                            ? expected - result.metrics.size()
+                            : 0;
+    result.aggregateHitRate =
+        result.promptTokens > 0
+            ? static_cast<double>(result.prefix.cachedTokens) /
+                  result.promptTokens
+            : 0.0;
+    result.elapsedSec = ticksToSec(sim.now());
+    result.tokensPerSec =
+        result.elapsedSec > 0.0
+            ? static_cast<double>(tokens) / result.elapsedSec
+            : 0.0;
+}
+
+/** Raw pointers to a fleet's engines (the chat driver's view). */
+std::vector<serve::VllmEngine *>
+enginePtrs(const std::vector<std::unique_ptr<serve::VllmEngine>> &engines)
+{
+    std::vector<serve::VllmEngine *> out;
+    for (const auto &engine : engines)
+        out.push_back(engine.get());
+    return out;
 }
 
 } // anonymous namespace
@@ -151,39 +390,16 @@ CfsExperimentResult
 runCfsExperiment(const CfsExperimentConfig &cfg)
 {
     Testbed tb(2, hw::TopologyKind::DirectP2P, cfg.seed);
-    constexpr hw::GpuId consumerGpu = 0;
-    constexpr hw::GpuId producerGpu = 1;
-
-    ModelSpec consumerSpec = presetByName(cfg.consumerModel);
-    ModelSpec producerSpec = presetByName(cfg.producerModel);
-
-    core::AquaLib *consumerLib = nullptr;
-    core::AquaLib *producerLib = nullptr;
-    serve::OffloadBackend *backend = nullptr;
-    if (cfg.mode == ServeMode::CfsAqua) {
-        producerLib = &tb.makeAquaLib(producerGpu,
-                                      makeInformerFor(producerSpec));
-        consumerLib = &tb.makeAquaLib(consumerGpu);
-        tb.assign(consumerGpu, producerGpu);
-        backend = &tb.makeAquaBackend(*consumerLib);
-    } else {
-        backend = &tb.makeDramBackend(consumerGpu);
-    }
-
-    std::unique_ptr<serve::SchedulerPolicy> policy;
-    if (cfg.mode == ServeMode::VllmBaseline)
-        policy = std::make_unique<serve::FcfsPolicy>();
-    else
-        policy = std::make_unique<serve::CfsPolicy>();
-
+    ConsumerPair pair =
+        makeConsumerPair(tb, offloadOf(cfg.mode), cfg.producerModel);
     serve::VllmEngineConfig engineCfg;
     engineCfg.cfsSliceTokens = cfg.sliceTokens;
-    serve::VllmEngine consumer(tb.server(), consumerGpu, consumerSpec,
-                               std::move(policy), *backend, engineCfg);
-
-    Producer producer = makeProducer(tb, producerGpu,
-                                     cfg.producerModel, 1.0,
-                                     cfg.maxSimSeconds, producerLib);
+    serve::VllmEngine consumer(tb.server(), consumerGpu,
+                               presetByName(cfg.consumerModel),
+                               policyFor(cfg.mode), *pair.backend,
+                               engineCfg);
+    Producer producer = makeProducer(tb, producerGpu, cfg.producerModel,
+                                     cfg.maxSimSeconds, pair.producerLib);
 
     workload::TraceBuilder traces(tb.sim().makeRandom());
     std::vector<workload::Request> trace =
@@ -195,11 +411,10 @@ runCfsExperiment(const CfsExperimentConfig &cfg)
     });
 
     CfsExperimentResult result;
+    readConsumerStats(result, consumer, tb.sim());
     result.metrics = consumer.finished();
     sortById(result.metrics);
     result.producerThroughput = producer.throughput();
-    result.consumerSwapOuts = consumer.swapOutCount();
-    result.consumerSwapIns = consumer.swapInCount();
     return result;
 }
 
@@ -211,49 +426,30 @@ runLongPrompt(const LongPromptConfig &cfg)
                                 ? hw::TopologyKind::NvSwitch
                                 : hw::TopologyKind::DirectP2P;
     Testbed tb(gpus, kind, cfg.seed);
-
     ModelSpec consumerSpec = presetByName(cfg.consumerModel);
-    ModelSpec producerSpec = presetByName(cfg.producerModel);
 
     std::vector<std::unique_ptr<serve::FlexGenEngine>> consumers;
     std::vector<Producer> producers;
     workload::TraceBuilder traces(tb.sim().makeRandom());
 
     for (std::size_t i = 0; i < cfg.pairs; ++i) {
-        auto consumerGpu = static_cast<hw::GpuId>(2 * i);
-        auto producerGpu = static_cast<hw::GpuId>(2 * i + 1);
-
-        serve::OffloadBackend *backend = nullptr;
-        core::AquaLib *producerLib = nullptr;
-        if (cfg.mode != OffloadMode::Dram) {
-            core::AquaLibConfig libCfg;
-            libCfg.useStaging = cfg.mode != OffloadMode::AquaUnstaged;
-            producerLib = &tb.makeAquaLib(
-                producerGpu, makeInformerFor(producerSpec), libCfg);
-            core::AquaLib &consumerLib =
-                tb.makeAquaLib(consumerGpu, nullptr, libCfg);
-            hw::GpuId target = cfg.sharedProducer
-                                   ? static_cast<hw::GpuId>(1)
-                                   : producerGpu;
-            tb.assign(consumerGpu, target);
-            backend = &tb.makeAquaBackend(consumerLib);
-        } else {
-            backend = &tb.makeDramBackend(consumerGpu);
-        }
-
-        producers.push_back(makeProducer(tb, producerGpu,
-                                         cfg.producerModel, 1.0,
+        auto consumerAt = static_cast<hw::GpuId>(2 * i);
+        auto producerAt = static_cast<hw::GpuId>(2 * i + 1);
+        ConsumerPair pair = makeConsumerPair(
+            tb, cfg.mode, cfg.producerModel, consumerAt, producerAt,
+            cfg.sharedProducer ? producerGpu : producerAt);
+        producers.push_back(makeProducer(tb, producerAt,
+                                         cfg.producerModel,
                                          cfg.durationSec,
-                                         producerLib));
+                                         pair.producerLib));
 
         consumers.push_back(std::make_unique<serve::FlexGenEngine>(
-            tb.server(), consumerGpu, consumerSpec, *backend));
+            tb.server(), consumerAt, consumerSpec, *pair.backend));
         // Queue enough prompts to outlast the measurement window.
         for (int n = 0; n < 40; ++n) {
             workload::Request r =
                 traces.longPrompt(cfg.promptTokens, 2000);
-            tb.sim().queue().schedule(r.arrival, [&, r,
-                                                  i] {
+            tb.sim().queue().schedule(r.arrival, [&, r, i] {
                 consumers[i]->submit(r);
             });
         }
@@ -273,33 +469,12 @@ LoraExperimentResult
 runLoraExperiment(const LoraExperimentConfig &cfg)
 {
     Testbed tb(2, hw::TopologyKind::DirectP2P, cfg.seed);
-    constexpr hw::GpuId consumerGpu = 0;
-    constexpr hw::GpuId producerGpu = 1;
-
-    ModelSpec consumerSpec = presetByName(cfg.baseModel);
-    ModelSpec producerSpec = presetByName(cfg.producerModel);
-
-    core::AquaLib *producerLib = nullptr;
-    serve::OffloadBackend *backend = nullptr;
-    if (cfg.mode != OffloadMode::Dram) {
-        core::AquaLibConfig libCfg;
-        libCfg.useStaging = cfg.mode != OffloadMode::AquaUnstaged;
-        producerLib = &tb.makeAquaLib(producerGpu,
-                                      makeInformerFor(producerSpec),
-                                      libCfg);
-        core::AquaLib &consumerLib =
-            tb.makeAquaLib(consumerGpu, nullptr, libCfg);
-        tb.assign(consumerGpu, producerGpu);
-        backend = &tb.makeAquaBackend(consumerLib);
-    } else {
-        backend = &tb.makeDramBackend(consumerGpu);
-    }
+    ConsumerPair pair = makeConsumerPair(tb, cfg.mode, cfg.producerModel);
 
     // Give the producer a head start so its donation is in place
     // before the adapter store is populated.
-    Producer producer = makeProducer(tb, producerGpu,
-                                     cfg.producerModel, 1.0,
-                                     cfg.maxSimSeconds, producerLib);
+    Producer producer = makeProducer(tb, producerGpu, cfg.producerModel,
+                                     cfg.maxSimSeconds, pair.producerLib);
     tb.sim().runUntil(secToTicks(1.0));
 
     serve::VllmEngineConfig engineCfg;
@@ -307,8 +482,8 @@ runLoraExperiment(const LoraExperimentConfig &cfg)
     loraCfg.capacityBytes = cfg.cacheBytes;
     engineCfg.lora = loraCfg;
     serve::VllmEngine consumer(
-        tb.server(), consumerGpu, consumerSpec,
-        std::make_unique<serve::FcfsPolicy>(), *backend, engineCfg,
+        tb.server(), consumerGpu, presetByName(loraBaseModel),
+        std::make_unique<serve::FcfsPolicy>(), *pair.backend, engineCfg,
         model::synthesizeAdapters("lora", cfg.adapterBytes,
                                   cfg.numAdapters));
 
@@ -336,9 +511,6 @@ ElasticExperimentResult
 runElasticExperiment(const ElasticExperimentConfig &cfg)
 {
     Testbed tb(2, hw::TopologyKind::DirectP2P, cfg.seed);
-    constexpr hw::GpuId consumerGpu = 0;
-    constexpr hw::GpuId producerGpu = 1;
-
     ModelSpec producerSpec = presetByName(cfg.producerModel);
     ModelSpec consumerSpec = presetByName(cfg.consumerModel);
 
@@ -363,9 +535,9 @@ runElasticExperiment(const ElasticExperimentConfig &cfg)
     // start; 250 requests at 5 req/s from phase 2.
     workload::TraceBuilder traces(tb.sim().makeRandom());
     std::vector<workload::Request> phase1 = traces.interactive(
-        1.0, 100, secToTicks(cfg.consumerStartSec));
+        1.0, 100, secToTicks(elasticConsumerStartSec));
     std::vector<workload::Request> phase2 = traces.interactive(
-        5.0, 250, secToTicks(cfg.phase2StartSec));
+        5.0, 250, secToTicks(elasticPhase2StartSec));
     driveTrace(tb.sim(), producer, phase1);
     driveTrace(tb.sim(), producer, phase2);
 
@@ -379,7 +551,7 @@ runElasticExperiment(const ElasticExperimentConfig &cfg)
             tb.server(), consumerGpu, consumerSpec, backend);
         for (int n = 0; n < 40; ++n) {
             workload::Request r = traces.longPrompt(
-                8000, 2000, secToTicks(cfg.consumerStartSec));
+                8000, 2000, secToTicks(elasticConsumerStartSec));
             tb.sim().queue().schedule(r.arrival, [&, r] {
                 consumer->submit(r);
             });
@@ -455,103 +627,35 @@ ChatbotResult
 runChatbot(const ChatbotConfig &cfg)
 {
     Testbed tb(2, hw::TopologyKind::DirectP2P, cfg.seed);
-    constexpr hw::GpuId consumerGpu = 0;
-    constexpr hw::GpuId producerGpu = 1;
-
-    ModelSpec consumerSpec = presetByName(cfg.consumerModel);
-    ModelSpec producerSpec = presetByName(cfg.producerModel);
-
-    core::AquaLib *producerLib = nullptr;
-    serve::OffloadBackend *backend = nullptr;
-    if (cfg.mode == ServeMode::CfsAqua) {
-        producerLib = &tb.makeAquaLib(producerGpu,
-                                      makeInformerFor(producerSpec));
-        core::AquaLib &consumerLib = tb.makeAquaLib(consumerGpu);
-        tb.assign(consumerGpu, producerGpu);
-        backend = &tb.makeAquaBackend(consumerLib);
-    } else {
-        backend = &tb.makeDramBackend(consumerGpu);
-    }
-
-    std::unique_ptr<serve::SchedulerPolicy> policy;
-    if (cfg.mode == ServeMode::VllmBaseline)
-        policy = std::make_unique<serve::FcfsPolicy>();
-    else
-        policy = std::make_unique<serve::CfsPolicy>();
-
+    ConsumerPair pair =
+        makeConsumerPair(tb, offloadOf(cfg.mode), cfg.producerModel);
     serve::VllmEngineConfig engineCfg;
     engineCfg.prefixCache = cfg.prefixCache;
-    serve::VllmEngine consumer(tb.server(), consumerGpu, consumerSpec,
-                               std::move(policy), *backend, engineCfg);
-    Producer producer = makeProducer(tb, producerGpu,
-                                     cfg.producerModel, 1.0,
-                                     cfg.maxSimSeconds, producerLib);
+    serve::VllmEngine consumer(tb.server(), consumerGpu,
+                               presetByName(cfg.consumerModel),
+                               policyFor(cfg.mode), *pair.backend,
+                               engineCfg);
+    Producer producer = makeProducer(tb, producerGpu, cfg.producerModel,
+                                     cfg.maxSimSeconds, pair.producerLib);
 
-    // The chatbot driver: each user re-issues a prompt after the
-    // response to the previous one arrives (§8).
-    auto traces = std::make_shared<workload::TraceBuilder>(
-        tb.sim().makeRandom());
-    auto turnOf = std::make_shared<std::map<std::uint64_t,
-                                            std::uint32_t>>();
-    auto userOf = std::make_shared<std::map<std::uint64_t,
-                                            std::uint32_t>>();
-    auto promptOf = std::make_shared<std::map<std::uint64_t,
-                                              std::uint32_t>>();
-
-    std::vector<workload::Request> first =
-        traces->chatbotFirstTurn(cfg.users, 0, cfg.systemPromptTokens);
-    for (const workload::Request &r : first) {
-        (*turnOf)[r.id] = 0;
-        (*userOf)[r.id] = r.userId;
-        (*promptOf)[r.id] = r.promptTokens;
-    }
-    driveTrace(tb.sim(), consumer, first);
-
-    std::uint32_t turns = cfg.turns;
-    std::uint32_t sysTokens = cfg.systemPromptTokens;
-    consumer.onComplete([&, traces, turnOf, userOf, promptOf,
-                         sysTokens](const workload::RequestMetrics &m) {
-        std::uint32_t turn = (*turnOf)[m.id];
-        std::uint32_t user = (*userOf)[m.id];
-        if (turn + 1 >= turns)
-            return;
-        // The next turn carries the whole conversation as history.
-        std::uint32_t history = (*promptOf)[m.id] + m.tokensGenerated;
-        workload::Request next = traces->chatbotFollowUp(
-            user, turn + 1, tb.sim().now(), history, sysTokens);
-        (*turnOf)[next.id] = turn + 1;
-        (*userOf)[next.id] = user;
-        (*promptOf)[next.id] = next.promptTokens;
-        tb.sim().queue().schedule(next.arrival, [&consumer, next] {
-            consumer.submit(next);
-        });
-    });
-
-    std::size_t expected = std::size_t(cfg.users) * cfg.turns;
+    workload::TraceBuilder traces(tb.sim().makeRandom());
+    ChatDriver chat(tb.sim(), traces, cfg.turns, cfg.systemPromptTokens,
+                    [&](std::size_t, Tick) -> serve::VllmEngine & {
+                        return consumer;
+                    });
+    std::size_t expected = chat.start(cfg.users, {&consumer});
     runUntilDone(tb.sim(), cfg.maxSimSeconds, [&] {
         return consumer.finished().size() == expected;
     });
 
     ChatbotResult result;
-    for (const workload::RequestMetrics &m : consumer.finished()) {
-        ChatbotResult::TurnMetric tm;
-        tm.turn = (*turnOf)[m.id];
-        tm.metrics = m;
-        result.metrics.push_back(tm);
-    }
+    readConsumerStats(result, consumer, tb.sim());
+    for (const workload::RequestMetrics &m : consumer.finished())
+        result.metrics.push_back({chat.turnOf(m.id), m});
     std::sort(result.metrics.begin(), result.metrics.end(),
               [](const auto &a, const auto &b) {
                   return a.metrics.id < b.metrics.id;
               });
-    result.prefix = prefixReportFrom(consumer);
-    result.peakLiveKvBytes = consumer.kvCache().peakLiveKvBytes();
-    result.offloadWriteBytes = consumer.offloadWriteBytes();
-    result.offloadReadBytes = consumer.offloadReadBytes();
-    double elapsed = ticksToSec(tb.sim().now());
-    result.tokensPerSec =
-        elapsed > 0.0
-            ? static_cast<double>(consumer.totalTokens()) / elapsed
-            : 0.0;
     return result;
 }
 
@@ -559,46 +663,25 @@ PrefixAblationResult
 runPrefixAblation(const PrefixAblationConfig &cfg)
 {
     Testbed tb(2, hw::TopologyKind::DirectP2P, cfg.seed);
-    constexpr hw::GpuId consumerGpu = 0;
-    constexpr hw::GpuId producerGpu = 1;
-
-    ModelSpec consumerSpec = presetByName(cfg.consumerModel);
-    ModelSpec producerSpec = presetByName(cfg.producerModel);
-
-    core::AquaLib *producerLib = nullptr;
-    serve::OffloadBackend *backend = nullptr;
-    if (cfg.mode == ServeMode::CfsAqua) {
-        producerLib = &tb.makeAquaLib(producerGpu,
-                                      makeInformerFor(producerSpec));
-        core::AquaLib &consumerLib = tb.makeAquaLib(consumerGpu);
-        tb.assign(consumerGpu, producerGpu);
-        backend = &tb.makeAquaBackend(consumerLib);
-    } else {
-        backend = &tb.makeDramBackend(consumerGpu);
-    }
-
-    std::unique_ptr<serve::SchedulerPolicy> policy;
-    if (cfg.mode == ServeMode::VllmBaseline)
-        policy = std::make_unique<serve::FcfsPolicy>();
-    else
-        policy = std::make_unique<serve::CfsPolicy>();
-
+    ConsumerPair pair =
+        makeConsumerPair(tb, offloadOf(cfg.mode), cfg.producerModel);
     serve::VllmEngineConfig engineCfg;
     engineCfg.prefixCache = cfg.prefixCache;
     engineCfg.maxCacheShare = cfg.maxCacheShare;
     engineCfg.prefixEviction = cfg.eviction;
     engineCfg.kvPrecision = cfg.kvPrecision;
     engineCfg.sparseReadFraction = cfg.sparseReadFraction;
-    serve::VllmEngine consumer(tb.server(), consumerGpu, consumerSpec,
-                               std::move(policy), *backend, engineCfg);
-    Producer producer = makeProducer(tb, producerGpu,
-                                     cfg.producerModel, 1.0,
-                                     cfg.maxSimSeconds, producerLib);
+    serve::VllmEngine consumer(tb.server(), consumerGpu,
+                               presetByName(cfg.consumerModel),
+                               policyFor(cfg.mode), *pair.backend,
+                               engineCfg);
+    Producer producer = makeProducer(tb, producerGpu, cfg.producerModel,
+                                     cfg.maxSimSeconds, pair.producerLib);
 
     workload::TraceBuilder traces(tb.sim().makeRandom());
     std::vector<workload::Request> trace = traces.sharedPrefix(
         cfg.ratePerSec, cfg.numRequests, cfg.prefixTokens,
-        cfg.numGroups);
+        prefixAblationGroups);
     driveTrace(tb.sim(), consumer, trace);
 
     runUntilDone(tb.sim(), cfg.maxSimSeconds, [&] {
@@ -606,19 +689,9 @@ runPrefixAblation(const PrefixAblationConfig &cfg)
     });
 
     PrefixAblationResult result;
+    readConsumerStats(result, consumer, tb.sim());
     result.metrics = consumer.finished();
     sortById(result.metrics);
-    result.prefix = prefixReportFrom(consumer);
-    result.peakLiveKvBytes = consumer.kvCache().peakLiveKvBytes();
-    result.offloadWriteBytes = consumer.offloadWriteBytes();
-    result.offloadReadBytes = consumer.offloadReadBytes();
-    result.swapOuts = consumer.swapOutCount();
-    result.swapIns = consumer.swapInCount();
-    double elapsed = ticksToSec(tb.sim().now());
-    result.tokensPerSec =
-        elapsed > 0.0
-            ? static_cast<double>(consumer.totalTokens()) / elapsed
-            : 0.0;
     return result;
 }
 
@@ -664,11 +737,8 @@ runClusterPrefix(const ClusterPrefixConfig &cfg)
     // The chaos cell permanently kills gpu 0 — the preamble chain's
     // home, since the first request lands there — once the drain
     // margin has idled its engine, and audits recovery on survivors.
-    Tick chaosAt = secToTicks(cfg.chaosAtSec);
     Tick avoidGpu0After =
-        cfg.chaosAtSec > cfg.chaosDrainSec
-            ? secToTicks(cfg.chaosAtSec - cfg.chaosDrainSec)
-            : 0;
+        secToTicks(clusterChaosAtSec - clusterChaosDrainSec);
     bool chaos = cfg.chaos && n > 1;
     std::unique_ptr<fault::FaultInjector> inj;
     if (chaos) {
@@ -686,7 +756,7 @@ runClusterPrefix(const ClusterPrefixConfig &cfg)
         fault::FaultPlan plan;
         fault::FaultSpec f;
         f.kind = fault::FaultKind::GpuFail;
-        f.at = chaosAt;
+        f.at = secToTicks(clusterChaosAtSec);
         f.duration = 0; // permanent
         f.gpu = 0;
         f.grace = msToTicks(200.0);
@@ -694,130 +764,41 @@ runClusterPrefix(const ClusterPrefixConfig &cfg)
         inj->arm(plan);
     }
 
-    auto engineFor = [&](std::size_t idx, Tick arrival) {
+    auto engineFor = [&](std::size_t idx,
+                         Tick arrival) -> serve::VllmEngine & {
         std::size_t e = idx % n;
         if (chaos && arrival >= avoidGpu0After)
             e = 1 + idx % (n - 1);
-        return e;
+        return *engines[e];
     };
 
-    std::size_t expected = 0;
-    std::uint64_t promptTotal = 0;
-    auto traces = std::make_shared<workload::TraceBuilder>(
-        tb.sim().makeRandom());
+    ClusterPrefixResult result;
     /** Group representatives for the residency probe. */
     std::vector<workload::Request> groupReps;
-    auto noteGroup = [&](const workload::Request &r) {
+    auto tally = [&](const workload::Request &r) {
+        result.promptTokens += r.promptTokens;
         for (const workload::Request &g : groupReps)
             if (g.prefixStream == r.prefixStream)
                 return;
         groupReps.push_back(r);
     };
 
-    if (cfg.chatbot) {
-        auto turnOf = std::make_shared<std::map<std::uint64_t,
-                                                std::uint32_t>>();
-        auto userOf = std::make_shared<std::map<std::uint64_t,
-                                                std::uint32_t>>();
-        auto promptOf = std::make_shared<std::map<std::uint64_t,
-                                                  std::uint32_t>>();
-        std::vector<workload::Request> first =
-            traces->chatbotFirstTurn(cfg.users, 0, cfg.prefixTokens);
-        for (std::size_t i = 0; i < first.size(); ++i) {
-            const workload::Request &r = first[i];
-            (*turnOf)[r.id] = 0;
-            (*userOf)[r.id] = r.userId;
-            (*promptOf)[r.id] = r.promptTokens;
-            promptTotal += r.promptTokens;
-            noteGroup(r);
-            serve::VllmEngine &eng =
-                *engines[engineFor(r.userId, r.arrival)];
-            tb.sim().queue().schedule(r.arrival, [&eng, r] {
-                eng.submit(r);
-            });
-        }
-        std::uint32_t turns = cfg.turns;
-        std::uint32_t sysTokens = cfg.prefixTokens;
-        // Each completion issues the user's next turn on a *different*
-        // engine, so the re-sent history is a cluster-remote prefix.
-        auto followUp = [&, traces, turnOf, userOf, promptOf, sysTokens,
-                         turns](const workload::RequestMetrics &m) {
-            std::uint32_t turn = (*turnOf)[m.id];
-            std::uint32_t user = (*userOf)[m.id];
-            if (turn + 1 >= turns)
-                return;
-            std::uint32_t history =
-                (*promptOf)[m.id] + m.tokensGenerated;
-            workload::Request next = traces->chatbotFollowUp(
-                user, turn + 1, tb.sim().now(), history, sysTokens);
-            (*turnOf)[next.id] = turn + 1;
-            (*userOf)[next.id] = user;
-            (*promptOf)[next.id] = next.promptTokens;
-            promptTotal += next.promptTokens;
-            serve::VllmEngine &eng = *engines[engineFor(
-                std::size_t(user) + turn + 1, next.arrival)];
-            tb.sim().queue().schedule(next.arrival, [&eng, next] {
-                eng.submit(next);
-            });
-        };
-        for (auto &engine : engines)
-            engine->onComplete(followUp);
-        expected = std::size_t(cfg.users) * cfg.turns;
-    } else {
-        std::vector<workload::Request> trace = traces->sharedPrefix(
-            cfg.ratePerSec, cfg.numRequests, cfg.prefixTokens,
-            cfg.numGroups);
-        for (std::size_t i = 0; i < trace.size(); ++i) {
-            const workload::Request &r = trace[i];
-            promptTotal += r.promptTokens;
-            noteGroup(r);
-            serve::VllmEngine &eng = *engines[engineFor(i, r.arrival)];
-            tb.sim().queue().schedule(r.arrival, [&eng, r] {
-                eng.submit(r);
-            });
-        }
-        expected = trace.size();
-    }
+    // In the chatbot each completion issues the user's next turn on a
+    // *different* engine, so the re-sent history is a cluster-remote
+    // prefix.
+    workload::TraceBuilder traces(tb.sim().makeRandom());
+    ChatDriver chat(tb.sim(), traces, cfg.turns, cfg.prefixTokens,
+                    engineFor, tally);
+    std::size_t expected =
+        cfg.chatbot
+            ? chat.start(cfg.users, enginePtrs(engines))
+            : issueTrace(tb.sim(),
+                         traces.sharedPrefix(cfg.ratePerSec,
+                                             cfg.numRequests,
+                                             cfg.prefixTokens),
+                         engineFor, tally);
 
-    runUntilDone(tb.sim(), cfg.maxSimSeconds, [&] {
-        std::size_t done = 0;
-        for (const auto &engine : engines)
-            done += engine->finished().size();
-        return done >= expected;
-    });
-
-    ClusterPrefixResult result;
-    std::uint64_t tokens = 0;
-    for (const auto &engine : engines) {
-        for (const workload::RequestMetrics &m : engine->finished())
-            result.metrics.push_back(m);
-        const serve::PrefixCacheEngineStats &es =
-            engine->prefixEngineStats();
-        result.cachedTokens += es.cachedTokens;
-        result.registryHits += es.registryHits;
-        result.registryMisses += es.registryMisses;
-        result.borrowAdmissions += es.borrowAdmissions;
-        result.copyAdmissions += es.copyAdmissions;
-        result.remoteCopyBytes += es.remoteCopyBytes;
-        result.remoteDecodeReadBytes += es.remoteDecodeReadBytes;
-        result.remoteBrokenChains += es.remoteBrokenChains;
-        result.sigMismatches += es.sigMismatches;
-        result.clusterSigMismatches += es.clusterSigMismatches;
-        result.hitTokensLocal += es.hitTokensLocal;
-        result.hitTokensRemote += es.hitTokensRemote;
-        result.hitTokensDram += es.hitTokensDram;
-        result.hitTokensRemoteServer += es.hitTokensRemoteServer;
-        tokens += engine->totalTokens();
-    }
-    sortById(result.metrics);
-    result.unfinished = expected > result.metrics.size()
-                            ? expected - result.metrics.size()
-                            : 0;
-    result.promptTokens = promptTotal;
-    result.aggregateHitRate =
-        promptTotal > 0
-            ? static_cast<double>(result.cachedTokens) / promptTotal
-            : 0.0;
+    runFleet(result, tb.sim(), cfg.maxSimSeconds, engines, expected);
 
     // Residency: full preamble blocks each engine still has indexed.
     for (const workload::Request &rep : groupReps) {
@@ -849,20 +830,9 @@ runClusterPrefix(const ClusterPrefixConfig &cfg)
             : 0.0;
 
     if (registry) {
-        const cluster::PrefixRegistryStats &rs = registry->stats();
-        result.regPublishes = rs.publishes;
-        result.regReplicaPublishes = rs.replicaPublishes;
-        result.regCollisions = rs.collisions;
-        result.regPromotions = rs.promotions;
-        result.regInvalidations = rs.invalidations;
-        result.regBrokenPins = rs.brokenPins;
+        result.registry = registry->stats();
         result.activePins = registry->activePins();
     }
-
-    double elapsed = ticksToSec(tb.sim().now());
-    result.elapsedSec = elapsed;
-    result.tokensPerSec =
-        elapsed > 0.0 ? static_cast<double>(tokens) / elapsed : 0.0;
     return result;
 }
 
@@ -927,11 +897,7 @@ runFederation(const FederationRunConfig &cfg)
     // gpu 0, where the first request lands — once the drain margin has
     // idled its engine, and degrades the fabric for a window that
     // overlaps in-flight federation streams.
-    Tick chaosAt = secToTicks(cfg.chaosAtSec);
-    Tick avoidServer0After =
-        cfg.chaosAtSec > cfg.chaosDrainSec
-            ? secToTicks(cfg.chaosAtSec - cfg.chaosDrainSec)
-            : 0;
+    Tick avoidServer0After = secToTicks(fedChaosAtSec - fedChaosDrainSec);
     bool chaos = cfg.chaos;
     std::unique_ptr<fault::FaultInjector> inj;
     if (chaos) {
@@ -950,7 +916,7 @@ runFederation(const FederationRunConfig &cfg)
         fault::FaultPlan plan;
         fault::FaultSpec kill;
         kill.kind = fault::FaultKind::GpuFail;
-        kill.at = chaosAt;
+        kill.at = secToTicks(fedChaosAtSec);
         kill.duration = 0; // permanent
         kill.gpu = 0;
         kill.grace = msToTicks(200.0);
@@ -958,161 +924,50 @@ runFederation(const FederationRunConfig &cfg)
         fault::FaultSpec degrade;
         degrade.kind = fault::FaultKind::LinkDegrade;
         degrade.link = fault::FaultLink::Fabric;
-        degrade.at = secToTicks(cfg.fabricDegradeAtSec);
-        degrade.duration = secToTicks(cfg.fabricDegradeForSec);
-        degrade.factor = cfg.fabricDegradeFactor;
+        degrade.at = secToTicks(fedDegradeAtSec);
+        degrade.duration = secToTicks(fedDegradeForSec);
+        degrade.factor = fedDegradeFactor;
         plan.add(degrade);
         inj->arm(plan);
     }
 
-    auto engineFor = [&](std::size_t idx, Tick arrival) {
+    auto engineFor = [&](std::size_t idx,
+                         Tick arrival) -> serve::VllmEngine & {
         std::size_t e = idx % n;
         if (chaos && arrival >= avoidServer0After && e == 0)
             e = 1 + idx % (n - 1);
-        return e;
+        return *engines[e];
     };
 
-    std::size_t expected = 0;
-    std::uint64_t promptTotal = 0;
-    std::uint64_t tailTotal = 0;
-    auto traces = std::make_shared<workload::TraceBuilder>(
-        cluster.sim().makeRandom());
-
-    if (cfg.chatbot) {
-        auto turnOf = std::make_shared<std::map<std::uint64_t,
-                                                std::uint32_t>>();
-        auto userOf = std::make_shared<std::map<std::uint64_t,
-                                                std::uint32_t>>();
-        auto promptOf = std::make_shared<std::map<std::uint64_t,
-                                                  std::uint32_t>>();
-        std::vector<workload::Request> first =
-            traces->chatbotFirstTurn(cfg.users, 0, cfg.prefixTokens);
-        for (const workload::Request &r : first) {
-            (*turnOf)[r.id] = 0;
-            (*userOf)[r.id] = r.userId;
-            (*promptOf)[r.id] = r.promptTokens;
-            promptTotal += r.promptTokens;
-            tailTotal += r.promptTokens > cfg.prefixTokens
-                             ? r.promptTokens - cfg.prefixTokens
-                             : 0;
-            serve::VllmEngine &eng =
-                *engines[engineFor(r.userId, r.arrival)];
-            cluster.sim().queue().schedule(r.arrival, [&eng, r] {
-                eng.submit(r);
-            });
-        }
-        std::uint32_t turns = cfg.turns;
-        std::uint32_t sysTokens = cfg.prefixTokens;
-        // Each completion issues the user's next turn on a different
-        // *server*, so the re-sent history is only reachable through
-        // the federation directory (the per-server registries have
-        // never seen it).
-        auto followUp = [&, traces, turnOf, userOf, promptOf, sysTokens,
-                         turns](const workload::RequestMetrics &m) {
-            std::uint32_t turn = (*turnOf)[m.id];
-            std::uint32_t user = (*userOf)[m.id];
-            if (turn + 1 >= turns)
-                return;
-            std::uint32_t history =
-                (*promptOf)[m.id] + m.tokensGenerated;
-            workload::Request next = traces->chatbotFollowUp(
-                user, turn + 1, cluster.sim().now(), history,
-                sysTokens);
-            (*turnOf)[next.id] = turn + 1;
-            (*userOf)[next.id] = user;
-            (*promptOf)[next.id] = next.promptTokens;
-            promptTotal += next.promptTokens;
-            tailTotal += next.promptTokens > sysTokens
-                             ? next.promptTokens - sysTokens
-                             : 0;
-            serve::VllmEngine &eng = *engines[engineFor(
-                std::size_t(user) + turn + 1, next.arrival)];
-            cluster.sim().queue().schedule(next.arrival, [&eng, next] {
-                eng.submit(next);
-            });
-        };
-        for (auto &engine : engines)
-            engine->onComplete(followUp);
-        expected = std::size_t(cfg.users) * cfg.turns;
-    } else {
-        std::vector<workload::Request> trace = traces->sharedPrefix(
-            cfg.ratePerSec, cfg.numRequests, cfg.prefixTokens,
-            cfg.numGroups);
-        for (std::size_t i = 0; i < trace.size(); ++i) {
-            const workload::Request &r = trace[i];
-            promptTotal += r.promptTokens;
-            tailTotal += r.promptTokens > r.prefixTokens
-                             ? r.promptTokens - r.prefixTokens
-                             : 0;
-            serve::VllmEngine &eng = *engines[engineFor(i, r.arrival)];
-            cluster.sim().queue().schedule(r.arrival, [&eng, r] {
-                eng.submit(r);
-            });
-        }
-        expected = trace.size();
-    }
-
-    runUntilDone(cluster.sim(), cfg.maxSimSeconds, [&] {
-        std::size_t done = 0;
-        for (const auto &engine : engines)
-            done += engine->finished().size();
-        return done >= expected;
-    });
-
     FederationRunResult result;
-    std::uint64_t tokens = 0;
-    for (const auto &engine : engines) {
-        for (const workload::RequestMetrics &m : engine->finished())
-            result.metrics.push_back(m);
-        const serve::PrefixCacheEngineStats &es =
-            engine->prefixEngineStats();
-        result.cachedTokens += es.cachedTokens;
-        result.hitTokensLocal += es.hitTokensLocal;
-        result.hitTokensRemote += es.hitTokensRemote;
-        result.hitTokensDram += es.hitTokensDram;
-        result.hitTokensRemoteServer += es.hitTokensRemoteServer;
-        result.sigMismatches += es.sigMismatches;
-        result.clusterSigMismatches += es.clusterSigMismatches;
-        result.fedHits += es.fedHits;
-        result.fedMisses += es.fedMisses;
-        result.fedStreamDecisions += es.fedStreamDecisions;
-        result.fedRecomputeDecisions += es.fedRecomputeDecisions;
-        result.fedFetchRefusals += es.fedFetchRefusals;
-        result.fedStreamsCompleted += es.fedStreamsCompleted;
-        result.fedStreamsInvalidated += es.fedStreamsInvalidated;
-        result.fedStreamBytes += es.fedStreamBytes;
-        tokens += engine->totalTokens();
-    }
-    sortById(result.metrics);
-    result.unfinished = expected > result.metrics.size()
-                            ? expected - result.metrics.size()
-                            : 0;
-    result.promptTokens = promptTotal;
-    result.tailTokens = tailTotal;
-    result.aggregateHitRate =
-        promptTotal > 0
-            ? static_cast<double>(result.cachedTokens) / promptTotal
-            : 0.0;
+    auto tally = [&](const workload::Request &r) {
+        result.promptTokens += r.promptTokens;
+        result.tailTokens += r.promptTokens > r.prefixTokens
+                                 ? r.promptTokens - r.prefixTokens
+                                 : 0;
+    };
 
-    if (cfg.federation) {
-        for (std::size_t i = 0; i < n; ++i) {
-            const federation::DirectoryStats &ds =
-                cluster.directory(i).stats();
-            result.dirAdvertsPublished += ds.advertsPublished;
-            result.dirTombstones += ds.tombstones;
-            result.dirAdvertsApplied += ds.advertsApplied;
-            result.dirAdvertsDropped += ds.advertsDropped;
-            result.dirAntiEntropyRounds += ds.antiEntropyRounds;
-            result.dirFetchGrants += ds.fetchGrants;
-            result.dirFetchCapRejects += ds.fetchCapRejects;
-            result.dirFetchValidated += ds.fetchValidated;
-            result.dirFetchInvalidated += ds.fetchInvalidated;
-        }
-    }
-    const hw::FabricStats &fs = cluster.fabric().stats();
-    result.fabricTransfers = fs.transfers;
-    result.fabricBytesMoved = fs.bytesMoved;
-    result.fabricQueueTicks = fs.queueTicks;
+    // In the chatbot each completion issues the user's next turn on a
+    // different *server*, so the re-sent history is only reachable
+    // through the federation directory (the per-server registries
+    // have never seen it).
+    workload::TraceBuilder traces(cluster.sim().makeRandom());
+    ChatDriver chat(cluster.sim(), traces, cfg.turns, cfg.prefixTokens,
+                    engineFor, tally);
+    std::size_t expected =
+        cfg.chatbot
+            ? chat.start(cfg.users, enginePtrs(engines))
+            : issueTrace(cluster.sim(),
+                         traces.sharedPrefix(cfg.ratePerSec,
+                                             cfg.numRequests,
+                                             cfg.prefixTokens),
+                         engineFor, tally);
+
+    runFleet(result, cluster.sim(), cfg.maxSimSeconds, engines, expected);
+    if (cfg.federation)
+        for (std::size_t i = 0; i < n; ++i)
+            result.directory += cluster.directory(i).stats();
+    result.fabric = cluster.fabric().stats();
 
     // Timing-free output digest: federation (and its faults) may only
     // change where prefill KV comes from, never what gets generated.
@@ -1126,11 +981,6 @@ runFederation(const FederationRunConfig &cfg)
         mix(m.tokensGenerated);
     }
     result.outputDigest = h;
-
-    double elapsed = ticksToSec(cluster.sim().now());
-    result.elapsedSec = elapsed;
-    result.tokensPerSec =
-        elapsed > 0.0 ? static_cast<double>(tokens) / elapsed : 0.0;
     return result;
 }
 
@@ -1138,30 +988,8 @@ OverloadRunResult
 runOverload(const OverloadRunConfig &cfg)
 {
     Testbed tb(2, hw::TopologyKind::DirectP2P, cfg.seed);
-    constexpr hw::GpuId consumerGpu = 0;
-    constexpr hw::GpuId producerGpu = 1;
-
-    ModelSpec consumerSpec = presetByName(cfg.consumerModel);
-    ModelSpec producerSpec = presetByName(cfg.producerModel);
-
-    core::AquaLib *producerLib = nullptr;
-    serve::OffloadBackend *backend = nullptr;
-    if (cfg.mode == ServeMode::CfsAqua) {
-        producerLib = &tb.makeAquaLib(producerGpu,
-                                      makeInformerFor(producerSpec));
-        core::AquaLib &consumerLib = tb.makeAquaLib(consumerGpu);
-        tb.assign(consumerGpu, producerGpu);
-        backend = &tb.makeAquaBackend(consumerLib);
-    } else {
-        backend = &tb.makeDramBackend(consumerGpu);
-    }
-
-    std::unique_ptr<serve::SchedulerPolicy> policy;
-    if (cfg.mode == ServeMode::VllmBaseline)
-        policy = std::make_unique<serve::FcfsPolicy>();
-    else
-        policy = std::make_unique<serve::CfsPolicy>();
-
+    ConsumerPair pair =
+        makeConsumerPair(tb, offloadOf(cfg.mode), cfg.producerModel);
     serve::VllmEngineConfig engineCfg;
     // Prefix caching on: its byte-identity checks cover every swap
     // round trip, which is what the chaos acceptance criterion audits.
@@ -1178,31 +1006,31 @@ runOverload(const OverloadRunConfig &cfg)
     if (cfg.precisionGovernor)
         engineCfg.precisionGovernor =
             overload::KvPrecisionGovernorConfig{};
-    serve::VllmEngine consumer(tb.server(), consumerGpu, consumerSpec,
-                               std::move(policy), *backend, engineCfg);
+    serve::VllmEngine consumer(tb.server(), consumerGpu,
+                               presetByName(cfg.consumerModel),
+                               policyFor(cfg.mode), *pair.backend,
+                               engineCfg);
     if (cfg.traceLog)
         consumer.setTraceLog(cfg.traceLog);
     if (cfg.controlled && cfg.mode == ServeMode::CfsAqua) {
         // The circuit breaker needs somewhere to divert swaps.
         consumer.setFallbackBackend(&tb.makeDramBackend(consumerGpu));
     }
-
-    Producer producer = makeProducer(tb, producerGpu,
-                                     cfg.producerModel, 1.0,
-                                     cfg.maxSimSeconds, producerLib);
+    Producer producer = makeProducer(tb, producerGpu, cfg.producerModel,
+                                     cfg.maxSimSeconds, pair.producerLib);
 
     std::unique_ptr<fault::FaultInjector> inj;
     if (cfg.faults) {
         inj = std::make_unique<fault::FaultInjector>(
             tb.sim(), tb.server().topology(), tb.rest().router());
-        if (producerLib) {
-            inj->registerLib(*producerLib);
+        if (pair.producerLib) {
+            inj->registerLib(*pair.producerLib);
             // Dead-donor detection: a gpu_fail only turns into
             // emergency evacuation orders if the lease TTL machinery
             // is armed — heartbeats from the donor, expiry at the
             // coordinator.
             tb.coordinator().setLeaseTtl(msToTicks(20.0));
-            producerLib->startHeartbeats(
+            pair.producerLib->startHeartbeats(
                 secToTicks(cfg.maxSimSeconds));
         }
         if (cfg.traceLog)
@@ -1212,12 +1040,12 @@ runOverload(const OverloadRunConfig &cfg)
 
     workload::TraceBuilder traces(tb.sim().makeRandom());
     workload::SloSpec slo;
-    slo.multiple = cfg.sloMultiple;
+    slo.multiple = overloadSloMultiple;
     slo.bestEffortFraction = cfg.bestEffortFraction;
     traces.setSlo(slo);
     std::vector<workload::Request> trace = traces.bursty(
-        cfg.quietRate * cfg.loadMultiplier,
-        cfg.burstRate * cfg.loadMultiplier, cfg.phaseSec,
+        overloadQuietRate * cfg.loadMultiplier,
+        overloadBurstRate * cfg.loadMultiplier, overloadPhaseSec,
         cfg.numRequests);
     driveTrace(tb.sim(), consumer, trace);
 
@@ -1226,11 +1054,11 @@ runOverload(const OverloadRunConfig &cfg)
     });
 
     OverloadRunResult res;
+    readConsumerStats(res, consumer, tb.sim());
     res.metrics = consumer.finished();
     sortById(res.metrics);
     res.shed = consumer.shedCount();
     res.fallbackSwaps = consumer.fallbackSwapCount();
-    res.sigMismatches = consumer.prefixEngineStats().sigMismatches;
     res.unfinished = trace.size() - consumer.finished().size();
     res.elapsedSec = ticksToSec(tb.sim().now());
 
@@ -1254,27 +1082,24 @@ runOverload(const OverloadRunConfig &cfg)
             : 1.0;
     // Queueing delay in the queueing-theory sense: sojourn minus the
     // fault-free baseline latency (recovered from the stamped SLO,
-    // deadline = arrival + sloMultiple x baseline). Under a fair
-    // scheduler the admission queue stays empty and overload stretches
-    // decode instead, so admit-minus-arrival would read zero.
+    // deadline = arrival + overloadSloMultiple x baseline). Under a
+    // fair scheduler the admission queue stays empty and overload
+    // stretches decode instead, so admit-minus-arrival would read 0.
     stats::Summary qd;
-    if (cfg.sloMultiple > 0.0) {
-        for (const auto &m : res.metrics) {
-            if (m.shed || !m.finished() || m.deadline == 0)
-                continue;
-            double sojourn = ticksToSec(m.finish - m.arrival);
-            double baseline =
-                ticksToSec(m.deadline - m.arrival) / cfg.sloMultiple;
-            qd.add(std::max(0.0, sojourn - baseline));
-        }
+    for (const auto &m : res.metrics) {
+        if (m.shed || !m.finished() || m.deadline == 0)
+            continue;
+        double sojourn = ticksToSec(m.finish - m.arrival);
+        double baseline =
+            ticksToSec(m.deadline - m.arrival) / overloadSloMultiple;
+        qd.add(std::max(0.0, sojourn - baseline));
     }
     if (!qd.empty()) {
         res.queueDelayP50Sec = qd.median();
         res.queueDelayP99Sec = qd.p99();
     }
     if (const auto *bc = consumer.brownoutController()) {
-        res.brownoutTransitions = bc->stats().transitions;
-        res.brownoutEscalations = bc->stats().escalations;
+        res.brownout = bc->stats();
         Tick degraded =
             bc->timeAtLevel(overload::BrownoutLevel::ForceDramOffload,
                             tb.sim().now()) +
@@ -1282,11 +1107,8 @@ runOverload(const OverloadRunConfig &cfg)
                             tb.sim().now());
         res.secondsDegraded = ticksToSec(degraded);
     }
-    if (const auto *pg = consumer.precisionGovernor()) {
-        res.precisionReconfigs = pg->stats().reconfigurations;
-        res.precisionDemotedPayloads = pg->stats().demotedPayloads;
-        res.precisionSavedBytes = pg->stats().savedBytes;
-    }
+    if (const auto *pg = consumer.precisionGovernor())
+        res.governor = pg->stats();
     return res;
 }
 
@@ -1294,9 +1116,6 @@ TieringRunResult
 runTiering(const TieringRunConfig &cfg)
 {
     Testbed tb(2, hw::TopologyKind::DirectP2P, cfg.seed);
-    constexpr hw::GpuId consumerGpu = 0;
-
-    ModelSpec consumerSpec = presetByName(cfg.consumerModel);
     serve::DramBackend &backend = tb.makeDramBackend(consumerGpu);
 
     if (cfg.ssdDegradeFactor < 1.0)
@@ -1306,7 +1125,8 @@ runTiering(const TieringRunConfig &cfg)
     engineCfg.maxBatch = cfg.maxBatch;
     engineCfg.kvPoolBytesOverride = cfg.kvPoolBytes;
     engineCfg.prefixCache = cfg.prefixCache;
-    serve::VllmEngine consumer(tb.server(), consumerGpu, consumerSpec,
+    serve::VllmEngine consumer(tb.server(), consumerGpu,
+                               presetByName(cfg.consumerModel),
                                std::make_unique<serve::CfsPolicy>(),
                                backend, engineCfg);
     if (cfg.traceLog)
@@ -1331,66 +1151,29 @@ runTiering(const TieringRunConfig &cfg)
         inj->arm(*cfg.faults);
     }
 
-    auto traces = std::make_shared<workload::TraceBuilder>(
-        tb.sim().makeRandom());
+    // A cold session's next turn arrives only after its idle gap;
+    // warm sessions reply at chat pace.
+    workload::TraceBuilder traces(tb.sim().makeRandom());
     workload::IdleSpec idle;
     idle.coldFraction = cfg.coldFraction;
     idle.meanIdleSec = cfg.meanIdleSec;
     idle.minIdleSec = cfg.minIdleSec;
-    traces->setIdle(idle);
-
-    auto turnOf = std::make_shared<std::map<std::uint64_t,
-                                            std::uint32_t>>();
-    auto userOf = std::make_shared<std::map<std::uint64_t,
-                                            std::uint32_t>>();
-    auto promptOf = std::make_shared<std::map<std::uint64_t,
-                                              std::uint32_t>>();
-    auto gapOf = std::make_shared<std::map<std::uint64_t, double>>();
-    auto coldIds = std::make_shared<std::set<std::uint64_t>>();
-
-    std::vector<workload::Request> first =
-        traces->chatbotFirstTurn(cfg.users);
-    for (const workload::Request &r : first) {
-        (*turnOf)[r.id] = 0;
-        (*userOf)[r.id] = r.userId;
-        (*promptOf)[r.id] = r.promptTokens;
-        (*gapOf)[r.id] = r.idleGapSec;
-    }
-    driveTrace(tb.sim(), consumer, first);
-
-    std::uint32_t turns = cfg.turns;
-    consumer.onComplete([&, traces, turnOf, userOf, promptOf, gapOf,
-                         coldIds](const workload::RequestMetrics &m) {
-        std::uint32_t turn = (*turnOf)[m.id];
-        std::uint32_t user = (*userOf)[m.id];
-        if (turn + 1 >= turns)
-            return;
-        // A cold session's next turn arrives only after the idle gap;
-        // warm sessions reply at chat pace.
-        double gap = (*gapOf)[m.id];
-        Tick comeBack = tb.sim().now() + secToTicks(gap);
-        std::uint32_t history = (*promptOf)[m.id] + m.tokensGenerated;
-        workload::Request next =
-            traces->chatbotFollowUp(user, turn + 1, comeBack, history);
-        if (gap > 0.0)
-            next.coldResume = true;
-        (*turnOf)[next.id] = turn + 1;
-        (*userOf)[next.id] = user;
-        (*promptOf)[next.id] = next.promptTokens;
-        (*gapOf)[next.id] = next.idleGapSec;
-        if (next.coldResume)
-            coldIds->insert(next.id);
-        tb.sim().queue().schedule(next.arrival, [&consumer, next] {
-            consumer.submit(next);
+    traces.setIdle(idle);
+    std::set<std::uint64_t> coldIds;
+    ChatDriver chat(
+        tb.sim(), traces, cfg.turns, 0,
+        [&](std::size_t, Tick) -> serve::VllmEngine & { return consumer; },
+        [&](const workload::Request &r) {
+            if (r.coldResume)
+                coldIds.insert(r.id);
         });
-    });
-
-    std::size_t expected = std::size_t(cfg.users) * cfg.turns;
+    std::size_t expected = chat.start(cfg.users, {&consumer});
     runUntilDone(tb.sim(), cfg.maxSimSeconds, [&] {
         return consumer.finished().size() == expected;
     });
 
     TieringRunResult res;
+    readConsumerStats(res, consumer, tb.sim());
     res.metrics = consumer.finished();
     sortById(res.metrics);
     res.parks = consumer.parkCount();
@@ -1406,9 +1189,9 @@ runTiering(const TieringRunConfig &cfg)
     for (const workload::RequestMetrics &m : res.metrics) {
         if (!m.started())
             continue;
-        if (coldIds->count(m.id))
+        if (coldIds.count(m.id))
             coldTtft.add(m.ttftSec());
-        else if ((*turnOf)[m.id] > 0)
+        else if (chat.turnOf(m.id) > 0)
             warmTtft.add(m.ttftSec());
     }
     if (!coldTtft.empty()) {
@@ -1420,22 +1203,13 @@ runTiering(const TieringRunConfig &cfg)
 
     if (agent) {
         res.parkedAtEnd = agent->parkedCount();
-        const tier::PrefetchStats &ps = agent->pipeline().stats();
-        res.streamsStarted = ps.streamsStarted;
-        res.streamsCompleted = ps.streamsCompleted;
-        res.streamsCancelled = ps.streamsCancelled;
-        res.bytesStreamed = ps.bytesStreamed;
-        res.bytesWasted = ps.bytesWasted;
-        if (!ps.overlapEfficiency.empty())
-            res.overlapEfficiencyMean = ps.overlapEfficiency.mean();
+        res.prefetch = agent->pipeline().stats();
+        const stats::Summary &overlap = res.prefetch.overlapEfficiency;
+        if (!overlap.empty())
+            res.overlapEfficiencyMean = overlap.mean();
     }
     res.ssdBytesRead = tb.server().ssd().bytesRead();
     res.ssdBytesWritten = tb.server().ssd().bytesWritten();
-    res.tokensPerSec =
-        res.elapsedSec > 0.0
-            ? static_cast<double>(consumer.totalTokens()) /
-                  res.elapsedSec
-            : 0.0;
     return res;
 }
 
@@ -1524,7 +1298,6 @@ runEndToEnd(const EndToEndConfig &cfg)
         workload::TraceBuilder traces(tb.sim().makeRandom());
 
         // Wire AQUA pairings for this server.
-        std::map<int, core::AquaLib *> consumerLibs;
         if (cfg.withAqua) {
             for (const placer::Pairing &pair : placement.pairs) {
                 if (pair.server != static_cast<int>(s))
@@ -1535,10 +1308,9 @@ runEndToEnd(const EndToEndConfig &cfg)
         }
 
         // Engines; keep them alive until the run completes.
-        std::vector<std::unique_ptr<serve::BatchEngine>> batches;
+        std::vector<Producer> producers;
         std::vector<std::unique_ptr<serve::VllmEngine>> llms;
-        std::vector<std::unique_ptr<serve::FlexGenEngine>> flexes;
-        std::vector<serve::FlexGenEngine *> longPrompts;
+        std::vector<std::unique_ptr<serve::FlexGenEngine>> longPrompts;
         std::vector<serve::VllmEngine *> loraEngines;
         std::vector<serve::VllmEngine *> cfsEngines;
 
@@ -1548,41 +1320,12 @@ runEndToEnd(const EndToEndConfig &cfg)
             model::ModelSpec spec = presetByName(m.name);
 
             if (m.isProducer()) {
-                core::AquaLib *lib = nullptr;
-                if (cfg.withAqua) {
-                    lib = &tb.makeAquaLib(gpu,
-                                          makeInformerFor(spec));
-                }
-                if (spec.isText()) {
-                    serve::VllmEngineConfig ecfg;
-                    ecfg.informEveryIters = 4;
-                    auto &backend = tb.makeDramBackend(gpu);
-                    auto engine =
-                        std::make_unique<serve::VllmEngine>(
-                            tb.server(), gpu, spec,
-                            std::make_unique<serve::FcfsPolicy>(),
-                            backend, ecfg);
-                    if (lib)
-                        engine->attachAquaLib(lib);
-                    driveTrace(tb.sim(), *engine,
-                               traces.interactive(
-                                   1.0,
-                                   static_cast<std::size_t>(
-                                       cfg.durationSec)));
-                    llms.push_back(std::move(engine));
-                } else {
-                    auto engine =
-                        std::make_unique<serve::BatchEngine>(
-                            tb.server(), gpu, spec);
-                    if (lib)
-                        engine->attachAquaLib(lib);
-                    driveTrace(tb.sim(), *engine,
-                               traces.interactive(
-                                   1.0,
-                                   static_cast<std::size_t>(
-                                       cfg.durationSec)));
-                    batches.push_back(std::move(engine));
-                }
+                core::AquaLib *lib =
+                    cfg.withAqua
+                        ? &tb.makeAquaLib(gpu, makeInformerFor(spec))
+                        : nullptr;
+                producers.push_back(makeProducer(
+                    tb, gpu, m.name, cfg.durationSec, lib, traces));
                 continue;
             }
 
@@ -1600,8 +1343,7 @@ runEndToEnd(const EndToEndConfig &cfg)
                         tb.server(), gpu, spec, *backend);
                 for (int n = 0; n < 20; ++n)
                     engine->submit(traces.longPrompt(8000, 2000));
-                longPrompts.push_back(engine.get());
-                flexes.push_back(std::move(engine));
+                longPrompts.push_back(std::move(engine));
             } else if (spec.name == "Codellama-34B") {
                 serve::VllmEngineConfig ecfg;
                 auto engine = std::make_unique<serve::VllmEngine>(
@@ -1634,7 +1376,7 @@ runEndToEnd(const EndToEndConfig &cfg)
 
         tb.sim().runUntil(secToTicks(cfg.durationSec));
 
-        for (serve::FlexGenEngine *engine : longPrompts) {
+        for (const auto &engine : longPrompts) {
             result.longPromptTokens += engine->totalTokens();
             ++result.longPromptConsumers;
         }
@@ -1646,8 +1388,9 @@ runEndToEnd(const EndToEndConfig &cfg)
             for (const auto &m : engine->finished())
                 result.cfsMetrics.push_back(m);
         }
-        for (const auto &engine : batches)
-            result.producerItems += engine->itemsGenerated();
+        for (const Producer &p : producers)
+            if (p.batch)
+                result.producerItems += p.batch->itemsGenerated();
     }
     return result;
 }

@@ -14,11 +14,13 @@
 #include <string>
 #include <vector>
 
+#include "federation/directory.hh"
 #include "hw/fabric.hh"
 #include "model/model_spec.hh"
 #include "placer/placer.hh"
-#include "serve/prefix_index.hh"
+#include "serve/vllm_engine.hh"
 #include "stats/timeseries.hh"
+#include "tier/prefetch.hh"
 #include "workload/request.hh"
 
 namespace aqua::fault {
@@ -53,6 +55,28 @@ enum class OffloadMode
 const char *serveModeName(ServeMode mode);
 const char *offloadModeName(OffloadMode mode);
 
+/**
+ * End-of-run counters of the consumer engine in a one-consumer run:
+ * the engine's own stats structs, copied by value, plus its offload
+ * traffic and throughput.
+ */
+struct ConsumerStats
+{
+    /** Prefix index and prefix-cache counters (zero when caching is
+     *  off). */
+    serve::PrefixIndexStats prefixIndex;
+    serve::PrefixCacheEngineStats prefix;
+    /** Live-KV high-water mark in the consumer's pool (bytes). */
+    std::uint64_t peakLiveKvBytes = 0;
+    /** Bytes moved to/from the offload backend. */
+    std::uint64_t offloadWriteBytes = 0;
+    std::uint64_t offloadReadBytes = 0;
+    std::uint64_t swapOuts = 0;
+    std::uint64_t swapIns = 0;
+    /** Consumer tokens per simulated second over the run. */
+    double tokensPerSec = 0.0;
+};
+
 //
 // CFS responsiveness (Fig. 1, Fig. 9, Fig. 15, Fig. 16).
 //
@@ -72,14 +96,12 @@ struct CfsExperimentConfig
     double maxSimSeconds = 4000.0;
 };
 
-struct CfsExperimentResult
+struct CfsExperimentResult : ConsumerStats
 {
     /** Per-request metrics, arrival order. */
     std::vector<workload::RequestMetrics> metrics;
     /** Producer items/s over the run (image/audio producers). */
     double producerThroughput = 0.0;
-    std::uint64_t consumerSwapOuts = 0;
-    std::uint64_t consumerSwapIns = 0;
 };
 
 CfsExperimentResult runCfsExperiment(const CfsExperimentConfig &cfg);
@@ -112,13 +134,13 @@ struct LongPromptResult
 LongPromptResult runLongPrompt(const LongPromptConfig &cfg);
 
 //
-// LoRA adapter offloading (Fig. 8, Fig. 12, §A.2).
+// LoRA adapter offloading (Fig. 8, Fig. 12, §A.2): Mistral-7B with
+// synthesized adapters.
 //
 
 struct LoraExperimentConfig
 {
     OffloadMode mode = OffloadMode::Dram;
-    std::string baseModel = "Mistral-7B";
     /** Producer co-located on the server ("" = text producer). */
     std::string producerModel = "StableDiffusion";
     std::uint32_t numAdapters = 30;
@@ -141,7 +163,10 @@ struct LoraExperimentResult
 LoraExperimentResult runLoraExperiment(const LoraExperimentConfig &cfg);
 
 //
-// Elastic donate/reclaim (Fig. 10, Fig. 11).
+// Elastic donate/reclaim (Fig. 10, Fig. 11): the consumer's long
+// prompts and the producer's first load phase (100 requests at
+// 1 req/s) start at the paper's ~150 s mark, the second phase
+// (250 requests at 5 req/s) at its 400 s mark.
 //
 
 struct ElasticExperimentConfig
@@ -150,12 +175,6 @@ struct ElasticExperimentConfig
     bool withAqua = true;
     std::string producerModel = "Llama-2-13B";
     std::string consumerModel = "OPT-30B";
-    /** Consumer long-prompt start (the paper's ~150 s mark). */
-    double consumerStartSec = 150.0;
-    /** First load phase: 100 requests at 1 req/s. */
-    double phase1RateGap = 150.0;
-    /** Second phase start (the paper's 400 s mark): 250 @ 5 req/s. */
-    double phase2StartSec = 400.0;
     double durationSec = 700.0;
     std::uint64_t seed = 1;
 };
@@ -208,34 +227,7 @@ struct ChatbotConfig
     std::uint32_t systemPromptTokens = 0;
 };
 
-/** Prefix-cache effect counters (all zero when caching is off). */
-struct PrefixCacheReport
-{
-    double hitRate = 0.0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t partialHits = 0;
-    std::uint64_t collisions = 0;
-    std::uint64_t evictions = 0;
-    /** Prefill tokens skipped (served from cache). */
-    std::uint64_t cachedTokens = 0;
-    std::uint64_t cowForks = 0;
-    /** Offload write bytes avoided by shared-group dedup. */
-    std::uint64_t dedupSavedBytes = 0;
-    /** Swap-in read bytes avoided by re-acquiring resident blocks. */
-    std::uint64_t residentReuseBytes = 0;
-    /** Byte-identity violations across offload round trips. */
-    std::uint64_t sigMismatches = 0;
-    /** Prefix-hit tokens by origin (satellite of the cluster
-     *  registry: local HBM vs a peer GPU's copy vs host DRAM vs a
-     *  chain streamed from another server over the fabric). */
-    std::uint64_t hitTokensLocal = 0;
-    std::uint64_t hitTokensRemote = 0;
-    std::uint64_t hitTokensDram = 0;
-    std::uint64_t hitTokensRemoteServer = 0;
-};
-
-struct ChatbotResult
+struct ChatbotResult : ConsumerStats
 {
     /** All request metrics with the issuing turn attached. */
     struct TurnMetric
@@ -244,15 +236,6 @@ struct ChatbotResult
         workload::RequestMetrics metrics;
     };
     std::vector<TurnMetric> metrics;
-
-    PrefixCacheReport prefix;
-    /** Live-KV high-water mark in the consumer's pool (bytes). */
-    std::uint64_t peakLiveKvBytes = 0;
-    /** Bytes moved to/from the offload backend. */
-    std::uint64_t offloadWriteBytes = 0;
-    std::uint64_t offloadReadBytes = 0;
-    /** Consumer tokens per simulated second over the run. */
-    double tokensPerSec = 0.0;
 };
 
 ChatbotResult runChatbot(const ChatbotConfig &cfg);
@@ -262,6 +245,9 @@ ChatbotResult runChatbot(const ChatbotConfig &cfg);
 // block sharing on vs off (hit rate, HBM high-water mark, offload
 // traffic, throughput).
 //
+
+/** Distinct system prompts in play in the prefix ablation. */
+inline constexpr std::uint32_t prefixAblationGroups = 2;
 
 struct PrefixAblationConfig
 {
@@ -275,8 +261,6 @@ struct PrefixAblationConfig
     std::size_t numRequests = 120;
     /** Shared preamble (system prompt) length per group. */
     std::uint32_t prefixTokens = 768;
-    /** Distinct system prompts in play. */
-    std::uint32_t numGroups = 2;
     std::string consumerModel = "Codellama-34B";
     std::string producerModel = "Kandinsky";
     /** KV storage precision (fp16 = exact legacy behaviour). */
@@ -288,16 +272,9 @@ struct PrefixAblationConfig
     double maxSimSeconds = 8000.0;
 };
 
-struct PrefixAblationResult
+struct PrefixAblationResult : ConsumerStats
 {
     std::vector<workload::RequestMetrics> metrics;
-    PrefixCacheReport prefix;
-    std::uint64_t peakLiveKvBytes = 0;
-    std::uint64_t offloadWriteBytes = 0;
-    std::uint64_t offloadReadBytes = 0;
-    std::uint64_t swapOuts = 0;
-    std::uint64_t swapIns = 0;
-    double tokensPerSec = 0.0;
 };
 
 PrefixAblationResult runPrefixAblation(const PrefixAblationConfig &cfg);
@@ -310,6 +287,26 @@ PrefixAblationResult runPrefixAblation(const PrefixAblationConfig &cfg);
 // rematerialises and retains its own copy. The chaos variant kills
 // the home GPU mid-run and audits recovery.
 //
+
+/**
+ * What a fleet of consumer engines served, merged over the engines
+ * (the cluster-prefix and federation runs).
+ */
+struct FleetResult
+{
+    /** All finished metrics across engines, id order. */
+    std::vector<workload::RequestMetrics> metrics;
+    /** Requests submitted but never finished (must be 0). */
+    std::uint64_t unfinished = 0;
+    /** Prompt tokens across submitted requests. */
+    std::uint64_t promptTokens = 0;
+    /** prefix.cachedTokens / promptTokens (the aggregate hit rate). */
+    double aggregateHitRate = 0.0;
+    /** Engine-side prefix counters, summed over engines. */
+    serve::PrefixCacheEngineStats prefix;
+    double tokensPerSec = 0.0;
+    double elapsedSec = 0.0;
+};
 
 struct ClusterPrefixConfig
 {
@@ -324,8 +321,6 @@ struct ClusterPrefixConfig
     std::size_t numRequests = 96;
     /** Shared preamble (system prompt) length, tokens. */
     std::uint32_t prefixTokens = 768;
-    /** Distinct preambles in play. */
-    std::uint32_t numGroups = 1;
     /** Chatbot users and turns (chatbot = true). */
     std::uint32_t users = 16;
     std::uint32_t turns = 3;
@@ -334,13 +329,11 @@ struct ClusterPrefixConfig
     std::uint32_t borrowMaxBlocks = 4;
     /** Cache-only block victim selection. */
     serve::EvictionPolicy eviction = serve::EvictionPolicy::Lru;
-    /** Chaos: permanently kill the preamble's home GPU (gpu 0)
-     *  mid-run and audit recovery on the survivors. */
+    /** Chaos: permanently kill the preamble's home GPU (gpu 0) at
+     *  40 s and audit recovery on the survivors. Arrivals after 10 s
+     *  avoid gpu 0, so the dying engine is idle when its memory goes
+     *  dark. */
     bool chaos = false;
-    double chaosAtSec = 40.0;
-    /** Arrivals later than chaosAtSec - chaosDrainSec avoid gpu 0,
-     *  so the dying engine is idle when its memory goes dark. */
-    double chaosDrainSec = 30.0;
     /** KV storage precision on every engine (fp16 = legacy). */
     model::KvPrecision kvPrecision = model::KvPrecision::Fp16;
     /** Sparse-attention read fraction; < 1.0 also raises the
@@ -353,37 +346,8 @@ struct ClusterPrefixConfig
     trace::TraceLog *traceLog = nullptr;
 };
 
-struct ClusterPrefixResult
+struct ClusterPrefixResult : FleetResult
 {
-    /** All finished metrics across engines, id order. */
-    std::vector<workload::RequestMetrics> metrics;
-    /** Requests submitted but never finished (must be 0). */
-    std::uint64_t unfinished = 0;
-
-    /** Prefill tokens served from cache (local + remote), summed. */
-    std::uint64_t cachedTokens = 0;
-    /** Prompt tokens across finished requests. */
-    std::uint64_t promptTokens = 0;
-    /** cachedTokens / promptTokens (the aggregate hit rate). */
-    double aggregateHitRate = 0.0;
-
-    /** Engine-side registry counters, summed over engines. */
-    std::uint64_t registryHits = 0;
-    std::uint64_t registryMisses = 0;
-    std::uint64_t borrowAdmissions = 0;
-    std::uint64_t copyAdmissions = 0;
-    std::uint64_t remoteCopyBytes = 0;
-    std::uint64_t remoteDecodeReadBytes = 0;
-    std::uint64_t remoteBrokenChains = 0;
-    /** Byte-identity violations (offload + cluster; must be 0). */
-    std::uint64_t sigMismatches = 0;
-    std::uint64_t clusterSigMismatches = 0;
-    /** Prefix-hit tokens by origin, summed over engines. */
-    std::uint64_t hitTokensLocal = 0;
-    std::uint64_t hitTokensRemote = 0;
-    std::uint64_t hitTokensDram = 0;
-    std::uint64_t hitTokensRemoteServer = 0;
-
     /** Preamble KV bytes resident across all engines at the end. */
     std::uint64_t residentPrefixBytes = 0;
     /** Bytes of one resident copy of every preamble. */
@@ -392,17 +356,9 @@ struct ClusterPrefixResult
     double residencyFactor = 0.0;
 
     /** Registry-side counters (zero when registry = false). */
-    std::uint64_t regPublishes = 0;
-    std::uint64_t regReplicaPublishes = 0;
-    std::uint64_t regCollisions = 0;
-    std::uint64_t regPromotions = 0;
-    std::uint64_t regInvalidations = 0;
-    std::uint64_t regBrokenPins = 0;
+    cluster::PrefixRegistryStats registry;
     /** Leases still outstanding after the drain (must be 0). */
     std::uint64_t activePins = 0;
-
-    double tokensPerSec = 0.0;
-    double elapsedSec = 0.0;
 };
 
 ClusterPrefixResult runClusterPrefix(const ClusterPrefixConfig &cfg);
@@ -433,8 +389,6 @@ struct FederationRunConfig
     std::size_t numRequests = 36;
     /** Shared preamble (system prompt) length, tokens. */
     std::uint32_t prefixTokens = 768;
-    /** Distinct preambles in play. */
-    std::uint32_t numGroups = 1;
     /** Chatbot users and turns (chatbot = true). */
     std::uint32_t users = 9;
     std::uint32_t turns = 3;
@@ -449,16 +403,11 @@ struct FederationRunConfig
      *  the cost-model sweep's knob. */
     double fabricDegradation = 1.0;
     hw::FabricConfig fabric;
-    /** Chaos: kill the origin server's home GPU permanently and
-     *  degrade the fabric for a window mid-run. */
+    /** Chaos: kill the origin server's home GPU permanently at 20 s
+     *  and degrade the fabric to 5% from 4 s to 34 s. Arrivals after
+     *  5 s avoid the dying server, so its engine is idle when the GPU
+     *  goes dark. */
     bool chaos = false;
-    double chaosAtSec = 20.0;
-    /** Arrivals later than chaosAtSec - chaosDrainSec avoid the dying
-     *  server, so its engine is idle when the GPU goes dark. */
-    double chaosDrainSec = 15.0;
-    double fabricDegradeAtSec = 4.0;
-    double fabricDegradeForSec = 30.0;
-    double fabricDegradeFactor = 0.05;
     /** KV storage precision on every engine (fp16 = legacy). */
     model::KvPrecision kvPrecision = model::KvPrecision::Fp16;
     std::string consumerModel = "Codellama-34B";
@@ -468,54 +417,16 @@ struct FederationRunConfig
     trace::TraceLog *traceLog = nullptr;
 };
 
-struct FederationRunResult
+struct FederationRunResult : FleetResult
 {
-    /** All finished metrics across servers, id order. */
-    std::vector<workload::RequestMetrics> metrics;
-    /** Requests submitted but never finished (must be 0). */
-    std::uint64_t unfinished = 0;
-
-    std::uint64_t promptTokens = 0;
     /** Prompt tokens outside the shared preamble (per-request tails;
-     *  promptTokens - tailTokens - cachedTokens bounds the preamble
-     *  tokens actually re-prefilled across the cluster). */
+     *  promptTokens - tailTokens - prefix.cachedTokens bounds the
+     *  preamble tokens actually re-prefilled across the cluster). */
     std::uint64_t tailTokens = 0;
-    std::uint64_t cachedTokens = 0;
-    double aggregateHitRate = 0.0;
-    /** Prefix-hit tokens by origin, summed over servers. */
-    std::uint64_t hitTokensLocal = 0;
-    std::uint64_t hitTokensRemote = 0;
-    std::uint64_t hitTokensDram = 0;
-    std::uint64_t hitTokensRemoteServer = 0;
-    /** Byte-identity violations (must be 0). */
-    std::uint64_t sigMismatches = 0;
-    std::uint64_t clusterSigMismatches = 0;
-
-    /** Engine-side federation counters, summed over servers. */
-    std::uint64_t fedHits = 0;
-    std::uint64_t fedMisses = 0;
-    std::uint64_t fedStreamDecisions = 0;
-    std::uint64_t fedRecomputeDecisions = 0;
-    std::uint64_t fedFetchRefusals = 0;
-    std::uint64_t fedStreamsCompleted = 0;
-    std::uint64_t fedStreamsInvalidated = 0;
-    std::uint64_t fedStreamBytes = 0;
-
-    /** Directory counters, summed over servers. */
-    std::uint64_t dirAdvertsPublished = 0;
-    std::uint64_t dirTombstones = 0;
-    std::uint64_t dirAdvertsApplied = 0;
-    std::uint64_t dirAdvertsDropped = 0;
-    std::uint64_t dirAntiEntropyRounds = 0;
-    std::uint64_t dirFetchGrants = 0;
-    std::uint64_t dirFetchCapRejects = 0;
-    std::uint64_t dirFetchValidated = 0;
-    std::uint64_t dirFetchInvalidated = 0;
-
-    /** Fabric counters. */
-    std::uint64_t fabricTransfers = 0;
-    std::uint64_t fabricBytesMoved = 0;
-    std::uint64_t fabricQueueTicks = 0;
+    /** Directory counters, summed over servers (zero without
+     *  federation). */
+    federation::DirectoryStats directory;
+    hw::FabricStats fabric;
 
     /**
      * FNV digest over the finished requests' (id, tokensGenerated),
@@ -524,9 +435,6 @@ struct FederationRunResult
      * federation disabled, and to its chaos twin.
      */
     std::uint64_t outputDigest = 0;
-
-    double tokensPerSec = 0.0;
-    double elapsedSec = 0.0;
 };
 
 FederationRunResult runFederation(const FederationRunConfig &cfg);
@@ -536,8 +444,13 @@ FederationRunResult runFederation(const FederationRunConfig &cfg);
 // multiple, served with the overload controllers (deadline-aware
 // admission + graceful brownout + backpressure) on vs off. The
 // controlled configuration should hold goodput and bounded queue
-// delay where the uncontrolled baseline collapses.
+// delay where the uncontrolled baseline collapses. The trace
+// alternates 15 s quiet phases at 0.5 req/s with bursts at 1.5 req/s,
+// both scaled by the load multiplier.
 //
+
+/** Deadline = arrival + overloadSloMultiple x fault-free baseline. */
+inline constexpr double overloadSloMultiple = 3.0;
 
 struct OverloadRunConfig
 {
@@ -546,17 +459,12 @@ struct OverloadRunConfig
     bool controlled = false;
     /** Scales both burst-phase arrival rates (x1 = nominal load). */
     double loadMultiplier = 1.0;
-    double quietRate = 0.5;
-    double burstRate = 1.5;
-    double phaseSec = 15.0;
     std::size_t numRequests = 150;
     /** Engine capacity, deliberately small so the sweep saturates
      *  within a short trace: decode batch cap (0 = engine default)
      *  and explicit KV pool bytes (0 = derived from spare HBM). */
     std::uint32_t maxBatch = 16;
     std::uint64_t kvPoolBytes = 4ull * 1000 * 1000 * 1000;
-    /** Deadline = arrival + sloMultiple x fault-free baseline. */
-    double sloMultiple = 3.0;
     /** Fraction of requests submitted best-effort (no deadline). */
     double bestEffortFraction = 0.2;
     /** Admission safety factor (prediction pessimism). */
@@ -575,7 +483,9 @@ struct OverloadRunConfig
     trace::TraceLog *traceLog = nullptr;
 };
 
-struct OverloadRunResult
+/** prefix.sigMismatches counts byte-identity violations on the
+ *  offload path (must be 0). */
+struct OverloadRunResult : ConsumerStats
 {
     /** Per-request metrics, id order (shed requests included). */
     std::vector<workload::RequestMetrics> metrics;
@@ -598,16 +508,11 @@ struct OverloadRunResult
     double queueDelayP50Sec = 0.0;
     double queueDelayP99Sec = 0.0;
     /** Brownout ladder activity (zero when uncontrolled). */
-    std::uint64_t brownoutTransitions = 0;
-    std::uint64_t brownoutEscalations = 0;
+    overload::BrownoutStats brownout;
     /** KV precision governor activity (zero when disabled). */
-    std::uint64_t precisionReconfigs = 0;
-    std::uint64_t precisionDemotedPayloads = 0;
-    std::uint64_t precisionSavedBytes = 0;
+    overload::KvPrecisionGovernorStats governor;
     /** Seconds spent at or above ForceDramOffload. */
     double secondsDegraded = 0.0;
-    /** Byte-identity violations on the offload path (must be 0). */
-    std::uint64_t sigMismatches = 0;
     /** Requests neither finished nor shed at the horizon (a nonzero
      *  value means stuck/deadlocked sequences). */
     std::uint64_t unfinished = 0;
@@ -658,7 +563,7 @@ struct TieringRunConfig
     trace::TraceLog *traceLog = nullptr;
 };
 
-struct TieringRunResult
+struct TieringRunResult : ConsumerStats
 {
     /** Per-request metrics, id order. */
     std::vector<workload::RequestMetrics> metrics;
@@ -677,18 +582,13 @@ struct TieringRunResult
     double warmTtftP50Sec = 0.0;
 
     /** Prefetch pipeline accounting (zero without tiering). */
-    std::uint64_t streamsStarted = 0;
-    std::uint64_t streamsCompleted = 0;
-    std::uint64_t streamsCancelled = 0;
-    std::uint64_t bytesStreamed = 0;
-    std::uint64_t bytesWasted = 0;
+    tier::PrefetchStats prefetch;
     double overlapEfficiencyMean = 0.0;
 
     /** Media traffic. */
     std::uint64_t ssdBytesRead = 0;
     std::uint64_t ssdBytesWritten = 0;
 
-    double tokensPerSec = 0.0;
     /** Requests unfinished at the horizon (must be 0). */
     std::uint64_t unfinished = 0;
     double elapsedSec = 0.0;

@@ -148,7 +148,30 @@ struct DirectoryStats
     /** Completed fetches by validation outcome. */
     std::uint64_t fetchValidated = 0;
     std::uint64_t fetchInvalidated = 0;
+
+    /** Sum another directory's counters into these (fleet totals). */
+    DirectoryStats &
+    operator+=(const DirectoryStats &o)
+    {
+        advertsPublished += o.advertsPublished;
+        tombstones += o.tombstones;
+        advertsApplied += o.advertsApplied;
+        advertsStale += o.advertsStale;
+        advertsDropped += o.advertsDropped;
+        antiEntropyRounds += o.antiEntropyRounds;
+        lookups += o.lookups;
+        hits += o.hits;
+        misses += o.misses;
+        fetchGrants += o.fetchGrants;
+        fetchCapRejects += o.fetchCapRejects;
+        fetchStaleRejects += o.fetchStaleRejects;
+        fetchValidated += o.fetchValidated;
+        fetchInvalidated += o.fetchInvalidated;
+        return *this;
+    }
 };
+// A counter added above must be summed in operator+= too.
+static_assert(sizeof(DirectoryStats) == 14 * sizeof(std::uint64_t));
 
 /**
  * One server's federation directory. Lives next to the coordinator

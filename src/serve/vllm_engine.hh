@@ -246,7 +246,45 @@ struct PrefixCacheEngineStats
     std::uint64_t fedStreamsInvalidated = 0;
     /** Bytes streamed in over the inter-server fabric. */
     std::uint64_t fedStreamBytes = 0;
+
+    /** Sum another engine's counters into these (fleet totals). */
+    PrefixCacheEngineStats &
+    operator+=(const PrefixCacheEngineStats &o)
+    {
+        cachedTokens += o.cachedTokens;
+        cowForks += o.cowForks;
+        sharedSwapOuts += o.sharedSwapOuts;
+        groupWrites += o.groupWrites;
+        dedupSavedBytes += o.dedupSavedBytes;
+        residentReuseBytes += o.residentReuseBytes;
+        sigMismatches += o.sigMismatches;
+        registryHits += o.registryHits;
+        registryMisses += o.registryMisses;
+        remoteHitBlocks += o.remoteHitBlocks;
+        remoteCopyBytes += o.remoteCopyBytes;
+        remoteDecodeReadBytes += o.remoteDecodeReadBytes;
+        borrowAdmissions += o.borrowAdmissions;
+        copyAdmissions += o.copyAdmissions;
+        clusterSigMismatches += o.clusterSigMismatches;
+        remoteBrokenChains += o.remoteBrokenChains;
+        hitTokensLocal += o.hitTokensLocal;
+        hitTokensRemote += o.hitTokensRemote;
+        hitTokensDram += o.hitTokensDram;
+        hitTokensRemoteServer += o.hitTokensRemoteServer;
+        fedHits += o.fedHits;
+        fedMisses += o.fedMisses;
+        fedStreamDecisions += o.fedStreamDecisions;
+        fedRecomputeDecisions += o.fedRecomputeDecisions;
+        fedFetchRefusals += o.fedFetchRefusals;
+        fedStreamsCompleted += o.fedStreamsCompleted;
+        fedStreamsInvalidated += o.fedStreamsInvalidated;
+        fedStreamBytes += o.fedStreamBytes;
+        return *this;
+    }
 };
+// A counter added above must be summed in operator+= too.
+static_assert(sizeof(PrefixCacheEngineStats) ==
+              28 * sizeof(std::uint64_t));
 
 /**
  * Read-path integrity counters (payload_corrupt / ssd_bitrot faults).

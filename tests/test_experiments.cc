@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
 #include <map>
+#include <type_traits>
 
 #include "bench/bench_util.hh"
 #include "exp/experiments.hh"
@@ -30,7 +33,51 @@ rcts(const std::vector<workload::RequestMetrics> &m)
     return bench::rctSummary(m);
 }
 
+/**
+ * Sum two instances of a counters-only stats struct whose counters
+ * are all distinct (a = 1, 2, 3, ...; b = 100 a) and check that every
+ * counter of the sum is their sum, so a counter operator+= forgets
+ * cannot slip through. Returns the summed struct.
+ */
+template <typename Stats>
+Stats
+checkSumsEveryCounter()
+{
+    static_assert(std::is_trivially_copyable_v<Stats>);
+    constexpr std::size_t n = sizeof(Stats) / sizeof(std::uint64_t);
+    std::array<std::uint64_t, n> a{}, b{}, sum{};
+    for (std::size_t i = 0; i < n; ++i) {
+        a[i] = i + 1;
+        b[i] = 100 * (i + 1);
+    }
+    Stats x, y;
+    std::memcpy(static_cast<void *>(&x), a.data(), sizeof(Stats));
+    std::memcpy(static_cast<void *>(&y), b.data(), sizeof(Stats));
+    x += y;
+    std::memcpy(sum.data(), &x, sizeof(Stats));
+    for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(sum[i], 101 * (i + 1)) << "counter " << i;
+    return x;
+}
+
 } // anonymous namespace
+
+TEST(FleetSums, PrefixCacheEngineStatsSumsEveryCounter)
+{
+    serve::PrefixCacheEngineStats s =
+        checkSumsEveryCounter<serve::PrefixCacheEngineStats>();
+    EXPECT_EQ(s.cachedTokens, 101u);
+    EXPECT_EQ(s.hitTokensRemoteServer, 101u * 20);
+    EXPECT_EQ(s.fedStreamBytes, 101u * 28);
+}
+
+TEST(FleetSums, DirectoryStatsSumsEveryCounter)
+{
+    federation::DirectoryStats s =
+        checkSumsEveryCounter<federation::DirectoryStats>();
+    EXPECT_EQ(s.advertsPublished, 101u);
+    EXPECT_EQ(s.fetchInvalidated, 101u * 14);
+}
 
 TEST(Integration, LongPromptAquaBeatsFlexGenSeveralFold)
 {
@@ -82,8 +129,8 @@ TEST(Integration, CfsRestoresResponsivenessAquaRestoresRct)
     EXPECT_GT(rcts(cfs.metrics).median(),
               1.2 * rcts(aqua.metrics).median());
     // The baseline never context-switches; CFS does.
-    EXPECT_LT(vllm.consumerSwapOuts, 10u);
-    EXPECT_GT(cfs.consumerSwapOuts, 100u);
+    EXPECT_LT(vllm.swapOuts, 10u);
+    EXPECT_GT(cfs.swapOuts, 100u);
 }
 
 TEST(Integration, ElasticDonateReclaimCycle)

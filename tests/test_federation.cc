@@ -974,12 +974,12 @@ TEST(FederationEngine, TwoServerEndToEndStreamsThePreamble)
     cfg.maxSimSeconds = 2000.0;
     exp::FederationRunResult on = exp::runFederation(cfg);
     EXPECT_EQ(on.unfinished, 0u);
-    EXPECT_GT(on.fedStreamsCompleted, 0u);
-    EXPECT_GT(on.hitTokensRemoteServer, 0u);
-    EXPECT_EQ(on.fedStreamsInvalidated, 0u);
-    EXPECT_EQ(on.sigMismatches, 0u);
-    EXPECT_EQ(on.clusterSigMismatches, 0u);
-    EXPECT_GT(on.fabricBytesMoved, 0u);
+    EXPECT_GT(on.prefix.fedStreamsCompleted, 0u);
+    EXPECT_GT(on.prefix.hitTokensRemoteServer, 0u);
+    EXPECT_EQ(on.prefix.fedStreamsInvalidated, 0u);
+    EXPECT_EQ(on.prefix.sigMismatches, 0u);
+    EXPECT_EQ(on.prefix.clusterSigMismatches, 0u);
+    EXPECT_GT(on.fabric.bytesMoved, 0u);
 
     // Federation may only change where prefill KV comes from, never
     // what gets generated.
@@ -988,8 +988,8 @@ TEST(FederationEngine, TwoServerEndToEndStreamsThePreamble)
     exp::FederationRunResult off = exp::runFederation(offCfg);
     EXPECT_EQ(off.unfinished, 0u);
     EXPECT_EQ(off.outputDigest, on.outputDigest);
-    EXPECT_EQ(off.hitTokensRemoteServer, 0u);
-    EXPECT_EQ(off.fabricBytesMoved, 0u);
+    EXPECT_EQ(off.prefix.hitTokensRemoteServer, 0u);
+    EXPECT_EQ(off.fabric.bytesMoved, 0u);
 }
 
 TEST(FederationEngine, HomeEvictionMidStreamFallsBackToRecompute)

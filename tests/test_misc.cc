@@ -262,7 +262,7 @@ TEST(Determinism, IdenticalSeedsReplayIdenticalExperiments)
         EXPECT_EQ(first.metrics[i].finish,
                   second.metrics[i].finish);
     }
-    EXPECT_EQ(first.consumerSwapOuts, second.consumerSwapOuts);
+    EXPECT_EQ(first.swapOuts, second.swapOuts);
 }
 
 TEST(Determinism, DifferentSeedsDiffer)

@@ -332,9 +332,9 @@ TEST(OverloadRun, BaselineNeverShedsOrBrownsOut)
 {
     exp::OverloadRunResult r = exp::runOverload(tinyOverload(4.0, false));
     EXPECT_EQ(r.shed, 0u);
-    EXPECT_EQ(r.brownoutTransitions, 0u);
+    EXPECT_EQ(r.brownout.transitions, 0u);
     EXPECT_EQ(r.unfinished, 0u);
-    EXPECT_EQ(r.sigMismatches, 0u);
+    EXPECT_EQ(r.prefix.sigMismatches, 0u);
 }
 
 TEST(OverloadRun, ControlledShedsAndTracesUnderOverload)
@@ -344,13 +344,13 @@ TEST(OverloadRun, ControlledShedsAndTracesUnderOverload)
     cfg.traceLog = &log;
     exp::OverloadRunResult r = exp::runOverload(cfg);
     EXPECT_GT(r.shed, 0u);
-    EXPECT_GT(r.brownoutTransitions, 0u);
+    EXPECT_GT(r.brownout.transitions, 0u);
     EXPECT_EQ(r.unfinished, 0u);
-    EXPECT_EQ(r.sigMismatches, 0u);
+    EXPECT_EQ(r.prefix.sigMismatches, 0u);
     // Every shed and every ladder transition is observable.
     EXPECT_EQ(log.countCategory("shed"), r.shed);
     EXPECT_EQ(log.countCategory("brownout_level"),
-              r.brownoutTransitions);
+              r.brownout.transitions);
     // Shed + served + unfinished accounts for every request.
     EXPECT_EQ(r.shed + r.deadlineMet + r.deadlineMissed,
               r.metrics.size());
