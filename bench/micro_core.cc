@@ -1,8 +1,8 @@
 /**
  * @file
  * Micro-benchmarks (google-benchmark) of the simulation substrate:
- * event queue, allocators, the link model, the staging math, and the
- * prefix index's victim order.
+ * event queue, allocators, the link model, the staging math, the
+ * prefix index's victim order, and one sequence's prefix publish.
  * These guard against performance regressions in the hot paths that
  * every figure harness exercises millions of times.
  */
@@ -10,12 +10,17 @@
 #include <benchmark/benchmark.h>
 
 #include "aqua/staging.hh"
+#include "hw/gpu.hh"
+#include "hw/gpu_spec.hh"
 #include "hw/link.hh"
 #include "mem/block_allocator.hh"
 #include "mem/region_allocator.hh"
+#include "model/model_spec.hh"
+#include "serve/kv_cache.hh"
 #include "serve/prefix_index.hh"
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
+#include "sim/simulation.hh"
 
 using namespace aqua;
 
@@ -172,8 +177,9 @@ BM_PrefixIndexEvictOne(benchmark::State &state)
     // pattern KvCache::allocateBlocks and forkBlock produce.
     const auto entries = static_cast<std::uint64_t>(state.range(0));
     constexpr std::uint32_t kBlockTokens = 16;
-    auto stream = [](std::uint64_t salt) -> serve::TokenFn {
-        return [salt](std::uint64_t pos) { return salt ^ (pos + 1); };
+    auto stream = [](std::uint64_t salt) -> serve::TokenChain {
+        return {[salt](std::uint64_t pos) { return salt ^ (pos + 1); },
+                kBlockTokens};
     };
     serve::PrefixIndex index(kBlockTokens);
     sim::Tick now = 0;
@@ -193,6 +199,41 @@ BM_PrefixIndexEvictOne(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_PrefixIndexEvictOne)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 16);
+
+void
+BM_PrefixPublishChain(benchmark::State &state)
+{
+    // A fresh sequence of range(0) tokens publishes its blocks (chain
+    // keys plus per-block signatures), then a lookup re-walks it: the
+    // per-request hashing a prefix-cached engine pays.
+    const auto tokens = static_cast<std::uint64_t>(state.range(0));
+    constexpr std::uint32_t kBlockTokens = 16;
+    sim::Simulation sim;
+    hw::Gpu gpu(sim, 0, hw::a100_80g());
+    serve::KvCache kv(gpu, model::codellama34b(), 8 * sim::gib,
+                      kBlockTokens);
+    auto blocks = kv.allocateBlocks(kv.blocksForTokens(tokens));
+    if (!blocks) {
+        state.SkipWithError("pool too small");
+        return;
+    }
+    std::uint64_t salt = 0;
+    sim::Tick now = 0;
+    for (auto _ : state) {
+        serve::TokenChain chain(
+            [s = salt++](std::uint64_t pos) { return s ^ (pos + 1); },
+            kBlockTokens);
+        kv.publishPrefix(chain, tokens, *blocks, ++now);
+        serve::KvCache::PrefixAcquire acq =
+            kv.acquirePrefix(chain, tokens, now);
+        benchmark::DoNotOptimize(acq.tokens);
+        kv.freeBlocks(acq.blocks);
+        kv.dropCache();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(tokens));
+}
+BENCHMARK(BM_PrefixPublishChain)->Arg(1 << 10)->Arg(1 << 13);
 
 } // anonymous namespace
 

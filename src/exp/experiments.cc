@@ -802,7 +802,8 @@ runClusterPrefix(const ClusterPrefixConfig &cfg)
 
     // Residency: full preamble blocks each engine still has indexed.
     for (const workload::Request &rep : groupReps) {
-        serve::TokenFn tok = serve::tokenFnFor(rep);
+        serve::TokenChain chain(serve::tokenFnFor(rep),
+                                engines[0]->kvCache().tokensPerBlock());
         std::uint32_t preamble = cfg.chatbot
                                      ? cfg.prefixTokens
                                      : rep.prefixTokens;
@@ -816,7 +817,7 @@ runClusterPrefix(const ClusterPrefixConfig &cfg)
             if (full == 0)
                 continue;
             result.residentPrefixBytes +=
-                kv.probePrefixBlocks(tok, full) * kv.blockBytes();
+                kv.probePrefixBlocks(chain, full) * kv.blockBytes();
         }
         const serve::KvCache &kv0 = engines[0]->kvCache();
         std::uint64_t full = preamble - preamble % kv0.tokensPerBlock();

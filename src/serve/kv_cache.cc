@@ -214,10 +214,10 @@ KvCache::grow(std::uint64_t bytes)
 }
 
 KvCache::PrefixAcquire
-KvCache::acquirePrefix(const TokenFn &tok, std::uint64_t maxTokens,
+KvCache::acquirePrefix(const TokenChain &chain, std::uint64_t maxTokens,
                        aqua::sim::Tick now)
 {
-    PrefixIndex::Match m = index.lookup(tok, maxTokens, now);
+    PrefixIndex::Match m = index.lookup(chain, maxTokens, now);
     for (BlockId id : m.blocks) {
         blocks.ref(id);
         updateEvictable(id);
@@ -228,18 +228,18 @@ KvCache::acquirePrefix(const TokenFn &tok, std::uint64_t maxTokens,
 }
 
 std::size_t
-KvCache::probePrefixBlocks(const TokenFn &tok,
+KvCache::probePrefixBlocks(const TokenChain &chain,
                            std::uint64_t maxTokens) const
 {
     PrefixIndex::Match m =
-        index.lookup(tok, maxTokens, 0, /*touch=*/false);
+        index.lookup(chain, maxTokens, 0, /*touch=*/false);
     // Only full blocks count toward admission savings: a partial tail
     // still forces the borrower to fork a private copy.
     return m.blocks.size() - (m.partialTokens > 0 ? 1 : 0);
 }
 
 void
-KvCache::publishPrefix(const TokenFn &tok, std::uint64_t tokens,
+KvCache::publishPrefix(const TokenChain &chain, std::uint64_t tokens,
                        const std::vector<BlockId> &blockIds,
                        aqua::sim::Tick now, bool insert,
                        std::uint64_t insertTokens)
@@ -252,12 +252,13 @@ KvCache::publishPrefix(const TokenFn &tok, std::uint64_t tokens,
         std::uint64_t first = i * std::uint64_t(blockTokens);
         auto count = static_cast<std::uint32_t>(
             std::min<std::uint64_t>(blockTokens, covered - first));
-        setBlockSig(blockIds[i], contentSig(tok, first, count));
+        setBlockSig(blockIds[i], chain.sig(first, count));
     }
     std::uint64_t indexed = std::min(covered, insertTokens);
     if (!insert || indexed == 0)
         return;
-    std::vector<BlockId> newly = index.insert(tok, indexed, blockIds, now);
+    std::vector<BlockId> newly =
+        index.insert(chain, indexed, blockIds, now);
     for (BlockId id : newly) {
         blocks.ref(id);
         updateEvictable(id);
@@ -281,12 +282,6 @@ KvCache::forkBlock(BlockId shared)
     enforceCacheCap();
     notePeak();
     return fresh;
-}
-
-std::uint64_t
-KvCache::prefixChainKey(const TokenFn &tok, std::size_t fullBlocks) const
-{
-    return index.chainKey(tok, fullBlocks);
 }
 
 std::size_t
@@ -340,21 +335,6 @@ std::uint64_t
 KvCache::blockSig(BlockId id) const
 {
     return id < sigs.size() ? sigs[id] : 0;
-}
-
-std::uint64_t
-KvCache::contentSig(const TokenFn &tok, std::uint64_t firstToken,
-                    std::uint32_t count)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull; // FNV offset basis
-    for (std::uint32_t i = 0; i < count; ++i) {
-        std::uint64_t c = tok(firstToken + i);
-        for (int b = 0; b < 8; ++b) {
-            h ^= (c >> (8 * b)) & 0xff;
-            h *= 0x100000001b3ull; // FNV prime
-        }
-    }
-    return h;
 }
 
 } // namespace aqua::serve

@@ -141,11 +141,11 @@ class KvCache
     };
 
     /**
-     * Borrow the longest cached chain matching @p tok (capped at
+     * Borrow the longest cached chain matching @p chain (capped at
      * @p maxTokens). One reference per matched block is taken for the
      * caller; release with freeBlocks().
      */
-    PrefixAcquire acquirePrefix(const TokenFn &tok,
+    PrefixAcquire acquirePrefix(const TokenChain &chain,
                                 std::uint64_t maxTokens,
                                 aqua::sim::Tick now);
 
@@ -154,12 +154,12 @@ class KvCache
      * right now. Does not touch LRU state or hit/miss counters; used
      * by scheduler admission accounting.
      */
-    std::size_t probePrefixBlocks(const TokenFn &tok,
+    std::size_t probePrefixBlocks(const TokenChain &chain,
                                   std::uint64_t maxTokens) const;
 
     /**
      * Publish a sequence's blocks (holding tokens [0, tokens) of
-     * @p tok) into the prefix index and refresh their content
+     * @p chain) into the prefix index and refresh their content
      * signatures. The index takes its own reference on each newly
      * indexed block, which keeps the chain resident (and shareable)
      * after the owning sequence releases its blocks.
@@ -170,7 +170,7 @@ class KvCache
      *        cluster *replica* for the chain's tail refresh signatures
      *        without retaining a duplicate resident copy.
      */
-    void publishPrefix(const TokenFn &tok, std::uint64_t tokens,
+    void publishPrefix(const TokenChain &chain, std::uint64_t tokens,
                        const std::vector<aqua::mem::BlockId> &blockIds,
                        aqua::sim::Tick now, bool insert = true,
                        std::uint64_t insertTokens = ~std::uint64_t(0));
@@ -188,26 +188,6 @@ class KvCache
     blockRefCount(aqua::mem::BlockId id) const
     {
         return blocks.refCount(id);
-    }
-
-    /** Chain key identifying the first @p fullBlocks blocks of @p tok
-     *  (names a shared block group on the offload path). */
-    std::uint64_t prefixChainKey(const TokenFn &tok,
-                                 std::size_t fullBlocks) const;
-
-    /** Dual chain hashes at one full-block boundary. */
-    PrefixIndex::ChainKeys
-    prefixChainKeysAt(const TokenFn &tok, std::size_t fullBlocks) const
-    {
-        return index.chainKeysAt(tok, fullBlocks);
-    }
-
-    /** Dual chain hashes at every boundary up to @p fullBlocks. */
-    std::vector<PrefixIndex::ChainKeys>
-    prefixChainKeysUpTo(const TokenFn &tok,
-                        std::size_t fullBlocks) const
-    {
-        return index.chainKeysUpTo(tok, fullBlocks);
     }
 
     /** Select the prefix-cache eviction policy (default Lru). */
@@ -297,17 +277,12 @@ class KvCache
     std::uint64_t peakLiveKvBytes() const { return peakLive; }
 
     //
-    // Content signatures (byte-identity checks across offload paths).
+    // Content signatures (TokenChain::sig values; byte-identity checks
+    // across offload paths).
     //
 
     void setBlockSig(aqua::mem::BlockId id, std::uint64_t sig);
     std::uint64_t blockSig(aqua::mem::BlockId id) const;
-
-    /** FNV-1a over the content ids of tokens
-     *  [firstToken, firstToken + count). */
-    static std::uint64_t contentSig(const TokenFn &tok,
-                                    std::uint64_t firstToken,
-                                    std::uint32_t count);
 
     const PrefixIndexStats &prefixStats() const { return index.stats(); }
 

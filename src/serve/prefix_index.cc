@@ -34,6 +34,35 @@ combineVerify(std::uint64_t h, std::uint64_t v)
 constexpr std::uint64_t kSeedKey = 0x243f6a8885a308d3ull;
 constexpr std::uint64_t kSeedVerify = 0x452821e638d01377ull;
 constexpr std::uint64_t kPartialSalt = 0xb5297a4d3c2c1b3full;
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
+
+/** Both rolling hashes extended by one token's content id. */
+ChainKeys
+extendKeys(ChainKeys chain, std::uint64_t content)
+{
+    chain.key = combineKey(chain.key, content);
+    chain.verify = combineVerify(chain.verify, content);
+    return chain;
+}
+
+/** FNV-1a over a content id's eight bytes, low byte first. */
+std::uint64_t
+fnvToken(std::uint64_t h, std::uint64_t content)
+{
+    for (int b = 0; b < 8; ++b) {
+        h ^= (content >> (8 * b)) & 0xff;
+        h *= kFnvPrime;
+    }
+    return h;
+}
+
+/** Map key of a partial tail after a chain with primary key @p key. */
+std::uint64_t
+partialKey(std::uint64_t key, std::uint32_t tokens)
+{
+    return mix64(key ^ (std::uint64_t(tokens) * kPartialSalt));
+}
 
 } // anonymous namespace
 
@@ -45,6 +74,78 @@ tokenFnFor(const workload::Request &request)
     };
 }
 
+TokenChain::TokenChain(TokenFn tok, std::uint32_t blockTokens)
+    : tok(std::move(tok)), perBlock(blockTokens)
+{
+    if (blockTokens == 0)
+        aqua::sim::panic("TokenChain: zero block tokens");
+}
+
+ChainKeys
+TokenChain::seedKeys()
+{
+    return {kSeedKey, kSeedVerify};
+}
+
+void
+TokenChain::fill(std::size_t last) const
+{
+    if (perBlock == 0)
+        aqua::sim::panic("TokenChain: query on an empty chain");
+    while (memo.size() <= last) {
+        std::uint64_t first = memo.size() * std::uint64_t(perBlock);
+        ChainKeys keys = seedKeys();
+        std::uint64_t prefixSig = kFnvBasis;
+        if (!memo.empty()) {
+            keys = {memo.back().key, memo.back().verify};
+            prefixSig = memo.back().prefixSig;
+        }
+        std::uint64_t blockSig = kFnvBasis;
+        for (std::uint32_t t = 0; t < perBlock; ++t) {
+            std::uint64_t content = tok(first + t);
+            keys = extendKeys(keys, content);
+            prefixSig = fnvToken(prefixSig, content);
+            blockSig = fnvToken(blockSig, content);
+        }
+        memo.push_back({keys.key, keys.verify, prefixSig, blockSig});
+    }
+}
+
+ChainKeys
+TokenChain::extend(std::size_t fullBlocks, std::uint32_t count) const
+{
+    ChainKeys keys = keysAt(fullBlocks);
+    std::uint64_t first = fullBlocks * std::uint64_t(perBlock);
+    for (std::uint32_t t = 0; t < count; ++t)
+        keys = extendKeys(keys, tok(first + t));
+    return keys;
+}
+
+std::uint64_t
+TokenChain::sig(std::uint64_t first, std::uint64_t count) const
+{
+    if (perBlock == 0)
+        aqua::sim::panic("TokenChain: query on an empty chain");
+    if (count == perBlock && first % perBlock == 0)
+        return block(static_cast<std::size_t>(first / perBlock)).blockSig;
+    std::uint64_t h = kFnvBasis;
+    if (first == 0 && count >= perBlock) {
+        std::uint64_t full = count / perBlock;
+        h = block(static_cast<std::size_t>(full - 1)).prefixSig;
+        first = full * perBlock;
+        count -= first;
+    }
+    for (std::uint64_t t = 0; t < count; ++t)
+        h = fnvToken(h, tok(first + t));
+    return h;
+}
+
+void
+TokenChain::release()
+{
+    std::vector<Block>().swap(memo);
+}
+
 PrefixIndex::PrefixIndex(std::uint32_t blockTokens)
     : blockTokens(blockTokens)
 {
@@ -52,38 +153,26 @@ PrefixIndex::PrefixIndex(std::uint32_t blockTokens)
         aqua::sim::panic("PrefixIndex: zero block tokens");
 }
 
-PrefixIndex::ChainState
-PrefixIndex::extendChain(ChainState chain, const TokenFn &tok,
-                         std::uint64_t firstToken,
-                         std::uint32_t count) const
+void
+PrefixIndex::checkBlockTokens(const TokenChain &chain) const
 {
-    for (std::uint32_t i = 0; i < count; ++i) {
-        std::uint64_t content = tok(firstToken + i);
-        chain.key = combineKey(chain.key, content);
-        chain.verify = combineVerify(chain.verify, content);
+    if (chain.blockTokens() != blockTokens) {
+        aqua::sim::panic("PrefixIndex: chain of %u-token blocks on a "
+                         "%u-token index", chain.blockTokens(),
+                         blockTokens);
     }
-    return chain;
-}
-
-std::uint64_t
-PrefixIndex::partialKey(const ChainState &chain,
-                        std::uint64_t /*partialVerify*/,
-                        std::uint32_t tokens) const
-{
-    return mix64(chain.key ^ (std::uint64_t(tokens) * kPartialSalt));
 }
 
 PrefixIndex::Match
-PrefixIndex::lookup(const TokenFn &tok, std::uint64_t maxTokens,
+PrefixIndex::lookup(const TokenChain &chain, std::uint64_t maxTokens,
                     aqua::sim::Tick now, bool touch)
 {
+    checkBlockTokens(chain);
     Match m;
-    ChainState chain{kSeedKey, kSeedVerify};
     std::uint64_t fullWanted = maxTokens / blockTokens;
     std::uint64_t i = 0;
     for (; i < fullWanted; ++i) {
-        ChainState next = extendChain(chain, tok,
-                                      i * blockTokens, blockTokens);
+        ChainKeys next = chain.keysAt(static_cast<std::size_t>(i + 1));
         auto it = map.find(next.key & primaryMask);
         if (it == map.end())
             break;
@@ -95,7 +184,6 @@ PrefixIndex::lookup(const TokenFn &tok, std::uint64_t maxTokens,
                 ++counters.collisions;
             break;
         }
-        chain = next;
         m.blocks.push_back(e.block);
         m.tokens += blockTokens;
         if (touch) {
@@ -111,8 +199,9 @@ PrefixIndex::lookup(const TokenFn &tok, std::uint64_t maxTokens,
     std::uint32_t rem = static_cast<std::uint32_t>(
         maxTokens - i * blockTokens);
     if (i == fullWanted && rem > 0 && rem < blockTokens) {
-        ChainState pc = extendChain(chain, tok, i * blockTokens, rem);
-        auto it = map.find(partialKey(chain, pc.verify, rem) &
+        auto full = static_cast<std::size_t>(i);
+        ChainKeys pc = chain.extend(full, rem);
+        auto it = map.find(partialKey(chain.keysAt(full).key, rem) &
                            primaryMask);
         if (it != map.end()) {
             Entry &e = it->second;
@@ -133,10 +222,11 @@ PrefixIndex::lookup(const TokenFn &tok, std::uint64_t maxTokens,
 }
 
 std::vector<aqua::mem::BlockId>
-PrefixIndex::insert(const TokenFn &tok, std::uint64_t tokens,
+PrefixIndex::insert(const TokenChain &chain, std::uint64_t tokens,
                     const std::vector<aqua::mem::BlockId> &blocks,
                     aqua::sim::Tick now)
 {
+    checkBlockTokens(chain);
     std::vector<aqua::mem::BlockId> newly;
     std::uint64_t full = tokens / blockTokens;
     if (blocks.size() * blockTokens < tokens) {
@@ -166,18 +256,17 @@ PrefixIndex::insert(const TokenFn &tok, std::uint64_t tokens,
             ++counters.collisions;
     };
 
-    ChainState chain{kSeedKey, kSeedVerify};
-    for (std::uint64_t i = 0; i < full; ++i) {
-        chain = extendChain(chain, tok, i * blockTokens, blockTokens);
-        place(chain.key & primaryMask, chain.verify,
-              blocks[static_cast<std::size_t>(i)], blockTokens);
+    for (std::size_t i = 0; i < full; ++i) {
+        ChainKeys keys = chain.keysAt(i + 1);
+        place(keys.key & primaryMask, keys.verify, blocks[i], blockTokens);
     }
     std::uint32_t rem = static_cast<std::uint32_t>(
         tokens - full * blockTokens);
     if (rem > 0) {
-        ChainState pc = extendChain(chain, tok, full * blockTokens, rem);
-        place(partialKey(chain, pc.verify, rem) & primaryMask, pc.verify,
-              blocks[static_cast<std::size_t>(full)], rem);
+        auto f = static_cast<std::size_t>(full);
+        ChainKeys pc = chain.extend(f, rem);
+        place(partialKey(chain.keysAt(f).key, rem) & primaryMask,
+              pc.verify, blocks[f], rem);
     }
     return newly;
 }
@@ -269,41 +358,6 @@ PrefixIndex::refsHeld(aqua::mem::BlockId id) const
 {
     auto it = held.find(id);
     return it == held.end() ? 0 : it->second;
-}
-
-std::uint64_t
-PrefixIndex::chainKey(const TokenFn &tok, std::size_t fullBlocks) const
-{
-    ChainState chain{kSeedKey, kSeedVerify};
-    chain = extendChain(chain, tok, 0,
-                        static_cast<std::uint32_t>(fullBlocks) *
-                            blockTokens);
-    return chain.key;
-}
-
-PrefixIndex::ChainKeys
-PrefixIndex::chainKeysAt(const TokenFn &tok,
-                         std::size_t fullBlocks) const
-{
-    ChainState chain{kSeedKey, kSeedVerify};
-    chain = extendChain(chain, tok, 0,
-                        static_cast<std::uint32_t>(fullBlocks) *
-                            blockTokens);
-    return {chain.key, chain.verify};
-}
-
-std::vector<PrefixIndex::ChainKeys>
-PrefixIndex::chainKeysUpTo(const TokenFn &tok,
-                           std::size_t fullBlocks) const
-{
-    std::vector<ChainKeys> out;
-    out.reserve(fullBlocks);
-    ChainState chain{kSeedKey, kSeedVerify};
-    for (std::size_t i = 0; i < fullBlocks; ++i) {
-        chain = extendChain(chain, tok, i * blockTokens, blockTokens);
-        out.push_back({chain.key, chain.verify});
-    }
-    return out;
 }
 
 } // namespace aqua::serve

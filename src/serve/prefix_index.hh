@@ -37,6 +37,90 @@ using TokenFn = std::function<std::uint64_t(std::uint64_t)>;
 /** Token function for a request (simulated token contents). */
 TokenFn tokenFnFor(const workload::Request &request);
 
+/** Primary + verification hash of one chain boundary. */
+struct ChainKeys
+{
+    std::uint64_t key = 0;
+    std::uint64_t verify = 0;
+};
+
+/**
+ * One sequence's token stream with a memo of its full-block hashes.
+ *
+ * Each full block's chain keys (primary and verification), the FNV-1a
+ * content signature of the whole prefix up to it, and the signature of
+ * the block alone are computed the first time any boundary at or past
+ * it is asked for, then read from the memo: a sequence's tokens are
+ * hashed once however often admission, publishing and the cluster
+ * paths query it. Token contents are a pure function of position, so
+ * the memo never goes stale; release() frees it and later queries
+ * refill it. Partial tails are hashed token by token on every query.
+ */
+class TokenChain
+{
+  public:
+    /** An empty chain; assign a real one before querying it. */
+    TokenChain() = default;
+    TokenChain(TokenFn tok, std::uint32_t blockTokens);
+
+    std::uint32_t blockTokens() const { return perBlock; }
+
+    /** Both chain hashes over the first @p fullBlocks blocks (the
+     *  chain seeds when zero). */
+    ChainKeys
+    keysAt(std::size_t fullBlocks) const
+    {
+        if (fullBlocks == 0)
+            return seedKeys();
+        const Block &b = block(fullBlocks - 1);
+        return {b.key, b.verify};
+    }
+
+    /** Both chain hashes over the first @p fullBlocks blocks extended
+     *  by the next @p count tokens (not memoized). */
+    ChainKeys extend(std::size_t fullBlocks, std::uint32_t count) const;
+
+    /** FNV-1a over the content ids of tokens [first, first + count).
+     *  Prefixes (first == 0) and single full blocks read the memo; a
+     *  prefix's partial tail and any other range are hashed here. */
+    std::uint64_t sig(std::uint64_t first, std::uint64_t count) const;
+
+    /** Full blocks memoized so far. */
+    std::size_t memoBlocks() const { return memo.size(); }
+
+    /** Free the memo (a finished sequence keeps its chain object). */
+    void release();
+
+  private:
+    struct Block
+    {
+        std::uint64_t key;
+        std::uint64_t verify;
+        /** FNV-1a state over tokens [0, end of this block). */
+        std::uint64_t prefixSig;
+        /** FNV-1a over this block's tokens alone. */
+        std::uint64_t blockSig;
+    };
+
+    /** Memo entry of block @p i, filling the memo up to it. */
+    const Block &
+    block(std::size_t i) const
+    {
+        if (i >= memo.size())
+            fill(i);
+        return memo[i];
+    }
+
+    /** Extend the memo through block @p last. */
+    void fill(std::size_t last) const;
+
+    static ChainKeys seedKeys();
+
+    TokenFn tok;
+    std::uint32_t perBlock = 0;
+    mutable std::vector<Block> memo;
+};
+
 /**
  * How the index picks eviction victims.
  */
@@ -103,23 +187,23 @@ class PrefixIndex
     };
 
     /**
-     * Longest cached chain matching @p tok, capped at @p maxTokens.
+     * Longest cached chain matching @p chain, capped at @p maxTokens.
      *
      * @param touch Update LRU stamps and hit/miss counters; pass false
      *              for read-only probes (admission accounting).
      */
-    Match lookup(const TokenFn &tok, std::uint64_t maxTokens,
+    Match lookup(const TokenChain &chain, std::uint64_t maxTokens,
                  aqua::sim::Tick now, bool touch = true);
 
     /**
-     * Register @p blocks as holding tokens [0, tokens) of @p tok's
+     * Register @p blocks as holding tokens [0, tokens) of @p chain's
      * stream. Existing entries are refreshed, not replaced.
      *
      * @return Blocks newly referenced by the index, one per new entry
      *         (the caller should take a reference on each).
      */
     std::vector<aqua::mem::BlockId>
-    insert(const TokenFn &tok, std::uint64_t tokens,
+    insert(const TokenChain &chain, std::uint64_t tokens,
            const std::vector<aqua::mem::BlockId> &blocks,
            aqua::sim::Tick now);
 
@@ -142,32 +226,6 @@ class PrefixIndex
 
     /** References the index holds on @p id (entries pointing at it). */
     std::uint32_t refsHeld(aqua::mem::BlockId id) const;
-
-    /**
-     * Chain key over the first @p fullBlocks blocks of @p tok's
-     * stream; identifies a shared block group (offload dedup).
-     */
-    std::uint64_t chainKey(const TokenFn &tok,
-                           std::size_t fullBlocks) const;
-
-    /** Primary + verification hash of one chain boundary. */
-    struct ChainKeys
-    {
-        std::uint64_t key = 0;
-        std::uint64_t verify = 0;
-    };
-
-    /** Both chain hashes over the first @p fullBlocks blocks. */
-    ChainKeys chainKeysAt(const TokenFn &tok,
-                          std::size_t fullBlocks) const;
-
-    /**
-     * Both chain hashes at every full-block boundary up to
-     * @p fullBlocks: element i covers blocks [0, i]. One rolling pass;
-     * feeds the cluster registry's candidate-key lookups.
-     */
-    std::vector<ChainKeys> chainKeysUpTo(const TokenFn &tok,
-                                         std::size_t fullBlocks) const;
 
     /** Select the eviction victim ordering (default Lru); re-ranks
      *  the existing entries. */
@@ -201,19 +259,8 @@ class PrefixIndex
         std::uint64_t uses = 0;
     };
 
-    /** Dual rolling hash state over one block's tokens. */
-    struct ChainState
-    {
-        std::uint64_t key;
-        std::uint64_t verify;
-    };
-
-    ChainState extendChain(ChainState chain, const TokenFn &tok,
-                           std::uint64_t firstToken,
-                           std::uint32_t count) const;
-    std::uint64_t partialKey(const ChainState &chain,
-                             std::uint64_t partialVerify,
-                             std::uint32_t tokens) const;
+    /** Panic unless @p chain is blocked like the index. */
+    void checkBlockTokens(const TokenChain &chain) const;
 
     using Map = std::unordered_map<std::uint64_t, Entry>;
     using Node = Map::value_type;

@@ -22,8 +22,7 @@ incrementalNeed(const SchedulerInput &in, const Sequence *s,
     if (!in.prefixCache)
         return need;
     std::uint64_t match = s->kvTokens() > 0 ? s->kvTokens() - 1 : 0;
-    std::size_t cached =
-        in.kv->probePrefixBlocks(tokenFnFor(s->request), match);
+    std::size_t cached = in.kv->probePrefixBlocks(s->chain, match);
     return need - std::min(need, cached);
 }
 

@@ -13,6 +13,7 @@
 #include "mem/block_allocator.hh"
 #include "model/kv_precision.hh"
 #include "serve/offload_backend.hh"
+#include "serve/prefix_index.hh"
 #include "workload/request.hh"
 
 namespace aqua::serve {
@@ -36,6 +37,11 @@ struct Sequence
 
     workload::Request request;
     State state = State::Waiting;
+
+    /** The request's token stream at the engine's block size (empty
+     *  unless prefix caching is on); its memo is released once the
+     *  sequence finishes. */
+    TokenChain chain;
 
     /** Whether the prompt's KV has been computed. */
     bool prefilled = false;

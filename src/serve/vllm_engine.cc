@@ -17,6 +17,7 @@ VllmEngine::VllmEngine(hw::Server &server, hw::GpuId gpu,
       spec(applyKvConfig(modelSpec, config)),
       perf(spec, server.gpu(gpu).spec()), cfg(config),
       policy(std::move(schedPolicy)), backend(backend),
+      aquaBackend(backend.name() == "aqua"),
       tokens("tokens"), freeMem("free_memory")
 {
     if (!spec.isText())
@@ -97,6 +98,7 @@ VllmEngine::~VllmEngine()
         for (auto &[key, c] : homeChains)
             clusterLib->prefixEvictNotify(key, c.verify);
         homeChains.clear();
+        homeKeysByBlock.clear();
         for (auto &[key, c] : replicaChains)
             clusterLib->prefixEvictNotify(key, c.verify);
         replicaChains.clear();
@@ -207,6 +209,10 @@ VllmEngine::submit(const workload::Request &request)
     }
     auto seq = std::make_unique<Sequence>();
     seq->request = request;
+    // Every chain query sits behind cfg.prefixCache: other engines
+    // skip the chain's per-sequence token-function copy.
+    if (cfg.prefixCache)
+        seq->chain = TokenChain(tokenFnFor(request), cfg.blockTokens);
     seq->metrics.id = request.id;
     seq->metrics.arrival = request.arrival;
     seq->metrics.deadline = request.deadline;
@@ -340,9 +346,8 @@ VllmEngine::maybeBeginFederationFetch(Sequence *s)
     ++prefixStats.fedHits;
     // Trust nothing across the fabric: the advertised chain's content
     // signature must match this request's own tokens.
-    TokenFn tok = tokenFnFor(s->request);
-    std::uint64_t wantSig = KvCache::contentSig(
-        tok, 0, fl.chain.blocks * cfg.blockTokens);
+    std::uint64_t wantSig =
+        s->chain.sig(0, fl.chain.blocks * cfg.blockTokens);
     if (wantSig != fl.chain.chainSig) {
         ++prefixStats.clusterSigMismatches;
         return;
@@ -508,8 +513,7 @@ VllmEngine::publishSeq(Sequence *s, bool atFinish)
         // Simulated token contents are deterministic per request
         // stream, so every computed position is publishable;
         // publishPrefix caps coverage at what the blocks hold.
-        kv->publishPrefix(tokenFnFor(s->request), s->kvTokens(),
-                          s->blocks, now);
+        kv->publishPrefix(s->chain, s->kvTokens(), s->blocks, now);
         return;
     }
     // Borrowed sequences hold only their tail blocks; there is no
@@ -517,7 +521,6 @@ VllmEngine::publishSeq(Sequence *s, bool atFinish)
     if (s->remoteLeadBlocks > 0)
         return;
 
-    TokenFn tok = tokenFnFor(s->request);
     std::uint64_t kvTok = s->kvTokens();
     std::size_t fullBlocks = std::min<std::size_t>(
         s->blocks.size(),
@@ -533,7 +536,7 @@ VllmEngine::publishSeq(Sequence *s, bool atFinish)
     bool replicaSeen = false;
     std::uint64_t prevTokens = 0;
     for (std::size_t b : chainBoundaries(s, fullBlocks, atFinish)) {
-        PrefixIndex::ChainKeys ck = kv->prefixChainKeysAt(tok, b);
+        ChainKeys ck = s->chain.keysAt(b);
         std::uint64_t tokens = std::uint64_t(b) * cfg.blockTokens;
         Role role;
         if (homeChains.count(ck.key) != 0) {
@@ -545,9 +548,7 @@ VllmEngine::publishSeq(Sequence *s, bool atFinish)
         } else {
             auto out = clusterLib->prefixPublish(
                 ck.key, ck.verify, static_cast<std::uint32_t>(b),
-                tokens, kv->kvBytes(tokens),
-                KvCache::contentSig(
-                    tok, 0, static_cast<std::uint32_t>(tokens)));
+                tokens, kv->kvBytes(tokens), s->chain.sig(0, tokens));
             role = out.role;
             if (role == Role::Collision)
                 collisionChains.insert(ck.key);
@@ -560,9 +561,10 @@ VllmEngine::publishSeq(Sequence *s, bool atFinish)
             rec.verify = ck.verify;
             rec.req = s->request;
             rec.owner = role == Role::Replica ? s : nullptr;
-            auto &chains =
-                role == Role::Home ? homeChains : replicaChains;
-            chains[ck.key] = std::move(rec);
+            if (role == Role::Home)
+                setHomeChain(ck.key, std::move(rec));
+            else
+                replicaChains[ck.key] = std::move(rec);
         }
         if (role == Role::Replica && !replicaSeen) {
             insertCap = prevTokens;
@@ -572,7 +574,7 @@ VllmEngine::publishSeq(Sequence *s, bool atFinish)
         }
         prevTokens = tokens;
     }
-    kv->publishPrefix(tok, kvTok, s->blocks, now, true, insertCap);
+    kv->publishPrefix(s->chain, kvTok, s->blocks, now, true, insertCap);
 }
 
 std::vector<std::size_t>
@@ -607,19 +609,17 @@ VllmEngine::prefixCandidates(const Sequence *s,
     if (wantFull <= localFull)
         return cands;
 
-    TokenFn tok = tokenFnFor(s->request);
     // Candidate boundaries, longest first. Conversation streams scan
     // densely — the previous turn's finish boundary is not knowable
     // here — while for declared-preamble requests only the preamble
     // boundary can match anything cluster-wide.
-    std::vector<PrefixIndex::ChainKeys> keys =
-        kv->prefixChainKeysUpTo(tok, wantFull);
     if (s->request.contentStream != 0) {
         constexpr std::size_t kMaxCandidates = 64;
         for (std::size_t b = wantFull;
              b > localFull && cands.size() < kMaxCandidates; --b) {
-            cands.push_back({keys[b - 1].key, keys[b - 1].verify,
-                             static_cast<std::uint32_t>(b)});
+            ChainKeys ck = s->chain.keysAt(b);
+            cands.push_back(
+                {ck.key, ck.verify, static_cast<std::uint32_t>(b)});
         }
     }
     std::size_t preamble =
@@ -631,8 +631,8 @@ VllmEngine::prefixCandidates(const Sequence *s,
         for (const auto &c : cands)
             present |= c.blocks == preamble;
         if (!present) {
-            cands.push_back({keys[preamble - 1].key,
-                             keys[preamble - 1].verify,
+            ChainKeys ck = s->chain.keysAt(preamble);
+            cands.push_back({ck.key, ck.verify,
                              static_cast<std::uint32_t>(preamble)});
         }
     }
@@ -649,7 +649,6 @@ VllmEngine::tryRemotePrefix(Sequence *s, KvCache::PrefixAcquire &acq,
         prefixCandidates(s, localFull);
     if (cands.empty())
         return;
-    TokenFn tok = tokenFnFor(s->request);
 
     core::AquaLib::PrefixLookupOutcome rl =
         clusterLib->prefixLookup(cands);
@@ -659,8 +658,7 @@ VllmEngine::tryRemotePrefix(Sequence *s, KvCache::PrefixAcquire &acq,
     }
     // Trust nothing across the wire: the registered chain's content
     // signature must match this request's own tokens.
-    std::uint64_t wantSig = KvCache::contentSig(
-        tok, 0, rl.blocks * cfg.blockTokens);
+    std::uint64_t wantSig = s->chain.sig(0, rl.blocks * cfg.blockTokens);
     if (wantSig != rl.chainSig) {
         ++prefixStats.clusterSigMismatches;
         ++prefixStats.registryMisses;
@@ -778,8 +776,7 @@ VllmEngine::tryRemotePrefix(Sequence *s, KvCache::PrefixAcquire &acq,
     for (std::size_t i = 0; i < fresh->size(); ++i) {
         std::uint64_t first =
             std::uint64_t(localFull + i) * cfg.blockTokens;
-        kv->setBlockSig((*fresh)[i], KvCache::contentSig(
-                                         tok, first, cfg.blockTokens));
+        kv->setBlockSig((*fresh)[i], s->chain.sig(first, cfg.blockTokens));
         kv->setBlockOrigin((*fresh)[i], BlockOrigin::RemotePeer);
     }
     acq.blocks.insert(acq.blocks.end(), fresh->begin(), fresh->end());
@@ -851,28 +848,56 @@ VllmEngine::clusterPromote(std::uint64_t key)
     c.owner = nullptr;
     // Adopt the chain: index it locally so it stays resident (and
     // pinnable) after the owning sequence releases its blocks.
-    kv->publishPrefix(tokenFnFor(c.req), c.tokens, c.blocks,
-                      server.simulation().now());
-    homeChains.emplace(key, std::move(c));
+    kv->publishPrefix(TokenChain(tokenFnFor(c.req), cfg.blockTokens),
+                      c.tokens, c.blocks, server.simulation().now());
+    setHomeChain(key, std::move(c));
     return true;
+}
+
+void
+VllmEngine::setHomeChain(std::uint64_t key, ClusterChain c)
+{
+    auto [it, fresh] = homeChains.try_emplace(key);
+    ClusterChain &home = it->second;
+    // A re-home with new blocks must un-index the old ones: evicting
+    // one of them no longer touches this chain.
+    if (fresh || home.blocks != c.blocks) {
+        unindexHomeChain(key, home.blocks);
+        for (aqua::mem::BlockId id : c.blocks) {
+            if (homeKeysByBlock.size() <= id)
+                homeKeysByBlock.resize(id + 1);
+            std::vector<std::uint64_t> &keys = homeKeysByBlock[id];
+            keys.insert(std::lower_bound(keys.begin(), keys.end(), key),
+                        key);
+        }
+    }
+    home = std::move(c);
+}
+
+void
+VllmEngine::unindexHomeChain(std::uint64_t key,
+                             const std::vector<aqua::mem::BlockId> &blocks)
+{
+    for (aqua::mem::BlockId id : blocks) {
+        std::vector<std::uint64_t> &keys = homeKeysByBlock[id];
+        keys.erase(std::find(keys.begin(), keys.end(), key));
+    }
 }
 
 void
 VllmEngine::onCacheBlockEvicted(aqua::mem::BlockId id)
 {
-    if (!clusterLib || homeChains.empty())
+    if (!clusterLib)
         return;
-    for (auto it = homeChains.begin(); it != homeChains.end();) {
-        ClusterChain &c = it->second;
-        if (std::find(c.blocks.begin(), c.blocks.end(), id) !=
-            c.blocks.end()) {
-            std::uint64_t key = it->first;
-            std::uint64_t verify = c.verify;
-            it = homeChains.erase(it);
-            clusterLib->prefixEvictNotify(key, verify);
-        } else {
-            ++it;
-        }
+    // Every home chain holding the block, ascending key order: each
+    // erase drops its key, so the smallest left is the next victim.
+    while (id < homeKeysByBlock.size() && !homeKeysByBlock[id].empty()) {
+        std::uint64_t key = homeKeysByBlock[id].front();
+        auto it = homeChains.find(key);
+        std::uint64_t verify = it->second.verify;
+        unindexHomeChain(key, it->second.blocks);
+        homeChains.erase(it);
+        clusterLib->prefixEvictNotify(key, verify);
     }
 }
 
@@ -1012,8 +1037,7 @@ VllmEngine::swapOutSeq(Sequence *s, Tick &transfersDone)
         if (!usingFallback)
             lead = sharedLeadBlocks(s);
         if (lead > 0) {
-            std::uint64_t key = kv->prefixChainKey(
-                tokenFnFor(s->request), lead);
+            std::uint64_t key = s->chain.keysAt(lead).key;
             groupBytes =
                 kv->kvBytes(std::uint64_t(lead) * cfg.blockTokens);
             auto [it, fresh] = sharedGroups.try_emplace(key);
@@ -1123,8 +1147,7 @@ VllmEngine::swapInSeq(Sequence *s, Tick &transfersDone)
     std::vector<aqua::mem::BlockId> resident;
     if (cfg.prefixCache && s->swapSharedBlocks > 0) {
         KvCache::PrefixAcquire acq = kv->acquirePrefix(
-            tokenFnFor(s->request),
-            std::uint64_t(s->swapSharedBlocks) * cfg.blockTokens,
+            s->chain, std::uint64_t(s->swapSharedBlocks) * cfg.blockTokens,
             server.simulation().now());
         resident = std::move(acq.blocks);
     }
@@ -1351,7 +1374,7 @@ VllmEngine::admitSeq(Sequence *s, Tick &transfersDone)
     KvCache::PrefixAcquire acq;
     if (cfg.prefixCache && s->prefilledTokens == 0) {
         std::uint64_t match = s->kvTokens() > 0 ? s->kvTokens() - 1 : 0;
-        acq = kv->acquirePrefix(tokenFnFor(s->request), match,
+        acq = kv->acquirePrefix(s->chain, match,
                                 server.simulation().now());
         // Local miss (or partial coverage): ask the cluster registry
         // whether a peer GPU homes a longer chain.
@@ -1464,6 +1487,9 @@ VllmEngine::finishSeq(Sequence *s, Tick when)
     // Leave the conversation's KV behind as cache: a follow-up turn
     // that re-sends this context will match it block for block.
     publishSeq(s, /*atFinish=*/true);
+    // Nothing hashes a finished sequence again (all keeps it for its
+    // metrics), so its memo goes now.
+    s->chain.release();
     releaseRemoteLead(s);
     dropChainsOwnedBy(s);
     kv->freeBlocks(s->blocks);
@@ -1492,6 +1518,7 @@ VllmEngine::shedSeq(Sequence *s, overload::ShedReason reason,
                     Tick when)
 {
     s->state = Sequence::State::Finished;
+    s->chain.release();
     removeFrom(waiting, s);
     // Predictor miss: shedding a resuming request cancels its
     // in-flight prefetch stream (windows already issued are wasted).
@@ -1870,7 +1897,7 @@ VllmEngine::step()
     // simulations with runUntil(), not run().
     bool aqua_duties =
         aquaLib != nullptr ||
-        (backend.name() == "aqua" && (lora || !swapped.empty()));
+        (aquaBackend && (lora || !swapped.empty()));
     if (have_work && progressed) {
         scheduleStep(std::max(completion, transfersDone));
     } else if (have_work || aqua_duties) {

@@ -660,6 +660,14 @@ class VllmEngine
     /** Registry callback: adopt a replica chain as the new home. */
     bool clusterPromote(std::uint64_t key);
 
+    /** Record @p c as the home chain under @p key, replacing any
+     *  earlier record, and keep homeKeysByBlock in step. */
+    void setHomeChain(std::uint64_t key, ClusterChain c);
+
+    /** Drop @p key from homeKeysByBlock at each of @p blocks. */
+    void unindexHomeChain(std::uint64_t key,
+                          const std::vector<aqua::mem::BlockId> &blocks);
+
     /** KvCache eviction observer: a cached block left the index; any
      *  home chain containing it is gone from this GPU. */
     void onCacheBlockEvicted(aqua::mem::BlockId id);
@@ -676,6 +684,8 @@ class VllmEngine
     VllmEngineConfig cfg;
     std::unique_ptr<SchedulerPolicy> policy;
     OffloadBackend &backend;
+    /** backend is an AQUA consumer (fixed, so not re-read per step). */
+    bool aquaBackend;
     core::AquaLib *aquaLib = nullptr;
     OffloadBackend *fallback = nullptr;
     SessionTier *sessionTier = nullptr;
@@ -734,6 +744,10 @@ class VllmEngine
     std::unique_ptr<federation::FederationCostModel> fedCost;
     /** Chains this engine homes (pinned on registry demand). */
     std::map<std::uint64_t, ClusterChain> homeChains;
+    /** Per block id, the keys of the home chains holding it,
+     *  ascending: what an evicted block takes down, found without
+     *  scanning homeChains. */
+    std::vector<std::vector<std::uint64_t>> homeKeysByBlock;
     /** Chains homed elsewhere that this engine could adopt. */
     std::map<std::uint64_t, ClusterChain> replicaChains;
     /** Chain keys the registry rejected as cluster-wide collisions

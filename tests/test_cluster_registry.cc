@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <utility>
@@ -513,4 +514,102 @@ TEST(ClusterRegistryEngine, EngineTeardownLeavesNoRegistryState)
     EXPECT_GE(reg.size(), 1u);
     e0b.reset();
     EXPECT_EQ(reg.size(), 0u);
+}
+
+namespace {
+
+/** One cluster-prefix engine on GPU 0 with a @p poolBlocks-block
+ *  KV pool, and the registry's invalidations in call order. */
+struct HomeEngineFixture
+{
+    exp::Testbed tb{2, hw::TopologyKind::DirectP2P};
+    PrefixRegistry &reg = tb.makePrefixRegistry();
+    std::vector<std::uint64_t> invalidated;
+    std::unique_ptr<serve::VllmEngine> engine;
+
+    explicit HomeEngineFixture(std::size_t poolBlocks)
+    {
+        serve::VllmEngineConfig cfg;
+        cfg.prefixCache = true;
+        cfg.clusterPrefix = true;
+        cfg.kvPoolBytesOverride = poolBlocks * cfg.blockTokens *
+                                  model::codellama34b().kvBytesPerToken();
+        ChainObserver obs;
+        obs.invalidated = [this](std::uint64_t key) {
+            invalidated.push_back(key);
+        };
+        reg.setChainObserver(std::move(obs));
+        engine = std::make_unique<serve::VllmEngine>(
+            tb.server(), 0, model::codellama34b(),
+            std::make_unique<serve::FcfsPolicy>(), tb.makeDramBackend(0),
+            cfg);
+        engine->attachClusterPrefix(&reg, &tb.makeAquaLib(0));
+    }
+};
+
+/** Request on a private token stream (shares nothing). */
+workload::Request
+privateReq(std::uint64_t id, Tick arrival, std::uint32_t prompt)
+{
+    workload::Request r;
+    r.id = id;
+    r.arrival = arrival;
+    r.promptTokens = prompt;
+    r.maxNewTokens = 8;
+    return r;
+}
+
+} // anonymous namespace
+
+TEST(ClusterRegistryEngine, EvictedSharedBlockDropsEveryHomeChainInKeyOrder)
+{
+    HomeEngineFixture f(64);
+    // A conversation turn homes two chains at finish: the 48-block
+    // preamble and the 50-block full context, sharing blocks 0-47.
+    workload::Request turn = sharedReq(0, 0, 800, 8, 768);
+    turn.contentStream = workload::contentStreamId(0xc0);
+    f.engine->submit(turn);
+    f.tb.sim().runUntil(secToTicks(30.0));
+    ASSERT_EQ(f.engine->finished().size(), 1u);
+    ASSERT_EQ(f.reg.size(), 2u);
+    serve::TokenChain chain(serve::tokenFnFor(turn), 16);
+    std::uint64_t preamble = chain.keysAt(48).key;
+    std::uint64_t context = chain.keysAt(50).key;
+
+    // An unrelated prompt needs more than the free blocks. Equal LRU
+    // stamps evict the lowest block id first: block 0, in both chains.
+    f.engine->submit(privateReq(1, secToTicks(30.0), 900));
+    f.tb.sim().runUntil(secToTicks(60.0));
+    ASSERT_EQ(f.engine->finished().size(), 2u);
+    ASSERT_GT(f.engine->kvCache().prefixStats().evictions, 0u);
+    EXPECT_EQ(f.invalidated, (std::vector<std::uint64_t>{
+                                 std::min(preamble, context),
+                                 std::max(preamble, context)}));
+    EXPECT_EQ(f.reg.size(), 0u);
+}
+
+TEST(ClusterRegistryEngine, RehomedChainIgnoresEvictionOfItsOldBlocks)
+{
+    HomeEngineFixture f(128);
+    // Two same-preamble requests admitted together each prefill their
+    // own copy. The first to finish homes the preamble chain on its
+    // blocks and indexes them; the second re-homes the chain onto its
+    // own blocks (the index keeps the first copy's).
+    workload::Request first = sharedReq(0, 0, 800, 8, 768);
+    f.engine->submit(first);
+    f.engine->submit(sharedReq(1, 0, 800, 8, 768));
+    f.tb.sim().runUntil(secToTicks(30.0));
+    ASSERT_EQ(f.engine->finished().size(), 2u);
+    ASSERT_EQ(f.reg.size(), 1u);
+    serve::TokenChain chain(serve::tokenFnFor(first), 16);
+    ASSERT_EQ(f.engine->kvCache().probePrefixBlocks(chain, 768), 48u);
+
+    // Pressure evicts the first copy's blocks, which the chain no
+    // longer names: it stays homed here.
+    f.engine->submit(privateReq(2, secToTicks(30.0), 1500));
+    f.tb.sim().runUntil(secToTicks(90.0));
+    ASSERT_EQ(f.engine->finished().size(), 3u);
+    ASSERT_LT(f.engine->kvCache().probePrefixBlocks(chain, 768), 48u);
+    EXPECT_TRUE(f.invalidated.empty());
+    EXPECT_EQ(f.reg.size(), 1u);
 }

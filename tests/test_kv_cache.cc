@@ -124,7 +124,8 @@ TEST(KvCache, PinnedCacheBlocksAreNotAdmissionHeadroom)
 {
     Fixture f;
     KvCache kv(f.gpu, model::codellama34b(), 1 * gib, 16);
-    TokenFn tok = [](std::uint64_t pos) { return 0x90 ^ (pos + 1); };
+    TokenChain tok([](std::uint64_t pos) { return 0x90 ^ (pos + 1); },
+                   16);
     std::size_t total = kv.totalBlocks();
 
     auto owner = kv.allocateBlocks(3);

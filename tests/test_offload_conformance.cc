@@ -190,7 +190,7 @@ TYPED_TEST(OffloadConformance, QuantizedRoundTripMovesScaledBytes)
     const std::uint64_t fp16Bytes = spec.kvBytes(tokens);
     serve::TokenFn tok = [](std::uint64_t i) { return i * 2654435761u; };
     const std::uint64_t sigBefore =
-        serve::KvCache::contentSig(tok, 0, tokens);
+        serve::TokenChain(tok, 16).sig(0, tokens);
 
     Tick lastDuration = 0;
     bool first = true;
@@ -227,8 +227,7 @@ TYPED_TEST(OffloadConformance, QuantizedRoundTripMovesScaledBytes)
 
         // The restore hands back the same logical tokens: the
         // signature recomputed after the round trip matches.
-        EXPECT_EQ(serve::KvCache::contentSig(tok, 0, tokens),
-                  sigBefore);
+        EXPECT_EQ(serve::TokenChain(tok, 16).sig(0, tokens), sigBefore);
     }
 }
 

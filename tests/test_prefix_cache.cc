@@ -30,11 +30,12 @@ struct Fixture
     hw::Gpu gpu{sim, 0, hw::a100_80g()};
 };
 
-/** Deterministic token stream: content id = salt ^ position. */
-TokenFn
+/** Deterministic token stream in 16-token blocks: content id =
+ *  salt ^ position. */
+TokenChain
 stream(std::uint64_t salt)
 {
-    return [salt](std::uint64_t pos) { return salt ^ (pos + 1); };
+    return {[salt](std::uint64_t pos) { return salt ^ (pos + 1); }, 16};
 }
 
 workload::Request
@@ -57,7 +58,7 @@ TEST(PrefixCache, AcquireMatchesPublishedChain)
 {
     Fixture f;
     KvCache kv(f.gpu, model::codellama34b(), 1 * gib, 16);
-    TokenFn tok = stream(0xabc);
+    TokenChain tok = stream(0xabc);
 
     auto owner = kv.allocateBlocks(3);
     ASSERT_TRUE(owner);
@@ -82,11 +83,13 @@ TEST(PrefixCache, ForkThenAppendDiverges)
 {
     Fixture f;
     KvCache kv(f.gpu, model::codellama34b(), 1 * gib, 16);
-    TokenFn tokA = stream(0xaaaa);
+    TokenChain tokA = stream(0xaaaa);
     // Identical to A for the first 40 tokens, distinct afterwards.
-    TokenFn tokB = [&](std::uint64_t pos) {
-        return pos < 40 ? tokA(pos) : 0xb0b ^ (pos + 1);
-    };
+    TokenChain tokB(
+        [](std::uint64_t pos) {
+            return (pos < 40 ? 0xaaaa : 0xb0b) ^ (pos + 1);
+        },
+        16);
 
     auto owner = kv.allocateBlocks(3);
     ASSERT_TRUE(owner);
@@ -129,7 +132,7 @@ TEST(PrefixCache, NoRefcountLeakAfterChurn)
     std::size_t total = kv.totalBlocks();
 
     for (int round = 0; round < 20; ++round) {
-        TokenFn tok = stream(0x1000 + static_cast<std::uint64_t>(
+        TokenChain tok = stream(0x1000 + static_cast<std::uint64_t>(
                                           round % 5));
         auto owner = kv.allocateBlocks(4);
         ASSERT_TRUE(owner);
@@ -162,8 +165,8 @@ TEST(PrefixCache, CollisionFallsBackToMiss)
     // chains now collide on the primary hash.
     kv.prefixIndex().setPrimaryMask(0);
 
-    TokenFn tokA = stream(0xaaa);
-    TokenFn tokB = stream(0xbbb);
+    TokenChain tokA = stream(0xaaa);
+    TokenChain tokB = stream(0xbbb);
     auto owner = kv.allocateBlocks(1);
     ASSERT_TRUE(owner);
     kv.publishPrefix(tokA, 16, *owner, 10);
@@ -213,7 +216,7 @@ TEST(PrefixCache, DonationEvictsCacheButNeverSharedBlocks)
     kv.publishPrefix(stream(0xc01d), 64, *cold, 10);
     kv.freeBlocks(*cold);
 
-    TokenFn hot = stream(0x407);
+    TokenChain hot = stream(0x407);
     auto hotOwner = kv.allocateBlocks(4);
     ASSERT_TRUE(hotOwner);
     kv.publishPrefix(hot, 64, *hotOwner, 20);
@@ -372,7 +375,7 @@ TEST(PrefixCache, MaxCacheShareCapsCacheOnlyBlocks)
     KvCache kv(f.gpu, model::codellama34b(), 1 * gib, 16);
 
     // Publish an 8-block chain and release it: all 8 cache-only.
-    TokenFn a = stream(0xaaa);
+    TokenChain a = stream(0xaaa);
     auto blocksA = kv.allocateBlocks(8);
     ASSERT_TRUE(blocksA);
     kv.publishPrefix(a, 8 * 16, *blocksA, 10);
@@ -389,7 +392,7 @@ TEST(PrefixCache, MaxCacheShareCapsCacheOnlyBlocks)
     // Publishing a fresh chain past the cap evicts the LRU chain
     // rather than growing retention: the cap holds afterwards, and the
     // newest chain is the one still resident.
-    TokenFn b = stream(0xbbb);
+    TokenChain b = stream(0xbbb);
     auto blocksB = kv.allocateBlocks(4);
     ASSERT_TRUE(blocksB);
     kv.publishPrefix(b, 4 * 16, *blocksB, 20);
@@ -422,7 +425,7 @@ TEST(PrefixCache, CostAwareEvictionKeepsDeepHotChains)
     // chain B. Chain B: shallow, cold, most recently published. LRU
     // sacrifices A first; cost-aware (depth x hits) keeps the chain
     // whose recompute bill is highest and evicts B instead.
-    auto build = [](KvCache &kv, const TokenFn &a, const TokenFn &b) {
+    auto build = [](KvCache &kv, const TokenChain &a, const TokenChain &b) {
         auto blocksA = kv.allocateBlocks(3);
         ASSERT_TRUE(blocksA);
         kv.publishPrefix(a, 48, *blocksA, 10);
@@ -438,8 +441,8 @@ TEST(PrefixCache, CostAwareEvictionKeepsDeepHotChains)
         kv.freeBlocks(*blocksB);
         ASSERT_EQ(kv.evictableBlocks(), 4u);
     };
-    TokenFn a = stream(0xd1);
-    TokenFn b = stream(0xd2);
+    TokenChain a = stream(0xd1);
+    TokenChain b = stream(0xd2);
 
     Fixture lruF;
     KvCache lru(lruF.gpu, model::codellama34b(), 1 * gib, 16);

@@ -3,7 +3,9 @@
  * Tests for the prefix index's victim order: a differential property
  * test against the sort-based selection it replaced, the key
  * tie-break between a full and a stale partial entry on one block,
- * and re-ranking on lookup hits and policy changes.
+ * and re-ranking on lookup hits and policy changes. Also TokenChain's
+ * memo against the unmemoized hashing, and how often a publish and
+ * its follow-up queries read each token.
  */
 
 #include <gtest/gtest.h>
@@ -229,6 +231,10 @@ class RefIndex
         std::uint64_t uses = 0;
     };
 
+  public:
+    // The unmemoized reference hashing (also checked against
+    // TokenChain below).
+
     struct Chain
     {
         std::uint64_t key;
@@ -267,6 +273,22 @@ class RefIndex
     static constexpr std::uint64_t kSeedKey = 0x243f6a8885a308d3ull;
     static constexpr std::uint64_t kSeedVerify = 0x452821e638d01377ull;
 
+    /** FNV-1a over the content ids of tokens [first, first + count). */
+    static std::uint64_t
+    sig(const TokenFn &tok, std::uint64_t first, std::uint64_t count)
+    {
+        std::uint64_t h = 0xcbf29ce484222325ull;
+        for (std::uint64_t i = 0; i < count; ++i) {
+            std::uint64_t c = tok(first + i);
+            for (int b = 0; b < 8; ++b) {
+                h ^= (c >> (8 * b)) & 0xff;
+                h *= 0x100000001b3ull;
+            }
+        }
+        return h;
+    }
+
+  private:
     std::uint32_t blockTokens;
     EvictionPolicy eviction = EvictionPolicy::Lru;
     std::uint64_t primaryMask = ~std::uint64_t(0);
@@ -320,11 +342,15 @@ runDifferential(std::uint64_t seed, std::uint64_t mask)
 
     std::mt19937_64 rng(seed);
     std::vector<TokenFn> streams;
+    std::vector<TokenChain> chains;
     for (int s = 0; s < kStreams; ++s) {
         // Three chain roots; streams fork off them at mixed depths,
         // some mid-block, so chains share full and partial blocks.
         streams.push_back(forkedStream(0x1000 + rng() % 3, rng() % 20,
                                        0x2000 + std::uint64_t(s)));
+        // One chain per stream for the whole run: its memo fills
+        // piecemeal across the steps that query it.
+        chains.emplace_back(streams.back(), kBlockTokens);
     }
 
     PrefixIndex idx(kBlockTokens);
@@ -337,7 +363,9 @@ runDifferential(std::uint64_t seed, std::uint64_t mask)
         SCOPED_TRACE(::testing::Message() << "seed " << seed << " mask "
                                           << mask << " step " << step);
         now += rng() % 2; // equal stamps are common: ties get exercised
-        const TokenFn &tok = streams[rng() % kStreams];
+        std::size_t pick = rng() % kStreams;
+        const TokenFn &tok = streams[pick];
+        const TokenChain &chain = chains[pick];
         std::uint64_t op = rng() % 100;
         if (op < 35) {
             std::uint64_t tokens = 1 + rng() % (6 * kBlockTokens);
@@ -345,12 +373,13 @@ runDifferential(std::uint64_t seed, std::uint64_t mask)
                 (tokens + kBlockTokens - 1) / kBlockTokens);
             for (BlockId &b : blocks)
                 b = static_cast<BlockId>(rng() % kPool);
-            ASSERT_EQ(idx.insert(tok, tokens, blocks, now),
+            ASSERT_EQ(idx.insert(chain, tokens, blocks, now),
                       ref.insert(tok, tokens, blocks, now));
         } else if (op < 70) {
             std::uint64_t maxTokens = rng() % (7 * kBlockTokens);
             bool touch = rng() % 2 == 0;
-            PrefixIndex::Match a = idx.lookup(tok, maxTokens, now, touch);
+            PrefixIndex::Match a =
+                idx.lookup(chain, maxTokens, now, touch);
             PrefixIndex::Match b = ref.lookup(tok, maxTokens, now, touch);
             ASSERT_EQ(a.blocks, b.blocks);
             ASSERT_EQ(a.tokens, b.tokens);
@@ -420,6 +449,7 @@ TEST(PrefixIndexOrder, TiedFullAndStalePartialEntriesEvictByKey)
     // published again in the same tick: a full entry and a stale
     // partial entry on one block, tied on cost, last use and block id.
     TokenFn tok = stream(0x71e);
+    TokenChain chain(tok, 16);
     RefIndex keys(16);
     std::uint64_t partialKey = keys.entryKey(tok, 20);
     std::uint64_t fullKey = keys.entryKey(tok, 32);
@@ -429,17 +459,17 @@ TEST(PrefixIndexOrder, TiedFullAndStalePartialEntriesEvictByKey)
          {EvictionPolicy::Lru, EvictionPolicy::CostAware}) {
         PrefixIndex idx(16);
         idx.setEvictionPolicy(policy);
-        idx.insert(tok, 20, {0, 1}, 10);
-        idx.insert(tok, 32, {0, 1}, 10);
+        idx.insert(chain, 20, {0, 1}, 10);
+        idx.insert(chain, 32, {0, 1}, 10);
         ASSERT_EQ(idx.entries(), 3u);
         ASSERT_EQ(idx.refsHeld(1), 2u);
 
         auto onlyBlock1 = [](BlockId b) { return b == 1; };
         EXPECT_EQ(idx.evictLru(1, onlyBlock1), std::vector<BlockId>{1});
-        EXPECT_EQ(idx.lookup(tok, 20, 11, false).tokens, 16u);
-        EXPECT_EQ(idx.lookup(tok, 32, 11, false).tokens, 32u);
+        EXPECT_EQ(idx.lookup(chain, 20, 11, false).tokens, 16u);
+        EXPECT_EQ(idx.lookup(chain, 32, 11, false).tokens, 32u);
         EXPECT_EQ(idx.evictLru(1, onlyBlock1), std::vector<BlockId>{1});
-        EXPECT_EQ(idx.lookup(tok, 32, 11, false).tokens, 16u);
+        EXPECT_EQ(idx.lookup(chain, 32, 11, false).tokens, 16u);
         EXPECT_EQ(idx.refsHeld(1), 0u);
     }
 
@@ -451,8 +481,8 @@ TEST(PrefixIndexOrder, TiedFullAndStalePartialEntriesEvictByKey)
     auto owner = kv.allocateBlocks(2);
     ASSERT_TRUE(owner);
     BlockId b1 = (*owner)[1];
-    kv.publishPrefix(tok, 20, *owner, 10);
-    kv.publishPrefix(tok, 32, *owner, 10);
+    kv.publishPrefix(chain, 20, *owner, 10);
+    kv.publishPrefix(chain, 32, *owner, 10);
     kv.freeBlocks({b1}); // the owner keeps block 0 pinned in use
     ASSERT_EQ(kv.blockRefCount(b1), 2u);
     ASSERT_EQ(kv.evictableBlocks(), 1u);
@@ -463,13 +493,13 @@ TEST(PrefixIndexOrder, TiedFullAndStalePartialEntriesEvictByKey)
     EXPECT_EQ(left, (std::vector<BlockId>{b1, b1}));
     EXPECT_EQ(kv.prefixStats().evictions, 2u);
     EXPECT_EQ(kv.blockRefCount(b1), 0u);
-    EXPECT_EQ(kv.probePrefixBlocks(tok, 32), 1u);
+    EXPECT_EQ(kv.probePrefixBlocks(chain, 32), 1u);
 }
 
 TEST(PrefixIndexOrder, CostAwareHitMovesEntryBehindCheaperOnes)
 {
-    TokenFn a = stream(0xa1);
-    TokenFn b = stream(0xb2);
+    TokenChain a(stream(0xa1), 16);
+    TokenChain b(stream(0xb2), 16);
     PrefixIndex idx(16);
     idx.setEvictionPolicy(EvictionPolicy::CostAware);
     idx.insert(a, 16, {0}, 1);
@@ -488,8 +518,8 @@ TEST(PrefixIndexOrder, PolicyChangeReranksExistingEntries)
 {
     // Chain A: 3 blocks, hit twice, older than chain B (1 cold block).
     // Entries exist before the policy changes; the change re-ranks them.
-    TokenFn a = stream(0xd1);
-    TokenFn b = stream(0xd2);
+    TokenChain a(stream(0xd1), 16);
+    TokenChain b(stream(0xd2), 16);
     auto build = [&](KvCache &kv) {
         auto blocksA = kv.allocateBlocks(3);
         ASSERT_TRUE(blocksA);
@@ -523,4 +553,131 @@ TEST(PrefixIndexOrder, PolicyChangeReranksExistingEntries)
     EXPECT_EQ(back.evictCached(1), 1u);
     EXPECT_LT(back.probePrefixBlocks(a, 48), 3u);
     EXPECT_EQ(back.probePrefixBlocks(b, 16), 1u);
+}
+
+namespace {
+
+/** @p length random content ids; reading past the end throws. */
+TokenFn
+randomStream(std::mt19937_64 &rng, std::uint64_t length)
+{
+    std::vector<std::uint64_t> content(length);
+    for (std::uint64_t &c : content)
+        c = rng();
+    return [content = std::move(content)](std::uint64_t pos) {
+        return content.at(pos);
+    };
+}
+
+/** Every query of @p chain over its @p length tokens equals the
+ *  unmemoized loops over @p tok. */
+void
+expectMatchesReference(const TokenChain &chain, const TokenFn &tok,
+                       std::uint64_t length, std::mt19937_64 &rng)
+{
+    const std::uint32_t bt = chain.blockTokens();
+    const std::uint64_t full = length / bt;
+    RefIndex::Chain ref{RefIndex::kSeedKey, RefIndex::kSeedVerify};
+    for (std::uint64_t b = 0; b <= full; ++b) {
+        SCOPED_TRACE(::testing::Message() << "boundary " << b);
+        if (b > 0)
+            ref = RefIndex::extend(ref, tok, (b - 1) * bt, bt);
+        ChainKeys keys = chain.keysAt(b);
+        ASSERT_EQ(keys.key, ref.key);
+        ASSERT_EQ(keys.verify, ref.verify);
+        // Partial tails past the boundary, as far as the stream goes.
+        std::uint64_t tail = std::min<std::uint64_t>(bt - 1, length - b * bt);
+        for (std::uint32_t t = 0; t <= tail; ++t) {
+            RefIndex::Chain want = RefIndex::extend(ref, tok, b * bt, t);
+            ChainKeys got = chain.extend(b, t);
+            ASSERT_EQ(got.key, want.key) << "tail " << t;
+            ASSERT_EQ(got.verify, want.verify) << "tail " << t;
+        }
+        if (b < full) {
+            ASSERT_EQ(chain.sig(b * bt, bt), RefIndex::sig(tok, b * bt, bt));
+        }
+    }
+    for (std::uint64_t count = 0; count <= length; ++count)
+        ASSERT_EQ(chain.sig(0, count), RefIndex::sig(tok, 0, count))
+            << "prefix " << count;
+    for (int i = 0; i < 32; ++i) {
+        std::uint64_t first = rng() % length;
+        std::uint64_t count = rng() % (length - first + 1);
+        ASSERT_EQ(chain.sig(first, count), RefIndex::sig(tok, first, count))
+            << "range " << first << "+" << count;
+    }
+}
+
+} // anonymous namespace
+
+TEST(TokenChain, MatchesUnmemoizedHashing)
+{
+    std::mt19937_64 rng(0x70c);
+    for (std::uint32_t bt : {1u, 7u, 16u}) {
+        // Whole blocks only, a partial tail, and a random length.
+        for (std::uint64_t length :
+             {std::uint64_t(bt) * 12, std::uint64_t(bt) * 12 + bt / 2,
+              1 + rng() % (20 * std::uint64_t(bt))}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "block " << bt << " length " << length);
+            TokenFn tok = randomStream(rng, length);
+
+            // Filled in one step by the deepest boundary.
+            TokenChain once(tok, bt);
+            once.keysAt(length / bt);
+            EXPECT_EQ(once.memoBlocks(), length / bt);
+            expectMatchesReference(once, tok, length, rng);
+
+            // Filled by a whole-prefix signature first.
+            TokenChain bySig(tok, bt);
+            bySig.sig(0, length);
+            expectMatchesReference(bySig, tok, length, rng);
+
+            // Filled piecemeal: random boundaries, then block by block
+            // (the reference walk), then again after a release.
+            TokenChain piecemeal(tok, bt);
+            for (int i = 0; i < 4; ++i)
+                piecemeal.keysAt(rng() % (length / bt + 1));
+            expectMatchesReference(piecemeal, tok, length, rng);
+            piecemeal.release();
+            EXPECT_EQ(piecemeal.memoBlocks(), 0u);
+            expectMatchesReference(piecemeal, tok, length, rng);
+            if (HasFailure())
+                return;
+        }
+    }
+}
+
+TEST(TokenChain, PublishAndQueriesReadEachFullBlockTokenOnce)
+{
+    constexpr std::uint64_t kTokens = 1000; // 62 full blocks + 8
+    std::vector<int> reads(kTokens, 0);
+    TokenChain chain(
+        [&reads](std::uint64_t pos) {
+            ++reads.at(pos);
+            return 0x5eed ^ (pos + 1);
+        },
+        16);
+    Fixture f;
+    KvCache kv(f.gpu, model::codellama34b(), 1 * gib, 16);
+    auto owner = kv.allocateBlocks(kv.blocksForTokens(kTokens));
+    ASSERT_TRUE(owner);
+
+    // Publish (per-block signatures and index entries), a lookup,
+    // every boundary's keys and the whole-chain signature.
+    kv.publishPrefix(chain, kTokens, *owner, 10);
+    KvCache::PrefixAcquire acq = kv.acquirePrefix(chain, kTokens, 20);
+    EXPECT_EQ(acq.tokens, kTokens);
+    kv.freeBlocks(acq.blocks);
+    for (std::size_t b = 1; b <= kTokens / 16; ++b)
+        chain.keysAt(b);
+    chain.sig(0, kTokens);
+
+    // Full-block tokens were hashed once; only the partial tail is
+    // re-read per query.
+    for (std::uint64_t pos = 0; pos < kTokens / 16 * 16; ++pos)
+        ASSERT_EQ(reads[pos], 1) << "token " << pos;
+    EXPECT_EQ(chain.memoBlocks(), kTokens / 16);
+    chain.release();
+    EXPECT_EQ(chain.memoBlocks(), 0u);
 }
