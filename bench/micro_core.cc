@@ -2,12 +2,16 @@
  * @file
  * Micro-benchmarks (google-benchmark) of the simulation substrate:
  * event queue, allocators, the link model, the staging math, the
- * prefix index's victim order, and one sequence's prefix publish.
+ * prefix index's victim order, one sequence's prefix publish, and one
+ * CFS scheduling decision.
  * These guard against performance regressions in the hot paths that
  * every figure harness exercises millions of times.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <memory>
 
 #include "aqua/staging.hh"
 #include "hw/gpu.hh"
@@ -18,6 +22,7 @@
 #include "model/model_spec.hh"
 #include "serve/kv_cache.hh"
 #include "serve/prefix_index.hh"
+#include "serve/scheduler.hh"
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
 #include "sim/simulation.hh"
@@ -234,6 +239,90 @@ BM_PrefixPublishChain(benchmark::State &state)
                             static_cast<std::int64_t>(tokens));
 }
 BENCHMARK(BM_PrefixPublishChain)->Arg(1 << 10)->Arg(1 << 13);
+
+void
+BM_CfsSchedule(benchmark::State &state)
+{
+    // One CfsPolicy decision over a bursts-sized live set: 36 running,
+    // 4 swapped, 1 waiting, a 5-token slice. Between calls the
+    // decision is applied, every running sequence decodes one slice,
+    // and once the waiting queue drains the most-served sequence
+    // finishes and re-enters as a fresh arrival.
+    using serve::Sequence;
+    sim::Simulation sim;
+    hw::Gpu gpu(sim, 0, hw::a100_80g());
+    serve::KvCache kv(gpu, model::codellama34b(), 4 * sim::gib, 16);
+    sim::Random rng(1);
+    std::vector<std::unique_ptr<Sequence>> seqs;
+    std::vector<Sequence *> waiting;
+    std::vector<Sequence *> running;
+    std::vector<Sequence *> swapped;
+    auto add = [&](Sequence::State st, std::vector<Sequence *> &queue) {
+        auto seq = std::make_unique<Sequence>();
+        seq->request.id = seqs.size();
+        seq->request.arrival = sim::secToTicks(rng.uniform(0.0, 1.0));
+        seq->request.promptTokens =
+            static_cast<std::uint32_t>(rng.uniformInt(100, 1000));
+        seq->request.maxNewTokens = ~std::uint32_t(0);
+        seq->generated =
+            st == Sequence::State::Waiting
+                ? 0
+                : static_cast<std::uint32_t>(rng.uniformInt(1, 50));
+        seq->state = st;
+        seq->prefilled = st != Sequence::State::Waiting;
+        queue.push_back(seq.get());
+        seqs.push_back(std::move(seq));
+    };
+    for (int i = 0; i < 36; ++i)
+        add(Sequence::State::Running, running);
+    for (int i = 0; i < 4; ++i)
+        add(Sequence::State::Swapped, swapped);
+    add(Sequence::State::Waiting, waiting);
+
+    auto move = [](Sequence *s, std::vector<Sequence *> &from,
+                   std::vector<Sequence *> &to, Sequence::State st) {
+        from.erase(std::find(from.begin(), from.end(), s));
+        to.push_back(s);
+        s->state = st;
+    };
+    serve::CfsPolicy cfs;
+    serve::SchedulerInput in;
+    in.kv = &kv;
+    in.maxBatch = 36;
+    in.sliceTokens = 5;
+    sim::Tick now = sim::secToTicks(1.0);
+    for (auto _ : state) {
+        in.waiting = waiting;
+        in.running = running;
+        in.swapped = swapped;
+        in.now = now;
+        serve::SchedulerDecision d = cfs.schedule(in);
+        benchmark::DoNotOptimize(d.swapOut.data());
+        for (Sequence *s : d.swapOut)
+            move(s, running, swapped, Sequence::State::Swapped);
+        for (Sequence *s : d.swapIn)
+            move(s, swapped, running, Sequence::State::Running);
+        for (Sequence *s : d.admit)
+            move(s, waiting, running, Sequence::State::Running);
+        for (Sequence *s : running)
+            s->generated += in.sliceTokens;
+        now += sim::secToTicks(0.1);
+        if (waiting.empty()) {
+            auto most = std::max_element(
+                running.begin(), running.end(),
+                [](const Sequence *a, const Sequence *b) {
+                    return a->generated < b->generated;
+                });
+            Sequence *done = *most;
+            move(done, running, waiting, Sequence::State::Waiting);
+            done->generated = 0;
+            done->prefilled = false;
+            done->request.arrival = now;
+        }
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_CfsSchedule);
 
 } // anonymous namespace
 

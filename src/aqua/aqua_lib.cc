@@ -176,7 +176,7 @@ AquaLib::allocateTensor(std::uint64_t bytes)
     }
     tensors[id] = t;
     ++counters.tensorsAllocated;
-    {
+    if (tracer) {
         Value ev;
         ev["tensor"] = static_cast<std::int64_t>(id);
         ev["bytes"] = static_cast<std::int64_t>(bytes);
@@ -208,9 +208,11 @@ AquaLib::freeTensor(TensorId id)
         panic("AquaLib(gpu%d): /free failed: %s", myGpu,
               out.resp.body.dump().c_str());
     }
-    Value ev;
-    ev["tensor"] = static_cast<std::int64_t>(id);
-    traceEvent("free", std::move(ev));
+    if (tracer) {
+        Value ev;
+        ev["tensor"] = static_cast<std::int64_t>(id);
+        traceEvent("free", std::move(ev));
+    }
 }
 
 hw::TransferTiming

@@ -37,6 +37,16 @@ locationToJson(json::Value &v, const Location &loc,
     v[gpuKey] = loc.gpu;
 }
 
+/** Fields of an order or done record: a tensor and its destination. */
+json::Value
+moveFields(TensorId id, const Location &to)
+{
+    json::Value f;
+    f["tensor"] = id;
+    locationToJson(f, to, "to", "to_gpu");
+    return f;
+}
+
 } // anonymous namespace
 
 void
@@ -254,12 +264,14 @@ Coordinator::allocateLocked(hw::GpuId consumer, std::uint64_t bytes)
     tensors[state.id] = state;
     // Outcome-carrying record: replay recreates the placement without
     // re-running the policy (producer occupancy may have changed).
-    json::Value f;
-    f["tensor"] = state.id;
-    f["consumer"] = consumer;
-    f["bytes"] = bytes;
-    locationToJson(f, loc, "placement", "gpu");
-    jlog("alloc", std::move(f));
+    if (journal) {
+        json::Value f;
+        f["tensor"] = state.id;
+        f["consumer"] = consumer;
+        f["bytes"] = bytes;
+        locationToJson(f, loc, "placement", "gpu");
+        jlog("alloc", std::move(f));
+    }
     return Allocation{state.id, loc};
 }
 
@@ -291,9 +303,11 @@ Coordinator::free(TensorId id)
         pit->second.usedBytes -= t.bytes;
     }
     tensors.erase(it);
-    json::Value f;
-    f["tensor"] = id;
-    jlog("free", std::move(f));
+    if (journal) {
+        json::Value f;
+        f["tensor"] = id;
+        jlog("free", std::move(f));
+    }
 }
 
 std::vector<MigrationOrder>
@@ -334,10 +348,8 @@ Coordinator::respond(hw::GpuId consumer, aqua::sim::Tick now)
         t.migratingTo = order.to;
         if (urgency == ReclaimUrgency::Graceful)
             ++gracefulIssued;
-        json::Value f;
-        f["tensor"] = id;
-        locationToJson(f, order.to, "to", "to_gpu");
-        jlog("order", std::move(f));
+        if (journal)
+            jlog("order", moveFields(id, order.to));
         orders.push_back(order);
     }
 
@@ -367,10 +379,8 @@ Coordinator::respond(hw::GpuId consumer, aqua::sim::Tick now)
                 // allocations cannot oversubscribe the lease.
                 p.usedBytes += t.bytes;
                 t.migratingTo = order.to;
-                json::Value f;
-                f["tensor"] = id;
-                locationToJson(f, order.to, "to", "to_gpu");
-                jlog("order", std::move(f));
+                if (journal)
+                    jlog("order", moveFields(id, order.to));
                 orders.push_back(order);
             }
         }
@@ -411,10 +421,8 @@ Coordinator::doneMoving(const MigrationOrder &order)
     }
     t.location = order.to;
     t.migratingTo.reset();
-    json::Value f;
-    f["tensor"] = order.tensor;
-    locationToJson(f, order.to, "to", "to_gpu");
-    jlog("done", std::move(f));
+    if (journal)
+        jlog("done", moveFields(order.tensor, order.to));
 }
 
 Location

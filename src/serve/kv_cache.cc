@@ -46,18 +46,6 @@ KvCache::~KvCache()
         gpu.hbm().free(*region);
 }
 
-std::size_t
-KvCache::blocksForTokens(std::uint64_t tokens) const
-{
-    return (tokens + blockTokens - 1) / blockTokens;
-}
-
-std::uint64_t
-KvCache::kvBytes(std::uint64_t tokens) const
-{
-    return tokens * tokenBytes;
-}
-
 bool
 KvCache::cacheOnly(BlockId id) const
 {
@@ -90,19 +78,40 @@ KvCache::notePeak()
         peakLive = live;
 }
 
-std::optional<std::vector<BlockId>>
-KvCache::allocateBlocks(std::size_t count)
+void
+KvCache::makeRoom(std::size_t count)
 {
     if (blocks.freeBlocks() < count)
         evictCached(count - blocks.freeBlocks());
+}
+
+void
+KvCache::claimFresh(std::span<const BlockId> ids)
+{
+    // A reused block starts a fresh life as locally computed KV.
+    for (BlockId id : ids)
+        setBlockOrigin(id, BlockOrigin::Local);
+    notePeak();
+}
+
+std::optional<std::vector<BlockId>>
+KvCache::allocateBlocks(std::size_t count)
+{
+    makeRoom(count);
     auto out = blocks.allocateMany(count);
-    if (out) {
-        // A reused block starts a fresh life as locally computed KV.
-        for (BlockId id : *out)
-            setBlockOrigin(id, BlockOrigin::Local);
-        notePeak();
-    }
+    if (out)
+        claimFresh(*out);
     return out;
+}
+
+std::optional<BlockId>
+KvCache::allocateBlock()
+{
+    makeRoom(1);
+    std::optional<BlockId> id = blocks.allocate();
+    if (id)
+        claimFresh({&*id, 1});
+    return id;
 }
 
 void
@@ -189,8 +198,7 @@ KvCache::shrink(std::uint64_t bytes)
     std::size_t want = static_cast<std::size_t>(bytes / blockBytes());
     // Cached (index-only) blocks count as donatable: evict them first
     // so a donation is never refused because of cache retention.
-    if (blocks.freeBlocks() < want)
-        evictCached(want - blocks.freeBlocks());
+    makeRoom(want);
     std::size_t got = blocks.retire(want);
     if (got == 0)
         return 0;
@@ -269,8 +277,7 @@ KvCache::publishPrefix(const TokenChain &chain, std::uint64_t tokens,
 std::optional<BlockId>
 KvCache::forkBlock(BlockId shared)
 {
-    if (blocks.freeBlocks() < 1)
-        evictCached(1);
+    makeRoom(1);
     std::optional<BlockId> fresh = blocks.allocate();
     if (!fresh)
         return std::nullopt;

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "hw/gpu.hh"
@@ -80,10 +81,18 @@ class KvCache
     std::size_t totalBlocks() const { return blocks.totalBlocks(); }
 
     /** Blocks needed to hold a sequence of @p tokens tokens. */
-    std::size_t blocksForTokens(std::uint64_t tokens) const;
+    std::size_t
+    blocksForTokens(std::uint64_t tokens) const
+    {
+        return (tokens + blockTokens - 1) / blockTokens;
+    }
 
     /** KV bytes of a sequence of @p tokens tokens (exact, unpadded). */
-    std::uint64_t kvBytes(std::uint64_t tokens) const;
+    std::uint64_t
+    kvBytes(std::uint64_t tokens) const
+    {
+        return tokens * tokenBytes;
+    }
 
     /** Free plus cache-evictable blocks (admission headroom). Pinned
      *  blocks are excluded: a block pinned by a remote read lease
@@ -106,6 +115,9 @@ class KvCache
      */
     std::optional<std::vector<aqua::mem::BlockId>>
     allocateBlocks(std::size_t count);
+
+    /** Allocate one block, under allocateBlocks()' eviction rule. */
+    std::optional<aqua::mem::BlockId> allocateBlock();
 
     /** Drop one reference per block (pool reclaims at refcount 0). */
     void freeBlocks(const std::vector<aqua::mem::BlockId> &ids);
@@ -304,6 +316,14 @@ class KvCache
 
     /** Track the live-bytes high-water mark. */
     void notePeak();
+
+    /** Evict LRU cached prefixes until @p count blocks are free, or
+     *  the cache has nothing left to give. */
+    void makeRoom(std::size_t count);
+
+    /** Start freshly allocated blocks' lives as locally computed KV
+     *  and track the live-bytes peak. */
+    void claimFresh(std::span<const aqua::mem::BlockId> ids);
 
     hw::Gpu &gpu;
     std::uint32_t blockTokens;

@@ -29,18 +29,20 @@ incrementalNeed(const SchedulerInput &in, const Sequence *s,
 /**
  * Admission pre-pass shared by all policies: assess every waiting
  * sequence in queue order, move the hopeless ones to d.shed and
- * return the viable remainder. Requests queued ahead count toward a
- * later request's predicted start, so a deep queue sheds from the
- * tail first — exactly the arrivals whose deadlines the queue has
- * already eaten.
+ * return the viable remainder, collected in @p buf. Requests queued
+ * ahead count toward a later request's predicted start, so a deep
+ * queue sheds from the tail first — exactly the arrivals whose
+ * deadlines the queue has already eaten. With admission control off
+ * every waiting sequence is viable and the queue view is returned
+ * as is.
  */
-std::vector<Sequence *>
-assessWaiting(const SchedulerInput &in, SchedulerDecision &d)
+std::span<Sequence *const>
+assessWaiting(const SchedulerInput &in, SchedulerDecision &d,
+              std::vector<Sequence *> &buf)
 {
     if (!in.admission)
         return in.waiting;
-    std::vector<Sequence *> viable;
-    viable.reserve(in.waiting.size());
+    buf.clear();
     std::uint64_t aheadPrefill = 0;
     for (Sequence *s : in.waiting) {
         overload::AdmissionQuery q;
@@ -66,9 +68,9 @@ assessWaiting(const SchedulerInput &in, SchedulerDecision &d)
             continue;
         }
         aheadPrefill += q.promptTokens;
-        viable.push_back(s);
+        buf.push_back(s);
     }
-    return viable;
+    return buf;
 }
 
 } // anonymous namespace
@@ -77,7 +79,7 @@ SchedulerDecision
 FcfsPolicy::schedule(const SchedulerInput &in)
 {
     SchedulerDecision d;
-    std::vector<Sequence *> viable = assessWaiting(in, d);
+    std::span<Sequence *const> viable = assessWaiting(in, d, viableBuf);
     std::size_t batch_room =
         in.running.size() < in.maxBatch ? in.maxBatch - in.running.size()
                                         : 0;
@@ -120,34 +122,40 @@ SchedulerDecision
 CfsPolicy::schedule(const SchedulerInput &in)
 {
     SchedulerDecision d;
-    std::vector<Sequence *> viable = assessWaiting(in, d);
+    std::span<Sequence *const> viable = assessWaiting(in, d, viableBuf);
 
     // All live sequences compete; vruntime is tokens generated, ties
-    // broken by arrival so earlier prompts keep their edge.
-    std::vector<Sequence *> candidates;
-    candidates.reserve(viable.size() + in.running.size() +
-                       in.swapped.size());
-    for (Sequence *s : in.running)
-        candidates.push_back(s);
-    for (Sequence *s : in.swapped)
-        candidates.push_back(s);
-    for (Sequence *s : viable)
-        candidates.push_back(s);
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [](const Sequence *a, const Sequence *b) {
-                         if (a->generated != b->generated)
-                             return a->generated < b->generated;
-                         return a->request.arrival < b->request.arrival;
-                     });
+    // broken by arrival so earlier prompts keep their edge, then by
+    // position (running, swapped, viable) as a stable sort would.
+    keys.clear();
+    auto addKeys = [&](std::span<Sequence *const> list) {
+        for (Sequence *s : list) {
+            keys.push_back({s->request.arrival, s, s->generated,
+                            static_cast<std::uint32_t>(keys.size())});
+        }
+    };
+    addKeys(in.running);
+    addKeys(in.swapped);
+    addKeys(viable);
+    std::sort(keys.begin(), keys.end(), [](const Key &a, const Key &b) {
+        if (a.generated != b.generated)
+            return a.generated < b.generated;
+        if (a.arrival != b.arrival)
+            return a.arrival < b.arrival;
+        return a.pos < b.pos;
+    });
 
     // Fill the slice: least-served first while blocks last. Every
     // selected sequence needs room for its KV plus slice growth;
     // waiting sequences get their cached prefix discounted.
     std::size_t budget = in.kv->totalBlocks();
-    std::vector<Sequence *> selected;
-    for (Sequence *s : candidates) {
-        if (selected.size() >= in.maxBatch)
+    std::size_t selected = 0;
+    std::size_t scanned = 0;
+    chosen.assign(keys.size(), 0);
+    for (; scanned < keys.size(); ++scanned) {
+        if (selected >= in.maxBatch)
             break;
+        const Sequence *s = keys[scanned].seq;
         std::size_t need =
             s->state == Sequence::State::Waiting
                 ? incrementalNeed(in, s, in.sliceTokens)
@@ -155,18 +163,20 @@ CfsPolicy::schedule(const SchedulerInput &in)
         if (need > budget)
             continue; // try a smaller sequence; fairness over packing
         budget -= need;
-        selected.push_back(s);
+        chosen[keys[scanned].pos] = 1;
+        ++selected;
     }
 
-    auto contains = [&](const Sequence *s) {
-        return std::find(selected.begin(), selected.end(), s) !=
-               selected.end();
-    };
-    for (Sequence *s : in.running) {
-        if (!contains(s))
-            d.swapOut.push_back(s);
+    // Running sequences hold positions [0, running.size()).
+    for (std::size_t i = 0; i < in.running.size(); ++i) {
+        if (!chosen[i])
+            d.swapOut.push_back(in.running[i]);
     }
-    for (Sequence *s : selected) {
+    // Selection order is the sorted order of the chosen keys.
+    for (std::size_t k = 0; k < scanned; ++k) {
+        if (!chosen[keys[k].pos])
+            continue;
+        Sequence *s = keys[k].seq;
         if (s->state == Sequence::State::Swapped)
             d.swapIn.push_back(s);
         else if (s->state == Sequence::State::Waiting)

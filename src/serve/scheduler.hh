@@ -15,6 +15,7 @@
 #define AQUA_SERVE_SCHEDULER_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,14 +26,17 @@
 
 namespace aqua::serve {
 
-/** What the engine shows the policy. */
+/**
+ * What the engine shows the policy. The queues are views of the
+ * engine's own lists, valid for the duration of one schedule() call.
+ */
 struct SchedulerInput
 {
     /** Arrival order. */
-    std::vector<Sequence *> waiting;
-    std::vector<Sequence *> running;
+    std::span<Sequence *const> waiting;
+    std::span<Sequence *const> running;
     /** Preemption order (oldest first). */
-    std::vector<Sequence *> swapped;
+    std::span<Sequence *const> swapped;
     const KvCache *kv = nullptr;
     std::uint32_t maxBatch = 0;
     /** CFS slice length in tokens. */
@@ -107,6 +111,10 @@ class FcfsPolicy : public SchedulerPolicy
     SchedulerDecision schedule(const SchedulerInput &in) override;
     bool isFair() const override { return false; }
     std::string name() const override { return "fcfs"; }
+
+  private:
+    /** Waiting sequences admission control kept (reused per call). */
+    std::vector<Sequence *> viableBuf;
 };
 
 /**
@@ -120,6 +128,27 @@ class CfsPolicy : public SchedulerPolicy
     SchedulerDecision schedule(const SchedulerInput &in) override;
     bool isFair() const override { return true; }
     std::string name() const override { return "cfs"; }
+
+  private:
+    /**
+     * One candidate's sort key. pos is its index in running, then
+     * swapped, then viable order; it breaks (generated, arrival)
+     * ties, so an unstable sort yields the stable order.
+     */
+    struct Key
+    {
+        aqua::sim::Tick arrival;
+        Sequence *seq;
+        std::uint32_t generated;
+        std::uint32_t pos;
+    };
+
+    // Buffers reused across calls so a steady-state call allocates
+    // nothing.
+    std::vector<Sequence *> viableBuf;
+    std::vector<Key> keys;
+    /** Per candidate position: selected for this slice. */
+    std::vector<std::uint8_t> chosen;
 };
 
 } // namespace aqua::serve

@@ -1697,20 +1697,6 @@ VllmEngine::step()
     // Scheduling decision. Fair policies re-evaluate at slice
     // boundaries (or when the run set changed); FCFS every iteration.
     std::uint32_t slice = effectiveSliceTokens();
-    SchedulerInput in;
-    in.waiting = waiting;
-    in.running = running;
-    in.swapped = swapped;
-    in.kv = kv.get();
-    in.maxBatch = cfg.maxBatch;
-    in.sliceTokens = slice;
-    in.slackTokens = cfg.slackTokens;
-    in.prefixCache = cfg.prefixCache;
-    in.admission = admission.get();
-    in.brownoutLevel = brownout ? brownout->level()
-                                : overload::BrownoutLevel::Normal;
-    in.now = now;
-
     SchedulerDecision d;
     bool evaluate = true;
     if (policy->isFair()) {
@@ -1718,6 +1704,19 @@ VllmEngine::step()
                    tokensIntoSlice >= slice;
     }
     if (evaluate) {
+        SchedulerInput in;
+        in.waiting = waiting;
+        in.running = running;
+        in.swapped = swapped;
+        in.kv = kv.get();
+        in.maxBatch = cfg.maxBatch;
+        in.sliceTokens = slice;
+        in.slackTokens = cfg.slackTokens;
+        in.prefixCache = cfg.prefixCache;
+        in.admission = admission.get();
+        in.brownoutLevel = brownout ? brownout->level()
+                                    : overload::BrownoutLevel::Normal;
+        in.now = now;
         d = policy->schedule(in);
         tokensIntoSlice = 0;
         needResched = false;
@@ -1739,7 +1738,7 @@ VllmEngine::step()
         didTransfers |= admitSeq(s, transfersDone);
 
     // Pick this iteration's work: prefill first, then decode.
-    std::vector<Sequence *> prefillBatch;
+    prefillBatch.clear();
     for (Sequence *s : running) {
         if (!s->prefilled)
             prefillBatch.push_back(s);
@@ -1757,7 +1756,7 @@ VllmEngine::step()
             cfg.maxPrefillTokensPerIter == 0
                 ? ~std::uint64_t(0)
                 : cfg.maxPrefillTokensPerIter;
-        std::vector<std::pair<Sequence *, std::uint64_t>> work;
+        prefillWork.clear();
         std::uint64_t total = 0;
         for (Sequence *s : prefillBatch) {
             if (budget == 0)
@@ -1765,14 +1764,14 @@ VllmEngine::step()
             std::uint64_t remaining =
                 s->kvTokens() - s->prefilledTokens;
             std::uint64_t chunk = std::min(remaining, budget);
-            work.emplace_back(s, chunk);
+            prefillWork.emplace_back(s, chunk);
             total += chunk;
             budget -= chunk;
         }
         Tick t = perf.prefillTime(total);
         completion = server.gpu(myGpu).submitComputeAfter(
             transfersDone, t);
-        for (auto &[s, chunk] : work) {
+        for (auto &[s, chunk] : prefillWork) {
             s->prefilledTokens += chunk;
             if (s->prefilledTokens < s->kvTokens())
                 continue; // more chunks next iteration
@@ -1791,11 +1790,11 @@ VllmEngine::step()
         }
     } else if (!running.empty()) {
         // Decode one token for every resident, prefilled sequence.
-        std::vector<Sequence *> batch = running;
         // Grow each sequence's KV by one token, preempting the most-
-        // served sequences if the pool runs dry.
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            Sequence *s = batch[i];
+        // served sequences if the pool runs dry; swapOutSeq mutates
+        // `running`, so walk a snapshot.
+        decodeBatch.assign(running.begin(), running.end());
+        for (Sequence *s : decodeBatch) {
             if (s->state != Sequence::State::Running)
                 continue;
             if (s->remoteLeadBlocks > 0 &&
@@ -1811,9 +1810,8 @@ VllmEngine::step()
                 kv->blocksForTokens(s->kvTokens() + 1) -
                 s->remoteLeadBlocks;
             while (s->blocks.size() < need) {
-                auto block = kv->allocateBlocks(1);
-                if (block) {
-                    s->blocks.push_back((*block)[0]);
+                if (auto block = kv->allocateBlock()) {
+                    s->blocks.push_back(*block);
                     continue;
                 }
                 // OOM: evict the running sequence with the most
@@ -1835,16 +1833,15 @@ VllmEngine::step()
                     break;
             }
         }
-        batch.clear();
+        decodeBatch.assign(running.begin(), running.end());
         std::uint64_t residentKv = 0;
         std::uint64_t remoteKv = 0;
-        for (Sequence *s : running) {
-            batch.push_back(s);
+        for (Sequence *s : decodeBatch) {
             residentKv += kv->kvBytes(s->kvTokens());
             remoteKv += kv->kvBytes(s->remoteLeadTokens);
         }
-        if (!batch.empty()) {
-            Tick t = perf.decodeStepTime(batch.size(), residentKv);
+        if (!decodeBatch.empty()) {
+            Tick t = perf.decodeStepTime(decodeBatch.size(), residentKv);
             // Borrowed leads are attended out of their home GPUs'
             // HBM: charge the peer-link read on top of the compute.
             // Sparse attention touches only a fraction of the lead.
@@ -1862,13 +1859,13 @@ VllmEngine::step()
                 transfersDone, t);
             if (iterationCb) {
                 std::vector<std::uint64_t> ids;
-                ids.reserve(batch.size());
-                for (Sequence *s : batch)
+                ids.reserve(decodeBatch.size());
+                for (Sequence *s : decodeBatch)
                     ids.push_back(s->request.id);
                 iterationCb(completion, ids);
             }
             // finishSeq mutates `running`; iterate over the copy.
-            for (Sequence *s : batch) {
+            for (Sequence *s : decodeBatch) {
                 ++s->generated;
                 ++produced;
                 if (s->metrics.firstToken == 0)

@@ -707,6 +707,13 @@ class VllmEngine
     std::vector<Sequence *> running;
     std::vector<Sequence *> swapped;
 
+    // step()'s per-iteration batches, kept so steady-state iterations
+    // allocate nothing. step() is not re-entrant (it only ever runs
+    // from the one pending step event), so one set suffices.
+    std::vector<Sequence *> prefillBatch;
+    std::vector<std::pair<Sequence *, std::uint64_t>> prefillWork;
+    std::vector<Sequence *> decodeBatch;
+
     CompletionCallback completionCb;
     IterationCallback iterationCb;
     std::vector<workload::RequestMetrics> finishedMetrics;

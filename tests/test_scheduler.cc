@@ -1,19 +1,84 @@
 /**
  * @file
  * Tests for the scheduling policies: vLLM's FCFS admission gating
- * and the paper's completely fair scheduler (§5).
+ * and the paper's completely fair scheduler (§5), including a
+ * differential check of CfsPolicy against the stable-sort reference
+ * it replaced and an allocation guard on its steady state.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <memory>
+#include <new>
 
 #include "hw/gpu.hh"
 #include "hw/gpu_spec.hh"
 #include "model/model_spec.hh"
+#include "overload/admission.hh"
 #include "serve/kv_cache.hh"
 #include "serve/scheduler.hh"
+#include "sim/random.hh"
 #include "sim/simulation.hh"
+
+// Count every global allocation this executable makes, so a test can
+// assert a code path allocates nothing. Each replaceable form is
+// replaced (std::stable_sort's buffer comes from the nothrow one), so
+// allocation and release always pair malloc with free. Over-aligned
+// forms keep the runtime's pair; nothing here allocates one.
+namespace {
+
+std::size_t allocCount = 0;
+
+void *
+countedAlloc(std::size_t size) noexcept
+{
+    ++allocCount;
+    return std::malloc(size ? size : 1);
+}
+
+void *
+countedAllocOrThrow(std::size_t size)
+{
+    if (void *p = countedAlloc(size))
+        return p;
+    throw std::bad_alloc();
+}
+
+} // anonymous namespace
+
+void *operator new(std::size_t size) { return countedAllocOrThrow(size); }
+void *operator new[](std::size_t size) { return countedAllocOrThrow(size); }
+
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(size);
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(size);
+}
+
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
 
 using namespace aqua;
 using namespace aqua::sim;
@@ -50,23 +115,30 @@ class SchedulerTest : public ::testing::Test
         Sequence *raw = seqs.back().get();
         switch (state) {
           case Sequence::State::Waiting:
-            input.waiting.push_back(raw);
+            waiting.push_back(raw);
             break;
           case Sequence::State::Running:
-            input.running.push_back(raw);
+            running.push_back(raw);
             break;
           case Sequence::State::Swapped:
-            input.swapped.push_back(raw);
+            swapped.push_back(raw);
             break;
           default:
             break;
         }
+        // The input views the queues; a push may have moved them.
+        input.waiting = waiting;
+        input.running = running;
+        input.swapped = swapped;
         return raw;
     }
 
     Simulation sim;
     hw::Gpu gpu;
     KvCache kv;
+    std::vector<Sequence *> waiting;
+    std::vector<Sequence *> running;
+    std::vector<Sequence *> swapped;
     SchedulerInput input;
     std::vector<std::unique_ptr<Sequence>> seqs;
 };
@@ -196,4 +268,225 @@ TEST(SchedulerPolicy, Names)
     EXPECT_FALSE(FcfsPolicy().isFair());
     EXPECT_EQ(CfsPolicy().name(), "cfs");
     EXPECT_TRUE(CfsPolicy().isFair());
+}
+
+namespace {
+
+/**
+ * CfsPolicy::schedule as it was before it sorted position-keyed POD
+ * records into reused buffers: a stable sort of sequence pointers
+ * and a linear membership scan per running sequence. The reference
+ * for the differential test below. Prefix caching is off in every
+ * input it sees, so a sequence's need is its whole KV.
+ */
+SchedulerDecision
+referenceCfsSchedule(const SchedulerInput &in)
+{
+    SchedulerDecision d;
+    std::vector<Sequence *> viable;
+    std::uint64_t aheadPrefill = 0;
+    for (Sequence *s : in.waiting) {
+        if (!in.admission) {
+            viable.push_back(s);
+            continue;
+        }
+        overload::AdmissionQuery q;
+        q.now = in.now;
+        q.requestId = s->request.id;
+        q.deadline = s->request.deadline;
+        q.bestEffort = s->request.bestEffort;
+        q.promptTokens = static_cast<std::uint32_t>(
+            s->kvTokens() - s->prefilledTokens);
+        q.remainingNewTokens =
+            s->request.maxNewTokens > s->generated
+                ? s->request.maxNewTokens - s->generated
+                : 0;
+        q.queuedPrefillTokensAhead = aheadPrefill;
+        q.runningCount = in.running.size() + in.swapped.size();
+        q.maxBatch = in.maxBatch;
+        overload::ShedReason verdict =
+            in.admission->assess(q, in.brownoutLevel);
+        if (verdict != overload::ShedReason::None) {
+            d.shed.emplace_back(s, verdict);
+            continue;
+        }
+        aheadPrefill += q.promptTokens;
+        viable.push_back(s);
+    }
+
+    std::vector<Sequence *> candidates;
+    for (Sequence *s : in.running)
+        candidates.push_back(s);
+    for (Sequence *s : in.swapped)
+        candidates.push_back(s);
+    for (Sequence *s : viable)
+        candidates.push_back(s);
+    std::stable_sort(candidates.begin(), candidates.end(),
+                     [](const Sequence *a, const Sequence *b) {
+                         if (a->generated != b->generated)
+                             return a->generated < b->generated;
+                         return a->request.arrival < b->request.arrival;
+                     });
+
+    std::size_t budget = in.kv->totalBlocks();
+    std::vector<Sequence *> selected;
+    for (Sequence *s : candidates) {
+        if (selected.size() >= in.maxBatch)
+            break;
+        std::size_t need =
+            in.kv->blocksForTokens(s->kvTokens() + in.sliceTokens);
+        if (need > budget)
+            continue;
+        budget -= need;
+        selected.push_back(s);
+    }
+
+    auto contains = [&](const Sequence *s) {
+        return std::find(selected.begin(), selected.end(), s) !=
+               selected.end();
+    };
+    for (Sequence *s : in.running) {
+        if (!contains(s))
+            d.swapOut.push_back(s);
+    }
+    for (Sequence *s : selected) {
+        if (s->state == Sequence::State::Swapped)
+            d.swapIn.push_back(s);
+        else if (s->state == Sequence::State::Waiting)
+            d.admit.push_back(s);
+    }
+    return d;
+}
+
+/** One random live set: owned sequences and the queues over them. */
+struct LiveSet
+{
+    std::vector<std::unique_ptr<Sequence>> seqs;
+    std::vector<Sequence *> waiting;
+    std::vector<Sequence *> running;
+    std::vector<Sequence *> swapped;
+
+    /**
+     * Draw a live set whose vruntimes and arrivals come from tiny
+     * ranges, so (generated, arrival) ties across the three queues
+     * are the common case.
+     */
+    void
+    draw(Random &rng, Tick now)
+    {
+        seqs.clear();
+        waiting.clear();
+        running.clear();
+        swapped.clear();
+        auto add = [&](Sequence::State state,
+                       std::vector<Sequence *> &queue) {
+            auto seq = std::make_unique<Sequence>();
+            seq->request.id = seqs.size();
+            seq->request.promptTokens =
+                static_cast<std::uint32_t>(rng.uniformInt(1, 3000));
+            seq->request.maxNewTokens =
+                static_cast<std::uint32_t>(rng.uniformInt(1, 400));
+            seq->request.arrival = secToTicks(
+                static_cast<double>(rng.uniformInt(0, 2)));
+            seq->generated =
+                static_cast<std::uint32_t>(rng.uniformInt(0, 3));
+            if (rng.uniform() < 0.3) {
+                seq->request.deadline =
+                    now + secToTicks(rng.uniform(0.0, 60.0));
+            }
+            seq->request.bestEffort = rng.uniform() < 0.2;
+            seq->state = state;
+            seq->prefilled = state != Sequence::State::Waiting;
+            seq->prefilledTokens =
+                seq->prefilled ? seq->kvTokens() : 0;
+            queue.push_back(seq.get());
+            seqs.push_back(std::move(seq));
+        };
+        auto count = [&](std::int64_t hi) {
+            return static_cast<int>(rng.uniformInt(0, hi));
+        };
+        for (int i = count(40); i > 0; --i)
+            add(Sequence::State::Running, running);
+        for (int i = count(12); i > 0; --i)
+            add(Sequence::State::Swapped, swapped);
+        for (int i = count(12); i > 0; --i)
+            add(Sequence::State::Waiting, waiting);
+    }
+};
+
+void
+expectSameDecision(const SchedulerDecision &got,
+                   const SchedulerDecision &want, int trial)
+{
+    EXPECT_EQ(got.admit, want.admit) << "trial " << trial;
+    EXPECT_EQ(got.swapIn, want.swapIn) << "trial " << trial;
+    EXPECT_EQ(got.swapOut, want.swapOut) << "trial " << trial;
+    EXPECT_EQ(got.shed, want.shed) << "trial " << trial;
+}
+
+} // anonymous namespace
+
+TEST(CfsPolicyDifferential, MatchesStableSortReference)
+{
+    Simulation sim;
+    hw::Gpu gpu(sim, 0, hw::a100_80g());
+    // About 85, 341 and 1,365 blocks of 16 tokens.
+    std::vector<std::unique_ptr<KvCache>> pools;
+    for (std::uint64_t mib : {256, 1024, 4096}) {
+        pools.push_back(std::make_unique<KvCache>(
+            gpu, model::codellama34b(), mib << 20, 16));
+    }
+    overload::ServiceRates rates;
+    rates.prefillPerToken = secToTicks(0.0004);
+    rates.decodePerToken = secToTicks(0.03);
+    overload::AdmissionController admission(rates);
+
+    Random rng(20);
+    CfsPolicy cfs; // one object: buffers carry over between calls
+    LiveSet live;
+    std::size_t nonEmpty = 0;
+    std::size_t sheds = 0;
+    std::size_t skips = 0;
+    for (int trial = 0; trial < 3000; ++trial) {
+        Tick now = secToTicks(10.0);
+        live.draw(rng, now);
+        SchedulerInput in;
+        in.waiting = live.waiting;
+        in.running = live.running;
+        in.swapped = live.swapped;
+        in.kv = pools[rng.uniformInt(0, 2)].get();
+        in.maxBatch = static_cast<std::uint32_t>(rng.uniformInt(0, 48));
+        in.sliceTokens = static_cast<std::uint32_t>(rng.uniformInt(1, 8));
+        in.now = now;
+        if (trial % 2 == 1) {
+            in.admission = &admission;
+            in.brownoutLevel = static_cast<overload::BrownoutLevel>(
+                rng.uniformInt(0, 4));
+        }
+        SchedulerDecision want = referenceCfsSchedule(in);
+        SchedulerDecision got = cfs.schedule(in);
+        expectSameDecision(got, want, trial);
+        nonEmpty += !want.empty();
+        sheds += want.shed.size();
+        skips += want.swapOut.size();
+    }
+    // The draw exercises every branch, not just quiet live sets.
+    EXPECT_GT(nonEmpty, 2000u);
+    EXPECT_GT(sheds, 1000u);
+    EXPECT_GT(skips, 1000u);
+}
+
+TEST_F(SchedulerTest, CfsSteadyStateAllocatesNothing)
+{
+    // 40 running sequences that all fit: a fair slice changes nothing.
+    for (int i = 0; i < 40; ++i)
+        makeSeq(100, 5, Sequence::State::Running, secToTicks(i % 3));
+    input.maxBatch = 40;
+    CfsPolicy cfs;
+    ASSERT_TRUE(cfs.schedule(input).empty()); // sizes the buffers
+    std::size_t before = allocCount;
+    SchedulerDecision d = cfs.schedule(input);
+    std::size_t allocs = allocCount - before;
+    EXPECT_TRUE(d.empty());
+    EXPECT_EQ(allocs, 0u);
 }
