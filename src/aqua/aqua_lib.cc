@@ -216,48 +216,6 @@ AquaLib::freeTensor(TensorId id)
 }
 
 hw::TransferTiming
-AquaLib::transferOut(const TensorRec &t, std::uint64_t bytes,
-                     std::uint64_t nChunks, Tick earliest)
-{
-    hw::Topology &topo = server.topology();
-    hw::GpuId dst = t.location.placement == Placement::PeerGpu
-                        ? t.location.gpu : hw::hostDramId;
-    if (cfg.useStaging && nChunks > 1) {
-        // Coalesce the scattered chunks into staged, double-buffered
-        // wire transfers.
-        return engine.transferOut(
-            dst, StagingEngine::uniformChunks(bytes, nChunks),
-            earliest);
-    }
-    if (nChunks <= 1)
-        return topo.copy(myGpu, dst, bytes, {}, earliest);
-    std::uint64_t chunk = bytes / nChunks;
-    if (chunk == 0)
-        chunk = 1;
-    return topo.copyChunked(myGpu, dst, chunk, nChunks, {}, earliest);
-}
-
-hw::TransferTiming
-AquaLib::transferIn(const TensorRec &t, std::uint64_t bytes,
-                    std::uint64_t nChunks, Tick earliest)
-{
-    hw::Topology &topo = server.topology();
-    hw::GpuId src = t.location.placement == Placement::PeerGpu
-                        ? t.location.gpu : hw::hostDramId;
-    if (cfg.useStaging && nChunks > 1) {
-        return engine.transferIn(
-            src, StagingEngine::uniformChunks(bytes, nChunks),
-            earliest);
-    }
-    if (nChunks <= 1)
-        return topo.copy(src, myGpu, bytes, {}, earliest);
-    std::uint64_t chunk = bytes / nChunks;
-    if (chunk == 0)
-        chunk = 1;
-    return topo.copyChunked(src, myGpu, chunk, nChunks, {}, earliest);
-}
-
-hw::TransferTiming
 AquaLib::writeTensor(TensorId id, std::uint64_t bytes,
                      std::uint64_t nChunks, Tick earliest)
 {
@@ -270,11 +228,16 @@ AquaLib::writeTensor(TensorId id, std::uint64_t bytes,
     // this value unchanged.
     t.signature = foldSignature(t.signature, bytes);
     t.signature = foldSignature(t.signature, nChunks);
-    if (t.location.placement == Placement::PeerGpu)
+    bool peer = t.location.placement == Placement::PeerGpu;
+    if (peer)
         counters.bytesToPeer += bytes;
     else
         counters.bytesToDram += bytes;
-    return transferOut(t, bytes, nChunks, earliest);
+    // Staging coalesces the scattered chunks into double-buffered wire
+    // transfers.
+    return engine.transferChunks(peer ? t.location.gpu : hw::hostDramId,
+                                 /*outbound=*/true, bytes, nChunks,
+                                 cfg.useStaging, earliest);
 }
 
 hw::TransferTiming
@@ -286,11 +249,14 @@ AquaLib::readTensor(TensorId id, std::uint64_t bytes,
         panic("AquaLib::readTensor: read of %llu exceeds tensor size "
               "%llu", static_cast<unsigned long long>(bytes),
               static_cast<unsigned long long>(t.bytes));
-    if (t.location.placement == Placement::PeerGpu)
+    bool peer = t.location.placement == Placement::PeerGpu;
+    if (peer)
         counters.bytesFromPeer += bytes;
     else
         counters.bytesFromDram += bytes;
-    return transferIn(t, bytes, nChunks, earliest);
+    return engine.transferChunks(peer ? t.location.gpu : hw::hostDramId,
+                                 /*outbound=*/false, bytes, nChunks,
+                                 cfg.useStaging, earliest);
 }
 
 aqua::sim::Tick

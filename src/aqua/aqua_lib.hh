@@ -472,15 +472,6 @@ class AquaLib
     const TensorRec &rec(TensorId id) const;
     TensorRec &rec(TensorId id);
 
-    hw::TransferTiming transferOut(const TensorRec &t,
-                                   std::uint64_t bytes,
-                                   std::uint64_t nChunks,
-                                   aqua::sim::Tick earliest);
-    hw::TransferTiming transferIn(const TensorRec &t,
-                                  std::uint64_t bytes,
-                                  std::uint64_t nChunks,
-                                  aqua::sim::Tick earliest);
-
     /** One step of the startHeartbeats() loop. */
     void scheduleHeartbeat(aqua::sim::Tick until);
 

@@ -228,4 +228,20 @@ StagingEngine::transferIn(hw::GpuId src,
     return execute(src, /*outbound=*/false, plan(descs), earliest);
 }
 
+hw::TransferTiming
+StagingEngine::transferChunks(hw::GpuId peer, bool outbound,
+                              std::uint64_t bytes, std::uint64_t nChunks,
+                              bool staged, Tick earliest)
+{
+    if (staged && nChunks > 1) {
+        std::vector<CopyDesc> descs = uniformChunks(bytes, nChunks);
+        return outbound ? transferOut(peer, descs, earliest)
+                        : transferIn(peer, descs, earliest);
+    }
+    hw::GpuId src = outbound ? gpu : peer;
+    hw::GpuId dst = outbound ? peer : gpu;
+    return server.topology().copyScattered(src, dst, bytes, nChunks,
+                                           earliest);
+}
+
 } // namespace aqua::core

@@ -200,6 +200,18 @@ class StagingEngine
                                   const std::vector<CopyDesc> &descs,
                                   aqua::sim::Tick earliest = 0);
 
+    /**
+     * Move @p bytes scattered over @p nChunks blocks between the local
+     * GPU and @p peer (@p outbound: local to peer). One contiguous
+     * copy when nChunks <= 1; else the coalesced, staged transferOut()
+     * / transferIn() when @p staged; else nChunks unstaged copies of
+     * max(1, bytes / nChunks) each.
+     */
+    hw::TransferTiming transferChunks(hw::GpuId peer, bool outbound,
+                                      std::uint64_t bytes,
+                                      std::uint64_t nChunks, bool staged,
+                                      aqua::sim::Tick earliest);
+
   private:
     hw::TransferTiming execute(hw::GpuId peer, bool outbound,
                                const std::vector<StagedTransfer> &xfers,

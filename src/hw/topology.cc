@@ -260,4 +260,14 @@ Topology::copyChunked(GpuId src, GpuId dst, std::uint64_t chunkBytes,
                  earliest);
 }
 
+TransferTiming
+Topology::copyScattered(GpuId src, GpuId dst, std::uint64_t bytes,
+                        std::uint64_t nChunks, Tick earliest)
+{
+    if (nChunks <= 1)
+        return copy(src, dst, bytes, {}, earliest);
+    std::uint64_t chunk = bytes / nChunks;
+    return copyChunked(src, dst, chunk > 0 ? chunk : 1, nChunks, {}, earliest);
+}
+
 } // namespace aqua::hw

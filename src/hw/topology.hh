@@ -120,6 +120,16 @@ class Topology
                                TransferCallback cb = {},
                                aqua::sim::Tick earliest = 0);
 
+    /**
+     * Move @p bytes scattered over @p nChunks blocks, unstaged: one
+     * copy() when nChunks <= 1, else copyChunked() with
+     * max(1, bytes / nChunks) per chunk.
+     */
+    TransferTiming copyScattered(GpuId src, GpuId dst,
+                                 std::uint64_t bytes,
+                                 std::uint64_t nChunks,
+                                 aqua::sim::Tick earliest);
+
     /** Total bytes moved over NVLink routes. */
     std::uint64_t peerBytesMoved() const { return _peerBytes; }
 

@@ -49,22 +49,10 @@ DramBackend::write(const Handle &handle, std::uint64_t bytes,
 {
     if (bytes > handle.bytes)
         panic("DramBackend::write beyond handle size");
-    if (nChunks <= 1)
-        return server.topology().copy(gpu, hw::hostDramId, bytes, {},
-                                      earliest);
-    if (cfg.useStaging) {
-        // Coalesce the scattered chunks through the pinned staging
-        // buffer instead of paying the per-chunk PCIe cost.
-        return engine.transferOut(
-            hw::hostDramId,
-            core::StagingEngine::uniformChunks(bytes, nChunks),
-            earliest);
-    }
-    std::uint64_t chunk = bytes / nChunks;
-    if (chunk == 0)
-        chunk = 1;
-    return server.topology().copyChunked(gpu, hw::hostDramId, chunk,
-                                         nChunks, {}, earliest);
+    // Staging coalesces the scattered chunks through the pinned
+    // staging buffer instead of paying the per-chunk PCIe cost.
+    return engine.transferChunks(hw::hostDramId, /*outbound=*/true, bytes,
+                                 nChunks, cfg.useStaging, earliest);
 }
 
 hw::TransferTiming
@@ -73,20 +61,8 @@ DramBackend::read(const Handle &handle, std::uint64_t bytes,
 {
     if (bytes > handle.bytes)
         panic("DramBackend::read beyond handle size");
-    if (nChunks <= 1)
-        return server.topology().copy(hw::hostDramId, gpu, bytes, {},
-                                      earliest);
-    if (cfg.useStaging) {
-        return engine.transferIn(
-            hw::hostDramId,
-            core::StagingEngine::uniformChunks(bytes, nChunks),
-            earliest);
-    }
-    std::uint64_t chunk = bytes / nChunks;
-    if (chunk == 0)
-        chunk = 1;
-    return server.topology().copyChunked(hw::hostDramId, gpu, chunk,
-                                         nChunks, {}, earliest);
+    return engine.transferChunks(hw::hostDramId, /*outbound=*/false,
+                                 bytes, nChunks, cfg.useStaging, earliest);
 }
 
 Tick

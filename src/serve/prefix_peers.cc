@@ -1,0 +1,510 @@
+#include "serve/prefix_peers.hh"
+
+#include <algorithm>
+
+#include "serve/vllm_engine.hh"
+
+namespace aqua::serve {
+
+using namespace aqua::sim;
+
+constexpr std::uint32_t blockTokens = VllmEngine::blockTokens;
+
+PrefixPeers::PrefixPeers(hw::Server &server, hw::GpuId gpu,
+                         const VllmEngineConfig &cfg, KvCache &kv,
+                         PrefixCacheEngineStats &stats,
+                         KvIntegrity &integrity,
+                         cluster::PrefixRegistry &registry,
+                         core::AquaLib &lib, trace::TraceLog *tracer)
+    : server(server), myGpu(gpu), cfg(cfg), kv(kv), stats(stats),
+      integrity(integrity), registry(registry), lib(lib), tracer(tracer)
+{
+    cluster::RegistryAgent agent;
+    agent.setPinned = [this](std::uint64_t key, bool pinned) {
+        return setPinned(key, pinned);
+    };
+    agent.promote = [this](std::uint64_t key) { return promote(key); };
+    registry.setAgent(myGpu, std::move(agent));
+    kv.setEvictionObserver(
+        [this](aqua::mem::BlockId id) { onBlockEvicted(id); });
+}
+
+PrefixPeers::~PrefixPeers()
+{
+    // The agent is cleared last so the registry can still call back
+    // while unwinding.
+    for (auto &[key, c] : homeChains)
+        lib.prefixEvictNotify(key, c.verify);
+    homeChains.clear();
+    homeKeysByBlock.clear();
+    for (auto &[key, c] : replicaChains)
+        lib.prefixEvictNotify(key, c.verify);
+    replicaChains.clear();
+    registry.clearAgent(myGpu);
+    kv.setEvictionObserver({});
+}
+
+void
+PrefixPeers::attachFabric(hw::Fabric &fab, std::uint32_t serverIndex,
+                          core::AquaLib &flib,
+                          const model::PerfModel &perf)
+{
+    fabric = &fab;
+    fedServer = serverIndex;
+    fedLib = &flib;
+    federation::FederationCostConfig fc;
+    fc.safetyFactor = cfg.federationSafetyFactor;
+    fedCost = std::make_unique<federation::FederationCostModel>(
+        *fabric, perf, fc);
+}
+
+void
+PrefixPeers::publish(Sequence *s, bool atFinish)
+{
+    // Borrowed sequences hold only their tail blocks; there is no
+    // locally resident chain rooted at token zero to advertise.
+    if (s->remoteLeadBlocks > 0)
+        return;
+
+    std::uint64_t kvTok = s->kvTokens();
+    std::size_t fullBlocks = std::min<std::size_t>(
+        s->blocks.size(), static_cast<std::size_t>(kvTok / blockTokens));
+
+    // Register the shareable boundaries and derive how much of the
+    // chain to retain locally: a boundary homed elsewhere (Replica)
+    // is not duplicated past the previous boundary — unless a longer
+    // chain is homed here, since homing carries the duty to keep the
+    // whole chain resident.
+    using Role = core::AquaLib::PrefixPublishOutcome::Role;
+    std::uint64_t insertCap = kvTok;
+    bool replicaSeen = false;
+    std::uint64_t prevTokens = 0;
+    for (std::size_t b : chainBoundaries(s, fullBlocks, atFinish)) {
+        ChainKeys ck = s->chain.keysAt(b);
+        std::uint64_t tokens = std::uint64_t(b) * blockTokens;
+        Role role;
+        if (homeChains.count(ck.key) != 0) {
+            role = Role::Home;
+        } else if (replicaChains.count(ck.key) != 0) {
+            role = Role::Replica;
+        } else if (collisionChains.count(ck.key) != 0) {
+            role = Role::Collision;
+        } else {
+            auto out = lib.prefixPublish(
+                ck.key, ck.verify, static_cast<std::uint32_t>(b),
+                tokens, kv.kvBytes(tokens), s->chain.sig(0, tokens));
+            role = out.role;
+            if (role == Role::Collision)
+                collisionChains.insert(ck.key);
+        }
+        if (role == Role::Home || role == Role::Replica) {
+            Chain rec;
+            rec.blocks.assign(s->blocks.begin(), s->blocks.begin() + b);
+            rec.tokens = tokens;
+            rec.verify = ck.verify;
+            rec.req = s->request;
+            rec.owner = role == Role::Replica ? s : nullptr;
+            if (role == Role::Home)
+                setHomeChain(ck.key, std::move(rec));
+            else
+                replicaChains[ck.key] = std::move(rec);
+        }
+        if (role == Role::Replica && !replicaSeen) {
+            insertCap = prevTokens;
+            replicaSeen = true;
+        } else if (role == Role::Home && replicaSeen) {
+            insertCap = tokens;
+        }
+        prevTokens = tokens;
+    }
+    kv.publishPrefix(s->chain, kvTok, s->blocks, server.simulation().now(),
+                     true, insertCap);
+}
+
+std::vector<std::size_t>
+PrefixPeers::chainBoundaries(const Sequence *s, std::size_t maxBlocks,
+                             bool atFinish) const
+{
+    std::vector<std::size_t> out;
+    const workload::Request &r = s->request;
+    std::size_t preamble =
+        std::min<std::size_t>(r.prefixTokens / blockTokens, maxBlocks);
+    if (preamble > 0)
+        out.push_back(preamble);
+    // Only *final* contexts of conversation streams recur (as the
+    // next turn's history prefix); intermediate contexts of a
+    // request-private stream never match anything.
+    if (atFinish && r.contentStream != 0 && maxBlocks > preamble)
+        out.push_back(maxBlocks);
+    return out;
+}
+
+std::vector<core::AquaLib::PrefixCandidate>
+PrefixPeers::candidates(const Sequence *s, std::size_t localFull) const
+{
+    std::vector<core::AquaLib::PrefixCandidate> cands;
+    std::uint64_t match = s->kvTokens() > 0 ? s->kvTokens() - 1 : 0;
+    std::size_t wantFull = static_cast<std::size_t>(match / blockTokens);
+    if (wantFull <= localFull)
+        return cands;
+
+    // Candidate boundaries, longest first. Conversation streams scan
+    // densely — the previous turn's finish boundary is not knowable
+    // here — while for declared-preamble requests only the preamble
+    // boundary can match anything cluster-wide.
+    if (s->request.contentStream != 0) {
+        constexpr std::size_t kMaxCandidates = 64;
+        for (std::size_t b = wantFull;
+             b > localFull && cands.size() < kMaxCandidates; --b) {
+            ChainKeys ck = s->chain.keysAt(b);
+            cands.push_back(
+                {ck.key, ck.verify, static_cast<std::uint32_t>(b)});
+        }
+    }
+    std::size_t preamble = s->request.prefixTokens / blockTokens;
+    if (preamble > localFull && preamble <= wantFull) {
+        bool present = false;
+        for (const auto &c : cands)
+            present |= c.blocks == preamble;
+        if (!present) {
+            ChainKeys ck = s->chain.keysAt(preamble);
+            cands.push_back({ck.key, ck.verify,
+                             static_cast<std::uint32_t>(preamble)});
+        }
+    }
+    return cands;
+}
+
+void
+PrefixPeers::acquire(Sequence *s, KvCache::PrefixAcquire &acq,
+                     Tick &transfersDone)
+{
+    std::size_t localFull =
+        acq.blocks.size() - (acq.partialTokens > 0 ? 1 : 0);
+    std::vector<core::AquaLib::PrefixCandidate> cands =
+        candidates(s, localFull);
+    if (cands.empty())
+        return;
+
+    core::AquaLib::PrefixLookupOutcome rl = lib.prefixLookup(cands);
+    if (!rl.found || rl.home == myGpu || rl.blocks <= localFull) {
+        ++stats.registryMisses;
+        return;
+    }
+    // Trust nothing across the wire: the registered chain's content
+    // signature must match this request's own tokens.
+    std::uint64_t wantSig = s->chain.sig(0, rl.blocks * blockTokens);
+    if (wantSig != rl.chainSig) {
+        ++stats.clusterSigMismatches;
+        ++stats.registryMisses;
+        return;
+    }
+    if (server.topology().gpuFailed(rl.home)) {
+        ++stats.registryMisses;
+        return;
+    }
+    core::AquaLib::PrefixPinOutcome pinr =
+        lib.prefixPin(rl.key, rl.verify);
+    if (!pinr.ok) {
+        ++stats.registryMisses;
+        return;
+    }
+
+    Tick now = server.simulation().now();
+    // Sparse attention reprices borrow-vs-copy: each decode step reads
+    // only a fraction of the borrowed lead over the peer link, so
+    // proportionally longer chains are worth serving in place.
+    std::uint64_t borrowCap = cfg.clusterBorrowMaxBlocks;
+    if (cfg.sparseReadFraction < 1.0) {
+        borrowCap = static_cast<std::uint64_t>(
+            static_cast<double>(borrowCap) / cfg.sparseReadFraction);
+    }
+    if (localFull == 0 && rl.blocks <= borrowCap) {
+        // Short chain: serve the lead in place from the home GPU.
+        // The lease holds until the sequence releases it.
+        if (!acq.blocks.empty()) {
+            kv.freeBlocks(acq.blocks);
+            acq.blocks.clear();
+        }
+        acq.tokens = rl.tokens;
+        acq.partialTokens = 0;
+        s->remoteLeadBlocks = rl.blocks;
+        s->remoteLeadTokens = rl.tokens;
+        s->remoteHome = pinr.home;
+        s->remotePin = pinr.pin;
+        stats.remoteHitBlocks += rl.blocks;
+        ++stats.borrowAdmissions;
+        ++stats.registryHits;
+        // Integrity draw on the admission probe read. A link hit is
+        // always repairable here: the pinned home copy is intact, so
+        // one retransmission over NVLink clears it.
+        integrity.check(s->request.id, "prefix_borrow", false, [&] {
+            hw::TransferTiming redo = lib.readPeerPrefix(
+                pinr.home, kv.kvBytes(rl.tokens), rl.blocks, now);
+            transfersDone = std::max(transfersDone, redo.complete);
+        });
+        return;
+    }
+
+    // Stream a local copy of the missing lead blocks over NVLink; the
+    // lease holds the home copy resident until the transfer lands.
+    if (acq.partialTokens > 0) {
+        kv.freeBlocks({acq.blocks.back()});
+        acq.blocks.pop_back();
+        acq.tokens -= acq.partialTokens;
+        acq.partialTokens = 0;
+    }
+    std::size_t missing = rl.blocks - localFull;
+    auto fresh = kv.allocateBlocks(missing);
+    if (!fresh) {
+        lib.prefixUnpin(pinr.pin);
+        ++stats.registryMisses;
+        return;
+    }
+    std::uint64_t bytes = kv.kvBytes(std::uint64_t(missing) * blockTokens);
+    hw::TransferTiming t =
+        lib.readPeerPrefix(pinr.home, bytes, missing, now);
+    // Verify the streamed copy's signatures before admitting it. A
+    // hit is in-flight link corruption (the pinned home copy is still
+    // good), so one retransmission repairs it; the lease simply holds
+    // a little longer.
+    integrity.check(s->request.id, "prefix_copy", false, [&] {
+        t = lib.readPeerPrefix(pinr.home, bytes, missing, t.complete);
+    });
+    transfersDone = std::max(transfersDone, t.complete);
+    for (std::size_t i = 0; i < fresh->size(); ++i) {
+        std::uint64_t first = std::uint64_t(localFull + i) * blockTokens;
+        kv.setBlockSig((*fresh)[i], s->chain.sig(first, blockTokens));
+        kv.setBlockOrigin((*fresh)[i], BlockOrigin::RemotePeer);
+    }
+    acq.blocks.insert(acq.blocks.end(), fresh->begin(), fresh->end());
+    acq.tokens = std::uint64_t(rl.blocks) * blockTokens;
+    stats.remoteHitBlocks += missing;
+    stats.remoteCopyBytes += bytes;
+    ++stats.copyAdmissions;
+    ++stats.registryHits;
+    // Release the lease once the stream has landed on this GPU.
+    server.simulation().queue().schedule(
+        t.complete, [peerLib = &lib, pin = pinr.pin] {
+            peerLib->prefixUnpin(pin);
+        });
+}
+
+void
+PrefixPeers::beginFetch(Sequence *s, std::function<void()> landed)
+{
+    if (!cfg.federation || !fedCost)
+        return;
+    std::vector<core::AquaLib::PrefixCandidate> cands = candidates(s, 0);
+    if (cands.empty())
+        return;
+    // Escalation order: the scale-up domain first — a chain homed on
+    // any GPU here streams over NVLink at admission — and only a
+    // domain-wide miss consults the federation directory.
+    if (lib.prefixLookup(cands).found)
+        return;
+    core::AquaLib::FederationLookupOutcome fl =
+        fedLib->federationLookup(cands);
+    if (!fl.found) {
+        ++stats.fedMisses;
+        return;
+    }
+    ++stats.fedHits;
+    // Trust nothing across the fabric: the advertised chain's content
+    // signature must match this request's own tokens.
+    std::uint64_t wantSig = s->chain.sig(0, fl.chain.blocks * blockTokens);
+    if (wantSig != fl.chain.chainSig) {
+        ++stats.clusterSigMismatches;
+        return;
+    }
+    // Stream-vs-recompute, priced at the fabric's current state
+    // (degradation, queue backlog) and the chain's wire bytes.
+    federation::FederationDecision verdict =
+        fedCost->decide(fl.chain.homeServer, fedServer, fl.chain.bytes,
+                        fl.chain.tokens, cfg.kvPrecision);
+    if (!verdict.stream) {
+        ++stats.fedRecomputeDecisions;
+        if (tracer) {
+            json::Value f;
+            f["request"] = static_cast<std::int64_t>(s->request.id);
+            f["stream_estimate"] =
+                static_cast<std::int64_t>(verdict.streamEstimate);
+            f["prefill_estimate"] =
+                static_cast<std::int64_t>(verdict.prefillEstimate);
+            tracer->emit(server.simulation().now(), "fed_recompute",
+                         std::move(f));
+        }
+        return;
+    }
+    ++stats.fedStreamDecisions;
+    // Home-side admission: the Harvest-style cap bounds concurrent
+    // remote consumers per home, and staleness is re-checked there.
+    core::AquaLib::FederationFetchOutcome grant =
+        fedLib->federationFetch(fl.chain);
+    if (!grant.ok) {
+        ++stats.fedFetchRefusals;
+        return;
+    }
+    Tick now = server.simulation().now();
+    s->streamPending = true;
+    s->streamFederated = true;
+    auto tokens = static_cast<std::uint32_t>(grant.tokens);
+    std::uint64_t bytes = grant.bytes;
+    if (tracer) {
+        json::Value f;
+        f["request"] = static_cast<std::int64_t>(s->request.id);
+        f["home_server"] = static_cast<std::int64_t>(grant.homeServer);
+        f["tokens"] = static_cast<std::int64_t>(tokens);
+        f["bytes"] = static_cast<std::int64_t>(bytes);
+        tracer->emit(now, "fed_stream_begin", std::move(f));
+    }
+    fabric->streamKv(
+        grant.homeServer, grant.homeGpu, fedServer, myGpu, bytes,
+        [this, s, tokens, bytes, home = grant.homeServer,
+         ticket = grant.ticket, landed = std::move(landed)] {
+            s->streamPending = false;
+            // Close the ticket whatever happens next: it frees the
+            // home's admission slot and reports payload validity (the
+            // chain may have been evicted or its home lost while the
+            // stream was on the wire).
+            bool valid = fedLib->federationFetchDone(home, ticket);
+            if (s->state == Sequence::State::Waiting) {
+                if (valid) {
+                    s->streamedTokens = tokens;
+                    ++stats.fedStreamsCompleted;
+                    stats.fedStreamBytes += bytes;
+                } else {
+                    // Cancel to recompute: the payload is worthless,
+                    // the request simply re-prefills from its prompt.
+                    ++stats.fedStreamsInvalidated;
+                }
+            }
+            if (tracer) {
+                json::Value f;
+                f["request"] = static_cast<std::int64_t>(s->request.id);
+                f["valid"] = valid;
+                tracer->emit(server.simulation().now(), "fed_stream_end",
+                             std::move(f));
+            }
+            landed();
+        },
+        now);
+}
+
+void
+PrefixPeers::releaseLead(Sequence *s)
+{
+    if (s->remotePin != 0)
+        lib.prefixUnpin(s->remotePin);
+    s->remotePin = 0;
+    s->remoteLeadBlocks = 0;
+    s->remoteLeadTokens = 0;
+    s->remoteHome = hw::hostDramId;
+}
+
+void
+PrefixPeers::release(Sequence *s)
+{
+    releaseLead(s);
+    for (auto it = replicaChains.begin(); it != replicaChains.end();) {
+        if (it->second.owner == s) {
+            std::uint64_t key = it->first;
+            std::uint64_t verify = it->second.verify;
+            it = replicaChains.erase(it);
+            lib.prefixEvictNotify(key, verify);
+        } else {
+            ++it;
+        }
+    }
+}
+
+Tick
+PrefixPeers::decodeReadTime(std::uint64_t leadBytes)
+{
+    std::uint64_t readKv = leadBytes;
+    if (cfg.sparseReadFraction < 1.0) {
+        readKv = static_cast<std::uint64_t>(
+            static_cast<double>(leadBytes) * cfg.sparseReadFraction);
+    }
+    stats.remoteDecodeReadBytes += readKv;
+    return server.topology().peerTransferDuration(readKv);
+}
+
+bool
+PrefixPeers::setPinned(std::uint64_t key, bool pinned)
+{
+    auto it = homeChains.find(key);
+    if (it == homeChains.end())
+        return false;
+    for (aqua::mem::BlockId id : it->second.blocks) {
+        if (pinned)
+            kv.pinBlock(id);
+        else
+            kv.unpinBlock(id);
+    }
+    return true;
+}
+
+bool
+PrefixPeers::promote(std::uint64_t key)
+{
+    auto it = replicaChains.find(key);
+    if (it == replicaChains.end())
+        return false;
+    Chain c = std::move(it->second);
+    replicaChains.erase(it);
+    c.owner = nullptr;
+    // Adopt the chain: index it locally so it stays resident (and
+    // pinnable) after the owning sequence releases its blocks.
+    kv.publishPrefix(TokenChain(tokenFnFor(c.req), blockTokens), c.tokens,
+                     c.blocks, server.simulation().now());
+    setHomeChain(key, std::move(c));
+    return true;
+}
+
+void
+PrefixPeers::setHomeChain(std::uint64_t key, Chain c)
+{
+    auto [it, fresh] = homeChains.try_emplace(key);
+    Chain &home = it->second;
+    // A re-home with new blocks must un-index the old ones: evicting
+    // one of them no longer touches this chain.
+    if (fresh || home.blocks != c.blocks) {
+        unindexHomeChain(key, home.blocks);
+        for (aqua::mem::BlockId id : c.blocks) {
+            if (homeKeysByBlock.size() <= id)
+                homeKeysByBlock.resize(id + 1);
+            std::vector<std::uint64_t> &keys = homeKeysByBlock[id];
+            keys.insert(std::lower_bound(keys.begin(), keys.end(), key),
+                        key);
+        }
+    }
+    home = std::move(c);
+}
+
+void
+PrefixPeers::unindexHomeChain(std::uint64_t key,
+                              const std::vector<aqua::mem::BlockId> &blocks)
+{
+    for (aqua::mem::BlockId id : blocks) {
+        std::vector<std::uint64_t> &keys = homeKeysByBlock[id];
+        keys.erase(std::find(keys.begin(), keys.end(), key));
+    }
+}
+
+void
+PrefixPeers::onBlockEvicted(aqua::mem::BlockId id)
+{
+    // Every home chain holding the block, ascending key order: each
+    // erase drops its key, so the smallest left is the next victim.
+    while (id < homeKeysByBlock.size() && !homeKeysByBlock[id].empty()) {
+        std::uint64_t key = homeKeysByBlock[id].front();
+        auto it = homeChains.find(key);
+        std::uint64_t verify = it->second.verify;
+        unindexHomeChain(key, it->second.blocks);
+        homeChains.erase(it);
+        lib.prefixEvictNotify(key, verify);
+    }
+}
+
+} // namespace aqua::serve

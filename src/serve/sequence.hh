@@ -72,16 +72,22 @@ struct Sequence
     bool adapterHeld = false;
 
     //
-    // Cold-session resume state (zero without a SessionTier).
+    // Streamed-in KV (zero without a SessionTier or federation). A
+    // parked-session resume or a cross-server federation fetch
+    // streams context KV while the sequence waits; the tokens it
+    // delivered count as pre-prefilled at the next admission.
     //
 
-    /** A parked-session resume stream is in flight; admission waits
-     *  for it to land (or wind down cancelled). */
-    bool resumePending = false;
+    /** A KV stream is in flight; admission waits for it to land (or
+     *  wind down cancelled). */
+    bool streamPending = false;
 
-    /** Context tokens the completed resume stream restored; applied
-     *  as pre-prefilled tokens at the next admission. */
-    std::uint32_t resumedTokens = 0;
+    /** Context tokens the completed stream delivered. */
+    std::uint32_t streamedTokens = 0;
+
+    /** The stream is a federation fetch (its blocks are tagged
+     *  RemoteServer and count as a prefix hit), not a resume. */
+    bool streamFederated = false;
 
     //
     // Prefix-cache sharing state (zero when caching is off).
@@ -121,27 +127,6 @@ struct Sequence
 
     /** Registry lease id held on the home chain (0 = none). */
     std::uint64_t remotePin = 0;
-
-    //
-    // Cross-server federation state (zero when federation is off).
-    // A fetched chain streams over the inter-server fabric while the
-    // sequence waits; the validated tokens are applied as
-    // pre-prefilled context at the next admission.
-    //
-
-    /** A cross-server KV stream is in flight; admission waits for
-     *  its completion (validated or cancelled to recompute). */
-    bool fedPending = false;
-
-    /** Context tokens a validated stream delivered; applied as
-     *  pre-prefilled tokens at the next admission. */
-    std::uint32_t fedTokens = 0;
-
-    /** Open fetch ticket on the home server (0 = none). */
-    std::uint64_t fedTicket = 0;
-
-    /** Home server of the in-flight fetch on the fabric. */
-    std::uint32_t fedHomeServer = 0;
 
     workload::RequestMetrics metrics;
 

@@ -1,12 +1,57 @@
 #include "serve/vllm_engine.hh"
 
 #include <algorithm>
+#include <array>
+#include <utility>
 
+#include "serve/prefix_peers.hh"
 #include "sim/logging.hh"
 
 namespace aqua::serve {
 
 using namespace aqua::sim;
+
+namespace {
+
+/** Call backend->respond() every this many iterations. */
+constexpr std::uint32_t respondEveryIters = 4;
+/** Run the storage tier's demotion settle pass every this many
+ *  iterations (no-op unless a SessionTier is attached). */
+constexpr std::uint32_t tierSettleEveryIters = 8;
+/** Housekeeping cadence while idle. */
+constexpr Tick idleTickPeriod = 100 * nsPerMs;
+/** Fraction of post-weights free HBM reserved as the KV pool. */
+constexpr double kvPoolFraction = 0.95;
+
+/** The served ModelSpec with the config's KV precision applied (run
+ *  before perf/kv are constructed from it). */
+model::ModelSpec
+applyKvConfig(model::ModelSpec spec, const VllmEngineConfig &cfg)
+{
+    spec.kvPrecision = cfg.kvPrecision;
+    return spec;
+}
+
+/** Age of the oldest request in @p waiting, seconds. */
+double
+oldestWaitingSec(const std::vector<Sequence *> &waiting, Tick now)
+{
+    Tick oldest = now;
+    for (const Sequence *s : waiting)
+        oldest = std::min(oldest, s->request.arrival);
+    return ticksToSec(now - oldest);
+}
+
+/** Remove a sequence pointer from a list. */
+void
+removeFrom(std::vector<Sequence *> &list, Sequence *s)
+{
+    auto it = std::find(list.begin(), list.end(), s);
+    if (it != list.end())
+        list.erase(it);
+}
+
+} // anonymous namespace
 
 VllmEngine::VllmEngine(hw::Server &server, hw::GpuId gpu,
                        const model::ModelSpec &modelSpec,
@@ -17,7 +62,7 @@ VllmEngine::VllmEngine(hw::Server &server, hw::GpuId gpu,
       spec(applyKvConfig(modelSpec, config)),
       perf(spec, server.gpu(gpu).spec()), cfg(config),
       policy(std::move(schedPolicy)), backend(backend),
-      aquaBackend(backend.name() == "aqua"),
+      aquaBackend(backend.name() == "aqua"), integrity(server),
       tokens("tokens"), freeMem("free_memory")
 {
     if (!spec.isText())
@@ -46,9 +91,9 @@ VllmEngine::VllmEngine(hw::Server &server, hw::GpuId gpu,
     if (pool == 0) {
         pool = static_cast<std::uint64_t>(
             static_cast<double>(dev.hbm().freeBytes()) *
-            cfg.kvPoolFraction);
+            kvPoolFraction);
     }
-    kv = std::make_unique<KvCache>(dev, spec, pool, cfg.blockTokens);
+    kv = std::make_unique<KvCache>(dev, spec, pool, blockTokens);
     if (cfg.maxCacheShare < 1.0)
         kv->setMaxCacheShare(cfg.maxCacheShare);
     kv->setEvictionPolicy(cfg.prefixEviction);
@@ -76,33 +121,14 @@ VllmEngine::VllmEngine(hw::Server &server, hw::GpuId gpu,
     }
 }
 
-model::ModelSpec
-VllmEngine::applyKvConfig(model::ModelSpec spec,
-                          const VllmEngineConfig &cfg)
-{
-    spec.kvPrecision = cfg.kvPrecision;
-    return spec;
-}
-
 VllmEngine::~VllmEngine()
 {
     // Unwind cluster-registry state first: outstanding read leases,
-    // then every chain this engine advertised (the registry promotes
-    // a surviving replica or invalidates). The agent is cleared last
-    // so the registry can still call back while unwinding.
-    if (clusterReg && clusterLib) {
-        for (auto &seq : all) {
-            if (seq->remotePin != 0)
-                clusterLib->prefixUnpin(seq->remotePin);
-        }
-        for (auto &[key, c] : homeChains)
-            clusterLib->prefixEvictNotify(key, c.verify);
-        homeChains.clear();
-        homeKeysByBlock.clear();
-        for (auto &[key, c] : replicaChains)
-            clusterLib->prefixEvictNotify(key, c.verify);
-        replicaChains.clear();
-        clusterReg->clearAgent(myGpu);
+    // then (in ~PrefixPeers) every chain this engine advertised.
+    if (peers) {
+        for (auto &seq : all)
+            peers->releaseLead(seq.get());
+        peers.reset();
     }
     // Release swapped sequences' backend storage (from whichever
     // backend holds it — the circuit breaker may have diverted some
@@ -139,20 +165,12 @@ void
 VllmEngine::attachClusterPrefix(cluster::PrefixRegistry *registry,
                                 core::AquaLib *lib)
 {
-    clusterReg = registry;
-    clusterLib = lib;
-    if (!clusterReg || !clusterLib)
-        return;
-    cluster::RegistryAgent agent;
-    agent.setPinned = [this](std::uint64_t key, bool pinned) {
-        return clusterSetPinned(key, pinned);
-    };
-    agent.promote = [this](std::uint64_t key) {
-        return clusterPromote(key);
-    };
-    clusterReg->setAgent(myGpu, std::move(agent));
-    kv->setEvictionObserver(
-        [this](aqua::mem::BlockId id) { onCacheBlockEvicted(id); });
+    peers.reset();
+    if (cfg.clusterPrefix && registry && lib) {
+        peers = std::make_unique<PrefixPeers>(server, myGpu, cfg, *kv,
+                                              prefixStats, integrity,
+                                              *registry, *lib, tracer);
+    }
 }
 
 void
@@ -160,39 +178,21 @@ VllmEngine::attachFederation(hw::Fabric *fabric,
                              std::uint32_t serverIndex,
                              core::AquaLib *lib)
 {
-    fedFabric = fabric;
-    fedServer = serverIndex;
-    fedLib = lib;
-    if (!fedFabric || !fedLib) {
-        fedCost.reset();
-        return;
-    }
-    federation::FederationCostConfig fc;
-    fc.safetyFactor = cfg.federationSafetyFactor;
-    fedCost = std::make_unique<federation::FederationCostModel>(
-        *fedFabric, perf, fc);
+    if (peers && fabric && lib)
+        peers->attachFabric(*fabric, serverIndex, *lib, perf);
 }
 
 void
 VllmEngine::setTraceLog(trace::TraceLog *log)
 {
     tracer = log;
+    integrity.setTraceLog(log);
+    if (peers)
+        peers->setTraceLog(log);
     if (brownout)
         brownout->setTraceLog(log);
     if (precisionGov)
         precisionGov->setTraceLog(log);
-}
-
-void
-VllmEngine::setFallbackBackend(OffloadBackend *fallbackBackend)
-{
-    fallback = fallbackBackend;
-}
-
-void
-VllmEngine::attachSessionTier(SessionTier *tier)
-{
-    sessionTier = tier;
 }
 
 void
@@ -212,7 +212,7 @@ VllmEngine::submit(const workload::Request &request)
     // Every chain query sits behind cfg.prefixCache: other engines
     // skip the chain's per-sequence token-function copy.
     if (cfg.prefixCache)
-        seq->chain = TokenChain(tokenFnFor(request), cfg.blockTokens);
+        seq->chain = TokenChain(tokenFnFor(request), blockTokens);
     seq->metrics.id = request.id;
     seq->metrics.arrival = request.arrival;
     seq->metrics.deadline = request.deadline;
@@ -238,7 +238,9 @@ VllmEngine::submit(const workload::Request &request)
         }
     }
     maybeBeginResume(raw);
-    maybeBeginFederationFetch(raw);
+    // A cross-server fetch never overlaps a resume stream.
+    if (peers && cfg.prefixCache && !raw->streamPending)
+        peers->beginFetch(raw, [this] { wake(); });
     needResched = true;
     scheduleStep(server.simulation().now());
 }
@@ -279,164 +281,44 @@ VllmEngine::maybeBeginResume(Sequence *s)
     // overlap whatever the GPU is already decoding.
     bool streaming = sessionTier->beginResume(
         key, now, perf.prefillTime(usable),
-        [this, s, key, usable](bool streamed) {
-            s->resumePending = false;
+        [this, s, usable](bool streamed) {
+            s->streamPending = false;
             if (s->state != Sequence::State::Waiting)
                 return; // shed while the stream was in flight
-            if (streamed) {
-                // Signature-verify the streamed KV on arrival. A hit
-                // means the *stored* copy rotted on media
-                // (ssd_bitrot): re-reading returns the same damaged
-                // bytes, so the stream is discarded and this turn
-                // re-prefills from the prompt.
-                hw::Ssd *drive = server.topology().ssd();
-                if (drive && drive->drawBitrot()) {
-                    ++integrity.detected;
-                    ++integrity.recomputeFallbacks;
-                    if (tracer) {
-                        json::Value f;
-                        f["request"] = static_cast<std::int64_t>(
-                            s->request.id);
-                        f["path"] = "ssd_resume";
-                        tracer->emit(server.simulation().now(),
-                                     "corruption_recompute",
-                                     std::move(f));
-                    }
-                    ++nRecomputeResumes;
-                } else {
-                    s->resumedTokens = usable;
-                    ++nStreamResumes;
-                }
+            // Signature-verify the streamed KV on arrival. A hit means
+            // the *stored* copy rotted on media: re-reading returns
+            // the same damaged bytes, so the stream is discarded and
+            // this turn re-prefills from the prompt. A stream
+            // cancelled mid-way (device degradation/failure) falls
+            // back to a full re-prefill too.
+            if (streamed &&
+                !integrity.check(s->request.id, "ssd_resume", true, {})) {
+                s->streamedTokens = usable;
+                ++nStreamResumes;
             } else {
-                // Cancelled mid-stream (device degradation/failure):
-                // fall back to a full re-prefill.
                 ++nRecomputeResumes;
             }
-            needResched = true;
-            scheduleStep(server.simulation().now());
+            wake();
         },
         streamOverhead);
     if (streaming)
-        s->resumePending = true;
+        s->streamPending = true;
     else
         ++nRecomputeResumes;
 }
 
 void
-VllmEngine::maybeBeginFederationFetch(Sequence *s)
+VllmEngine::wake()
 {
-    if (!fedEnabled() || !cfg.prefixCache || s->resumePending ||
-        s->fedPending || s->prefilledTokens > 0)
-        return;
-    std::vector<core::AquaLib::PrefixCandidate> cands =
-        prefixCandidates(s, 0);
-    if (cands.empty())
-        return;
-    // Escalation order: the scale-up domain first — a chain homed on
-    // any GPU here streams over NVLink at admission — and only a
-    // domain-wide miss consults the federation directory.
-    if (clusterLib->prefixLookup(cands).found)
-        return;
-    core::AquaLib::FederationLookupOutcome fl =
-        fedLib->federationLookup(cands);
-    if (!fl.found) {
-        ++prefixStats.fedMisses;
-        return;
-    }
-    ++prefixStats.fedHits;
-    // Trust nothing across the fabric: the advertised chain's content
-    // signature must match this request's own tokens.
-    std::uint64_t wantSig =
-        s->chain.sig(0, fl.chain.blocks * cfg.blockTokens);
-    if (wantSig != fl.chain.chainSig) {
-        ++prefixStats.clusterSigMismatches;
-        return;
-    }
-    // Stream-vs-recompute, priced at the fabric's current state
-    // (degradation, queue backlog) and the chain's wire bytes.
-    federation::FederationDecision verdict = fedCost->decide(
-        fl.chain.homeServer, fedServer, fl.chain.bytes,
-        fl.chain.tokens, spec.kvPrecision);
-    if (!verdict.stream) {
-        ++prefixStats.fedRecomputeDecisions;
-        if (tracer) {
-            json::Value f;
-            f["request"] = static_cast<std::int64_t>(s->request.id);
-            f["stream_estimate"] =
-                static_cast<std::int64_t>(verdict.streamEstimate);
-            f["prefill_estimate"] =
-                static_cast<std::int64_t>(verdict.prefillEstimate);
-            tracer->emit(server.simulation().now(), "fed_recompute",
-                         std::move(f));
-        }
-        return;
-    }
-    ++prefixStats.fedStreamDecisions;
-    // Home-side admission: the Harvest-style cap bounds concurrent
-    // remote consumers per home, and staleness is re-checked there.
-    core::AquaLib::FederationFetchOutcome grant =
-        fedLib->federationFetch(fl.chain);
-    if (!grant.ok) {
-        ++prefixStats.fedFetchRefusals;
-        return;
-    }
-    Tick now = server.simulation().now();
-    s->fedPending = true;
-    s->fedTicket = grant.ticket;
-    s->fedHomeServer = grant.homeServer;
-    std::uint32_t tokens = static_cast<std::uint32_t>(grant.tokens);
-    std::uint64_t bytes = grant.bytes;
-    if (tracer) {
-        json::Value f;
-        f["request"] = static_cast<std::int64_t>(s->request.id);
-        f["home_server"] =
-            static_cast<std::int64_t>(grant.homeServer);
-        f["tokens"] = static_cast<std::int64_t>(tokens);
-        f["bytes"] = static_cast<std::int64_t>(bytes);
-        tracer->emit(now, "fed_stream_begin", std::move(f));
-    }
-    fedFabric->streamKv(
-        grant.homeServer, grant.homeGpu, fedServer, myGpu, bytes,
-        [this, s, tokens, bytes] {
-            s->fedPending = false;
-            // Close the ticket whatever happens next: it frees the
-            // home's admission slot and reports payload validity (the
-            // chain may have been evicted or its home lost while the
-            // stream was on the wire).
-            bool valid = fedLib && fedLib->federationFetchDone(
-                                       s->fedHomeServer, s->fedTicket);
-            s->fedTicket = 0;
-            if (s->state == Sequence::State::Waiting) {
-                if (valid) {
-                    s->fedTokens = tokens;
-                    ++prefixStats.fedStreamsCompleted;
-                    prefixStats.fedStreamBytes += bytes;
-                } else {
-                    // Cancel to recompute: the payload is worthless,
-                    // the request simply re-prefills from its prompt.
-                    ++prefixStats.fedStreamsInvalidated;
-                }
-            }
-            if (tracer) {
-                json::Value f;
-                f["request"] =
-                    static_cast<std::int64_t>(s->request.id);
-                f["valid"] = valid;
-                tracer->emit(server.simulation().now(),
-                             "fed_stream_end", std::move(f));
-            }
-            needResched = true;
-            scheduleStep(server.simulation().now());
-        },
-        now);
+    needResched = true;
+    scheduleStep(server.simulation().now());
 }
 
 void
 VllmEngine::scheduleStep(Tick when)
 {
     EventQueue &q = server.simulation().queue();
-    if (when < q.now())
-        when = q.now();
+    when = std::max(when, q.now());
     if (stepPending)
         return;
     stepPending = true;
@@ -444,14 +326,6 @@ VllmEngine::scheduleStep(Tick when)
         stepPending = false;
         step();
     });
-}
-
-void
-VllmEngine::removeFrom(std::vector<Sequence *> &list, Sequence *s)
-{
-    auto it = std::find(list.begin(), list.end(), s);
-    if (it != list.end())
-        list.erase(it);
 }
 
 void
@@ -479,7 +353,7 @@ VllmEngine::doInform()
     // Backpressure signals: queue delay and sheds tell the informer
     // the engine is hurting, so it reclaims leased memory before the
     // queue (and the shed rate) grows further.
-    st.queueDelaySec = oldestWaitingSec(st.now);
+    st.queueDelaySec = oldestWaitingSec(waiting, st.now);
     st.shedsSinceLast = shedsSinceInform;
     st.registryHits = prefixStats.registryHits;
     st.registryMisses = prefixStats.registryMisses;
@@ -508,428 +382,31 @@ VllmEngine::publishSeq(Sequence *s, bool atFinish)
     // the pool instead of lingering as evictable cache.
     if (brownout && brownout->publishDisabled())
         return;
-    Tick now = server.simulation().now();
-    if (!clusterEnabled()) {
-        // Simulated token contents are deterministic per request
-        // stream, so every computed position is publishable;
-        // publishPrefix caps coverage at what the blocks hold.
-        kv->publishPrefix(s->chain, s->kvTokens(), s->blocks, now);
+    if (peers) {
+        peers->publish(s, atFinish);
         return;
     }
-    // Borrowed sequences hold only their tail blocks; there is no
-    // locally resident chain rooted at token zero to advertise.
-    if (s->remoteLeadBlocks > 0)
-        return;
-
-    std::uint64_t kvTok = s->kvTokens();
-    std::size_t fullBlocks = std::min<std::size_t>(
-        s->blocks.size(),
-        static_cast<std::size_t>(kvTok / cfg.blockTokens));
-
-    // Register the shareable boundaries and derive how much of the
-    // chain to retain locally: a boundary homed elsewhere (Replica)
-    // is not duplicated past the previous boundary — unless a longer
-    // chain is homed here, since homing carries the duty to keep the
-    // whole chain resident.
-    using Role = core::AquaLib::PrefixPublishOutcome::Role;
-    std::uint64_t insertCap = kvTok;
-    bool replicaSeen = false;
-    std::uint64_t prevTokens = 0;
-    for (std::size_t b : chainBoundaries(s, fullBlocks, atFinish)) {
-        ChainKeys ck = s->chain.keysAt(b);
-        std::uint64_t tokens = std::uint64_t(b) * cfg.blockTokens;
-        Role role;
-        if (homeChains.count(ck.key) != 0) {
-            role = Role::Home;
-        } else if (replicaChains.count(ck.key) != 0) {
-            role = Role::Replica;
-        } else if (collisionChains.count(ck.key) != 0) {
-            role = Role::Collision;
-        } else {
-            auto out = clusterLib->prefixPublish(
-                ck.key, ck.verify, static_cast<std::uint32_t>(b),
-                tokens, kv->kvBytes(tokens), s->chain.sig(0, tokens));
-            role = out.role;
-            if (role == Role::Collision)
-                collisionChains.insert(ck.key);
-        }
-        if (role == Role::Home || role == Role::Replica) {
-            ClusterChain rec;
-            rec.blocks.assign(s->blocks.begin(),
-                              s->blocks.begin() + b);
-            rec.tokens = tokens;
-            rec.verify = ck.verify;
-            rec.req = s->request;
-            rec.owner = role == Role::Replica ? s : nullptr;
-            if (role == Role::Home)
-                setHomeChain(ck.key, std::move(rec));
-            else
-                replicaChains[ck.key] = std::move(rec);
-        }
-        if (role == Role::Replica && !replicaSeen) {
-            insertCap = prevTokens;
-            replicaSeen = true;
-        } else if (role == Role::Home && replicaSeen) {
-            insertCap = tokens;
-        }
-        prevTokens = tokens;
-    }
-    kv->publishPrefix(s->chain, kvTok, s->blocks, now, true, insertCap);
-}
-
-std::vector<std::size_t>
-VllmEngine::chainBoundaries(const Sequence *s, std::size_t maxBlocks,
-                            bool atFinish) const
-{
-    std::vector<std::size_t> out;
-    const workload::Request &r = s->request;
-    std::size_t preamble =
-        r.prefixTokens >= cfg.blockTokens
-            ? std::min<std::size_t>(r.prefixTokens / cfg.blockTokens,
-                                    maxBlocks)
-            : 0;
-    if (preamble > 0)
-        out.push_back(preamble);
-    // Only *final* contexts of conversation streams recur (as the
-    // next turn's history prefix); intermediate contexts of a
-    // request-private stream never match anything.
-    if (atFinish && r.contentStream != 0 && maxBlocks > preamble)
-        out.push_back(maxBlocks);
-    return out;
-}
-
-std::vector<core::AquaLib::PrefixCandidate>
-VllmEngine::prefixCandidates(const Sequence *s,
-                             std::size_t localFull) const
-{
-    std::vector<core::AquaLib::PrefixCandidate> cands;
-    std::uint64_t match = s->kvTokens() > 0 ? s->kvTokens() - 1 : 0;
-    std::size_t wantFull =
-        static_cast<std::size_t>(match / cfg.blockTokens);
-    if (wantFull <= localFull)
-        return cands;
-
-    // Candidate boundaries, longest first. Conversation streams scan
-    // densely — the previous turn's finish boundary is not knowable
-    // here — while for declared-preamble requests only the preamble
-    // boundary can match anything cluster-wide.
-    if (s->request.contentStream != 0) {
-        constexpr std::size_t kMaxCandidates = 64;
-        for (std::size_t b = wantFull;
-             b > localFull && cands.size() < kMaxCandidates; --b) {
-            ChainKeys ck = s->chain.keysAt(b);
-            cands.push_back(
-                {ck.key, ck.verify, static_cast<std::uint32_t>(b)});
-        }
-    }
-    std::size_t preamble =
-        s->request.prefixTokens >= cfg.blockTokens
-            ? s->request.prefixTokens / cfg.blockTokens
-            : 0;
-    if (preamble > localFull && preamble <= wantFull) {
-        bool present = false;
-        for (const auto &c : cands)
-            present |= c.blocks == preamble;
-        if (!present) {
-            ChainKeys ck = s->chain.keysAt(preamble);
-            cands.push_back({ck.key, ck.verify,
-                             static_cast<std::uint32_t>(preamble)});
-        }
-    }
-    return cands;
+    // Simulated token contents are deterministic per request stream,
+    // so every computed position is publishable; publishPrefix caps
+    // coverage at what the blocks hold.
+    kv->publishPrefix(s->chain, s->kvTokens(), s->blocks,
+                      server.simulation().now());
 }
 
 void
-VllmEngine::tryRemotePrefix(Sequence *s, KvCache::PrefixAcquire &acq,
-                            Tick &transfersDone)
+VllmEngine::countPrefixHit(const Sequence *s, std::size_t nBlocks,
+                           std::uint64_t tokens)
 {
-    std::size_t localFull =
-        acq.blocks.size() - (acq.partialTokens > 0 ? 1 : 0);
-    std::vector<core::AquaLib::PrefixCandidate> cands =
-        prefixCandidates(s, localFull);
-    if (cands.empty())
-        return;
-
-    core::AquaLib::PrefixLookupOutcome rl =
-        clusterLib->prefixLookup(cands);
-    if (!rl.found || rl.home == myGpu || rl.blocks <= localFull) {
-        ++prefixStats.registryMisses;
-        return;
-    }
-    // Trust nothing across the wire: the registered chain's content
-    // signature must match this request's own tokens.
-    std::uint64_t wantSig = s->chain.sig(0, rl.blocks * cfg.blockTokens);
-    if (wantSig != rl.chainSig) {
-        ++prefixStats.clusterSigMismatches;
-        ++prefixStats.registryMisses;
-        return;
-    }
-    if (server.topology().gpuFailed(rl.home)) {
-        ++prefixStats.registryMisses;
-        return;
-    }
-    core::AquaLib::PrefixPinOutcome pinr =
-        clusterLib->prefixPin(rl.key, rl.verify);
-    if (!pinr.ok) {
-        ++prefixStats.registryMisses;
-        return;
-    }
-
-    Tick now = server.simulation().now();
-    // Sparse attention reprices borrow-vs-copy: each decode step reads
-    // only a fraction of the borrowed lead over the peer link, so
-    // proportionally longer chains are worth serving in place.
-    std::uint64_t borrowCap = cfg.clusterBorrowMaxBlocks;
-    if (cfg.sparseReadFraction < 1.0) {
-        borrowCap = static_cast<std::uint64_t>(
-            static_cast<double>(borrowCap) / cfg.sparseReadFraction);
-    }
-    if (localFull == 0 && rl.blocks <= borrowCap) {
-        // Short chain: serve the lead in place from the home GPU.
-        // The lease holds until the sequence releases it.
-        if (!acq.blocks.empty()) {
-            kv->freeBlocks(acq.blocks);
-            acq.blocks.clear();
-        }
-        acq.tokens = rl.tokens;
-        acq.partialTokens = 0;
-        s->remoteLeadBlocks = rl.blocks;
-        s->remoteLeadTokens = rl.tokens;
-        s->remoteHome = pinr.home;
-        s->remotePin = pinr.pin;
-        prefixStats.remoteHitBlocks += rl.blocks;
-        ++prefixStats.borrowAdmissions;
-        ++prefixStats.registryHits;
-        // Integrity draw on the admission probe read. A link hit is
-        // always repairable here: the pinned home copy is intact, so
-        // one retransmission over NVLink clears it.
-        if (server.topology().drawPayloadCorruption()) {
-            ++integrity.detected;
-            if (tracer) {
-                json::Value f;
-                f["request"] =
-                    static_cast<std::int64_t>(s->request.id);
-                f["path"] = "prefix_borrow";
-                tracer->emit(now, "corruption_detected",
-                             std::move(f));
-            }
-            hw::TransferTiming redo = clusterLib->readPeerPrefix(
-                pinr.home, kv->kvBytes(rl.tokens), rl.blocks, now);
-            if (redo.complete > transfersDone)
-                transfersDone = redo.complete;
-            ++integrity.repairedRetransmit;
-            if (tracer) {
-                json::Value f;
-                f["request"] =
-                    static_cast<std::int64_t>(s->request.id);
-                f["path"] = "prefix_borrow";
-                tracer->emit(now, "corruption_repaired",
-                             std::move(f));
-            }
-        }
-        return;
-    }
-
-    // Stream a local copy of the missing lead blocks over NVLink; the
-    // lease holds the home copy resident until the transfer lands.
-    if (acq.partialTokens > 0) {
-        kv->freeBlocks({acq.blocks.back()});
-        acq.blocks.pop_back();
-        acq.tokens -= acq.partialTokens;
-        acq.partialTokens = 0;
-    }
-    std::size_t missing = rl.blocks - localFull;
-    auto fresh = kv->allocateBlocks(missing);
-    if (!fresh) {
-        clusterLib->prefixUnpin(pinr.pin);
-        ++prefixStats.registryMisses;
-        return;
-    }
-    std::uint64_t bytes =
-        kv->kvBytes(std::uint64_t(missing) * cfg.blockTokens);
-    hw::TransferTiming t =
-        clusterLib->readPeerPrefix(pinr.home, bytes, missing, now);
-    // Verify the streamed copy's signatures before admitting it. A
-    // hit is in-flight link corruption (the pinned home copy is still
-    // good), so one retransmission repairs it; the lease simply holds
-    // a little longer.
-    if (server.topology().drawPayloadCorruption()) {
-        ++integrity.detected;
-        if (tracer) {
-            json::Value f;
-            f["request"] = static_cast<std::int64_t>(s->request.id);
-            f["path"] = "prefix_copy";
-            tracer->emit(now, "corruption_detected", std::move(f));
-        }
-        t = clusterLib->readPeerPrefix(pinr.home, bytes, missing,
-                                       t.complete);
-        ++integrity.repairedRetransmit;
-        if (tracer) {
-            json::Value f;
-            f["request"] = static_cast<std::int64_t>(s->request.id);
-            f["path"] = "prefix_copy";
-            tracer->emit(now, "corruption_repaired", std::move(f));
-        }
-    }
-    if (t.complete > transfersDone)
-        transfersDone = t.complete;
-    for (std::size_t i = 0; i < fresh->size(); ++i) {
-        std::uint64_t first =
-            std::uint64_t(localFull + i) * cfg.blockTokens;
-        kv->setBlockSig((*fresh)[i], s->chain.sig(first, cfg.blockTokens));
-        kv->setBlockOrigin((*fresh)[i], BlockOrigin::RemotePeer);
-    }
-    acq.blocks.insert(acq.blocks.end(), fresh->begin(), fresh->end());
-    acq.tokens = std::uint64_t(rl.blocks) * cfg.blockTokens;
-    prefixStats.remoteHitBlocks += missing;
-    prefixStats.remoteCopyBytes += bytes;
-    ++prefixStats.copyAdmissions;
-    ++prefixStats.registryHits;
-    // Release the lease once the stream has landed on this GPU.
-    std::uint64_t pin = pinr.pin;
-    server.simulation().queue().schedule(t.complete, [this, pin] {
-        if (clusterLib)
-            clusterLib->prefixUnpin(pin);
-    });
-}
-
-void
-VllmEngine::releaseRemoteLead(Sequence *s)
-{
-    if (s->remotePin != 0 && clusterLib)
-        clusterLib->prefixUnpin(s->remotePin);
-    s->remotePin = 0;
-    s->remoteLeadBlocks = 0;
-    s->remoteLeadTokens = 0;
-    s->remoteHome = hw::hostDramId;
-}
-
-void
-VllmEngine::dropChainsOwnedBy(const Sequence *s)
-{
-    if (replicaChains.empty() || !clusterLib)
-        return;
-    for (auto it = replicaChains.begin();
-         it != replicaChains.end();) {
-        if (it->second.owner == s) {
-            std::uint64_t key = it->first;
-            std::uint64_t verify = it->second.verify;
-            it = replicaChains.erase(it);
-            clusterLib->prefixEvictNotify(key, verify);
-        } else {
-            ++it;
-        }
-    }
-}
-
-bool
-VllmEngine::clusterSetPinned(std::uint64_t key, bool pinned)
-{
-    auto it = homeChains.find(key);
-    if (it == homeChains.end())
-        return false;
-    for (aqua::mem::BlockId id : it->second.blocks) {
-        if (pinned)
-            kv->pinBlock(id);
-        else
-            kv->unpinBlock(id);
-    }
-    return true;
-}
-
-bool
-VllmEngine::clusterPromote(std::uint64_t key)
-{
-    auto it = replicaChains.find(key);
-    if (it == replicaChains.end())
-        return false;
-    ClusterChain c = std::move(it->second);
-    replicaChains.erase(it);
-    c.owner = nullptr;
-    // Adopt the chain: index it locally so it stays resident (and
-    // pinnable) after the owning sequence releases its blocks.
-    kv->publishPrefix(TokenChain(tokenFnFor(c.req), cfg.blockTokens),
-                      c.tokens, c.blocks, server.simulation().now());
-    setHomeChain(key, std::move(c));
-    return true;
-}
-
-void
-VllmEngine::setHomeChain(std::uint64_t key, ClusterChain c)
-{
-    auto [it, fresh] = homeChains.try_emplace(key);
-    ClusterChain &home = it->second;
-    // A re-home with new blocks must un-index the old ones: evicting
-    // one of them no longer touches this chain.
-    if (fresh || home.blocks != c.blocks) {
-        unindexHomeChain(key, home.blocks);
-        for (aqua::mem::BlockId id : c.blocks) {
-            if (homeKeysByBlock.size() <= id)
-                homeKeysByBlock.resize(id + 1);
-            std::vector<std::uint64_t> &keys = homeKeysByBlock[id];
-            keys.insert(std::lower_bound(keys.begin(), keys.end(), key),
-                        key);
-        }
-    }
-    home = std::move(c);
-}
-
-void
-VllmEngine::unindexHomeChain(std::uint64_t key,
-                             const std::vector<aqua::mem::BlockId> &blocks)
-{
-    for (aqua::mem::BlockId id : blocks) {
-        std::vector<std::uint64_t> &keys = homeKeysByBlock[id];
-        keys.erase(std::find(keys.begin(), keys.end(), key));
-    }
-}
-
-void
-VllmEngine::onCacheBlockEvicted(aqua::mem::BlockId id)
-{
-    if (!clusterLib)
-        return;
-    // Every home chain holding the block, ascending key order: each
-    // erase drops its key, so the smallest left is the next victim.
-    while (id < homeKeysByBlock.size() && !homeKeysByBlock[id].empty()) {
-        std::uint64_t key = homeKeysByBlock[id].front();
-        auto it = homeChains.find(key);
-        std::uint64_t verify = it->second.verify;
-        unindexHomeChain(key, it->second.blocks);
-        homeChains.erase(it);
-        clusterLib->prefixEvictNotify(key, verify);
-    }
-}
-
-void
-VllmEngine::countPrefixHit(const Sequence *s,
-                           const KvCache::PrefixAcquire &acq)
-{
-    std::uint64_t local = 0;
-    std::uint64_t remote = 0;
-    std::uint64_t dram = 0;
-    std::uint64_t remoteServer = 0;
+    // Tokens by BlockOrigin: Local, RemotePeer, Dram, RemoteServer.
+    std::array<std::uint64_t, 4> by{};
     std::uint64_t covered = 0;
-    for (std::size_t i = 0;
-         i < acq.blocks.size() && covered < acq.tokens; ++i) {
-        std::uint64_t tk = std::min<std::uint64_t>(
-            cfg.blockTokens, acq.tokens - covered);
-        switch (kv->blockOrigin(acq.blocks[i])) {
-          case BlockOrigin::Local:
-            local += tk;
-            break;
-          case BlockOrigin::RemotePeer:
-            remote += tk;
-            break;
-          case BlockOrigin::Dram:
-            dram += tk;
-            break;
-          case BlockOrigin::RemoteServer:
-            remoteServer += tk;
-            break;
-        }
+    for (std::size_t i = 0; i < nBlocks && covered < tokens; ++i) {
+        std::uint64_t tk =
+            std::min<std::uint64_t>(blockTokens, tokens - covered);
+        by[static_cast<std::size_t>(kv->blockOrigin(s->blocks[i]))] += tk;
         covered += tk;
     }
+    auto [local, remote, dram, remoteServer] = by;
     // A borrowed lead serves from the peer with no local blocks.
     remote += s->remoteLeadTokens;
     prefixStats.hitTokensLocal += local;
@@ -939,7 +416,7 @@ VllmEngine::countPrefixHit(const Sequence *s,
     if (tracer) {
         json::Value f;
         f["request"] = static_cast<std::int64_t>(s->request.id);
-        f["tokens"] = static_cast<std::int64_t>(acq.tokens);
+        f["tokens"] = static_cast<std::int64_t>(tokens);
         f["local"] = static_cast<std::int64_t>(local);
         f["remote_peer"] = static_cast<std::int64_t>(remote);
         f["dram"] = static_cast<std::int64_t>(dram);
@@ -960,7 +437,7 @@ VllmEngine::sharedLeadBlocks(const Sequence *s) const
     // peer sequence) also references: exactly the blocks whose
     // contents are recoverable from a shared-group backend copy.
     std::size_t maxFull =
-        static_cast<std::size_t>(s->kvTokens() / cfg.blockTokens);
+        static_cast<std::size_t>(s->kvTokens() / blockTokens);
     std::size_t lead = 0;
     while (lead < s->blocks.size() && lead < maxFull &&
            kv->blockRefCount(s->blocks[lead]) > 1)
@@ -984,6 +461,19 @@ VllmEngine::releaseSwapGroup(Sequence *s)
 }
 
 void
+VllmEngine::requeueForRecompute(Sequence *s,
+                                std::vector<Sequence *> &from)
+{
+    s->prefilled = false;
+    s->prefilledTokens = 0;
+    s->state = Sequence::State::Waiting;
+    removeFrom(from, s);
+    waiting.push_back(s);
+    ++nRecomputes;
+    needResched = true;
+}
+
+void
 VllmEngine::swapOutSeq(Sequence *s, Tick &transfersDone)
 {
     if (cfg.preemption == PreemptionMode::Recompute ||
@@ -999,17 +489,11 @@ VllmEngine::swapOutSeq(Sequence *s, Tick &transfersDone)
         // context recomputed (or re-fetched) on readmission.
         if (s->prefilled)
             publishSeq(s);
-        releaseRemoteLead(s);
-        dropChainsOwnedBy(s);
+        if (peers)
+            peers->release(s);
         kv->freeBlocks(s->blocks);
         s->blocks.clear();
-        s->prefilled = false;
-        s->prefilledTokens = 0;
-        s->state = Sequence::State::Waiting;
-        removeFrom(running, s);
-        waiting.push_back(s);
-        ++nRecomputes;
-        needResched = true;
+        requeueForRecompute(s, running);
         return;
     }
     // The circuit breaker diverts swaps to the fallback (host DRAM)
@@ -1039,7 +523,7 @@ VllmEngine::swapOutSeq(Sequence *s, Tick &transfersDone)
         if (lead > 0) {
             std::uint64_t key = s->chain.keysAt(lead).key;
             groupBytes =
-                kv->kvBytes(std::uint64_t(lead) * cfg.blockTokens);
+                kv->kvBytes(std::uint64_t(lead) * blockTokens);
             auto [it, fresh] = sharedGroups.try_emplace(key);
             if (fresh) {
                 auto gh = backend.alloc(groupBytes);
@@ -1054,8 +538,7 @@ VllmEngine::swapOutSeq(Sequence *s, Tick &transfersDone)
                         static_cast<std::uint32_t>(lead);
                     hw::TransferTiming t =
                         backend.write(*gh, groupBytes, lead);
-                    if (t.complete > transfersDone)
-                        transfersDone = t.complete;
+                    transfersDone = std::max(transfersDone, t.complete);
                     nWriteBytes += groupBytes;
                     ++prefixStats.groupWrites;
                 }
@@ -1106,8 +589,7 @@ VllmEngine::swapOutSeq(Sequence *s, Tick &transfersDone)
         OffloadBackend &dest = usingFallback ? target : backend;
         hw::TransferTiming t = dest.write(
             *handle, storedTail, s->blocks.size() - lead, quantReady);
-        if (t.complete > transfersDone)
-            transfersDone = t.complete;
+        transfersDone = std::max(transfersDone, t.complete);
         nWriteBytes += storedTail;
         s->swapHandle = *handle;
         if (usingFallback) {
@@ -1127,7 +609,8 @@ VllmEngine::swapOutSeq(Sequence *s, Tick &transfersDone)
                                            server.simulation().now());
         }
     }
-    dropChainsOwnedBy(s);
+    if (peers)
+        peers->release(s);
     kv->freeBlocks(s->blocks);
     s->blocks.clear();
     s->state = Sequence::State::Swapped;
@@ -1147,7 +630,7 @@ VllmEngine::swapInSeq(Sequence *s, Tick &transfersDone)
     std::vector<aqua::mem::BlockId> resident;
     if (cfg.prefixCache && s->swapSharedBlocks > 0) {
         KvCache::PrefixAcquire acq = kv->acquirePrefix(
-            s->chain, std::uint64_t(s->swapSharedBlocks) * cfg.blockTokens,
+            s->chain, std::uint64_t(s->swapSharedBlocks) * blockTokens,
             server.simulation().now());
         resident = std::move(acq.blocks);
     }
@@ -1171,15 +654,14 @@ VllmEngine::swapInSeq(Sequence *s, Tick &transfersDone)
                   static_cast<unsigned long long>(s->request.id));
         }
         std::uint64_t sharedBytes =
-            kv->kvBytes(std::uint64_t(missingShared) * cfg.blockTokens);
+            kv->kvBytes(std::uint64_t(missingShared) * blockTokens);
         hw::TransferTiming t = backend.read(it->second.handle,
                                             sharedBytes, missingShared);
-        if (t.complete > transfersDone)
-            transfersDone = t.complete;
+        transfersDone = std::max(transfersDone, t.complete);
         nReadBytes += sharedBytes;
     }
     prefixStats.residentReuseBytes +=
-        kv->kvBytes(std::uint64_t(resident.size()) * cfg.blockTokens);
+        kv->kvBytes(std::uint64_t(resident.size()) * blockTokens);
     if (s->swapHandle.valid()) {
         // The private tail comes back from whichever backend the
         // swap-out targeted (the fallback when the circuit breaker
@@ -1199,8 +681,7 @@ VllmEngine::swapInSeq(Sequence *s, Tick &transfersDone)
             restored +=
                 perf.dequantTimeAt(servingBytes, s->swapPrecision);
         }
-        if (restored > transfersDone)
-            transfersDone = restored;
+        transfersDone = std::max(transfersDone, restored);
         nReadBytes += s->swapHandle.bytes;
         // Signature-verify the restored tail before decode touches
         // it. Which fault applies depends on where the bytes lived: a
@@ -1211,69 +692,13 @@ VllmEngine::swapInSeq(Sequence *s, Tick &transfersDone)
         // the same bad bytes and the sequence must drop its KV and
         // recompute.
         bool onSsd = holder.name() == "ssd";
-        hw::Ssd *drive = server.topology().ssd();
-        if (onSsd && drive && drive->drawBitrot()) {
-            ++integrity.detected;
-            ++integrity.recomputeFallbacks;
-            if (tracer) {
-                json::Value f;
-                f["request"] =
-                    static_cast<std::int64_t>(s->request.id);
-                f["path"] = "swap_in";
-                tracer->emit(server.simulation().now(),
-                             "corruption_recompute", std::move(f));
-            }
-            if (sessionTier)
-                sessionTier->forgetOffloaded(
-                    s->request.id,
-                    &holder == &sessionTier->demotionStore(),
-                    server.simulation().now());
-            holder.free(s->swapHandle);
-            s->swapHandle = OffloadBackend::Handle{};
-            s->swapBackend = nullptr;
-            s->swapPrecision = spec.kvPrecision;
-            if (!resident.empty())
-                kv->freeBlocks(resident);
-            kv->freeBlocks(*blocks);
-            releaseSwapGroup(s);
-            s->prefilled = false;
-            s->prefilledTokens = 0;
-            s->state = Sequence::State::Waiting;
-            removeFrom(swapped, s);
-            waiting.push_back(s);
-            ++nRecomputes;
-            needResched = true;
-            // The abort consumed backend work (the read happened);
-            // report progress so the scheduler's transfer window
-            // stays honest.
-            return true;
-        }
-        if (!onSsd && server.topology().drawPayloadCorruption()) {
-            ++integrity.detected;
-            if (tracer) {
-                json::Value f;
-                f["request"] =
-                    static_cast<std::int64_t>(s->request.id);
-                f["path"] = "swap_in";
-                tracer->emit(server.simulation().now(),
-                             "corruption_detected", std::move(f));
-            }
+        bool rotted = integrity.check(s->request.id, "swap_in", onSsd, [&] {
             hw::TransferTiming rt =
                 holder.read(s->swapHandle, s->swapHandle.bytes,
                             need - s->swapSharedBlocks);
-            if (rt.complete > transfersDone)
-                transfersDone = rt.complete;
+            transfersDone = std::max(transfersDone, rt.complete);
             nReadBytes += s->swapHandle.bytes;
-            ++integrity.repairedRetransmit;
-            if (tracer) {
-                json::Value f;
-                f["request"] =
-                    static_cast<std::int64_t>(s->request.id);
-                f["path"] = "swap_in";
-                tracer->emit(server.simulation().now(),
-                             "corruption_repaired", std::move(f));
-            }
-        }
+        });
         if (sessionTier)
             sessionTier->forgetOffloaded(
                 s->request.id,
@@ -1283,6 +708,17 @@ VllmEngine::swapInSeq(Sequence *s, Tick &transfersDone)
         s->swapHandle = OffloadBackend::Handle{};
         s->swapBackend = nullptr;
         s->swapPrecision = spec.kvPrecision;
+        if (rotted) {
+            if (!resident.empty())
+                kv->freeBlocks(resident);
+            kv->freeBlocks(*blocks);
+            releaseSwapGroup(s);
+            requeueForRecompute(s, swapped);
+            // The abort consumed backend work (the read happened);
+            // report progress so the scheduler's transfer window
+            // stays honest.
+            return true;
+        }
     }
 
     s->blocks = std::move(resident);
@@ -1321,33 +757,19 @@ VllmEngine::swapInSeq(Sequence *s, Tick &transfersDone)
 bool
 VllmEngine::admitSeq(Sequence *s, Tick &transfersDone)
 {
-    // A parked-session resume stream is still landing: hold the
-    // sequence in waiting rather than gate the whole iteration's
-    // compute on the media. The stream's completion callback
-    // reschedules.
-    if (s->resumePending)
+    // A KV stream (parked-session resume or cross-server fetch) is
+    // still landing: hold the sequence in waiting rather than gate the
+    // whole iteration's compute on it. The stream's completion
+    // callback reschedules.
+    if (s->streamPending)
         return false;
-    // A cross-server federation stream is still on the fabric: hold
-    // the sequence in waiting; its completion callback reschedules.
-    if (s->fedPending)
-        return false;
-    // Completed resume stream: the restored context counts as already
-    // prefilled (its KV arrives in the blocks allocated below), so
-    // only the new turn's tail is computed.
-    if (s->resumedTokens > 0 && s->prefilledTokens == 0) {
-        s->prefilledTokens = s->resumedTokens;
-        s->cachedTokens = s->resumedTokens;
-        s->resumedTokens = 0;
-    }
-    // Completed (and validated) federation stream: the fetched chain
-    // counts as already prefilled; its blocks are tagged below so hit
-    // accounting attributes the tokens to the remote server.
-    std::uint32_t fedApplied = 0;
-    if (s->fedTokens > 0 && s->prefilledTokens == 0) {
-        fedApplied = s->fedTokens;
-        s->prefilledTokens = s->fedTokens;
-        s->cachedTokens = s->fedTokens;
-        s->fedTokens = 0;
+    // A landed stream's context counts as already prefilled (its KV
+    // arrives in the blocks allocated below), so only the rest of the
+    // prompt is computed.
+    std::uint32_t streamed = 0;
+    if (s->streamedTokens > 0 && s->prefilledTokens == 0) {
+        streamed = std::exchange(s->streamedTokens, 0);
+        s->prefilledTokens = s->cachedTokens = streamed;
     }
     // Adapter residency comes first: a missing adapter stalls the
     // iteration for its load (vLLM loads adapters synchronously).
@@ -1361,8 +783,7 @@ VllmEngine::admitSeq(Sequence *s, Tick &transfersDone)
         if (!lora->acquire(s->request.adapter, loaded))
             return false;
         s->adapterHeld = true;
-        if (loaded > transfersDone)
-            transfersDone = loaded;
+        transfersDone = std::max(transfersDone, loaded);
     }
     // kvTokens() so a recompute-preempted sequence gets room for its
     // whole regenerated context.
@@ -1378,8 +799,8 @@ VllmEngine::admitSeq(Sequence *s, Tick &transfersDone)
                                 server.simulation().now());
         // Local miss (or partial coverage): ask the cluster registry
         // whether a peer GPU homes a longer chain.
-        if (clusterEnabled())
-            tryRemotePrefix(s, acq, transfersDone);
+        if (peers)
+            peers->acquire(s, acq, transfersDone);
         if (acq.partialTokens > 0) {
             // The shared tail will be appended to during prefill:
             // copy-on-write it now (the cached original stays valid
@@ -1405,46 +826,33 @@ VllmEngine::admitSeq(Sequence *s, Tick &transfersDone)
     if (!blocks) {
         if (!acq.blocks.empty())
             kv->freeBlocks(acq.blocks);
-        releaseRemoteLead(s);
-        if (s->adapterHeld) {
-            lora->release(s->request.adapter);
-            s->adapterHeld = false;
-        }
+        if (peers)
+            peers->releaseLead(s);
+        releaseAdapter(s);
         return false;
     }
+    std::size_t hitBlocks = acq.blocks.size();
+    std::uint64_t hitTokens = acq.tokens;
     if (acq.tokens > 0) {
         s->prefilledTokens = static_cast<std::uint32_t>(acq.tokens);
         s->cachedTokens = static_cast<std::uint32_t>(acq.tokens);
-        prefixStats.cachedTokens += acq.tokens;
-        countPrefixHit(s, acq);
     }
     s->blocks = std::move(acq.blocks);
     s->blocks.insert(s->blocks.end(), blocks->begin(), blocks->end());
-    if (fedApplied > 0) {
-        // The fetched chain's KV landed in the leading blocks; tag
-        // them so hit accounting (and any later local reuse after
-        // publishSeq) knows the content crossed the fabric.
-        std::uint64_t covered = 0;
-        for (aqua::mem::BlockId id : s->blocks) {
-            if (covered >= fedApplied)
-                break;
-            kv->setBlockOrigin(id, BlockOrigin::RemoteServer);
-            covered += cfg.blockTokens;
-        }
-        prefixStats.cachedTokens += fedApplied;
-        prefixStats.hitTokensRemoteServer += fedApplied;
-        if (tracer) {
-            json::Value f;
-            f["request"] = static_cast<std::int64_t>(s->request.id);
-            f["tokens"] = static_cast<std::int64_t>(fedApplied);
-            f["local"] = 0;
-            f["remote_peer"] = 0;
-            f["dram"] = 0;
-            f["remote_server"] =
-                static_cast<std::int64_t>(fedApplied);
-            tracer->emit(server.simulation().now(), "prefix_hit",
-                         std::move(f));
-        }
+    if (streamed > 0 && s->streamFederated) {
+        // A fetched chain's KV landed in the leading blocks: tag them
+        // so hit accounting (and any later local reuse after
+        // publishSeq) knows the content crossed the fabric. A resume
+        // restores the session's own context and counts no hit.
+        hitBlocks = std::min(kv->blocksForTokens(streamed),
+                             s->blocks.size());
+        hitTokens = streamed;
+        for (std::size_t i = 0; i < hitBlocks; ++i)
+            kv->setBlockOrigin(s->blocks[i], BlockOrigin::RemoteServer);
+    }
+    if (hitTokens > 0) {
+        prefixStats.cachedTokens += hitTokens;
+        countPrefixHit(s, hitBlocks, hitTokens);
     }
     s->state = Sequence::State::Running;
     removeFrom(waiting, s);
@@ -1490,27 +898,14 @@ VllmEngine::finishSeq(Sequence *s, Tick when)
     // Nothing hashes a finished sequence again (all keeps it for its
     // metrics), so its memo goes now.
     s->chain.release();
-    releaseRemoteLead(s);
-    dropChainsOwnedBy(s);
+    if (peers)
+        peers->release(s);
     kv->freeBlocks(s->blocks);
     s->blocks.clear();
-    if (s->adapterHeld) {
-        lora->release(s->request.adapter);
-        s->adapterHeld = false;
-    }
     removeFrom(running, s);
-    s->metrics.finish = when;
-    s->metrics.tokensGenerated = s->generated;
-    finishedMetrics.push_back(s->metrics);
     if (admission)
         admission->recordCompletion(when, s->request.deadline);
-    needResched = true;
-    if (completionCb) {
-        workload::RequestMetrics m = s->metrics;
-        server.simulation().queue().schedule(when, [this, m] {
-            completionCb(m);
-        });
-    }
+    retire(s, when);
 }
 
 void
@@ -1522,17 +917,10 @@ VllmEngine::shedSeq(Sequence *s, overload::ShedReason reason,
     removeFrom(waiting, s);
     // Predictor miss: shedding a resuming request cancels its
     // in-flight prefetch stream (windows already issued are wasted).
-    if (sessionTier && s->resumePending)
+    // A federation stream runs on; its end closes the fetch ticket.
+    if (sessionTier && s->streamPending && !s->streamFederated)
         sessionTier->cancelResume(s->request.userId);
-    if (s->adapterHeld) {
-        lora->release(s->request.adapter);
-        s->adapterHeld = false;
-    }
-    s->metrics.finish = when;
     s->metrics.shed = true;
-    // Recompute-preempted victims may already have emitted tokens.
-    s->metrics.tokensGenerated = s->generated;
-    finishedMetrics.push_back(s->metrics);
     ++nSheds;
     ++shedsSinceInform;
     if (admission)
@@ -1546,6 +934,26 @@ VllmEngine::shedSeq(Sequence *s, overload::ShedReason reason,
         f["best_effort"] = s->request.bestEffort;
         tracer->emit(when, "shed", std::move(f));
     }
+    retire(s, when);
+}
+
+void
+VllmEngine::releaseAdapter(Sequence *s)
+{
+    if (s->adapterHeld) {
+        lora->release(s->request.adapter);
+        s->adapterHeld = false;
+    }
+}
+
+void
+VllmEngine::retire(Sequence *s, Tick when)
+{
+    releaseAdapter(s);
+    s->metrics.finish = when;
+    // Shed recompute-preempted victims may already have emitted tokens.
+    s->metrics.tokensGenerated = s->generated;
+    finishedMetrics.push_back(s->metrics);
     needResched = true;
     if (completionCb) {
         workload::RequestMetrics m = s->metrics;
@@ -1573,7 +981,7 @@ VllmEngine::updateBrownout(Tick now)
         // it shows up as a growing swapped set time-sharing the
         // batch. Both are queued work awaiting GPU service.
         sig.queueDepth = waiting.size() + swapped.size();
-        sig.queueDelaySec = oldestWaitingSec(now);
+        sig.queueDelaySec = oldestWaitingSec(waiting, now);
         sig.freePoolFraction = freeFrac;
         // Offload-path pressure: this GPU is reclaiming its own lease
         // (producer role), or the backend recently executed a
@@ -1606,13 +1014,11 @@ VllmEngine::settleTier(Tick now)
     // and the settle pass gives that DRAM somewhere real to spill.
     bool pressure = brownout && brownout->forceDramOffload();
     for (std::uint64_t key : sessionTier->selectDemotions(now, pressure)) {
-        Sequence *victim = nullptr;
-        for (Sequence *s : swapped) {
-            if (s->request.id == key) {
-                victim = s;
-                break;
-            }
-        }
+        auto it = std::find_if(swapped.begin(), swapped.end(),
+                               [key](const Sequence *s) {
+                                   return s->request.id == key;
+                               });
+        Sequence *victim = it != swapped.end() ? *it : nullptr;
         if (!victim || !victim->swapHandle.valid()) {
             // The sequence moved on since registration; drop the
             // stale policy entry.
@@ -1659,15 +1065,6 @@ VllmEngine::coldPrecision() const
                         : spec.kvPrecision;
 }
 
-double
-VllmEngine::oldestWaitingSec(Tick now) const
-{
-    Tick oldest = now;
-    for (const Sequence *s : waiting)
-        oldest = std::min(oldest, s->request.arrival);
-    return ticksToSec(now - oldest);
-}
-
 void
 VllmEngine::step()
 {
@@ -1679,13 +1076,12 @@ VllmEngine::step()
         itersSinceInform = 0;
         doInform();
     }
-    if (++itersSinceRespond >= cfg.respondEveryIters) {
+    if (++itersSinceRespond >= respondEveryIters) {
         itersSinceRespond = 0;
         Tick blocked = backend.respond();
-        if (blocked > transfersDone)
-            transfersDone = blocked;
+        transfersDone = std::max(transfersDone, blocked);
     }
-    if (sessionTier && ++itersSinceSettle >= cfg.tierSettleEveryIters) {
+    if (sessionTier && ++itersSinceSettle >= tierSettleEveryIters) {
         itersSinceSettle = 0;
         settleTier(now);
     }
@@ -1845,16 +1241,8 @@ VllmEngine::step()
             // Borrowed leads are attended out of their home GPUs'
             // HBM: charge the peer-link read on top of the compute.
             // Sparse attention touches only a fraction of the lead.
-            if (remoteKv > 0) {
-                std::uint64_t readKv = remoteKv;
-                if (cfg.sparseReadFraction < 1.0) {
-                    readKv = static_cast<std::uint64_t>(
-                        static_cast<double>(remoteKv) *
-                        cfg.sparseReadFraction);
-                }
-                t += server.topology().peerTransferDuration(readKv);
-                prefixStats.remoteDecodeReadBytes += readKv;
-            }
+            if (remoteKv > 0)
+                t += peers->decodeReadTime(remoteKv);
             completion = server.gpu(myGpu).submitComputeAfter(
                 transfersDone, t);
             if (iterationCb) {
@@ -1900,7 +1288,7 @@ VllmEngine::step()
     } else if (have_work || aqua_duties) {
         // Stalled (e.g. reclaim in progress) or idle with
         // housekeeping duties: poll at the idle cadence.
-        scheduleStep(now + cfg.idleTickPeriod);
+        scheduleStep(now + idleTickPeriod);
     }
     // Otherwise: fully idle; the next submit() wakes the engine.
 }

@@ -16,25 +16,22 @@
 #ifndef AQUA_SERVE_VLLM_ENGINE_HH
 #define AQUA_SERVE_VLLM_ENGINE_HH
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "aqua/aqua_lib.hh"
-#include "cluster/prefix_registry.hh"
-#include "federation/cost_model.hh"
-#include "hw/fabric.hh"
 #include "model/perf_model.hh"
 #include "overload/admission.hh"
 #include "overload/brownout.hh"
 #include "overload/kv_precision_governor.hh"
 #include "serve/kv_cache.hh"
+#include "serve/kv_integrity.hh"
 #include "serve/lora_cache.hh"
 #include "serve/offload_backend.hh"
+#include "serve/prefix_peers.hh"
 #include "serve/scheduler.hh"
 #include "serve/sequence.hh"
 #include "serve/session_tier.hh"
@@ -61,8 +58,6 @@ struct VllmEngineConfig
 {
     /** Max sequences decoded per iteration. */
     std::uint32_t maxBatch = 48;
-    /** Tokens per KV block (vLLM default). */
-    std::uint32_t blockTokens = 16;
     /** Admission slack beyond the prompt, in tokens. */
     std::uint32_t slackTokens = 32;
     /**
@@ -74,18 +69,10 @@ struct VllmEngineConfig
     std::uint32_t maxPrefillTokensPerIter = 0;
     /** CFS slice length in generated tokens (Fig. 6 uses 5). */
     std::uint32_t cfsSliceTokens = 5;
-    /** Call backend->respond() every this many iterations. */
-    std::uint32_t respondEveryIters = 4;
-    /** Run the storage tier's demotion settle pass every this many
-     *  iterations (no-op unless a SessionTier is attached). */
-    std::uint32_t tierSettleEveryIters = 8;
     /** Call AQUA-LIB informStats() every this many iterations. */
     std::uint32_t informEveryIters = 8;
-    /** Housekeeping cadence while idle. */
-    aqua::sim::Tick idleTickPeriod = 100 * aqua::sim::nsPerMs;
-    /** Fraction of post-weights free HBM reserved as the KV pool. */
-    double kvPoolFraction = 0.95;
-    /** Explicit KV pool size; overrides the fraction when nonzero. */
+    /** Explicit KV pool size; overrides the default share of free
+     *  HBM when nonzero. */
     std::uint64_t kvPoolBytesOverride = 0;
     /** LoRA cache configuration; nullopt disables adapter support. */
     std::optional<LoraCacheConfig> lora;
@@ -287,23 +274,6 @@ static_assert(sizeof(PrefixCacheEngineStats) ==
               28 * sizeof(std::uint64_t));
 
 /**
- * Read-path integrity counters (payload_corrupt / ssd_bitrot faults).
- * Every KV payload entering HBM — swap-in, peer prefix stream, SSD
- * resume — is signature-verified on arrival; these count the
- * detections and which recovery path cleared them. All zero in
- * fault-free runs.
- */
-struct IntegrityEngineStats
-{
-    /** Signature mismatches caught at read time. */
-    std::uint64_t detected = 0;
-    /** Repaired by re-reading (link corruption: source still good). */
-    std::uint64_t repairedRetransmit = 0;
-    /** Unrepairable (at-rest bitrot): KV dropped and recomputed. */
-    std::uint64_t recomputeFallbacks = 0;
-};
-
-/**
  * The serving engine.
  */
 class VllmEngine
@@ -311,6 +281,9 @@ class VllmEngine
   public:
     using CompletionCallback =
         std::function<void(const workload::RequestMetrics &)>;
+
+    /** Tokens per KV block (vLLM default). */
+    static constexpr std::uint32_t blockTokens = 16;
 
     /**
      * @param server Owning server.
@@ -339,10 +312,10 @@ class VllmEngine
 
     /**
      * Attach the cluster prefix registry plus the AquaLib carrying
-     * this engine's southbound REST access. Registers this GPU's
-     * RegistryAgent (pin/promote callbacks) and enables the remote
-     * prefix-read admission path when cfg.clusterPrefix is set. Both
-     * non-owning; must outlive the engine.
+     * this engine's southbound REST access. When cfg.clusterPrefix is
+     * set, registers this GPU's RegistryAgent (pin/promote callbacks)
+     * and enables the remote prefix-read admission path; otherwise a
+     * no-op. Both non-owning; must outlive the engine.
      */
     void attachClusterPrefix(cluster::PrefixRegistry *registry,
                              core::AquaLib *lib);
@@ -372,7 +345,7 @@ class VllmEngine
      * primary (NVLink donor) path is reclaiming or degraded.
      * Non-owning; must outlive the engine.
      */
-    void setFallbackBackend(OffloadBackend *fallbackBackend);
+    void setFallbackBackend(OffloadBackend *b) { fallback = b; }
 
     /**
      * Attach a storage tier (SSD) below the offload backends. Enables
@@ -383,7 +356,7 @@ class VllmEngine
      * swapped-out KV sitting in host DRAM. Non-owning; must outlive
      * the engine.
      */
-    void attachSessionTier(SessionTier *tier);
+    void attachSessionTier(SessionTier *tier) { sessionTier = tier; }
 
     /** Submit a request (call at its arrival time). */
     void submit(const workload::Request &request);
@@ -478,7 +451,7 @@ class VllmEngine
     const IntegrityEngineStats &
     integrityStats() const
     {
-        return integrity;
+        return integrity.stats();
     }
 
     /** Bytes written to / read from the offload backend (swaps). */
@@ -524,12 +497,24 @@ class VllmEngine
     void shedSeq(Sequence *s, overload::ShedReason reason,
                  aqua::sim::Tick when);
 
+    /** Release the LoRA adapter pin, if held. */
+    void releaseAdapter(Sequence *s);
+
+    /** Record final metrics at @p when (finish or shed). */
+    void retire(Sequence *s, aqua::sim::Tick when);
+
+    /** Move a preempted sequence to waiting to re-prefill it all. */
+    void requeueForRecompute(Sequence *s, std::vector<Sequence *> &from);
+
     /** Sample overload signals and advance the brownout ladder. */
     void updateBrownout(aqua::sim::Tick now);
 
     /** Try to start a parked-session resume stream for a fresh
      *  follow-up arrival (no-op without a tier or a parked entry). */
     void maybeBeginResume(Sequence *s);
+
+    /** A KV stream landed: re-run scheduling now. */
+    void wake();
 
     /** Demotion settle pass: age out swapped KV from DRAM to SSD. */
     void settleTier(aqua::sim::Tick now);
@@ -544,17 +529,6 @@ class VllmEngine
     /** Precision KV leaving HBM is quantized to right now (the
      *  serving precision unless the governor is demoting). */
     model::KvPrecision coldPrecision() const;
-
-    /** The served ModelSpec with the config's KV precision applied
-     *  (run before perf/kv are constructed from it). */
-    static model::ModelSpec applyKvConfig(model::ModelSpec spec,
-                                          const VllmEngineConfig &cfg);
-
-    /** Age of the oldest waiting request, seconds. */
-    double oldestWaitingSec(aqua::sim::Tick now) const;
-
-    /** Remove a sequence pointer from a list. */
-    static void removeFrom(std::vector<Sequence *> &list, Sequence *s);
 
     //
     // Prefix-cache sharing (active only with cfg.prefixCache).
@@ -585,97 +559,11 @@ class VllmEngine
     /** Drop a swapped borrower's reference on its shared group. */
     void releaseSwapGroup(Sequence *s);
 
-    //
-    // Cluster prefix registry (active only with cfg.clusterPrefix
-    // and attachClusterPrefix()).
-    //
-
-    /** A chain this engine published to the registry. */
-    struct ClusterChain
-    {
-        /** Resident blocks backing the chain, chain order. */
-        std::vector<aqua::mem::BlockId> blocks;
-        std::uint64_t tokens = 0;
-        std::uint64_t verify = 0;
-        /** Request whose token stream names the chain contents. */
-        workload::Request req;
-        /** Replica chains only: the live sequence whose blocks back
-         *  the (un-indexed) copy; home chains are index-owned. */
-        const Sequence *owner = nullptr;
-    };
-
-    bool
-    clusterEnabled() const
-    {
-        return cfg.clusterPrefix && clusterReg && clusterLib;
-    }
-
-    /** Shareable chain boundaries (in full blocks, ascending) of a
-     *  sequence's context: the declared preamble, plus the full
-     *  context for conversation streams when @p atFinish. */
-    std::vector<std::size_t> chainBoundaries(const Sequence *s,
-                                             std::size_t maxBlocks,
-                                             bool atFinish) const;
-
-    /** Candidate chain boundaries of @p s's context covering more
-     *  than @p localFull blocks, longest first (dense scan for
-     *  conversation streams, plus the declared preamble). */
-    std::vector<core::AquaLib::PrefixCandidate>
-    prefixCandidates(const Sequence *s, std::size_t localFull) const;
-
-    /** Registry remote-read path for an admission whose local prefix
-     *  match fell short: lookup, signature check, pin, then stream a
-     *  local copy or borrow the home's blocks in place. */
-    void tryRemotePrefix(Sequence *s, KvCache::PrefixAcquire &acq,
-                         aqua::sim::Tick &transfersDone);
-
-    //
-    // Cross-server federation (active only with cfg.federation and
-    // attachFederation()).
-    //
-
-    bool
-    fedEnabled() const
-    {
-        return cfg.federation && fedFabric && fedLib &&
-               clusterEnabled();
-    }
-
-    /** Try to start a cross-server prefix stream for a fresh arrival
-     *  whose chain no GPU in this scale-up domain holds: directory
-     *  lookup, signature check, cost-model verdict, home admission,
-     *  then the fabric stream (validated on completion). */
-    void maybeBeginFederationFetch(Sequence *s);
-
-    /** Release a borrowed remote lead (unpin the registry lease). */
-    void releaseRemoteLead(Sequence *s);
-
-    /** Drop replica-chain records backed by @p s's blocks (called
-     *  before the sequence frees them). */
-    void dropChainsOwnedBy(const Sequence *s);
-
-    /** Registry callback: pin/unpin a home chain's blocks. */
-    bool clusterSetPinned(std::uint64_t key, bool pinned);
-
-    /** Registry callback: adopt a replica chain as the new home. */
-    bool clusterPromote(std::uint64_t key);
-
-    /** Record @p c as the home chain under @p key, replacing any
-     *  earlier record, and keep homeKeysByBlock in step. */
-    void setHomeChain(std::uint64_t key, ClusterChain c);
-
-    /** Drop @p key from homeKeysByBlock at each of @p blocks. */
-    void unindexHomeChain(std::uint64_t key,
-                          const std::vector<aqua::mem::BlockId> &blocks);
-
-    /** KvCache eviction observer: a cached block left the index; any
-     *  home chain containing it is gone from this GPU. */
-    void onCacheBlockEvicted(aqua::mem::BlockId id);
-
-    /** Tally a prefix hit's tokens by serving-block origin and emit a
-     *  "prefix_hit" trace event. */
-    void countPrefixHit(const Sequence *s,
-                        const KvCache::PrefixAcquire &acq);
+    /** Tally a prefix hit of @p tokens served by the leading
+     *  @p nBlocks of s->blocks (plus any borrowed lead) by block
+     *  origin, and emit a "prefix_hit" trace event. */
+    void countPrefixHit(const Sequence *s, std::size_t nBlocks,
+                        std::uint64_t tokens);
 
     hw::Server &server;
     hw::GpuId myGpu;
@@ -742,27 +630,11 @@ class VllmEngine
     /** Shared-prefix offload copies, by chain key. */
     std::map<std::uint64_t, SharedGroup> sharedGroups;
 
-    cluster::PrefixRegistry *clusterReg = nullptr;
-    core::AquaLib *clusterLib = nullptr;
-    hw::Fabric *fedFabric = nullptr;
-    core::AquaLib *fedLib = nullptr;
-    /** This engine's server index on the fabric. */
-    std::uint32_t fedServer = 0;
-    std::unique_ptr<federation::FederationCostModel> fedCost;
-    /** Chains this engine homes (pinned on registry demand). */
-    std::map<std::uint64_t, ClusterChain> homeChains;
-    /** Per block id, the keys of the home chains holding it,
-     *  ascending: what an evicted block takes down, found without
-     *  scanning homeChains. */
-    std::vector<std::vector<std::uint64_t>> homeKeysByBlock;
-    /** Chains homed elsewhere that this engine could adopt. */
-    std::map<std::uint64_t, ClusterChain> replicaChains;
-    /** Chain keys the registry rejected as cluster-wide collisions
-     *  (stay engine-local; never re-published). */
-    std::set<std::uint64_t> collisionChains;
-
     PrefixCacheEngineStats prefixStats;
-    IntegrityEngineStats integrity;
+    KvIntegrity integrity;
+    /** Registry and federation paths (null unless cfg.clusterPrefix
+     *  and attachClusterPrefix()); destroyed before the counters. */
+    std::unique_ptr<PrefixPeers> peers;
     std::uint64_t nWriteBytes = 0;
     std::uint64_t nReadBytes = 0;
 

@@ -43,33 +43,16 @@ SsdBackend::free(const Handle &handle)
     regions.erase(it);
 }
 
-std::uint64_t
-SsdBackend::chunkSize(std::uint64_t bytes, std::uint64_t nChunks)
-{
-    std::uint64_t chunk = bytes / nChunks;
-    return chunk == 0 ? 1 : chunk;
-}
-
 hw::TransferTiming
 SsdBackend::write(const Handle &handle, std::uint64_t bytes,
                   std::uint64_t nChunks, Tick earliest)
 {
     if (bytes > handle.bytes)
         panic("SsdBackend::write beyond handle size");
-    if (nChunks <= 1)
-        return server.topology().copy(gpu, hw::ssdId, bytes, {},
-                                      earliest);
-    if (cfg.useStaging) {
-        // One gathered PCIe transfer, one sequential media write —
-        // instead of nChunks random accesses on both hops.
-        return engine.transferOut(
-            hw::ssdId,
-            core::StagingEngine::uniformChunks(bytes, nChunks),
-            earliest);
-    }
-    return server.topology().copyChunked(gpu, hw::ssdId,
-                                         chunkSize(bytes, nChunks),
-                                         nChunks, {}, earliest);
+    // Staged: one gathered PCIe transfer, one sequential media write —
+    // instead of nChunks random accesses on both hops.
+    return engine.transferChunks(hw::ssdId, /*outbound=*/true, bytes,
+                                 nChunks, cfg.useStaging, earliest);
 }
 
 hw::TransferTiming
@@ -78,18 +61,8 @@ SsdBackend::read(const Handle &handle, std::uint64_t bytes,
 {
     if (bytes > handle.bytes)
         panic("SsdBackend::read beyond handle size");
-    if (nChunks <= 1)
-        return server.topology().copy(hw::ssdId, gpu, bytes, {},
-                                      earliest);
-    if (cfg.useStaging) {
-        return engine.transferIn(
-            hw::ssdId,
-            core::StagingEngine::uniformChunks(bytes, nChunks),
-            earliest);
-    }
-    return server.topology().copyChunked(hw::ssdId, gpu,
-                                         chunkSize(bytes, nChunks),
-                                         nChunks, {}, earliest);
+    return engine.transferChunks(hw::ssdId, /*outbound=*/false, bytes,
+                                 nChunks, cfg.useStaging, earliest);
 }
 
 hw::TransferTiming
@@ -98,12 +71,8 @@ SsdBackend::writeFromDram(const Handle &handle, std::uint64_t bytes,
 {
     if (bytes > handle.bytes)
         panic("SsdBackend::writeFromDram beyond handle size");
-    if (nChunks <= 1)
-        return server.topology().copy(hw::hostDramId, hw::ssdId, bytes,
-                                      {}, earliest);
-    return server.topology().copyChunked(hw::hostDramId, hw::ssdId,
-                                         chunkSize(bytes, nChunks),
-                                         nChunks, {}, earliest);
+    return server.topology().copyScattered(hw::hostDramId, hw::ssdId,
+                                           bytes, nChunks, earliest);
 }
 
 hw::TransferTiming
@@ -112,12 +81,8 @@ SsdBackend::readToDram(const Handle &handle, std::uint64_t bytes,
 {
     if (bytes > handle.bytes)
         panic("SsdBackend::readToDram beyond handle size");
-    if (nChunks <= 1)
-        return server.topology().copy(hw::ssdId, hw::hostDramId, bytes,
-                                      {}, earliest);
-    return server.topology().copyChunked(hw::ssdId, hw::hostDramId,
-                                         chunkSize(bytes, nChunks),
-                                         nChunks, {}, earliest);
+    return server.topology().copyScattered(hw::ssdId, hw::hostDramId,
+                                           bytes, nChunks, earliest);
 }
 
 Tick

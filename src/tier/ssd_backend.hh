@@ -96,10 +96,6 @@ class SsdBackend : public serve::OffloadBackend
     }
 
   private:
-    /** Chunk size for an nChunks-way scattered access. */
-    static std::uint64_t chunkSize(std::uint64_t bytes,
-                                   std::uint64_t nChunks);
-
     hw::Server &server;
     hw::GpuId gpu;
     SsdBackendConfig cfg;

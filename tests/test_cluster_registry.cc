@@ -532,8 +532,9 @@ struct HomeEngineFixture
         serve::VllmEngineConfig cfg;
         cfg.prefixCache = true;
         cfg.clusterPrefix = true;
-        cfg.kvPoolBytesOverride = poolBlocks * cfg.blockTokens *
-                                  model::codellama34b().kvBytesPerToken();
+        cfg.kvPoolBytesOverride =
+            poolBlocks * serve::VllmEngine::blockTokens *
+            model::codellama34b().kvBytesPerToken();
         ChainObserver obs;
         obs.invalidated = [this](std::uint64_t key) {
             invalidated.push_back(key);

@@ -7,9 +7,9 @@
  * anti-entropy repair and its differential check against the
  * full-table reference round, admission caps, fetch-ticket
  * validation, journal replay, frozen routes), the multi-server
- * testbed factory, and the
- * engine-level race of a home eviction against an in-flight
- * federation stream.
+ * testbed factory, and the engine level: the race of a home eviction
+ * against an in-flight federation stream, a shed mid-stream, and a
+ * parked-session resume taking precedence over a fetch.
  */
 
 #include <gtest/gtest.h>
@@ -33,6 +33,7 @@
 #include "serve/vllm_engine.hh"
 #include "sim/simulation.hh"
 #include "sim/ticks.hh"
+#include "tier/park_agent.hh"
 #include "workload/generator.hh"
 
 using namespace aqua;
@@ -992,90 +993,220 @@ TEST(FederationEngine, TwoServerEndToEndStreamsThePreamble)
     EXPECT_EQ(off.fabric.bytesMoved, 0u);
 }
 
-TEST(FederationEngine, HomeEvictionMidStreamFallsBackToRecompute)
-{
-    // Hand-built 2-server cluster so the eviction can be scheduled
-    // while the consumer's stream is on the wire.
-    exp::MultiServerCluster cluster(2, 2, 11);
-    std::vector<cluster::PrefixRegistry *> regs;
-    for (std::size_t i = 0; i < 2; ++i)
-        regs.push_back(&cluster.server(i).makePrefixRegistry());
-    cluster.makeFederation();
+namespace {
 
-    model::ModelSpec spec = model::presetByName("Codellama-34B");
+/**
+ * Two servers with one federation consumer engine each, on gpu 0, and
+ * a two-request shared-preamble trace: request a homes the 768-token
+ * preamble on server 0, request b opens with it on server 1.
+ */
+struct FederationPair
+{
+    exp::MultiServerCluster cluster{2, 2, 11};
+    std::vector<cluster::PrefixRegistry *> regs;
+    /** Storage tier of server 1's engine (see attachTier()). */
+    std::unique_ptr<tier::ParkAgent> tier1;
     std::vector<std::unique_ptr<serve::VllmEngine>> engines;
-    for (std::size_t i = 0; i < 2; ++i) {
-        exp::Testbed &tb = cluster.server(i);
-        serve::DramBackend &backend = tb.makeDramBackend(0);
-        serve::VllmEngineConfig ec;
+    workload::Request a;
+    workload::Request b;
+
+    explicit FederationPair(serve::VllmEngineConfig ec = {},
+                            DirectoryConfig dir = {})
+    {
+        for (std::size_t i = 0; i < 2; ++i)
+            regs.push_back(&cluster.server(i).makePrefixRegistry());
+        cluster.makeFederation(dir);
         ec.prefixCache = true;
         ec.clusterPrefix = true;
         ec.federation = true;
-        engines.push_back(std::make_unique<serve::VllmEngine>(
-            tb.server(), 0, spec,
-            std::make_unique<serve::CfsPolicy>(), backend, ec));
-        core::AquaLib &lib = tb.makeAquaLib(0);
-        engines.back()->attachClusterPrefix(regs[i], &lib);
-        engines.back()->attachFederation(
-            &cluster.fabric(), static_cast<std::uint32_t>(i), &lib);
+        model::ModelSpec spec = model::presetByName("Codellama-34B");
+        for (std::size_t i = 0; i < 2; ++i) {
+            exp::Testbed &tb = cluster.server(i);
+            serve::DramBackend &backend = tb.makeDramBackend(0);
+            engines.push_back(std::make_unique<serve::VllmEngine>(
+                tb.server(), 0, spec,
+                std::make_unique<serve::CfsPolicy>(), backend, ec));
+            core::AquaLib &lib = tb.makeAquaLib(0);
+            engines.back()->attachClusterPrefix(regs[i], &lib);
+            engines.back()->attachFederation(
+                &cluster.fabric(), static_cast<std::uint32_t>(i), &lib);
+        }
+        workload::TraceBuilder traces(cluster.sim().makeRandom());
+        std::vector<workload::Request> trace =
+            traces.sharedPrefix(1.0, 2, 768, 1);
+        EXPECT_EQ(trace.size(), 2u);
+        a = trace[0];
+        b = trace[1];
     }
 
-    workload::TraceBuilder traces(cluster.sim().makeRandom());
-    std::vector<workload::Request> trace =
-        traces.sharedPrefix(1.0, 2, 768, 1);
-    ASSERT_EQ(trace.size(), 2u);
+    /** Attach an SSD park/resume tier to server 1's engine. */
+    tier::ParkAgent &
+    attachTier()
+    {
+        tier1 = std::make_unique<tier::ParkAgent>(
+            cluster.server(1).server(), 0);
+        engines[1]->attachSessionTier(tier1.get());
+        return *tier1;
+    }
 
+    /** Submit @p r to server @p i's engine at @p at. */
+    void
+    submitAt(std::size_t i, workload::Request r, Tick at)
+    {
+        r.arrival = at;
+        cluster.sim().queue().schedule(at, [this, i, r] {
+            engines[i]->submit(r);
+        });
+    }
+
+    /** Run until @p n requests have left the engines, or 2000 s. */
+    void
+    runUntilFinished(std::size_t n)
+    {
+        Tick deadline = secToTicks(2000.0);
+        while (cluster.sim().now() < deadline &&
+               (engines[0]->finished().size() +
+                engines[1]->finished().size()) < n) {
+            cluster.sim().runUntil(cluster.sim().now() + secToTicks(5.0));
+        }
+    }
+
+    /** Server 0's live adverts (the chains a peer could fetch). */
+    std::vector<DirectoryEntry>
+    homedAdverts()
+    {
+        std::vector<DirectoryEntry> out;
+        json::Value state = cluster.directory(0).exportState();
+        const json::Value *adverts = state.find("adverts");
+        if (!adverts)
+            return out;
+        for (const json::Value &v : adverts->asArray()) {
+            DirectoryEntry e = FederationDirectory::advertFromJson(v);
+            if (!e.tombstone)
+                out.push_back(e);
+        }
+        return out;
+    }
+};
+
+} // anonymous namespace
+
+TEST(FederationEngine, HomeEvictionMidStreamFallsBackToRecompute)
+{
+    FederationPair p;
     // Request A prefills and publishes the preamble on server 0.
-    workload::Request a = trace[0];
-    a.arrival = 0;
-    cluster.sim().queue().schedule(a.arrival, [&engines, a] {
-        engines[0]->submit(a);
-    });
+    p.submitAt(0, p.a, 0);
 
     // Request B opens with the same preamble on server 1, long after
     // A finished and the advert gossiped. Its federation stream
     // starts at submit.
     Tick bAt = secToTicks(60.0);
-    workload::Request b = trace[1];
-    b.arrival = bAt;
-    cluster.sim().queue().schedule(bAt, [&engines, b] {
-        engines[1]->submit(b);
-    });
+    p.submitAt(1, p.b, bAt);
 
     // 200us later — with megabytes still on the wire — the home
     // evicts its only copy. The consumer must detect the version
     // bump at stream completion and recompute instead of trusting
     // ghost bytes, without hanging the request.
-    cluster.sim().queue().schedule(bAt + 200 * nsPerUs, [&] {
-        json::Value state = cluster.directory(0).exportState();
-        const json::Value *adverts = state.find("adverts");
-        ASSERT_NE(adverts, nullptr);
-        ASSERT_FALSE(adverts->asArray().empty());
-        for (const json::Value &v : adverts->asArray()) {
-            DirectoryEntry e = FederationDirectory::advertFromJson(v);
-            if (!e.tombstone)
-                regs[0]->evictNotify(0, e.key, e.verify,
-                                     cluster.sim().now());
-        }
+    p.cluster.sim().queue().schedule(bAt + 200 * nsPerUs, [&] {
+        std::vector<DirectoryEntry> adverts = p.homedAdverts();
+        ASSERT_FALSE(adverts.empty());
+        for (const DirectoryEntry &e : adverts)
+            p.regs[0]->evictNotify(0, e.key, e.verify,
+                                   p.cluster.sim().now());
     });
 
-    Tick deadline = secToTicks(2000.0);
-    while (cluster.sim().now() < deadline &&
-           (engines[0]->finished().size() +
-            engines[1]->finished().size()) < 2) {
-        cluster.sim().runUntil(cluster.sim().now() + secToTicks(5.0));
-    }
-
-    ASSERT_EQ(engines[0]->finished().size(), 1u);
-    ASSERT_EQ(engines[1]->finished().size(), 1u);
+    p.runUntilFinished(2);
+    ASSERT_EQ(p.engines[0]->finished().size(), 1u);
+    ASSERT_EQ(p.engines[1]->finished().size(), 1u);
     const serve::PrefixCacheEngineStats &es =
-        engines[1]->prefixEngineStats();
+        p.engines[1]->prefixEngineStats();
     EXPECT_EQ(es.fedStreamDecisions, 1u); // the stream was attempted
     EXPECT_EQ(es.fedStreamsInvalidated, 1u);
     EXPECT_EQ(es.fedStreamsCompleted, 0u);
     EXPECT_EQ(es.hitTokensRemoteServer, 0u); // recomputed locally
-    EXPECT_EQ(cluster.directory(0).stats().fetchInvalidated, 1u);
-    EXPECT_EQ(cluster.directory(0).activeFetches(), 0u);
+    EXPECT_EQ(p.cluster.directory(0).stats().fetchInvalidated, 1u);
+    EXPECT_EQ(p.cluster.directory(0).activeFetches(), 0u);
     EXPECT_EQ(es.sigMismatches, 0u);
     EXPECT_EQ(es.clusterSigMismatches, 0u);
+}
+
+TEST(FederationEngine, ShedMidStreamClosesTheTicketAndFreesTheSlot)
+{
+    // Admission control sheds b at its first scheduling pass (its
+    // deadline is already unmeetable), while its federation stream
+    // is still on the fabric. The home admits one consumer at a time.
+    serve::VllmEngineConfig ec;
+    ec.admission = overload::AdmissionConfig{};
+    DirectoryConfig dir;
+    dir.maxRemoteConsumers = 1;
+    FederationPair p(ec, dir);
+    p.submitAt(0, p.a, 0);
+    Tick bAt = secToTicks(60.0);
+    workload::Request b = p.b;
+    b.deadline = bAt + 1;
+    p.submitAt(1, b, bAt);
+
+    p.cluster.sim().runUntil(bAt + 100 * nsPerUs);
+    ASSERT_EQ(p.engines[1]->shedCount(), 1u);
+    ASSERT_EQ(p.cluster.directory(0).activeFetches(), 1u);
+    std::vector<DirectoryEntry> adverts = p.homedAdverts();
+    ASSERT_EQ(adverts.size(), 1u);
+    // The slot is taken while the shed request's stream runs on.
+    EXPECT_FALSE(p.cluster.directory(0)
+                     .fetchBegin(adverts[0].key, adverts[0].verify, 1)
+                     .ok);
+
+    p.cluster.sim().runUntil(bAt + secToTicks(5.0));
+    // Stream end closed the ticket: the home admits the next fetch.
+    EXPECT_EQ(p.cluster.directory(0).activeFetches(), 0u);
+    EXPECT_TRUE(p.cluster.directory(0)
+                    .fetchBegin(adverts[0].key, adverts[0].verify, 1)
+                    .ok);
+    const serve::PrefixCacheEngineStats &es =
+        p.engines[1]->prefixEngineStats();
+    EXPECT_EQ(es.fedStreamDecisions, 1u);
+    EXPECT_EQ(es.fedStreamsCompleted, 0u);
+    EXPECT_EQ(es.fedStreamsInvalidated, 0u);
+    EXPECT_EQ(es.hitTokensRemoteServer, 0u);
+    ASSERT_EQ(p.engines[1]->finished().size(), 1u);
+    EXPECT_TRUE(p.engines[1]->finished()[0].shed);
+}
+
+TEST(FederationEngine, ParkedSessionResumesInsteadOfFetching)
+{
+    // b is a returning turn whose opening preamble server 0 homes and
+    // advertises. With its session parked on server 1's SSD, the
+    // resume stream starts and no federation fetch does; without the
+    // parked copy, the same turn fetches.
+    auto run = [](bool parked) {
+        FederationPair p;
+        tier::ParkAgent &agent = p.attachTier();
+        p.submitAt(0, p.a, 0);
+        Tick bAt = secToTicks(60.0);
+        workload::Request b = p.b;
+        b.userId = 7;
+        b.turn = 1;
+        b.coldResume = true;
+        if (parked) {
+            std::uint32_t tokens = b.promptTokens / 2;
+            std::uint64_t bytes =
+                p.engines[1]->kvCache().kvBytes(tokens);
+            EXPECT_TRUE(agent.park(7, bytes, tokens, 60.0, 0));
+        }
+        p.submitAt(1, b, bAt);
+        p.runUntilFinished(2);
+        EXPECT_EQ(p.engines[1]->finished().size(), 1u);
+        EXPECT_EQ(p.engines[1]->streamResumeCount(), parked ? 1u : 0u);
+        return p.engines[1]->prefixEngineStats();
+    };
+
+    serve::PrefixCacheEngineStats resumed = run(true);
+    EXPECT_EQ(resumed.fedHits + resumed.fedMisses, 0u);
+    EXPECT_EQ(resumed.fedStreamDecisions, 0u);
+    EXPECT_EQ(resumed.hitTokensRemoteServer, 0u);
+
+    serve::PrefixCacheEngineStats fetched = run(false);
+    EXPECT_EQ(fetched.fedStreamDecisions, 1u);
+    EXPECT_EQ(fetched.fedStreamsCompleted, 1u);
+    EXPECT_GT(fetched.hitTokensRemoteServer, 0u);
 }
