@@ -241,6 +241,41 @@ BM_PrefixPublishChain(benchmark::State &state)
 BENCHMARK(BM_PrefixPublishChain)->Arg(1 << 10)->Arg(1 << 13);
 
 void
+BM_PrefixRepublishCached(benchmark::State &state)
+{
+    // A chain of range(0) tokens that is already cached is published
+    // again and looked up again at a later tick: what a multi-turn chat
+    // pays per turn for its history. Every entry is refreshed in
+    // place; nothing is inserted or evicted.
+    const auto tokens = static_cast<std::uint64_t>(state.range(0));
+    constexpr std::uint32_t kBlockTokens = 16;
+    sim::Simulation sim;
+    hw::Gpu gpu(sim, 0, hw::a100_80g());
+    serve::KvCache kv(gpu, model::codellama34b(), 8 * sim::gib,
+                      kBlockTokens);
+    auto blocks = kv.allocateBlocks(kv.blocksForTokens(tokens));
+    if (!blocks) {
+        state.SkipWithError("pool too small");
+        return;
+    }
+    serve::TokenChain chain(
+        [](std::uint64_t pos) { return 0x5eedull ^ (pos + 1); },
+        kBlockTokens);
+    sim::Tick now = 1;
+    kv.publishPrefix(chain, tokens, *blocks, now);
+    for (auto _ : state) {
+        kv.publishPrefix(chain, tokens, *blocks, ++now);
+        serve::KvCache::PrefixAcquire acq =
+            kv.acquirePrefix(chain, tokens, now);
+        benchmark::DoNotOptimize(acq.tokens);
+        kv.freeBlocks(acq.blocks);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(tokens));
+}
+BENCHMARK(BM_PrefixRepublishCached)->Arg(1 << 10)->Arg(1 << 13);
+
+void
 BM_CfsSchedule(benchmark::State &state)
 {
     // One CfsPolicy decision over a bursts-sized live set: 36 running,

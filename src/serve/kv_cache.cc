@@ -46,13 +46,6 @@ KvCache::~KvCache()
         gpu.hbm().free(*region);
 }
 
-bool
-KvCache::cacheOnly(BlockId id) const
-{
-    std::uint32_t h = index.refsHeld(id);
-    return h > 0 && blocks.refCount(id) == h;
-}
-
 void
 KvCache::updateEvictable(BlockId id)
 {

@@ -312,7 +312,12 @@ class KvCache
     void enforceCacheCap();
 
     /** Whether only the index holds @p id. */
-    bool cacheOnly(aqua::mem::BlockId id) const;
+    bool
+    cacheOnly(aqua::mem::BlockId id) const
+    {
+        std::uint32_t h = index.refsHeld(id);
+        return h > 0 && blocks.refCount(id) == h;
+    }
 
     /** Track the live-bytes high-water mark. */
     void notePeak();

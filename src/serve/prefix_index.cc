@@ -1,5 +1,7 @@
 #include "serve/prefix_index.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace aqua::serve {
@@ -147,7 +149,7 @@ TokenChain::release()
 }
 
 PrefixIndex::PrefixIndex(std::uint32_t blockTokens)
-    : blockTokens(blockTokens)
+    : blockTokens(blockTokens), table(16), tableShift(64 - 4)
 {
     if (blockTokens == 0)
         aqua::sim::panic("PrefixIndex: zero block tokens");
@@ -163,6 +165,177 @@ PrefixIndex::checkBlockTokens(const TokenChain &chain) const
     }
 }
 
+std::size_t
+PrefixIndex::probe(std::uint64_t key) const
+{
+    const std::size_t mask = table.size() - 1;
+    std::size_t b = home(key);
+    while (table[b].slot != kNone && table[b].key != key)
+        b = (b + 1) & mask;
+    return b;
+}
+
+void
+PrefixIndex::grow()
+{
+    table.assign(table.size() * 2, Bucket{});
+    --tableShift;
+    for (std::uint32_t s = 0; s < slots.size(); ++s) {
+        if (slots[s].tokens != 0)
+            table[probe(slots[s].key)] = {slots[s].key, s};
+    }
+}
+
+void
+PrefixIndex::addEntry(std::size_t b, const Entry &e)
+{
+    if ((live + 1) * 2 > table.size()) {
+        grow();
+        b = probe(e.key);
+    }
+    std::uint32_t s = freeHead;
+    if (s != kNone) {
+        freeHead = slots[s].next;
+        slots[s] = e;
+    } else {
+        if (slots.size() >= kDetached)
+            aqua::sim::panic("PrefixIndex: slot ids exhausted");
+        s = static_cast<std::uint32_t>(slots.size());
+        slots.push_back(e);
+    }
+    table[b] = {e.key, s};
+    if (held.size() <= e.block)
+        held.resize(std::size_t(e.block) + 1, 0);
+    ++held[e.block];
+    ++live;
+    if (policy == EvictionPolicy::CostAware) {
+        costOrder.insert(costOrder.end(), s);
+    } else {
+        slots[s].prev = kDetached;
+        touched.push_back({e.block, s, e.key});
+    }
+}
+
+void
+PrefixIndex::dropEntry(std::uint32_t s)
+{
+    Entry &e = slots[s];
+    // Backward-shift deletion: pull each later entry of the probe run
+    // into the hole unless its home lies cyclically after the hole.
+    const std::size_t mask = table.size() - 1;
+    std::size_t hole = probe(e.key);
+    for (std::size_t b = (hole + 1) & mask; table[b].slot != kNone;
+         b = (b + 1) & mask) {
+        if (((b - home(table[b].key)) & mask) >= ((b - hole) & mask)) {
+            table[hole] = table[b];
+            hole = b;
+        }
+    }
+    table[hole].slot = kNone;
+    --held[e.block];
+    --live;
+    e.tokens = 0;
+    e.next = freeHead;
+    freeHead = s;
+}
+
+void
+PrefixIndex::unlink(std::uint32_t s)
+{
+    Entry &e = slots[s];
+    (e.prev == kNone ? head : slots[e.prev].next) = e.next;
+    (e.next == kNone ? tail : slots[e.next].prev) = e.prev;
+}
+
+void
+PrefixIndex::linkBefore(std::uint32_t s, std::uint32_t at)
+{
+    Entry &e = slots[s];
+    e.next = at;
+    e.prev = at == kNone ? tail : slots[at].prev;
+    (e.prev == kNone ? head : slots[e.prev].next) = s;
+    (at == kNone ? tail : slots[at].prev) = s;
+}
+
+void
+PrefixIndex::touchEntry(std::uint32_t s, aqua::sim::Tick now, bool hit)
+{
+    Entry &e = slots[s];
+    if (policy == EvictionPolicy::CostAware) {
+        // Re-rank through the set's own node, so no allocation.
+        auto node = costOrder.extract(s);
+        e.lastUse = now;
+        e.uses += hit;
+        // A touch usually makes the entry the newest: hint the back.
+        costOrder.insert(costOrder.end(), std::move(node));
+        return;
+    }
+    if (e.prev != kDetached) {
+        unlink(s);
+        e.prev = kDetached;
+        touched.push_back({e.block, s, e.key});
+    }
+    e.lastUse = now;
+    e.uses += hit;
+}
+
+void
+PrefixIndex::mergeTouched(aqua::sim::Tick now)
+{
+    if (touched.empty())
+        return;
+    auto byBlockKey = [](const Touched &a, const Touched &b) {
+        return a.block != b.block ? a.block < b.block : a.key < b.key;
+    };
+    if (!std::is_sorted(touched.begin(), touched.end(), byBlockKey))
+        std::sort(touched.begin(), touched.end(), byBlockKey);
+    // Whether list entry @p e goes before touched entry @p t, which
+    // is stamped now: the full (last use, block, key) order.
+    auto before = [now](const Entry &e, const Touched &t) {
+        if (e.lastUse != now)
+            return e.lastUse < now;
+        return e.block != t.block ? e.block < t.block : e.key < t.key;
+    };
+    // Back up from the tail over the entries that do not go before the
+    // first touched one: every entry before them precedes the batch.
+    // Usually that is none (a publish newer than everything) or the
+    // run stamped now; an older @p now walks further.
+    std::uint32_t at = tail;
+    while (at != kNone && !before(slots[at], touched.front()))
+        at = slots[at].prev;
+    at = at == kNone ? head : slots[at].next;
+    for (const Touched &t : touched) {
+        while (at != kNone && before(slots[at], t))
+            at = slots[at].next;
+        linkBefore(t.slot, at);
+    }
+    touched.clear();
+}
+
+bool
+PrefixIndex::usedBefore(const Entry &a, const Entry &b)
+{
+    if (a.lastUse != b.lastUse)
+        return a.lastUse < b.lastUse;
+    if (a.block != b.block)
+        return a.block < b.block;
+    // One block can back a full and a stale partial entry with the
+    // same stamps; the key makes the order total.
+    return a.key < b.key;
+}
+
+bool
+PrefixIndex::CostOrder::operator()(std::uint32_t a, std::uint32_t b) const
+{
+    const Entry &ea = (*slots)[a];
+    const Entry &eb = (*slots)[b];
+    // Cheapest loss first: chain depth x hit count approximates the
+    // recompute bill of evicting.
+    std::uint64_t ca = ea.depth * ea.uses;
+    std::uint64_t cb = eb.depth * eb.uses;
+    return ca != cb ? ca < cb : usedBefore(ea, eb);
+}
+
 PrefixIndex::Match
 PrefixIndex::lookup(const TokenChain &chain, std::uint64_t maxTokens,
                     aqua::sim::Tick now, bool touch)
@@ -173,10 +346,10 @@ PrefixIndex::lookup(const TokenChain &chain, std::uint64_t maxTokens,
     std::uint64_t i = 0;
     for (; i < fullWanted; ++i) {
         ChainKeys next = chain.keysAt(static_cast<std::size_t>(i + 1));
-        auto it = map.find(next.key & primaryMask);
-        if (it == map.end())
+        std::uint32_t s = table[probe(next.key & primaryMask)].slot;
+        if (s == kNone)
             break;
-        Entry &e = it->second;
+        const Entry &e = slots[s];
         if (e.tokens != blockTokens || e.verify != next.verify) {
             // Primary-key collision (or a partial entry aliased under
             // a narrow mask): fall back to a miss, never share.
@@ -187,7 +360,7 @@ PrefixIndex::lookup(const TokenChain &chain, std::uint64_t maxTokens,
         m.blocks.push_back(e.block);
         m.tokens += blockTokens;
         if (touch) {
-            touchEntry(*it, now, /*hit=*/true);
+            touchEntry(s, now, /*hit=*/true);
             ++counters.hits;
         }
     }
@@ -201,16 +374,16 @@ PrefixIndex::lookup(const TokenChain &chain, std::uint64_t maxTokens,
     if (i == fullWanted && rem > 0 && rem < blockTokens) {
         auto full = static_cast<std::size_t>(i);
         ChainKeys pc = chain.extend(full, rem);
-        auto it = map.find(partialKey(chain.keysAt(full).key, rem) &
-                           primaryMask);
-        if (it != map.end()) {
-            Entry &e = it->second;
+        std::uint64_t key = partialKey(chain.keysAt(full).key, rem);
+        std::uint32_t s = table[probe(key & primaryMask)].slot;
+        if (s != kNone) {
+            const Entry &e = slots[s];
             if (e.tokens == rem && e.verify == pc.verify) {
                 m.blocks.push_back(e.block);
                 m.tokens += rem;
                 m.partialTokens = rem;
                 if (touch) {
-                    touchEntry(*it, now, /*hit=*/true);
+                    touchEntry(s, now, /*hit=*/true);
                     ++counters.partialHits;
                 }
             } else if (touch) {
@@ -218,6 +391,7 @@ PrefixIndex::lookup(const TokenChain &chain, std::uint64_t maxTokens,
             }
         }
     }
+    mergeTouched(now);
     return m;
 }
 
@@ -238,20 +412,25 @@ PrefixIndex::insert(const TokenChain &chain, std::uint64_t tokens,
     auto place = [&](std::uint64_t key, std::uint64_t verify,
                      aqua::mem::BlockId block, std::uint32_t count) {
         ++depth;
-        auto it = map.find(key);
-        if (it == map.end()) {
-            it = map.emplace(key, Entry{block, verify, count, now, depth, 0})
-                     .first;
-            order.insert(&*it);
-            ++held[block];
+        std::size_t b = probe(key);
+        std::uint32_t s = table[b].slot;
+        if (s == kNone) {
+            Entry e;
+            e.key = key;
+            e.verify = verify;
+            e.lastUse = now;
+            e.block = block;
+            e.tokens = count;
+            e.depth = depth;
+            addEntry(b, e);
             ++counters.insertions;
             newly.push_back(block);
             return;
         }
         // Same content already cached (or a primary collision): keep
         // the existing entry; refresh its LRU stamp on a content match.
-        if (it->second.verify == verify && it->second.tokens == count)
-            touchEntry(*it, now, /*hit=*/false);
+        if (slots[s].verify == verify && slots[s].tokens == count)
+            touchEntry(s, now, /*hit=*/false);
         else
             ++counters.collisions;
     };
@@ -268,48 +447,30 @@ PrefixIndex::insert(const TokenChain &chain, std::uint64_t tokens,
         place(partialKey(chain.keysAt(f).key, rem) & primaryMask,
               pc.verify, blocks[f], rem);
     }
+    mergeTouched(now);
     return newly;
 }
 
-bool
-PrefixIndex::VictimOrder::operator()(const Node *a, const Node *b) const
+void
+PrefixIndex::setEvictionPolicy(EvictionPolicy next)
 {
-    const Entry &ea = a->second;
-    const Entry &eb = b->second;
+    if (next == policy)
+        return;
+    policy = next;
     if (policy == EvictionPolicy::CostAware) {
-        // Cheapest loss first: chain depth x hit count approximates
-        // the recompute bill of evicting.
-        std::uint64_t ca = ea.depth * ea.uses;
-        std::uint64_t cb = eb.depth * eb.uses;
-        if (ca != cb)
-            return ca < cb;
+        for (std::uint32_t s = head; s != kNone; s = slots[s].next)
+            costOrder.insert(s);
+        head = tail = kNone;
+        return;
     }
-    if (ea.lastUse != eb.lastUse)
-        return ea.lastUse < eb.lastUse;
-    if (ea.block != eb.block)
-        return ea.block < eb.block;
-    // One block can back a full and a stale partial entry with the
-    // same stamps; the key makes their order total.
-    return a->first < b->first;
-}
-
-void
-PrefixIndex::touchEntry(Node &node, aqua::sim::Tick now, bool hit)
-{
-    auto handle = order.extract(&node);
-    node.second.lastUse = now;
-    if (hit)
-        ++node.second.uses;
-    // A touch usually makes the entry the newest: hint the back.
-    order.insert(order.end(), std::move(handle));
-}
-
-void
-PrefixIndex::setEvictionPolicy(EvictionPolicy policy)
-{
-    order = decltype(order)(VictimOrder{policy});
-    for (const Node &node : map)
-        order.insert(&node);
+    std::vector<std::uint32_t> order(costOrder.begin(), costOrder.end());
+    costOrder.clear();
+    std::sort(order.begin(), order.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                  return usedBefore(slots[a], slots[b]);
+              });
+    for (std::uint32_t s : order)
+        linkBefore(s, kNone);
 }
 
 std::vector<aqua::mem::BlockId>
@@ -320,21 +481,31 @@ PrefixIndex::evictLru(
     std::vector<aqua::mem::BlockId> out;
     // Walk oldest first; re-check evictability as refs change while
     // earlier evictions release sibling entries' blocks.
-    for (auto it = order.begin();
-         it != order.end() && out.size() < maxEntries;) {
-        const Node *node = *it;
-        aqua::mem::BlockId block = node->second.block;
-        if (!evictable(block)) {
-            ++it;
-            continue;
-        }
-        it = order.erase(it);
-        map.erase(node->first);
-        auto h = held.find(block);
-        if (h != held.end() && --h->second == 0)
-            held.erase(h);
+    auto evict = [&](std::uint32_t s) {
+        out.push_back(slots[s].block);
+        dropEntry(s);
         ++counters.evictions;
-        out.push_back(block);
+    };
+    if (policy == EvictionPolicy::CostAware) {
+        for (auto it = costOrder.begin();
+             it != costOrder.end() && out.size() < maxEntries;) {
+            std::uint32_t s = *it;
+            if (!evictable(slots[s].block)) {
+                ++it;
+                continue;
+            }
+            it = costOrder.erase(it);
+            evict(s);
+        }
+        return out;
+    }
+    for (std::uint32_t s = head; s != kNone && out.size() < maxEntries;) {
+        std::uint32_t next = slots[s].next;
+        if (evictable(slots[s].block)) {
+            unlink(s);
+            evict(s);
+        }
+        s = next;
     }
     return out;
 }
@@ -343,21 +514,23 @@ std::vector<aqua::mem::BlockId>
 PrefixIndex::clear()
 {
     std::vector<aqua::mem::BlockId> out;
-    out.reserve(map.size());
-    for (const auto &[key, e] : map)
-        out.push_back(e.block);
-    counters.evictions += map.size();
-    order.clear();
-    map.clear();
-    held.clear();
+    out.reserve(live);
+    if (policy == EvictionPolicy::CostAware) {
+        for (std::uint32_t s : costOrder)
+            out.push_back(slots[s].block);
+    } else {
+        for (std::uint32_t s = head; s != kNone; s = slots[s].next)
+            out.push_back(slots[s].block);
+    }
+    counters.evictions += live;
+    costOrder.clear();
+    head = tail = kNone;
+    slots.clear();
+    freeHead = kNone;
+    live = 0;
+    std::fill(table.begin(), table.end(), Bucket{});
+    std::fill(held.begin(), held.end(), 0);
     return out;
-}
-
-std::uint32_t
-PrefixIndex::refsHeld(aqua::mem::BlockId id) const
-{
-    auto it = held.find(id);
-    return it == held.end() ? 0 : it->second;
 }
 
 } // namespace aqua::serve

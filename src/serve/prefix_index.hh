@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <functional>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/block_allocator.hh"
@@ -164,13 +163,18 @@ struct PrefixIndexStats
  * The index stores block ids only; reference counting lives in the
  * owning KvCache, which takes one reference per entry it publishes and
  * drops it when the entry is evicted.
+ *
+ * Entries live in a slot vector behind an open-addressed key -> slot
+ * table (linear probing, backward-shift deletion). Under Lru the
+ * victim order is an intrusive list over the slots; under CostAware it
+ * is an ordered set of slot ids. See docs/prefix_caching.md.
  */
 class PrefixIndex
 {
   public:
     explicit PrefixIndex(std::uint32_t blockTokens);
 
-    // The victim order points into the entry map's nodes.
+    // The CostAware victim order reads the slot vector by address.
     PrefixIndex(const PrefixIndex &) = delete;
     PrefixIndex &operator=(const PrefixIndex &) = delete;
 
@@ -221,18 +225,23 @@ class PrefixIndex
     evictLru(std::size_t maxEntries,
              const std::function<bool(aqua::mem::BlockId)> &evictable);
 
-    /** Drop every entry. @return blocks to unref, one per entry. */
+    /** Drop every entry. @return blocks to unref, one per entry, in
+     *  victim order. */
     std::vector<aqua::mem::BlockId> clear();
 
     /** References the index holds on @p id (entries pointing at it). */
-    std::uint32_t refsHeld(aqua::mem::BlockId id) const;
+    std::uint32_t
+    refsHeld(aqua::mem::BlockId id) const
+    {
+        return id < held.size() ? held[id] : 0;
+    }
 
     /** Select the eviction victim ordering (default Lru); re-ranks
      *  the existing entries. */
     void setEvictionPolicy(EvictionPolicy policy);
-    EvictionPolicy evictionPolicy() const { return order.key_comp().policy; }
+    EvictionPolicy evictionPolicy() const { return policy; }
 
-    std::size_t entries() const { return map.size(); }
+    std::size_t entries() const { return live; }
     const PrefixIndexStats &stats() const { return counters; }
 
     /**
@@ -243,48 +252,116 @@ class PrefixIndex
     void setPrimaryMask(std::uint64_t mask) { primaryMask = mask; }
 
   private:
+    /** No slot: an empty table bucket, or the end of a list. */
+    static constexpr std::uint32_t kNone = ~std::uint32_t(0);
+    /** prev of an Lru entry unlinked until the call's merge; a second
+     *  touch in one call (only on a verification-hash collision) must
+     *  not unlink it again. */
+    static constexpr std::uint32_t kDetached = kNone - 1;
+
     struct Entry
     {
-        aqua::mem::BlockId block = 0;
+        std::uint64_t key = 0;
         /** Independent verification hash (collision fallback). */
         std::uint64_t verify = 0;
-        /** Tokens the entry covers in its block (== blockTokens for
-         *  full blocks, fewer for a partial tail). */
-        std::uint32_t tokens = 0;
         aqua::sim::Tick lastUse = 0;
+        /** Lookup hits served (CostAware scoring). */
+        std::uint64_t uses = 0;
+        aqua::mem::BlockId block = 0;
+        /** Tokens the entry covers in its block (== blockTokens for
+         *  full blocks, fewer for a partial tail; 0 = free slot). */
+        std::uint32_t tokens = 0;
         /** Blocks from the chain root to this entry (1-based): the
          *  recompute depth a loss would cost (CostAware scoring). */
         std::uint32_t depth = 1;
-        /** Lookup hits served (CostAware scoring). */
-        std::uint64_t uses = 0;
+        /** Lru list links; a free slot chains the free list through
+         *  next. */
+        std::uint32_t prev = kNone;
+        std::uint32_t next = kNone;
+    };
+
+    struct Bucket
+    {
+        std::uint64_t key = 0;
+        std::uint32_t slot = kNone;
+    };
+
+    /** An Lru entry touched or created in the current call. */
+    struct Touched
+    {
+        aqua::mem::BlockId block;
+        std::uint32_t slot;
+        std::uint64_t key;
+    };
+
+    /** The Lru victim order: (last use, block, key). */
+    static bool usedBefore(const Entry &a, const Entry &b);
+
+    /** CostAware victim order over slot ids, first victim first. */
+    struct CostOrder
+    {
+        const std::vector<Entry> *slots;
+        bool operator()(std::uint32_t a, std::uint32_t b) const;
     };
 
     /** Panic unless @p chain is blocked like the index. */
     void checkBlockTokens(const TokenChain &chain) const;
 
-    using Map = std::unordered_map<std::uint64_t, Entry>;
-    using Node = Map::value_type;
-
-    /** Victim order over map nodes, first victim first. */
-    struct VictimOrder
+    std::size_t
+    home(std::uint64_t key) const
     {
-        EvictionPolicy policy;
-        bool operator()(const Node *a, const Node *b) const;
-    };
+        // Fibonacci hashing: narrow test masks leave keys unmixed.
+        return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >>
+                                        tableShift);
+    }
 
-    /** Record a use of @p node at @p now, re-ranking it. */
-    void touchEntry(Node &node, aqua::sim::Tick now, bool hit);
+    /** Bucket holding @p key, or the empty bucket ending its probe. */
+    std::size_t probe(std::uint64_t key) const;
+
+    /** Double the table and re-place every live entry. */
+    void grow();
+
+    /** New entry in a free slot, indexed at bucket @p b (from probe)
+     *  and ranked (Lru: at the end of the call, see mergeTouched). */
+    void addEntry(std::size_t b, const Entry &e);
+
+    /** Remove slot @p s (already out of the victim order) from the
+     *  table and the held counts, and free it. */
+    void dropEntry(std::uint32_t s);
+
+    /** Record a use of slot @p s at @p now, re-ranking it (Lru: at
+     *  the end of the call, see mergeTouched). */
+    void touchEntry(std::uint32_t s, aqua::sim::Tick now, bool hit);
+
+    /** Lru: merge the entries touched at @p now into the list. */
+    void mergeTouched(aqua::sim::Tick now);
+
+    void unlink(std::uint32_t s);
+    /** Link slot @p s before slot @p at (kNone: at the tail). */
+    void linkBefore(std::uint32_t s, std::uint32_t at);
 
     std::uint32_t blockTokens;
     std::uint64_t primaryMask = ~std::uint64_t(0);
-    Map map;
-    /** Every map node, kept in victim order as entries change. Node
-     *  pointers of an unordered_map survive rehashing. */
-    std::set<const Node *, VictimOrder> order{
-        VictimOrder{EvictionPolicy::Lru}};
-    /** Entries per block (a block can back a full and a stale partial
-     *  entry at once); one index reference is held per entry. */
-    std::unordered_map<aqua::mem::BlockId, std::uint32_t> held;
+    EvictionPolicy policy = EvictionPolicy::Lru;
+
+    std::vector<Entry> slots;
+    std::uint32_t freeHead = kNone;
+    std::size_t live = 0;
+    /** Power-of-two key -> slot table, at most half full. */
+    std::vector<Bucket> table;
+    unsigned tableShift = 64;
+
+    /** Lru victim order: oldest first, by (last use, block, key). */
+    std::uint32_t head = kNone;
+    std::uint32_t tail = kNone;
+    /** Reused per-call buffer of Lru touches. */
+    std::vector<Touched> touched;
+    /** CostAware victim order (empty under Lru). */
+    std::set<std::uint32_t, CostOrder> costOrder{CostOrder{&slots}};
+
+    /** Entries per block id (a block can back a full and a stale
+     *  partial entry at once); one index reference per entry. */
+    std::vector<std::uint32_t> held;
     PrefixIndexStats counters;
 };
 

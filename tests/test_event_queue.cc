@@ -323,8 +323,9 @@ TEST_P(EventQueueModel, MatchesMultimapReference)
             Tick at = 0;
             bool refFired = ref.step(&expected, &at);
             EXPECT_EQ(q.step(), refFired);
-            if (refFired)
+            if (refFired) {
                 EXPECT_EQ(q.now(), at);
+            }
         }
         ASSERT_EQ(q.pending(), ref.pending())
             << "pending diverged after op " << op;

@@ -219,8 +219,9 @@ TYPED_TEST(OffloadConformance, QuantizedRoundTripMovesScaledBytes)
         // decisions must see that, so the contract only pins the
         // direction where the ramp keeps it monotone.
         Tick duration = w.complete - w.start;
-        if (!first && this->backend->name() != "ssd")
+        if (!first && this->backend->name() != "ssd") {
             EXPECT_LT(duration, lastDuration);
+        }
         lastDuration = duration;
         first = false;
         this->backend->free(*handle);

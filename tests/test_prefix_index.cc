@@ -1,16 +1,19 @@
 /**
  * @file
- * Tests for the prefix index's victim order: a differential property
- * test against the sort-based selection it replaced, the key
- * tie-break between a full and a stale partial entry on one block,
- * and re-ranking on lookup hits and policy changes. Also TokenChain's
- * memo against the unmemoized hashing, and how often a publish and
- * its follow-up queries read each token.
+ * Tests for the prefix index's victim order: differential property
+ * tests against the sort-based selection it replaced (short runs, and
+ * a long one that grows the slot table past a thousand entries), the
+ * key tie-break between a full and a stale partial entry on one block,
+ * and re-ranking on lookup hits and policy changes; an allocation
+ * guard on re-publishing a cached chain. Also TokenChain's memo
+ * against the unmemoized hashing, and how often a publish and its
+ * follow-up queries read each token.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <random>
@@ -23,6 +26,7 @@
 #include "serve/kv_cache.hh"
 #include "serve/prefix_index.hh"
 #include "sim/simulation.hh"
+#include "tests/alloc_counter.hh"
 
 using namespace aqua;
 using namespace aqua::serve;
@@ -35,7 +39,8 @@ namespace {
 /**
  * Reference index: the sort-based PrefixIndex the incremental victim
  * order replaced, with the key as the last tie-break. Same hashing and
- * entry bookkeeping; every eviction copies all keys and sorts them.
+ * entry bookkeeping in a node map; every eviction copies every entry's
+ * rank and sorts them.
  */
 class RefIndex
 {
@@ -53,8 +58,7 @@ class RefIndex
     std::uint32_t
     refsHeld(BlockId id) const
     {
-        auto it = held.find(id);
-        return it == held.end() ? 0 : it->second;
+        return id < held.size() ? held[id] : 0;
     }
 
     /** Map key of the entry covering the last block of tokens
@@ -139,6 +143,8 @@ class RefIndex
             if (it == map.end()) {
                 map.emplace(key,
                             Entry{block, verify, count, now, depth, 0});
+                if (held.size() <= block)
+                    held.resize(block + 1, 0);
                 ++held[block];
                 ++counters.insertions;
                 newly.push_back(block);
@@ -171,37 +177,26 @@ class RefIndex
         std::vector<BlockId> out;
         if (maxEntries == 0 || map.empty())
             return out;
-        std::vector<std::uint64_t> keys;
-        keys.reserve(map.size());
-        for (const auto &[key, e] : map)
-            keys.push_back(key);
-        std::sort(keys.begin(), keys.end(),
-                  [this](std::uint64_t a, std::uint64_t b) {
-                      const Entry &ea = map.find(a)->second;
-                      const Entry &eb = map.find(b)->second;
-                      if (eviction == EvictionPolicy::CostAware) {
-                          std::uint64_t ca = ea.depth * ea.uses;
-                          std::uint64_t cb = eb.depth * eb.uses;
-                          if (ca != cb)
-                              return ca < cb;
-                      }
-                      if (ea.lastUse != eb.lastUse)
-                          return ea.lastUse < eb.lastUse;
-                      if (ea.block != eb.block)
-                          return ea.block < eb.block;
-                      return a < b;
-                  });
-        for (std::uint64_t key : keys) {
+        // Victim order = lexicographic order of (cost, last use,
+        // block, key); cost is 0 for every entry under Lru.
+        std::vector<std::array<std::uint64_t, 4>> ranks;
+        ranks.reserve(map.size());
+        for (const auto &[key, e] : map) {
+            std::uint64_t cost = eviction == EvictionPolicy::CostAware
+                                     ? e.depth * e.uses
+                                     : 0;
+            ranks.push_back({cost, e.lastUse, e.block, key});
+        }
+        std::sort(ranks.begin(), ranks.end());
+        for (const auto &rank : ranks) {
             if (out.size() >= maxEntries)
                 break;
-            auto it = map.find(key);
+            auto it = map.find(rank[3]);
             BlockId block = it->second.block;
             if (!evictable(block))
                 continue;
             map.erase(it);
-            auto h = held.find(block);
-            if (h != held.end() && --h->second == 0)
-                held.erase(h);
+            --held[block];
             ++counters.evictions;
             out.push_back(block);
         }
@@ -216,7 +211,7 @@ class RefIndex
             out.push_back(e.block);
         counters.evictions += map.size();
         map.clear();
-        held.clear();
+        std::fill(held.begin(), held.end(), 0);
         return out;
     }
 
@@ -293,7 +288,7 @@ class RefIndex
     EvictionPolicy eviction = EvictionPolicy::Lru;
     std::uint64_t primaryMask = ~std::uint64_t(0);
     std::unordered_map<std::uint64_t, Entry> map;
-    std::unordered_map<BlockId, std::uint32_t> held;
+    std::vector<std::uint32_t> held;
     PrefixIndexStats counters;
 };
 
@@ -326,84 +321,125 @@ expectSameState(const PrefixIndex &idx, const RefIndex &ref,
     EXPECT_EQ(a.collisions, b.collisions);
     EXPECT_EQ(a.insertions, b.insertions);
     EXPECT_EQ(a.evictions, b.evictions);
-    for (BlockId id = 0; id < pool; ++id)
-        ASSERT_EQ(idx.refsHeld(id), ref.refsHeld(id)) << "block " << id;
+    for (BlockId id = 0; id < pool; ++id) {
+        if (idx.refsHeld(id) != ref.refsHeld(id)) {
+            ASSERT_EQ(idx.refsHeld(id), ref.refsHeld(id)) << "block " << id;
+        }
+    }
 }
 
-/** One seeded random run of both indexes, compared after every step;
- *  stops at the first divergence. */
-void
-runDifferential(std::uint64_t seed, std::uint64_t mask)
+/** Size and op mix of one differential run. */
+struct DiffShape
 {
-    constexpr std::uint32_t kBlockTokens = 4;
-    constexpr BlockId kPool = 40;
-    constexpr int kStreams = 10;
-    constexpr int kSteps = 400;
+    std::uint32_t blockTokens = 4;
+    /** Block ids are drawn from [0, pool). */
+    BlockId pool = 40;
+    int streams = 10;
+    int steps = 400;
+    /** Streams fork off their root in [0, forkSpan) tokens. */
+    std::uint64_t forkSpan = 20;
+    /** Publishes span up to maxBlocks blocks, lookups one more. */
+    std::uint64_t maxBlocks = 6;
+    /** Evictions ask for up to maxEvict - 1 entries. */
+    std::size_t maxEvict = 6;
+    /** Ops are drawn from [0, opRange): insert below opInsert, lookup
+     *  below opLookup, evict below opEvict, clear below opClear,
+     *  policy change above. */
+    std::uint64_t opRange = 100;
+    std::uint64_t opInsert = 35;
+    std::uint64_t opLookup = 70;
+    std::uint64_t opEvict = 90;
+    std::uint64_t opClear = 92;
+    /** One insert or lookup in this many runs at an older tick (0 =
+     *  never). */
+    std::uint64_t olderOneIn = 0;
+    EvictionPolicy startPolicy = EvictionPolicy::Lru;
+};
 
+/** One seeded random run of both indexes, compared after every step;
+ *  stops at the first divergence. Raises @p peak, when given, to the
+ *  most entries held at once. */
+void
+runDifferential(std::uint64_t seed, std::uint64_t mask,
+                const DiffShape &shape = {}, std::size_t *peak = nullptr)
+{
+    const std::uint32_t bt = shape.blockTokens;
     std::mt19937_64 rng(seed);
     std::vector<TokenFn> streams;
     std::vector<TokenChain> chains;
-    for (int s = 0; s < kStreams; ++s) {
+    for (int s = 0; s < shape.streams; ++s) {
         // Three chain roots; streams fork off them at mixed depths,
         // some mid-block, so chains share full and partial blocks.
-        streams.push_back(forkedStream(0x1000 + rng() % 3, rng() % 20,
+        streams.push_back(forkedStream(0x1000 + rng() % 3,
+                                       rng() % shape.forkSpan,
                                        0x2000 + std::uint64_t(s)));
         // One chain per stream for the whole run: its memo fills
         // piecemeal across the steps that query it.
-        chains.emplace_back(streams.back(), kBlockTokens);
+        chains.emplace_back(streams.back(), bt);
     }
 
-    PrefixIndex idx(kBlockTokens);
-    RefIndex ref(kBlockTokens);
+    PrefixIndex idx(bt);
+    RefIndex ref(bt);
     idx.setPrimaryMask(mask);
     ref.setPrimaryMask(mask);
+    idx.setEvictionPolicy(shape.startPolicy);
+    ref.setEvictionPolicy(shape.startPolicy);
+    // A pool of at most 64 blocks takes a 64-bit evictable mask; a
+    // larger one a hashed 3-in-4 draw per block.
+    auto allowedBit = [&shape](std::uint64_t allowed, BlockId b) {
+        if (shape.pool <= 64)
+            return ((allowed >> b) & 1) != 0;
+        return ((allowed ^ (b * 0x9e3779b97f4a7c15ull)) >> 62) != 0;
+    };
     Tick now = 0;
 
-    for (int step = 0; step < kSteps; ++step) {
+    for (int step = 0; step < shape.steps; ++step) {
         SCOPED_TRACE(::testing::Message() << "seed " << seed << " mask "
                                           << mask << " step " << step);
         now += rng() % 2; // equal stamps are common: ties get exercised
-        std::size_t pick = rng() % kStreams;
+        std::size_t pick = rng() % shape.streams;
         const TokenFn &tok = streams[pick];
         const TokenChain &chain = chains[pick];
-        std::uint64_t op = rng() % 100;
-        if (op < 35) {
-            std::uint64_t tokens = 1 + rng() % (6 * kBlockTokens);
-            std::vector<BlockId> blocks(
-                (tokens + kBlockTokens - 1) / kBlockTokens);
+        std::uint64_t op = rng() % shape.opRange;
+        Tick at = now;
+        if (shape.olderOneIn != 0 && rng() % shape.olderOneIn == 0)
+            at -= std::min<Tick>(now, 1 + rng() % 4);
+        if (op < shape.opInsert) {
+            std::uint64_t tokens = 1 + rng() % (shape.maxBlocks * bt);
+            std::vector<BlockId> blocks((tokens + bt - 1) / bt);
             for (BlockId &b : blocks)
-                b = static_cast<BlockId>(rng() % kPool);
-            ASSERT_EQ(idx.insert(chain, tokens, blocks, now),
-                      ref.insert(tok, tokens, blocks, now));
-        } else if (op < 70) {
-            std::uint64_t maxTokens = rng() % (7 * kBlockTokens);
+                b = static_cast<BlockId>(rng() % shape.pool);
+            ASSERT_EQ(idx.insert(chain, tokens, blocks, at),
+                      ref.insert(tok, tokens, blocks, at));
+        } else if (op < shape.opLookup) {
+            std::uint64_t maxTokens = rng() % ((shape.maxBlocks + 1) * bt);
             bool touch = rng() % 2 == 0;
-            PrefixIndex::Match a =
-                idx.lookup(chain, maxTokens, now, touch);
-            PrefixIndex::Match b = ref.lookup(tok, maxTokens, now, touch);
+            PrefixIndex::Match a = idx.lookup(chain, maxTokens, at, touch);
+            PrefixIndex::Match b = ref.lookup(tok, maxTokens, at, touch);
             ASSERT_EQ(a.blocks, b.blocks);
             ASSERT_EQ(a.tokens, b.tokens);
             ASSERT_EQ(a.partialTokens, b.partialTokens);
-        } else if (op < 90) {
-            std::size_t maxEntries = rng() % 6;
+        } else if (op < shape.opEvict) {
+            std::size_t maxEntries = rng() % shape.maxEvict;
             std::uint64_t allowed = rng();
             bool refAware = rng() % 2 == 0;
             // Either a fixed per-block mask, or KvCache's shape: a
             // block is evictable while no entry on it has been evicted
             // in this call (its other references are not yet dropped).
             auto predicate = [&](auto &side) {
-                std::vector<std::uint32_t> before(kPool);
-                for (BlockId id = 0; id < kPool; ++id)
+                std::vector<std::uint32_t> before(shape.pool);
+                for (BlockId id = 0; id < shape.pool; ++id)
                     before[id] = side.refsHeld(id);
-                return [&side, before, allowed, refAware](BlockId b) {
-                    if (!((allowed >> b) & 1))
+                return [&side, &allowedBit, before, allowed,
+                        refAware](BlockId b) {
+                    if (!allowedBit(allowed, b))
                         return false;
                     return !refAware || side.refsHeld(b) == before[b];
                 };
             };
             ASSERT_EQ(idx.evictLru(maxEntries, predicate(idx)),
                       ref.evictLru(maxEntries, predicate(ref)));
-        } else if (op < 92) {
+        } else if (op < shape.opClear) {
             std::vector<BlockId> a = idx.clear();
             std::vector<BlockId> b = ref.clear();
             std::sort(a.begin(), a.end());
@@ -415,9 +451,11 @@ runDifferential(std::uint64_t seed, std::uint64_t mask)
             idx.setEvictionPolicy(p);
             ref.setEvictionPolicy(p);
         }
-        expectSameState(idx, ref, kPool);
+        expectSameState(idx, ref, shape.pool);
         if (::testing::Test::HasFailure())
             return;
+        if (peak)
+            *peak = std::max(*peak, idx.entries());
     }
 }
 
@@ -439,6 +477,45 @@ TEST(PrefixIndexOrder, MatchesSortBasedReference)
             runDifferential(seed, mask);
             if (HasFailure())
                 return;
+        }
+    }
+}
+
+TEST(PrefixIndexOrder, LargeRunMatchesSortBasedReference)
+{
+    // Thousands of entries over a 4,096-block pool, so the slot table
+    // doubles from 16 buckets many times and deletions shift probe
+    // runs across its end. One op in 20 runs at an older tick; ticks
+    // repeat across steps as in the short runs. Each mask starts once
+    // per policy and switches policy now and then.
+    DiffShape shape;
+    shape.pool = 4096;
+    shape.streams = 256;
+    shape.steps = 20000;
+    shape.forkSpan = 60;
+    shape.maxBlocks = 24;
+    shape.maxEvict = 24;
+    shape.opRange = 1000;
+    shape.opInsert = 450;
+    shape.opLookup = 800;
+    shape.opEvict = 980;
+    shape.opClear = 981;
+    shape.olderOneIn = 20;
+    std::uint64_t seed = 0x1a7e;
+    for (std::uint64_t mask : {~std::uint64_t(0), std::uint64_t(0xff),
+                               std::uint64_t(0x1f)}) {
+        for (EvictionPolicy policy :
+             {EvictionPolicy::Lru, EvictionPolicy::CostAware}) {
+            shape.startPolicy = policy;
+            std::size_t peak = 0;
+            runDifferential(++seed, mask, shape, &peak);
+            if (HasFailure())
+                return;
+            // Past 1,024 entries the table has grown from 16 buckets
+            // to at least 4,096.
+            if (mask == ~std::uint64_t(0)) {
+                EXPECT_GT(peak, 1024u);
+            }
         }
     }
 }
@@ -553,6 +630,42 @@ TEST(PrefixIndexOrder, PolicyChangeReranksExistingEntries)
     EXPECT_EQ(back.evictCached(1), 1u);
     EXPECT_LT(back.probePrefixBlocks(a, 48), 3u);
     EXPECT_EQ(back.probePrefixBlocks(b, 16), 1u);
+}
+
+TEST(PrefixIndexAlloc, RepublishingACachedChainAllocatesNothing)
+{
+    // Chat re-publishes each turn's whole history: once warm, the
+    // refresh of an already cached chain re-ranks its entries in place.
+    // Its blocks run high to low, so the refresh batch needs its sort,
+    // and a second chain's refresh shares the tick, so the merge
+    // interleaves the two.
+    for (EvictionPolicy policy :
+         {EvictionPolicy::Lru, EvictionPolicy::CostAware}) {
+        SCOPED_TRACE(policy == EvictionPolicy::Lru ? "lru" : "cost");
+        TokenChain a(stream(0xa1), 16);
+        TokenChain b(stream(0xb2), 16);
+        std::vector<BlockId> blocksA(63);
+        std::vector<BlockId> blocksB(63);
+        for (BlockId i = 0; i < 63; ++i) {
+            blocksA[i] = 200 - 2 * i;
+            blocksB[i] = 201 - 2 * i;
+        }
+        PrefixIndex idx(16);
+        idx.setEvictionPolicy(policy);
+        ASSERT_EQ(idx.insert(a, 1000, blocksA, 1).size(), 63u);
+        ASSERT_EQ(idx.insert(b, 1000, blocksB, 1).size(), 63u);
+        idx.insert(a, 1000, blocksA, 2); // sizes the refresh buffer
+        idx.insert(b, 1000, blocksB, 3);
+
+        std::size_t before = test::allocCount();
+        std::vector<BlockId> newly = idx.insert(a, 1000, blocksA, 3);
+        std::size_t allocs = test::allocCount() - before;
+        EXPECT_TRUE(newly.empty());
+        EXPECT_EQ(allocs, 0u);
+        // Both chains now share tick 3: the lowest block goes first.
+        auto any = [](BlockId) { return true; };
+        EXPECT_EQ(idx.evictLru(1, any), std::vector<BlockId>{76});
+    }
 }
 
 namespace {

@@ -9,9 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
-#include <new>
 
 #include "hw/gpu.hh"
 #include "hw/gpu_spec.hh"
@@ -21,64 +19,7 @@
 #include "serve/scheduler.hh"
 #include "sim/random.hh"
 #include "sim/simulation.hh"
-
-// Count every global allocation this executable makes, so a test can
-// assert a code path allocates nothing. Each replaceable form is
-// replaced (std::stable_sort's buffer comes from the nothrow one), so
-// allocation and release always pair malloc with free. Over-aligned
-// forms keep the runtime's pair; nothing here allocates one.
-namespace {
-
-std::size_t allocCount = 0;
-
-void *
-countedAlloc(std::size_t size) noexcept
-{
-    ++allocCount;
-    return std::malloc(size ? size : 1);
-}
-
-void *
-countedAllocOrThrow(std::size_t size)
-{
-    if (void *p = countedAlloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-} // anonymous namespace
-
-void *operator new(std::size_t size) { return countedAllocOrThrow(size); }
-void *operator new[](std::size_t size) { return countedAllocOrThrow(size); }
-
-void *
-operator new(std::size_t size, const std::nothrow_t &) noexcept
-{
-    return countedAlloc(size);
-}
-
-void *
-operator new[](std::size_t size, const std::nothrow_t &) noexcept
-{
-    return countedAlloc(size);
-}
-
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
-
-void
-operator delete(void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
+#include "tests/alloc_counter.hh"
 
 using namespace aqua;
 using namespace aqua::sim;
@@ -484,9 +425,9 @@ TEST_F(SchedulerTest, CfsSteadyStateAllocatesNothing)
     input.maxBatch = 40;
     CfsPolicy cfs;
     ASSERT_TRUE(cfs.schedule(input).empty()); // sizes the buffers
-    std::size_t before = allocCount;
+    std::size_t before = test::allocCount();
     SchedulerDecision d = cfs.schedule(input);
-    std::size_t allocs = allocCount - before;
+    std::size_t allocs = test::allocCount() - before;
     EXPECT_TRUE(d.empty());
     EXPECT_EQ(allocs, 0u);
 }

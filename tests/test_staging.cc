@@ -92,8 +92,9 @@ TEST(StagingPlan, SplitAtSlotSize)
     auto plan = engine.plan(descs);
     EXPECT_EQ(totalBytes(plan), 7 * mib);
     for (const StagedTransfer &t : plan) {
-        if (t.staged)
+        if (t.staged) {
             EXPECT_LE(t.bytes, 2 * mib);
+        }
     }
     EXPECT_GE(plan.size(), 4u);
 }
