@@ -123,13 +123,6 @@ Coordinator::setLeaseTtl(aqua::sim::Tick newTtl)
     jlog("ttl", std::move(f));
 }
 
-aqua::sim::Tick
-Coordinator::leaseTtl() const
-{
-    std::lock_guard<std::mutex> lock(mtx);
-    return ttl;
-}
-
 std::vector<hw::GpuId>
 Coordinator::expireLeasesLocked(aqua::sim::Tick now)
 {
@@ -195,13 +188,6 @@ Coordinator::setGracefulEvacBatch(std::size_t ordersPerRespond)
     json::Value f;
     f["n"] = static_cast<std::uint64_t>(ordersPerRespond);
     jlog("evac_batch", std::move(f));
-}
-
-std::size_t
-Coordinator::gracefulEvacBatch() const
-{
-    std::lock_guard<std::mutex> lock(mtx);
-    return gracefulBatch;
 }
 
 bool

@@ -141,7 +141,6 @@ class Coordinator
      * reclaim raised on its behalf. 0 (the default) disables expiry.
      */
     void setLeaseTtl(aqua::sim::Tick ttl);
-    aqua::sim::Tick leaseTtl() const;
 
     /**
      * Expire leases whose heartbeat is older than the TTL at @p now.
@@ -170,7 +169,6 @@ class Coordinator
      * and emergency (dead-lease) evacuations are never capped.
      */
     void setGracefulEvacBatch(std::size_t ordersPerRespond);
-    std::size_t gracefulEvacBatch() const;
 
     /**
      * /reclaim_status: true once no tensor occupies the producer's

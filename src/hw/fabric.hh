@@ -89,7 +89,6 @@ class Fabric
     Fabric &operator=(const Fabric &) = delete;
 
     std::size_t numServers() const { return nics.size(); }
-    const Link &wireLink() const { return wire; }
     const FabricConfig &config() const { return cfg; }
     const FabricStats &stats() const { return counters; }
 

@@ -120,9 +120,6 @@ class Gpu
     aqua::sim::Tick submitComputeAfter(aqua::sim::Tick earliest,
                                        aqua::sim::Tick duration);
 
-    /** Completion horizon of the compute engine. */
-    aqua::sim::Tick computeFreeAt() const { return compute.freeAt(); }
-
     /** Accumulated compute busy time (utilization numerator). */
     aqua::sim::Tick computeBusyTime() const
     {

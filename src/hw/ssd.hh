@@ -104,12 +104,6 @@ class Ssd
     aqua::sim::Tick writeDuration(std::uint64_t chunkBytes,
                                   std::uint64_t count) const;
 
-    /** The read-side media bandwidth model (for ramp introspection). */
-    const Link &readModel() const { return readLink; }
-
-    /** The write-side media bandwidth model. */
-    const Link &writeModel() const { return writeLink; }
-
     //
     // Fault surface (driven by fault::FaultInjector via Topology).
     //

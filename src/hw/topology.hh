@@ -69,9 +69,6 @@ class Topology
     /** The NVLink link model between two distinct GPUs. */
     const Link &peerLink() const { return nvlink; }
 
-    /** The PCIe link model between a GPU and host DRAM. */
-    const Link &hostLink() const { return pcie; }
-
     /**
      * Pure timing query: duration of a single peer copy of @p bytes,
      * ignoring contention.
@@ -177,7 +174,6 @@ class Topology
      * bit-identical.
      */
     void setPayloadCorruption(double p) { corruptP = p; }
-    double payloadCorruption() const { return corruptP; }
 
     /**
      * One end-to-end integrity draw for a payload that crossed a

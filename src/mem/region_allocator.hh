@@ -67,9 +67,6 @@ class RegionAllocator
     /** Number of discontiguous free ranges (fragmentation proxy). */
     std::size_t freeRangeCount() const { return freeRanges.size(); }
 
-    /** Number of live allocations. */
-    std::size_t allocationCount() const { return live.size(); }
-
     /**
      * External fragmentation metric in [0, 1]:
      * 1 - largestFreeRange / freeBytes (0 when fully coalesced).

@@ -35,12 +35,6 @@ LinearProgram::addRow(std::vector<std::pair<int, double>> coeffs,
 }
 
 void
-LinearProgram::setCost(int var, double cost)
-{
-    costs.at(var) = cost;
-}
-
-void
 LinearProgram::setBounds(int var, double lo, double hi)
 {
     if (!std::isfinite(lo) || hi < lo)

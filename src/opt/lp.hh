@@ -64,9 +64,6 @@ class LinearProgram
     void addRow(std::vector<std::pair<int, double>> coeffs,
                 Relation rel, double rhs);
 
-    /** Overwrite a variable's objective coefficient. */
-    void setCost(int var, double cost);
-
     /** Tighten a variable's bounds (used by branch and bound). */
     void setBounds(int var, double lo, double hi);
 

@@ -55,7 +55,6 @@ struct ServiceRates
 /** Tunables. */
 struct AdmissionConfig
 {
-    bool enabled = true;
     /** Inflate the service prediction: > 1 sheds earlier (pessimistic
      *  about queueing effects the linear model ignores). */
     double safetyFactor = 1.0;

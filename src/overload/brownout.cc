@@ -107,9 +107,6 @@ BrownoutController::transitionTo(BrownoutLevel next,
 BrownoutLevel
 BrownoutController::update(const BrownoutSignals &s)
 {
-    if (!cfg.enabled)
-        return current;
-
     BrownoutLevel target = targetLevel(s);
     bool dwelled = s.now - enteredAt >= cfg.minDwell;
 

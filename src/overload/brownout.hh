@@ -86,8 +86,6 @@ struct BrownoutSignals
 /** Thresholds and hysteresis tunables. */
 struct BrownoutConfig
 {
-    bool enabled = true;
-
     /** Queue depth entering / leaving pressure. */
     std::size_t queueHigh = 24;
     std::size_t queueLow = 8;

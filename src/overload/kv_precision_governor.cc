@@ -65,9 +65,6 @@ KvPrecision
 KvPrecisionGovernor::update(double freePoolFraction,
                             BrownoutLevel level, aqua::sim::Tick now)
 {
-    if (!cfg.enabled)
-        return current;
-
     KvPrecision target = targetPrecision(freePoolFraction, level);
     bool dwelled = now - enteredAt >= cfg.minDwell;
 

@@ -36,8 +36,6 @@ namespace aqua::overload {
 /** Thresholds and hysteresis tunables. */
 struct KvPrecisionGovernorConfig
 {
-    bool enabled = true;
-
     /** Narrowest precision cold KV may be demoted to. */
     model::KvPrecision floor = model::KvPrecision::Int4;
 

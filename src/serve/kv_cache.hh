@@ -68,10 +68,6 @@ class KvCache
     std::uint64_t blockBytes() const { return blocks.blockSize(); }
     std::uint32_t tokensPerBlock() const { return blockTokens; }
 
-    /** KV bytes per token at the model's serving precision — the one
-     *  sizing helper both block math and transfer math derive from. */
-    std::uint64_t bytesPerToken() const { return tokenBytes; }
-
     /** Current pool reservation in bytes. */
     std::uint64_t poolBytes() const { return reservedBytes; }
 
@@ -101,11 +97,6 @@ class KvCache
     availableBlocks() const
     {
         return blocks.freeBlocks() + numEvictable;
-    }
-
-    bool canAllocateBlocks(std::size_t count) const
-    {
-        return availableBlocks() >= count;
     }
 
     /**
@@ -332,7 +323,9 @@ class KvCache
 
     hw::Gpu &gpu;
     std::uint32_t blockTokens;
-    /** Bytes per token at the serving precision (see bytesPerToken). */
+    /** KV bytes per token at the model's serving precision — the one
+     *  sizing figure both block math and transfer math (kvBytes())
+     *  derive from. */
     std::uint64_t tokenBytes;
     std::uint64_t reservedBytes;
     std::optional<aqua::mem::Region> region;

@@ -85,10 +85,8 @@ class LoraCache
     void release(model::LoraId id);
 
     std::uint64_t capacityBytes() const { return cfg.capacityBytes; }
-    std::uint64_t residentBytes() const { return bytesResident; }
     std::uint64_t hits() const { return nHits; }
     std::uint64_t misses() const { return nMisses; }
-    std::size_t adapterCount() const { return pool.size(); }
 
     const model::LoraAdapter &adapter(model::LoraId id) const;
 

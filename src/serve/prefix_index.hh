@@ -239,7 +239,6 @@ class PrefixIndex
     /** Select the eviction victim ordering (default Lru); re-ranks
      *  the existing entries. */
     void setEvictionPolicy(EvictionPolicy policy);
-    EvictionPolicy evictionPolicy() const { return policy; }
 
     std::size_t entries() const { return live; }
     const PrefixIndexStats &stats() const { return counters; }

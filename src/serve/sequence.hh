@@ -19,6 +19,38 @@
 namespace aqua::serve {
 
 /**
+ * Where a swapped sequence's KV lives below HBM. Only SwapStore reads
+ * or writes it.
+ */
+struct SwapState
+{
+    /** Backing store handle of the private tail while swapped. */
+    OffloadBackend::Handle handle;
+
+    /** Backend holding handle (null = the engine's primary backend).
+     *  Set when brownout's offload circuit breaker diverted the swap
+     *  to the fallback DRAM backend, or when the tier's settle pass
+     *  demoted the tail to the SSD. */
+    OffloadBackend *backend = nullptr;
+
+    /** Shared-group key the last swap-out deduplicated under
+     *  (0 = swap carried no shared prefix; zero when caching is off). */
+    std::uint64_t groupKey = 0;
+
+    /** Leading full blocks covered by groupKey at swap-out. */
+    std::uint32_t sharedBlocks = 0;
+
+    /** Precision the private tail was quantized to on its way out
+     *  (quantize-before-evict). Serving precision = no demotion;
+     *  narrower payloads pay a dequant pass on swap-in. */
+    model::KvPrecision precision = model::KvPrecision::Fp16;
+
+    /** Per-block content signatures captured at swap-out, block
+     *  order; checked for byte identity on swap-in. */
+    std::vector<std::uint64_t> sigs;
+};
+
+/**
  * One in-flight request plus its KV-cache residency state.
  */
 struct Sequence
@@ -55,18 +87,8 @@ struct Sequence
     /** Resident KV blocks (empty while swapped/waiting). */
     std::vector<aqua::mem::BlockId> blocks;
 
-    /** Backing store handle while swapped. */
-    OffloadBackend::Handle swapHandle;
-
-    /** Backend holding swapHandle (null = the engine's primary
-     *  backend). Set when brownout's offload circuit breaker diverted
-     *  the swap to the fallback DRAM backend. */
-    OffloadBackend *swapBackend = nullptr;
-
-    /** Precision the swapped private tail was quantized to on its way
-     *  out (quantize-before-evict). Serving precision = no demotion;
-     *  narrower payloads pay a dequant pass on swap-in. */
-    model::KvPrecision swapPrecision = model::KvPrecision::Fp16;
+    /** Where the KV lives while swapped (SwapStore's alone). */
+    SwapState swap;
 
     /** Whether the sequence holds a pin on its LoRA adapter. */
     bool adapterHeld = false;
@@ -96,17 +118,6 @@ struct Sequence
     /** Tokens served from the prefix cache at admission (their
      *  prefill compute and KV writes were skipped). */
     std::uint32_t cachedTokens = 0;
-
-    /** Shared-group key the last swap-out deduplicated under
-     *  (0 = swap carried no shared prefix). */
-    std::uint64_t swapGroupKey = 0;
-
-    /** Leading full blocks covered by swapGroupKey at swap-out. */
-    std::uint32_t swapSharedBlocks = 0;
-
-    /** Per-block content signatures captured at swap-out, block
-     *  order; checked for byte identity on swap-in. */
-    std::vector<std::uint64_t> swapSigs;
 
     //
     // Cluster prefix-registry state (zero when the cluster path is

@@ -97,6 +97,9 @@ VllmEngine::VllmEngine(hw::Server &server, hw::GpuId gpu,
     if (cfg.maxCacheShare < 1.0)
         kv->setMaxCacheShare(cfg.maxCacheShare);
     kv->setEvictionPolicy(cfg.prefixEviction);
+    swaps = std::make_unique<SwapStore>(server, perf, spec.kvPrecision,
+                                        *kv, backend, cfg.prefixCache,
+                                        prefixStats, integrity);
 
     if (cfg.admission) {
         // Service rates from the perf model: amortized prefill cost
@@ -130,22 +133,11 @@ VllmEngine::~VllmEngine()
             peers->releaseLead(seq.get());
         peers.reset();
     }
-    // Release swapped sequences' backend storage (from whichever
-    // backend holds it — the circuit breaker may have diverted some
-    // swaps to the fallback).
-    for (auto &seq : all) {
-        if (seq->state == Sequence::State::Swapped &&
-            seq->swapHandle.valid()) {
-            OffloadBackend &holder =
-                seq->swapBackend ? *seq->swapBackend : backend;
-            holder.free(seq->swapHandle);
-        }
-    }
-    // Release shared-prefix group copies still in the backend.
-    for (auto &[key, group] : sharedGroups) {
-        if (group.handle.valid())
-            backend.free(group.handle);
-    }
+    // Release swapped sequences' offloaded KV, then (in ~SwapStore)
+    // the shared-prefix group copies.
+    for (Sequence *s : swapped)
+        swaps->discard(s);
+    swaps.reset();
     // kv and lora free their reservations before weightsRegion.
     kv.reset();
     lora.reset();
@@ -237,74 +229,12 @@ VllmEngine::submit(const workload::Request &request)
             return;
         }
     }
-    maybeBeginResume(raw);
+    swaps->beginResume(raw, [this] { wake(); });
     // A cross-server fetch never overlaps a resume stream.
     if (peers && cfg.prefixCache && !raw->streamPending)
         peers->beginFetch(raw, [this] { wake(); });
     needResched = true;
     scheduleStep(server.simulation().now());
-}
-
-void
-VllmEngine::maybeBeginResume(Sequence *s)
-{
-    if (!sessionTier || s->request.turn == 0)
-        return;
-    std::uint64_t key = s->request.userId;
-    std::uint32_t parked = sessionTier->parkedTokens(key);
-    if (parked == 0)
-        return;
-    // The follow-up's prompt re-sends the conversation history the
-    // parked KV covers; cap one short of the prompt so at least one
-    // token is always computed.
-    std::uint32_t cap =
-        s->request.promptTokens > 0 ? s->request.promptTokens - 1 : 0;
-    std::uint32_t usable = std::min(parked, cap);
-    if (usable == 0) {
-        sessionTier->cancelResume(key);
-        return;
-    }
-    Tick now = server.simulation().now();
-    // A quantized parked copy streams fewer bytes but pays a dequant
-    // pass on arrival; fold that into the crossover so recompute wins
-    // when dequant erodes the streaming advantage.
-    Tick streamOverhead = 0;
-    auto pp = parkPrecisions.find(key);
-    if (pp != parkPrecisions.end() &&
-        pp->second != spec.kvPrecision) {
-        streamOverhead =
-            perf.dequantTimeAt(kv->kvBytes(usable), pp->second);
-    }
-    // Stream-vs-recompute crossover: the tier compares the prefetch
-    // makespan against what re-prefilling the parked context costs at
-    // the roofline rate. Streaming starts immediately so the windows
-    // overlap whatever the GPU is already decoding.
-    bool streaming = sessionTier->beginResume(
-        key, now, perf.prefillTime(usable),
-        [this, s, usable](bool streamed) {
-            s->streamPending = false;
-            if (s->state != Sequence::State::Waiting)
-                return; // shed while the stream was in flight
-            // Signature-verify the streamed KV on arrival. A hit means
-            // the *stored* copy rotted on media: re-reading returns
-            // the same damaged bytes, so the stream is discarded and
-            // this turn re-prefills from the prompt. A stream
-            // cancelled mid-way (device degradation/failure) falls
-            // back to a full re-prefill too.
-            if (streamed &&
-                !integrity.check(s->request.id, "ssd_resume", true, {})) {
-                s->streamedTokens = usable;
-                ++nStreamResumes;
-            } else {
-                ++nRecomputeResumes;
-            }
-            wake();
-        },
-        streamOverhead);
-    if (streaming)
-        s->streamPending = true;
-    else
-        ++nRecomputeResumes;
 }
 
 void
@@ -427,39 +357,6 @@ VllmEngine::countPrefixHit(const Sequence *s, std::size_t nBlocks,
     }
 }
 
-std::size_t
-VllmEngine::sharedLeadBlocks(const Sequence *s) const
-{
-    // A borrowed lead lives on the home GPU, not in s->blocks.
-    if (s->remoteLeadBlocks > 0)
-        return 0;
-    // Leading run of full blocks some other holder (the index or a
-    // peer sequence) also references: exactly the blocks whose
-    // contents are recoverable from a shared-group backend copy.
-    std::size_t maxFull =
-        static_cast<std::size_t>(s->kvTokens() / blockTokens);
-    std::size_t lead = 0;
-    while (lead < s->blocks.size() && lead < maxFull &&
-           kv->blockRefCount(s->blocks[lead]) > 1)
-        ++lead;
-    return lead;
-}
-
-void
-VllmEngine::releaseSwapGroup(Sequence *s)
-{
-    if (s->swapGroupKey != 0) {
-        auto it = sharedGroups.find(s->swapGroupKey);
-        if (it != sharedGroups.end() && --it->second.refs == 0) {
-            backend.free(it->second.handle);
-            sharedGroups.erase(it);
-        }
-    }
-    s->swapGroupKey = 0;
-    s->swapSharedBlocks = 0;
-    s->swapSigs.clear();
-}
-
 void
 VllmEngine::requeueForRecompute(Sequence *s,
                                 std::vector<Sequence *> &from)
@@ -496,119 +393,16 @@ VllmEngine::swapOutSeq(Sequence *s, Tick &transfersDone)
         requeueForRecompute(s, running);
         return;
     }
-    // The circuit breaker diverts swaps to the fallback (host DRAM)
-    // backend while the primary offload path is under reclaim or link
-    // degradation. Shared-group dedup only applies on the primary
-    // backend — group copies live there, so fallback swaps are always
-    // private.
-    OffloadBackend &target = swapTarget();
-    bool usingFallback = &target != &backend;
-    std::uint64_t bytes = kv->kvBytes(s->kvTokens());
-    std::uint64_t groupBytes = 0;
-    std::size_t lead = 0;
-    if (cfg.prefixCache) {
-        // Keep the prefix resident (index references survive the
-        // borrower's frees below) and snapshot per-block signatures
-        // for the byte-identity check on swap-in.
-        publishSeq(s);
-        s->swapSigs.clear();
-        s->swapSigs.reserve(s->blocks.size());
-        for (aqua::mem::BlockId b : s->blocks)
-            s->swapSigs.push_back(kv->blockSig(b));
-        // Deduplicated offload: a shared prefix is materialized in
-        // the backend once per group; later borrowers just take a
-        // reference instead of re-staging the same bytes.
-        if (!usingFallback)
-            lead = sharedLeadBlocks(s);
-        if (lead > 0) {
-            std::uint64_t key = s->chain.keysAt(lead).key;
-            groupBytes =
-                kv->kvBytes(std::uint64_t(lead) * blockTokens);
-            auto [it, fresh] = sharedGroups.try_emplace(key);
-            if (fresh) {
-                auto gh = backend.alloc(groupBytes);
-                if (!gh) {
-                    // Backend full: fall back to a private swap.
-                    sharedGroups.erase(it);
-                    lead = 0;
-                    groupBytes = 0;
-                } else {
-                    it->second.handle = *gh;
-                    it->second.blocks =
-                        static_cast<std::uint32_t>(lead);
-                    hw::TransferTiming t =
-                        backend.write(*gh, groupBytes, lead);
-                    transfersDone = std::max(transfersDone, t.complete);
-                    nWriteBytes += groupBytes;
-                    ++prefixStats.groupWrites;
-                }
-            } else {
-                prefixStats.dedupSavedBytes += groupBytes;
-                ++prefixStats.sharedSwapOuts;
-            }
-            if (lead > 0) {
-                ++it->second.refs;
-                s->swapGroupKey = key;
-                s->swapSharedBlocks = static_cast<std::uint32_t>(lead);
-            }
-        }
-    }
-    std::uint64_t tailBytes = bytes - groupBytes;
-    // Quantize-before-evict: under memory pressure the governor
-    // demotes the *private* tail below the serving precision before
-    // it leaves HBM. Shared-group copies stay at serving precision —
-    // other borrowers restore from them without a dequant pass.
-    model::KvPrecision cold = coldPrecision();
-    std::uint64_t storedTail = tailBytes;
-    Tick quantReady = 0;
-    if (cold != spec.kvPrecision && tailBytes > 0) {
-        storedTail =
-            model::rescaleKvBytes(tailBytes, spec.kvPrecision, cold);
-        // The quantization kernel runs before the bytes can stage out.
-        quantReady = server.simulation().now() +
-                     perf.dequantTimeAt(tailBytes, cold);
-        if (precisionGov)
-            precisionGov->notePayload(tailBytes, storedTail);
-    }
-    s->swapPrecision = cold;
-    s->swapHandle = OffloadBackend::Handle{};
-    s->swapBackend = nullptr;
-    if (storedTail > 0) {
-        auto handle = target.alloc(storedTail);
-        if (!handle && usingFallback) {
-            // Fallback full: fail back to the primary path rather
-            // than dropping the sequence.
-            handle = backend.alloc(storedTail);
-            usingFallback = false;
-        }
-        if (!handle) {
-            panic("VllmEngine: offload backend exhausted swapping out "
-                  "sequence %llu",
-                  static_cast<unsigned long long>(s->request.id));
-        }
-        OffloadBackend &dest = usingFallback ? target : backend;
-        hw::TransferTiming t = dest.write(
-            *handle, storedTail, s->blocks.size() - lead, quantReady);
-        transfersDone = std::max(transfersDone, t.complete);
-        nWriteBytes += storedTail;
-        s->swapHandle = *handle;
-        if (usingFallback) {
-            s->swapBackend = &target;
-            ++nFallbackSwaps;
-        }
-        // Register the private tail with the tier's demotion policy
-        // when it landed in a DRAM-class backend: a long-swapped
-        // sequence's KV ages out of DRAM onto the SSD. Shared-group
-        // copies are never registered — other borrowers may need them
-        // at DRAM speed (they are pinned to DRAM by omission).
-        if (sessionTier) {
-            OffloadBackend &holder =
-                s->swapBackend ? *s->swapBackend : backend;
-            if (holder.name() == "dram")
-                sessionTier->noteOffloaded(s->request.id, storedTail,
-                                           server.simulation().now());
-        }
-    }
+    // With prefix caching the prefix stays resident: index references
+    // survive the borrower's frees below.
+    publishSeq(s);
+    // Overload control hands the store its verdicts: divert to the
+    // fallback while the circuit breaker is open, at which precision.
+    SwapStore::Payload tail =
+        swaps->swapOut(s, brownout && brownout->forceDramOffload(),
+                       coldPrecision(), transfersDone);
+    if (precisionGov)
+        precisionGov->notePayload(tail.servingBytes, tail.storedBytes);
     if (peers)
         peers->release(s);
     kv->freeBlocks(s->blocks);
@@ -622,131 +416,17 @@ VllmEngine::swapOutSeq(Sequence *s, Tick &transfersDone)
 bool
 VllmEngine::swapInSeq(Sequence *s, Tick &transfersDone)
 {
-    std::size_t need = kv->blocksForTokens(s->kvTokens());
-
-    // Re-acquire whatever of the shared prefix is still resident:
-    // those blocks need no transfer at all. The cap is a multiple of
-    // the block size, so only full blocks can match.
-    std::vector<aqua::mem::BlockId> resident;
-    if (cfg.prefixCache && s->swapSharedBlocks > 0) {
-        KvCache::PrefixAcquire acq = kv->acquirePrefix(
-            s->chain, std::uint64_t(s->swapSharedBlocks) * blockTokens,
-            server.simulation().now());
-        resident = std::move(acq.blocks);
-    }
-
-    auto blocks = kv->allocateBlocks(need - resident.size());
-    if (!blocks) {
-        if (!resident.empty())
-            kv->freeBlocks(resident);
+    switch (swaps->swapIn(s, transfersDone)) {
+      case SwapStore::Restore::NoRoom:
         return false;
+      case SwapStore::Restore::Rotted:
+        requeueForRecompute(s, swapped);
+        // The abort consumed backend work (the read happened); report
+        // progress so the scheduler's transfer window stays honest.
+        return true;
+      case SwapStore::Restore::Done:
+        break;
     }
-
-    // Shared blocks evicted since swap-out come from the group's
-    // single backend copy; the private tail from the swap handle.
-    std::size_t missingShared = s->swapSharedBlocks - resident.size();
-    if (missingShared > 0) {
-        auto it = sharedGroups.find(s->swapGroupKey);
-        if (it == sharedGroups.end()) {
-            panic("VllmEngine: shared group %llx vanished under "
-                  "swapped sequence %llu",
-                  static_cast<unsigned long long>(s->swapGroupKey),
-                  static_cast<unsigned long long>(s->request.id));
-        }
-        std::uint64_t sharedBytes =
-            kv->kvBytes(std::uint64_t(missingShared) * blockTokens);
-        hw::TransferTiming t = backend.read(it->second.handle,
-                                            sharedBytes, missingShared);
-        transfersDone = std::max(transfersDone, t.complete);
-        nReadBytes += sharedBytes;
-    }
-    prefixStats.residentReuseBytes +=
-        kv->kvBytes(std::uint64_t(resident.size()) * blockTokens);
-    if (s->swapHandle.valid()) {
-        // The private tail comes back from whichever backend the
-        // swap-out targeted (the fallback when the circuit breaker
-        // was open).
-        OffloadBackend &holder =
-            s->swapBackend ? *s->swapBackend : backend;
-        hw::TransferTiming t =
-            holder.read(s->swapHandle, s->swapHandle.bytes,
-                        need - s->swapSharedBlocks);
-        Tick restored = t.complete;
-        // A demoted tail streamed fewer bytes but must be dequantized
-        // back to the serving precision before decode can touch it.
-        if (s->swapPrecision != spec.kvPrecision) {
-            std::uint64_t servingBytes = model::rescaleKvBytes(
-                s->swapHandle.bytes, s->swapPrecision,
-                spec.kvPrecision);
-            restored +=
-                perf.dequantTimeAt(servingBytes, s->swapPrecision);
-        }
-        transfersDone = std::max(transfersDone, restored);
-        nReadBytes += s->swapHandle.bytes;
-        // Signature-verify the restored tail before decode touches
-        // it. Which fault applies depends on where the bytes lived: a
-        // DRAM/peer payload corrupted in flight (payload_corrupt)
-        // re-reads cleanly from the intact backend copy, while a tail
-        // demoted to the SSD can have rotted at rest (ssd_bitrot) —
-        // the stored copy itself is damaged, so re-reading returns
-        // the same bad bytes and the sequence must drop its KV and
-        // recompute.
-        bool onSsd = holder.name() == "ssd";
-        bool rotted = integrity.check(s->request.id, "swap_in", onSsd, [&] {
-            hw::TransferTiming rt =
-                holder.read(s->swapHandle, s->swapHandle.bytes,
-                            need - s->swapSharedBlocks);
-            transfersDone = std::max(transfersDone, rt.complete);
-            nReadBytes += s->swapHandle.bytes;
-        });
-        if (sessionTier)
-            sessionTier->forgetOffloaded(
-                s->request.id,
-                &holder == &sessionTier->demotionStore(),
-                server.simulation().now());
-        holder.free(s->swapHandle);
-        s->swapHandle = OffloadBackend::Handle{};
-        s->swapBackend = nullptr;
-        s->swapPrecision = spec.kvPrecision;
-        if (rotted) {
-            if (!resident.empty())
-                kv->freeBlocks(resident);
-            kv->freeBlocks(*blocks);
-            releaseSwapGroup(s);
-            requeueForRecompute(s, swapped);
-            // The abort consumed backend work (the read happened);
-            // report progress so the scheduler's transfer window
-            // stays honest.
-            return true;
-        }
-    }
-
-    s->blocks = std::move(resident);
-    s->blocks.insert(s->blocks.end(), blocks->begin(), blocks->end());
-
-    // Restored blocks came back through the offload/DRAM path; keep
-    // the origin tag honest for the prefix-hit breakdown.
-    for (aqua::mem::BlockId b : *blocks)
-        kv->setBlockOrigin(b, BlockOrigin::Dram);
-
-    // Byte-identity check: every block must carry the signature it
-    // had at swap-out, whether it stayed resident or round-tripped
-    // through the backend (restored blocks take their snapshot).
-    if (cfg.prefixCache && !s->swapSigs.empty()) {
-        std::size_t residentCount =
-            s->blocks.size() - blocks->size();
-        for (std::size_t i = 0; i < s->blocks.size() &&
-                                i < s->swapSigs.size(); ++i) {
-            if (i < residentCount) {
-                if (kv->blockSig(s->blocks[i]) != s->swapSigs[i])
-                    ++prefixStats.sigMismatches;
-            } else {
-                kv->setBlockSig(s->blocks[i], s->swapSigs[i]);
-            }
-        }
-    }
-    releaseSwapGroup(s);
-
     s->state = Sequence::State::Running;
     removeFrom(swapped, s);
     running.push_back(s);
@@ -861,7 +541,6 @@ VllmEngine::admitSeq(Sequence *s, Tick &transfersDone)
         // First admission only: readmissions after recompute
         // preemption keep the original queue-delay measurement.
         s->metrics.admitted = server.simulation().now();
-        queueDelays.add(s->metrics.queueDelaySec());
         if (admission)
             admission->recordAdmit();
     }
@@ -876,21 +555,12 @@ VllmEngine::finishSeq(Sequence *s, Tick when)
     // blocks go back to the pool: the trace's idle gap is the park
     // predictor (the user is gone long enough that the prefix cache
     // will have evicted this context by the time they return).
-    if (sessionTier && s->request.idleGapSec > 0.0) {
-        // Parked KV is cold by definition: quantize it to the
-        // governor's cold precision on the way down the tiers.
-        model::KvPrecision cold = coldPrecision();
-        std::uint64_t servingBytes = kv->kvBytes(s->kvTokens());
-        std::uint64_t storedBytes = model::rescaleKvBytes(
-            servingBytes, spec.kvPrecision, cold);
-        if (sessionTier->park(s->request.userId, storedBytes,
-                              static_cast<std::uint32_t>(s->kvTokens()),
-                              s->request.idleGapSec, when)) {
-            ++nParks;
-            parkPrecisions[s->request.userId] = cold;
-            if (cold != spec.kvPrecision && precisionGov)
-                precisionGov->notePayload(servingBytes, storedBytes);
-        }
+    if (s->request.idleGapSec > 0.0) {
+        SwapStore::Payload parked =
+            swaps->park(s, coldPrecision(), when);
+        if (precisionGov)
+            precisionGov->notePayload(parked.servingBytes,
+                                      parked.storedBytes);
     }
     // Leave the conversation's KV behind as cache: a follow-up turn
     // that re-sends this context will match it block for block.
@@ -915,11 +585,7 @@ VllmEngine::shedSeq(Sequence *s, overload::ShedReason reason,
     s->state = Sequence::State::Finished;
     s->chain.release();
     removeFrom(waiting, s);
-    // Predictor miss: shedding a resuming request cancels its
-    // in-flight prefetch stream (windows already issued are wasted).
-    // A federation stream runs on; its end closes the fetch ticket.
-    if (sessionTier && s->streamPending && !s->streamFederated)
-        sessionTier->cancelResume(s->request.userId);
+    swaps->cancelResume(s);
     s->metrics.shed = true;
     ++nSheds;
     ++shedsSinceInform;
@@ -1006,39 +672,6 @@ VllmEngine::updateBrownout(Tick now)
     }
 }
 
-void
-VllmEngine::settleTier(Tick now)
-{
-    // Under the brownout ladder's ForceDramOffload rung the tier
-    // drains DRAM aggressively: the rung reroutes new swaps to DRAM,
-    // and the settle pass gives that DRAM somewhere real to spill.
-    bool pressure = brownout && brownout->forceDramOffload();
-    for (std::uint64_t key : sessionTier->selectDemotions(now, pressure)) {
-        auto it = std::find_if(swapped.begin(), swapped.end(),
-                               [key](const Sequence *s) {
-                                   return s->request.id == key;
-                               });
-        Sequence *victim = it != swapped.end() ? *it : nullptr;
-        if (!victim || !victim->swapHandle.valid()) {
-            // The sequence moved on since registration; drop the
-            // stale policy entry.
-            sessionTier->forgetOffloaded(key, false, now);
-            continue;
-        }
-        OffloadBackend &from =
-            victim->swapBackend ? *victim->swapBackend : backend;
-        std::uint64_t nChunks = std::max<std::uint64_t>(
-            1, victim->swapHandle.bytes / kv->blockBytes());
-        auto moved = sessionTier->demote(key, from, victim->swapHandle,
-                                         nChunks, now);
-        if (!moved)
-            continue; // store full: the payload stays in DRAM
-        victim->swapHandle = *moved;
-        victim->swapBackend = &sessionTier->demotionStore();
-        ++nTierDemotions;
-    }
-}
-
 std::uint32_t
 VllmEngine::effectiveSliceTokens() const
 {
@@ -1048,14 +681,6 @@ VllmEngine::effectiveSliceTokens() const
                     brownout->sliceFactor();
     auto t = static_cast<std::uint32_t>(scaled);
     return t > 0 ? t : 1;
-}
-
-OffloadBackend &
-VllmEngine::swapTarget()
-{
-    if (fallback && brownout && brownout->forceDramOffload())
-        return *fallback;
-    return backend;
 }
 
 model::KvPrecision
@@ -1081,9 +706,14 @@ VllmEngine::step()
         Tick blocked = backend.respond();
         transfersDone = std::max(transfersDone, blocked);
     }
-    if (sessionTier && ++itersSinceSettle >= tierSettleEveryIters) {
+    if (swaps->hasTier() && ++itersSinceSettle >= tierSettleEveryIters) {
         itersSinceSettle = 0;
-        settleTier(now);
+        // Under the brownout ladder's ForceDramOffload rung the tier
+        // drains DRAM aggressively: the rung reroutes new swaps to
+        // DRAM, and the settle pass gives that DRAM somewhere real to
+        // spill.
+        swaps->settle(now, brownout && brownout->forceDramOffload(),
+                      swapped);
     }
 
     // Sample overload signals before scheduling so this iteration's

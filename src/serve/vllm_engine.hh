@@ -17,7 +17,6 @@
 #define AQUA_SERVE_VLLM_ENGINE_HH
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -35,7 +34,7 @@
 #include "serve/scheduler.hh"
 #include "serve/sequence.hh"
 #include "serve/session_tier.hh"
-#include "stats/summary.hh"
+#include "serve/swap_store.hh"
 #include "stats/timeseries.hh"
 #include "trace/trace.hh"
 #include "workload/request.hh"
@@ -345,7 +344,7 @@ class VllmEngine
      * primary (NVLink donor) path is reclaiming or degraded.
      * Non-owning; must outlive the engine.
      */
-    void setFallbackBackend(OffloadBackend *b) { fallback = b; }
+    void setFallbackBackend(OffloadBackend *b) { swaps->setFallback(b); }
 
     /**
      * Attach a storage tier (SSD) below the offload backends. Enables
@@ -356,7 +355,7 @@ class VllmEngine
      * swapped-out KV sitting in host DRAM. Non-owning; must outlive
      * the engine.
      */
-    void attachSessionTier(SessionTier *tier) { sessionTier = tier; }
+    void attachSessionTier(SessionTier *tier) { swaps->setTier(tier); }
 
     /** Submit a request (call at its arrival time). */
     void submit(const workload::Request &request);
@@ -407,19 +406,32 @@ class VllmEngine
     //
 
     /** Cold sessions whose KV was parked on the tier. */
-    std::uint64_t parkCount() const { return nParks; }
+    std::uint64_t parkCount() const { return swaps->stats().parks; }
     /** Cold-session resumes served by streaming parked KV back. */
-    std::uint64_t streamResumeCount() const { return nStreamResumes; }
-    /** Cold-session resumes that fell back to re-prefill. */
-    std::uint64_t recomputeResumeCount() const
+    std::uint64_t
+    streamResumeCount() const
     {
-        return nRecomputeResumes;
+        return swaps->stats().streamResumes;
+    }
+    /** Cold-session resumes that fell back to re-prefill. */
+    std::uint64_t
+    recomputeResumeCount() const
+    {
+        return swaps->stats().recomputeResumes;
     }
     /** Swapped-out payloads the settle pass demoted DRAM→SSD. */
-    std::uint64_t tierDemotionCount() const { return nTierDemotions; }
+    std::uint64_t
+    tierDemotionCount() const
+    {
+        return swaps->stats().tierDemotions;
+    }
 
     /** Swaps diverted to the fallback backend by the circuit breaker. */
-    std::uint64_t fallbackSwapCount() const { return nFallbackSwaps; }
+    std::uint64_t
+    fallbackSwapCount() const
+    {
+        return swaps->stats().fallbackSwaps;
+    }
     const overload::AdmissionController *
     admissionController() const
     {
@@ -436,10 +448,6 @@ class VllmEngine
     {
         return precisionGov.get();
     }
-    /** Admission queue delay (admit - arrival, seconds) of every
-     *  admitted request. */
-    const stats::Summary &queueDelay() const { return queueDelays; }
-
     /** Sharing-path counters (all zero unless cfg.prefixCache). */
     const PrefixCacheEngineStats &
     prefixEngineStats() const
@@ -455,8 +463,12 @@ class VllmEngine
     }
 
     /** Bytes written to / read from the offload backend (swaps). */
-    std::uint64_t offloadWriteBytes() const { return nWriteBytes; }
-    std::uint64_t offloadReadBytes() const { return nReadBytes; }
+    std::uint64_t
+    offloadWriteBytes() const
+    {
+        return swaps->stats().writeBytes;
+    }
+    std::uint64_t offloadReadBytes() const { return swaps->stats().readBytes; }
 
     /** Metrics of finished requests, completion order. */
     const std::vector<workload::RequestMetrics> &
@@ -481,10 +493,11 @@ class VllmEngine
     /** Record the engine-external free-memory view. */
     void recordFreeMemory();
 
-    /** Page a running sequence's KV out to the backend. */
+    /** Preempt a running sequence: page its KV out through the swap
+     *  store, or drop it to recompute later. */
     void swapOutSeq(Sequence *s, aqua::sim::Tick &transfersDone);
 
-    /** Page a swapped sequence back in. @return success. */
+    /** Page a swapped sequence back in. @return progress made. */
     bool swapInSeq(Sequence *s, aqua::sim::Tick &transfersDone);
 
     /** Move a waiting sequence to Running. @return success. */
@@ -509,22 +522,11 @@ class VllmEngine
     /** Sample overload signals and advance the brownout ladder. */
     void updateBrownout(aqua::sim::Tick now);
 
-    /** Try to start a parked-session resume stream for a fresh
-     *  follow-up arrival (no-op without a tier or a parked entry). */
-    void maybeBeginResume(Sequence *s);
-
     /** A KV stream landed: re-run scheduling now. */
     void wake();
 
-    /** Demotion settle pass: age out swapped KV from DRAM to SSD. */
-    void settleTier(aqua::sim::Tick now);
-
     /** CFS slice length after brownout shrinking. */
     std::uint32_t effectiveSliceTokens() const;
-
-    /** Backend a swap-out should target right now (the fallback when
-     *  the circuit breaker is open). */
-    OffloadBackend &swapTarget();
 
     /** Precision KV leaving HBM is quantized to right now (the
      *  serving precision unless the governor is demoting). */
@@ -534,16 +536,6 @@ class VllmEngine
     // Prefix-cache sharing (active only with cfg.prefixCache).
     //
 
-    /** One backend copy of a shared prefix, reused by all borrowers. */
-    struct SharedGroup
-    {
-        OffloadBackend::Handle handle;
-        /** Swapped borrowers pointing at the copy. */
-        std::uint32_t refs = 0;
-        /** Full blocks the copy covers. */
-        std::uint32_t blocks = 0;
-    };
-
     /**
      * Publish a sequence's computed KV into the prefix index, and —
      * on the cluster path — register its shareable chain boundaries
@@ -552,12 +544,6 @@ class VllmEngine
      * follow-up turn's prefix).
      */
     void publishSeq(Sequence *s, bool atFinish = false);
-
-    /** Leading run of s->blocks shared with the index or peers. */
-    std::size_t sharedLeadBlocks(const Sequence *s) const;
-
-    /** Drop a swapped borrower's reference on its shared group. */
-    void releaseSwapGroup(Sequence *s);
 
     /** Tally a prefix hit of @p tokens served by the leading
      *  @p nBlocks of s->blocks (plus any borrowed lead) by block
@@ -575,15 +561,11 @@ class VllmEngine
     /** backend is an AQUA consumer (fixed, so not re-read per step). */
     bool aquaBackend;
     core::AquaLib *aquaLib = nullptr;
-    OffloadBackend *fallback = nullptr;
-    SessionTier *sessionTier = nullptr;
     trace::TraceLog *tracer = nullptr;
 
     std::unique_ptr<overload::AdmissionController> admission;
     std::unique_ptr<overload::BrownoutController> brownout;
     std::unique_ptr<overload::KvPrecisionGovernor> precisionGov;
-    /** Precision each user's parked KV was stored at (tier path). */
-    std::map<std::uint64_t, model::KvPrecision> parkPrecisions;
 
     /** Weights + runtime overhead reservation. */
     std::optional<aqua::mem::Region> weightsRegion;
@@ -620,23 +602,14 @@ class VllmEngine
     std::uint64_t nRecomputes = 0;
     std::uint64_t nSheds = 0;
     std::uint64_t shedsSinceInform = 0;
-    std::uint64_t nFallbackSwaps = 0;
-    std::uint64_t nParks = 0;
-    std::uint64_t nStreamResumes = 0;
-    std::uint64_t nRecomputeResumes = 0;
-    std::uint64_t nTierDemotions = 0;
-    stats::Summary queueDelays;
-
-    /** Shared-prefix offload copies, by chain key. */
-    std::map<std::uint64_t, SharedGroup> sharedGroups;
 
     PrefixCacheEngineStats prefixStats;
     KvIntegrity integrity;
     /** Registry and federation paths (null unless cfg.clusterPrefix
      *  and attachClusterPrefix()); destroyed before the counters. */
     std::unique_ptr<PrefixPeers> peers;
-    std::uint64_t nWriteBytes = 0;
-    std::uint64_t nReadBytes = 0;
+    /** Where offloaded KV lives (after kv, destroyed before it). */
+    std::unique_ptr<SwapStore> swaps;
 
     stats::TimeSeries tokens;
     stats::TimeSeries freeMem;

@@ -185,22 +185,6 @@ TraceBuilder::sharedPrefix(double ratePerSec, std::size_t count,
     return out;
 }
 
-std::vector<Request>
-TraceBuilder::loraPreamble(double ratePerSec, std::size_t count,
-                           std::uint32_t numAdapters,
-                           std::uint32_t preambleTokens, Tick start)
-{
-    std::vector<Request> out = lora(ratePerSec, count, numAdapters,
-                                    start);
-    for (Request &r : out) {
-        r.prefixStream = contentStreamId(
-            0xada0000ull + static_cast<std::uint64_t>(r.adapter));
-        r.prefixTokens = preambleTokens;
-        r.promptTokens += preambleTokens;
-    }
-    return out;
-}
-
 Request
 TraceBuilder::longPrompt(std::uint32_t promptTokens,
                          std::uint32_t maxNewTokens, Tick arrival)

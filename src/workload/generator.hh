@@ -95,12 +95,10 @@ class TraceBuilder
      *  builders: interactive, bursty, codeSummary, sharedPrefix and
      *  the LoRA variants). */
     void setSlo(SloSpec spec) { slo = spec; }
-    const SloSpec &sloSpec() const { return slo; }
 
     /** Stamp idle gaps on subsequently built chatbot requests
      *  (chatbotFirstTurn and chatbotFollowUp). */
     void setIdle(IdleSpec spec) { idle = spec; }
-    const IdleSpec &idleSpec() const { return idle; }
 
     /**
      * Interactive ShareGPT-like trace: Poisson arrivals.
@@ -159,17 +157,6 @@ class TraceBuilder
                                       std::size_t count,
                                       std::uint32_t prefixTokens,
                                       std::uint32_t numGroups = 1,
-                                      aqua::sim::Tick start = 0);
-
-    /**
-     * LoRA trace whose requests open with a per-adapter preamble (the
-     * adapter's instruction prefix): requests for the same adapter
-     * share their first @p preambleTokens tokens.
-     */
-    std::vector<Request> loraPreamble(double ratePerSec,
-                                      std::size_t count,
-                                      std::uint32_t numAdapters,
-                                      std::uint32_t preambleTokens,
                                       aqua::sim::Tick start = 0);
 
     /**

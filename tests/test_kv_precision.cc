@@ -187,17 +187,6 @@ TEST(KvPrecisionGovernor, FloorAndServingClampTarget)
     EXPECT_EQ(narrow.stats().reconfigurations, 0u);
 }
 
-TEST(KvPrecisionGovernor, DisabledGovernorNeverMoves)
-{
-    overload::KvPrecisionGovernorConfig cfg;
-    cfg.enabled = false;
-    overload::KvPrecisionGovernor gov(cfg, KvPrecision::Fp16);
-    EXPECT_EQ(gov.update(0.01, overload::BrownoutLevel::RejectNew,
-                         secToTicks(1.0)),
-              KvPrecision::Fp16);
-    EXPECT_EQ(gov.stats().reconfigurations, 0u);
-}
-
 TEST(KvPrecisionGovernor, PayloadAccountingAndTrace)
 {
     trace::TraceLog log;

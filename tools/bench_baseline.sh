@@ -55,4 +55,15 @@ if [[ "$ran" == 0 ]]; then
     echo "$0: no bench binaries under $build/bench" >&2
     exit 1
 fi
+
+# The prefix-cache ablation's smoke cells never swap; its full run
+# (well under a second) drives the shared-group swap path, so it is
+# kept too, under names of its own.
+mkdir "$work/full"
+if ! (cd "$work/full" &&
+      "$build/bench/abl_prefix_cache" > "$out/abl_prefix_cache.full.txt"); then
+    echo "$0: abl_prefix_cache (full) failed" >&2
+    exit 1
+fi
+cp "$work/full/BENCH_prefix_cache.json" "$out/BENCH_prefix_cache.full.json"
 echo "$0: $ran benches -> $out" >&2
