@@ -11,9 +11,9 @@
 #include "model/perf_model.hh"
 #include "serve/batch_engine.hh"
 #include "serve/flexgen_engine.hh"
+#include "serve/ssd_tier.hh"
 #include "serve/vllm_engine.hh"
 #include "sim/logging.hh"
-#include "tier/park_agent.hh"
 #include "workload/generator.hh"
 
 namespace aqua::exp {
@@ -1133,14 +1133,14 @@ runTiering(const TieringRunConfig &cfg)
     if (cfg.traceLog)
         consumer.setTraceLog(cfg.traceLog);
 
-    std::unique_ptr<tier::ParkAgent> agent;
+    std::unique_ptr<serve::SsdTier> ssdTier;
     if (cfg.tiering) {
-        tier::ParkAgentConfig ac;
-        ac.tier.parkAfterSec = cfg.parkAfterSec;
-        ac.tier.resumeSafetyFactor = cfg.resumeSafetyFactor;
-        agent = std::make_unique<tier::ParkAgent>(tb.server(),
-                                                  consumerGpu, ac);
-        consumer.attachSessionTier(agent.get());
+        serve::SsdTierConfig tc;
+        tc.parkAfterSec = cfg.parkAfterSec;
+        tc.resumeSafetyFactor = cfg.resumeSafetyFactor;
+        ssdTier = std::make_unique<serve::SsdTier>(tb.server(),
+                                                   consumerGpu, tc);
+        consumer.attachSsdTier(ssdTier.get());
     }
 
     std::unique_ptr<fault::FaultInjector> inj;
@@ -1202,9 +1202,9 @@ runTiering(const TieringRunConfig &cfg)
     if (!warmTtft.empty())
         res.warmTtftP50Sec = warmTtft.median();
 
-    if (agent) {
-        res.parkedAtEnd = agent->parkedCount();
-        res.prefetch = agent->pipeline().stats();
+    if (ssdTier) {
+        res.parkedAtEnd = ssdTier->parkedCount();
+        res.prefetch = ssdTier->pipeline().stats();
         const stats::Summary &overlap = res.prefetch.overlapEfficiency;
         if (!overlap.empty())
             res.overlapEfficiencyMean = overlap.mean();

@@ -18,9 +18,9 @@
 #include "hw/fabric.hh"
 #include "model/model_spec.hh"
 #include "placer/placer.hh"
+#include "serve/prefetch.hh"
 #include "serve/vllm_engine.hh"
 #include "stats/timeseries.hh"
-#include "tier/prefetch.hh"
 #include "workload/request.hh"
 
 namespace aqua::fault {
@@ -582,7 +582,7 @@ struct TieringRunResult : ConsumerStats
     double warmTtftP50Sec = 0.0;
 
     /** Prefetch pipeline accounting (zero without tiering). */
-    tier::PrefetchStats prefetch;
+    serve::PrefetchStats prefetch;
     double overlapEfficiencyMean = 0.0;
 
     /** Media traffic. */

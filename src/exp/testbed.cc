@@ -57,12 +57,11 @@ Testbed::makeDramBackend(hw::GpuId gpu, serve::DramBackendConfig config)
     return ref;
 }
 
-tier::SsdBackend &
-Testbed::makeSsdBackend(hw::GpuId gpu, tier::SsdBackendConfig config)
+serve::SsdBackend &
+Testbed::makeSsdBackend(hw::GpuId gpu)
 {
-    auto backend =
-        std::make_unique<tier::SsdBackend>(*srv, gpu, config);
-    tier::SsdBackend &ref = *backend;
+    auto backend = std::make_unique<serve::SsdBackend>(*srv, gpu);
+    serve::SsdBackend &ref = *backend;
     backends.push_back(std::move(backend));
     return ref;
 }

@@ -24,8 +24,8 @@
 #include "recovery/recovery_manager.hh"
 #include "recovery/state_journal.hh"
 #include "serve/offload_backend.hh"
+#include "serve/ssd_backend.hh"
 #include "sim/simulation.hh"
-#include "tier/ssd_backend.hh"
 #include "workload/request.hh"
 
 namespace aqua::exp {
@@ -91,8 +91,7 @@ class Testbed
     serve::AquaBackend &makeAquaBackend(core::AquaLib &lib);
 
     /** Create (and own) an SSD offload backend for a GPU. */
-    tier::SsdBackend &
-    makeSsdBackend(hw::GpuId gpu, tier::SsdBackendConfig config = {});
+    serve::SsdBackend &makeSsdBackend(hw::GpuId gpu);
 
     /** Statically pair a consumer GPU with a producer GPU. */
     void assign(hw::GpuId consumer, hw::GpuId producer);

@@ -4,7 +4,7 @@
  *
  * Two deciders in the stack weigh streaming a stored KV copy against
  * re-prefilling it at the roofline rate: the storage tier's
- * park-resume path (tier::TierManager) and the cross-server prefix
+ * park-resume path (serve::SsdTier) and the cross-server prefix
  * federation (federation::FederationCostModel). Both compare the same
  * quantities — an estimated stream makespan plus any fixed overhead
  * (dequant passes, control-plane hops) against the prefill time —

@@ -1,21 +1,20 @@
-#include "tier/prefetch.hh"
+#include "serve/prefetch.hh"
 
 #include <algorithm>
 
 #include "sim/logging.hh"
 
-namespace aqua::tier {
+namespace aqua::serve {
 
 using namespace aqua::sim;
 
 PrefetchPipeline::PrefetchPipeline(hw::Server &server, hw::GpuId gpu,
-                                   PrefetchConfig config)
-    : server(server), gpu(gpu), cfg(config)
+                                   std::uint32_t buffers)
+    : server(server), gpu(gpu)
 {
-    if (cfg.windowBytes == 0 || cfg.buffers == 0)
-        panic("PrefetchPipeline: window size and buffer count must be "
-              "positive");
-    bufFree.assign(cfg.buffers, 0);
+    if (buffers == 0)
+        panic("PrefetchPipeline: buffer count must be positive");
+    bufFree.assign(buffers, 0);
 }
 
 PrefetchPipeline::StreamId
@@ -70,9 +69,9 @@ PrefetchPipeline::issueWindow(StreamId id)
         return;
     }
 
-    std::uint64_t w = std::min<std::uint64_t>(cfg.windowBytes,
+    std::uint64_t w = std::min<std::uint64_t>(windowBytes,
                                               s.remaining);
-    std::uint32_t slot = s.nextSlot++ % cfg.buffers;
+    std::uint32_t slot = s.nextSlot++ % bufFree.size();
     Tick base = server.simulation().now();
     if (bufFree[slot] > base)
         base = bufFree[slot];
@@ -137,7 +136,7 @@ PrefetchPipeline::finishStream(StreamId id, bool cancelled)
         ++counters.streamsCancelled;
         counters.bytesWasted += s.delivered;
         counters.windowsCancelled +=
-            (s.remaining + cfg.windowBytes - 1) / cfg.windowBytes;
+            (s.remaining + windowBytes - 1) / windowBytes;
     } else {
         ++counters.streamsCompleted;
         counters.bytesStreamed += s.delivered;
@@ -153,18 +152,18 @@ PrefetchPipeline::estimate(std::uint64_t bytes) const
 {
     if (bytes == 0)
         return 0;
-    std::uint64_t n = (bytes + cfg.windowBytes - 1) / cfg.windowBytes;
-    std::uint64_t last = bytes - (n - 1) * cfg.windowBytes;
+    std::uint64_t n = (bytes + windowBytes - 1) / windowBytes;
+    std::uint64_t last = bytes - (n - 1) * windowBytes;
 
     const hw::Ssd &ssd = server.ssd();
-    Tick mFull = ssd.readDuration(cfg.windowBytes, 1);
-    Tick pFull = server.topology().hostTransferDuration(cfg.windowBytes);
+    Tick mFull = ssd.readDuration(windowBytes, 1);
+    Tick pFull = server.topology().hostTransferDuration(windowBytes);
     Tick mLast = ssd.readDuration(last, 1);
     Tick pLast = server.topology().hostTransferDuration(last);
     Tick mTot = (n - 1) * mFull + mLast;
     Tick pTot = (n - 1) * pFull + pLast;
 
-    if (cfg.buffers < 2 || n == 1)
+    if (bufFree.size() < 2 || n == 1)
         return mTot + pTot;
     // Two-stage pipeline: the longer stage sets the pace, plus the
     // other stage's exposed first/last window.
@@ -173,4 +172,4 @@ PrefetchPipeline::estimate(std::uint64_t bytes) const
     return mFull + pTot;
 }
 
-} // namespace aqua::tier
+} // namespace aqua::serve

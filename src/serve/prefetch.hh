@@ -18,8 +18,8 @@
  * complete and their bytes are charged as waste.
  */
 
-#ifndef AQUA_TIER_PREFETCH_HH
-#define AQUA_TIER_PREFETCH_HH
+#ifndef AQUA_SERVE_PREFETCH_HH
+#define AQUA_SERVE_PREFETCH_HH
 
 #include <cstdint>
 #include <functional>
@@ -29,19 +29,7 @@
 #include "sim/ticks.hh"
 #include "stats/summary.hh"
 
-namespace aqua::tier {
-
-/** Prefetch pipeline tunables. */
-struct PrefetchConfig
-{
-    /** Sliding-window transfer size. */
-    std::uint64_t windowBytes = std::uint64_t(32) << 20;
-    /**
-     * DRAM bounce buffers. Two gives double buffering (media read
-     * N+1 overlaps PCIe drain N); one serializes the stages.
-     */
-    std::uint32_t buffers = 2;
-};
+namespace aqua::serve {
 
 /** Aggregate pipeline accounting. */
 struct PrefetchStats
@@ -87,13 +75,20 @@ class PrefetchPipeline
 
     using DoneCallback = std::function<void(const Done &)>;
 
+    /** Sliding-window transfer size. */
+    static constexpr std::uint64_t windowBytes = std::uint64_t(32) << 20;
+
+    /**
+     * @param buffers DRAM bounce buffers. Two gives double buffering
+     *        (media read N+1 overlaps PCIe drain N); one serializes
+     *        the stages.
+     */
     PrefetchPipeline(hw::Server &server, hw::GpuId gpu,
-                     PrefetchConfig config = {});
+                     std::uint32_t buffers = 2);
 
     PrefetchPipeline(const PrefetchPipeline &) = delete;
     PrefetchPipeline &operator=(const PrefetchPipeline &) = delete;
 
-    const PrefetchConfig &config() const { return cfg; }
     const PrefetchStats &stats() const { return counters; }
 
     /**
@@ -152,7 +147,6 @@ class PrefetchPipeline
 
     hw::Server &server;
     hw::GpuId gpu;
-    PrefetchConfig cfg;
     /** Per-bounce-buffer reuse horizon. */
     std::vector<aqua::sim::Tick> bufFree;
     std::map<StreamId, Stream> streams;
@@ -160,6 +154,6 @@ class PrefetchPipeline
     PrefetchStats counters;
 };
 
-} // namespace aqua::tier
+} // namespace aqua::serve
 
-#endif // AQUA_TIER_PREFETCH_HH
+#endif // AQUA_SERVE_PREFETCH_HH

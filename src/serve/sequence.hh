@@ -94,7 +94,7 @@ struct Sequence
     bool adapterHeld = false;
 
     //
-    // Streamed-in KV (zero without a SessionTier or federation). A
+    // Streamed-in KV (zero without an SsdTier or federation). A
     // parked-session resume or a cross-server federation fetch
     // streams context KV while the sequence waits; the tokens it
     // delivered count as pre-prefilled at the next admission.

@@ -1,15 +1,13 @@
-#include "tier/ssd_backend.hh"
+#include "serve/ssd_backend.hh"
 
 #include "sim/logging.hh"
 
-namespace aqua::tier {
+namespace aqua::serve {
 
 using namespace aqua::sim;
 
-SsdBackend::SsdBackend(hw::Server &server, hw::GpuId gpu,
-                       SsdBackendConfig config)
-    : server(server), gpu(gpu), cfg(config),
-      engine(server, gpu, config.staging)
+SsdBackend::SsdBackend(hw::Server &server, hw::GpuId gpu)
+    : server(server), engine(server, gpu)
 {
 }
 
@@ -19,7 +17,7 @@ SsdBackend::~SsdBackend()
         server.ssd().allocator().free(region);
 }
 
-std::optional<serve::OffloadBackend::Handle>
+std::optional<OffloadBackend::Handle>
 SsdBackend::alloc(std::uint64_t bytes)
 {
     auto region = server.ssd().allocator().allocate(bytes);
@@ -52,7 +50,7 @@ SsdBackend::write(const Handle &handle, std::uint64_t bytes,
     // Staged: one gathered PCIe transfer, one sequential media write —
     // instead of nChunks random accesses on both hops.
     return engine.transferChunks(hw::ssdId, /*outbound=*/true, bytes,
-                                 nChunks, cfg.useStaging, earliest);
+                                 nChunks, /*staged=*/true, earliest);
 }
 
 hw::TransferTiming
@@ -62,7 +60,7 @@ SsdBackend::read(const Handle &handle, std::uint64_t bytes,
     if (bytes > handle.bytes)
         panic("SsdBackend::read beyond handle size");
     return engine.transferChunks(hw::ssdId, /*outbound=*/false, bytes,
-                                 nChunks, cfg.useStaging, earliest);
+                                 nChunks, /*staged=*/true, earliest);
 }
 
 hw::TransferTiming
@@ -88,9 +86,9 @@ SsdBackend::readToDram(const Handle &handle, std::uint64_t bytes,
 Tick
 SsdBackend::respond()
 {
-    // The SSD tier migrates nothing on its own; the TierManager's
-    // settle pass drives demotion explicitly.
+    // The SSD migrates nothing on its own; SsdTier's settle pass
+    // drives demotion explicitly.
     return server.simulation().now();
 }
 
-} // namespace aqua::tier
+} // namespace aqua::serve

@@ -4,18 +4,20 @@
  *
  * Same contract as DramBackend, one tier further down: GPU-side writes
  * cross PCIe into DRAM and drain onto the media behind it; reads pay
- * the media time first and then the PCIe hop up. Scattered chunks can
- * route through the staging engine exactly like the DRAM path —
- * coalescing matters twice here because small accesses sit on the slow
- * end of both the PCIe ramp and the drive's sequential-vs-random ramp.
+ * the media time first and then the PCIe hop up. Scattered chunks
+ * always route through the staging engine — coalescing matters twice
+ * here because small accesses sit on the slow end of both the PCIe ramp
+ * and the drive's sequential-vs-random ramp, so per-chunk random I/O is
+ * never the sensible choice for flash even though the DRAM baseline
+ * ships unstaged.
  *
- * The tier-local move methods (DRAM↔SSD) exist for the TierManager:
- * demoting a parked session's KV out of DRAM touches only the media,
- * not the GPU's PCIe ports.
+ * The tier-local move methods (DRAM↔SSD) exist for SsdTier: demoting
+ * swapped-out KV out of DRAM touches only the media, not the GPU's
+ * PCIe ports.
  */
 
-#ifndef AQUA_TIER_SSD_BACKEND_HH
-#define AQUA_TIER_SSD_BACKEND_HH
+#ifndef AQUA_SERVE_SSD_BACKEND_HH
+#define AQUA_SERVE_SSD_BACKEND_HH
 
 #include <cstdint>
 #include <map>
@@ -27,35 +29,19 @@
 #include "serve/offload_backend.hh"
 #include "sim/ticks.hh"
 
-namespace aqua::tier {
-
-/** SSD-backend tunables. */
-struct SsdBackendConfig
-{
-    /**
-     * Route scattered (nChunks > 1) accesses through the staging
-     * engine. Defaults on: per-chunk random I/O is the worst case for
-     * flash, so the coalesced path is the sensible default here even
-     * though the DRAM baseline ships unstaged.
-     */
-    bool useStaging = true;
-    /** Staging engine tunables when useStaging is set. */
-    core::StagingEngineConfig staging;
-};
+namespace aqua::serve {
 
 /**
  * Offloading to the server's SSD through host DRAM.
  */
-class SsdBackend : public serve::OffloadBackend
+class SsdBackend : public OffloadBackend
 {
   public:
     /**
      * @param server Owning server (SSD + DRAM + topology).
      * @param gpu The engine's GPU.
-     * @param config Tunables.
      */
-    SsdBackend(hw::Server &server, hw::GpuId gpu,
-               SsdBackendConfig config = {});
+    SsdBackend(hw::Server &server, hw::GpuId gpu);
     ~SsdBackend() override;
 
     std::optional<Handle> alloc(std::uint64_t bytes) override;
@@ -67,7 +53,7 @@ class SsdBackend : public serve::OffloadBackend
                             std::uint64_t nChunks,
                             aqua::sim::Tick earliest = 0) override;
     aqua::sim::Tick respond() override;
-    bool staged() const override { return cfg.useStaging; }
+    bool staged() const override { return true; }
     std::string name() const override { return "ssd"; }
 
     /**
@@ -85,11 +71,7 @@ class SsdBackend : public serve::OffloadBackend
                                   std::uint64_t nChunks,
                                   aqua::sim::Tick earliest = 0);
 
-    /** The backing device. */
-    hw::Ssd &device() { return server.ssd(); }
-    const hw::Ssd &device() const { return server.ssd(); }
-
-    /** Staging-engine accounting (all zero when staging is off). */
+    /** Staging-engine accounting. */
     const core::StagingTransferStats &stagingStats() const
     {
         return engine.stats();
@@ -97,13 +79,11 @@ class SsdBackend : public serve::OffloadBackend
 
   private:
     hw::Server &server;
-    hw::GpuId gpu;
-    SsdBackendConfig cfg;
     core::StagingEngine engine;
     std::uint64_t nextId = 1;
     std::map<std::uint64_t, aqua::mem::Region> regions;
 };
 
-} // namespace aqua::tier
+} // namespace aqua::serve
 
-#endif // AQUA_TIER_SSD_BACKEND_HH
+#endif // AQUA_SERVE_SSD_BACKEND_HH

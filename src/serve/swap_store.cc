@@ -165,7 +165,7 @@ SwapStore::swapOut(Sequence *s, bool divert, model::KvPrecision cold,
         // copies are never registered — other borrowers may need them
         // at DRAM speed (they are pinned to DRAM by omission).
         if (tier && holder(s).name() == "dram")
-            tier->noteOffloaded(s->request.id, storedTail,
+            tier->noteOffloaded(s->request.id,
                                 server.simulation().now());
     }
     return {tailBytes, storedTail};
@@ -247,9 +247,7 @@ SwapStore::swapIn(Sequence *s, Tick &transfersDone)
             transfersDone = std::max(transfersDone, readTail());
         });
         if (tier)
-            tier->forgetOffloaded(s->request.id,
-                                  &from == &tier->demotionStore(),
-                                  server.simulation().now());
+            tier->forgetOffloaded(s->request.id);
         from.free(sw.handle);
         sw.handle = OffloadBackend::Handle{};
         sw.backend = nullptr;
@@ -308,11 +306,10 @@ SwapStore::park(const Sequence *s, model::KvPrecision cold, Tick when)
     std::uint64_t storedBytes =
         model::rescaleKvBytes(servingBytes, serving, cold);
     if (!tier->park(s->request.userId, storedBytes,
-                    static_cast<std::uint32_t>(s->kvTokens()),
+                    static_cast<std::uint32_t>(s->kvTokens()), cold,
                     s->request.idleGapSec, when))
         return {};
     ++counters.parks;
-    parkPrecisions[s->request.userId] = cold;
     return {servingBytes, storedBytes};
 }
 
@@ -322,18 +319,15 @@ SwapStore::beginResume(Sequence *s, std::function<void()> landed)
     if (!tier || s->request.turn == 0)
         return;
     std::uint64_t key = s->request.userId;
-    std::uint32_t parked = tier->parkedTokens(key);
-    if (parked == 0)
+    const SsdTier::Parked *parked = tier->parked(key);
+    if (!parked)
         return;
-    // The tier consumes the parked entry below, whichever way the
-    // resume goes; its precision goes with it.
-    auto parkedAt = parkPrecisions.extract(key);
     // The follow-up's prompt re-sends the conversation history the
     // parked KV covers; cap one short of the prompt so at least one
     // token is always computed.
     std::uint32_t cap =
         s->request.promptTokens > 0 ? s->request.promptTokens - 1 : 0;
-    std::uint32_t usable = std::min(parked, cap);
+    std::uint32_t usable = std::min(parked->tokens, cap);
     if (usable == 0) {
         tier->cancelResume(key);
         return;
@@ -343,9 +337,9 @@ SwapStore::beginResume(Sequence *s, std::function<void()> landed)
     // pass on arrival; fold that into the crossover so recompute wins
     // when dequant erodes the streaming advantage.
     Tick streamOverhead = 0;
-    if (parkedAt && parkedAt.mapped() != serving) {
+    if (parked->precision != serving) {
         streamOverhead =
-            perf.dequantTimeAt(kv.kvBytes(usable), parkedAt.mapped());
+            perf.dequantTimeAt(kv.kvBytes(usable), parked->precision);
     }
     // Stream-vs-recompute crossover: the tier compares the prefetch
     // makespan against what re-prefilling the parked context costs at
@@ -402,7 +396,7 @@ SwapStore::settle(Tick now, bool pressure,
         if (!victim || !victim->swap.handle.valid()) {
             // The sequence moved on since registration; drop the
             // stale policy entry.
-            tier->forgetOffloaded(key, false, now);
+            tier->forgetOffloaded(key);
             continue;
         }
         SwapState &sw = victim->swap;
@@ -413,7 +407,7 @@ SwapStore::settle(Tick now, bool pressure,
         if (!moved)
             continue; // store full: the payload stays in DRAM
         sw.handle = *moved;
-        sw.backend = &tier->demotionStore();
+        sw.backend = &tier->backend();
         ++counters.tierDemotions;
     }
 }

@@ -15,7 +15,7 @@
 #include "serve/kv_cache.hh"
 #include "serve/kv_integrity.hh"
 #include "serve/sequence.hh"
-#include "serve/session_tier.hh"
+#include "serve/ssd_tier.hh"
 
 namespace aqua::serve {
 
@@ -33,7 +33,7 @@ struct SwapStoreStats
  * Where a serving engine's offloaded KV lives and how it comes back:
  * the CFS context switch (§5) on the primary offload backend, the
  * brownout fallback backend, shared-prefix group copies,
- * cold-precision tails and, with a SessionTier, DRAM→SSD demotion and
+ * cold-precision tails and, with an SsdTier, DRAM→SSD demotion and
  * cold-session park/resume. The engine decides when to swap and hands
  * in overload control's verdicts per call; the store owns every
  * handle and each sequence's SwapState.
@@ -67,7 +67,7 @@ class SwapStore
     ~SwapStore();
 
     void setFallback(OffloadBackend *b) { fallback = b; }
-    void setTier(SessionTier *t) { tier = t; }
+    void setTier(SsdTier *t) { tier = t; }
     bool hasTier() const { return tier != nullptr; }
     const SwapStoreStats &stats() const { return counters; }
 
@@ -138,13 +138,10 @@ class SwapStore
     PrefixCacheEngineStats &prefixStats;
     KvIntegrity &integrity;
     OffloadBackend *fallback = nullptr;
-    SessionTier *tier = nullptr;
+    SsdTier *tier = nullptr;
 
     /** Shared-prefix offload copies, by chain key. */
     std::map<std::uint64_t, SharedGroup> sharedGroups;
-    /** Precision each user's parked KV was stored at, until the
-     *  parked entry is consumed. */
-    std::map<std::uint64_t, model::KvPrecision> parkPrecisions;
     SwapStoreStats counters;
 };
 

@@ -16,7 +16,7 @@ namespace {
 /** Call backend->respond() every this many iterations. */
 constexpr std::uint32_t respondEveryIters = 4;
 /** Run the storage tier's demotion settle pass every this many
- *  iterations (no-op unless a SessionTier is attached). */
+ *  iterations (no-op unless an SsdTier is attached). */
 constexpr std::uint32_t tierSettleEveryIters = 8;
 /** Housekeeping cadence while idle. */
 constexpr Tick idleTickPeriod = 100 * nsPerMs;

@@ -33,7 +33,6 @@
 #include "serve/prefix_peers.hh"
 #include "serve/scheduler.hh"
 #include "serve/sequence.hh"
-#include "serve/session_tier.hh"
 #include "serve/swap_store.hh"
 #include "stats/timeseries.hh"
 #include "trace/trace.hh"
@@ -355,7 +354,7 @@ class VllmEngine
      * swapped-out KV sitting in host DRAM. Non-owning; must outlive
      * the engine.
      */
-    void attachSessionTier(SessionTier *tier) { swaps->setTier(tier); }
+    void attachSsdTier(SsdTier *tier) { swaps->setTier(tier); }
 
     /** Submit a request (call at its arrival time). */
     void submit(const workload::Request &request);
@@ -402,7 +401,7 @@ class VllmEngine
     std::uint64_t shedCount() const { return nSheds; }
 
     //
-    // Storage tier (all zero unless attachSessionTier()).
+    // Storage tier (all zero unless attachSsdTier()).
     //
 
     /** Cold sessions whose KV was parked on the tier. */

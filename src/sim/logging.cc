@@ -1,13 +1,12 @@
 #include "sim/logging.hh"
 
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 
 namespace aqua::sim {
 
 namespace {
-
-LogLevel globalLevel = LogLevel::Warn;
 
 void
 vreport(const char *prefix, const char *fmt, std::va_list args)
@@ -20,18 +19,6 @@ vreport(const char *prefix, const char *fmt, std::va_list args)
 } // anonymous namespace
 
 void
-setLogLevel(LogLevel level)
-{
-    globalLevel = level;
-}
-
-LogLevel
-logLevel()
-{
-    return globalLevel;
-}
-
-void
 panic(const char *fmt, ...)
 {
     std::va_list args;
@@ -42,45 +29,11 @@ panic(const char *fmt, ...)
 }
 
 void
-fatal(const char *fmt, ...)
-{
-    std::va_list args;
-    va_start(args, fmt);
-    vreport("fatal: ", fmt, args);
-    va_end(args);
-    std::exit(1);
-}
-
-void
 warn(const char *fmt, ...)
 {
-    if (globalLevel < LogLevel::Warn)
-        return;
     std::va_list args;
     va_start(args, fmt);
     vreport("warn: ", fmt, args);
-    va_end(args);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (globalLevel < LogLevel::Info)
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    vreport("info: ", fmt, args);
-    va_end(args);
-}
-
-void
-debug(const char *fmt, ...)
-{
-    if (globalLevel < LogLevel::Debug)
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    vreport("debug: ", fmt, args);
     va_end(args);
 }
 

@@ -3,47 +3,22 @@
  * Error and status reporting helpers.
  *
  * Semantics follow the gem5 convention:
- *  - panic():  an internal simulator invariant was violated (a bug);
- *              aborts so the failure can be debugged.
- *  - fatal():  the simulation cannot continue because of a user error
- *              (bad configuration, invalid arguments); exits cleanly.
- *  - warn():   something is off but the run can continue.
- *  - inform(): plain status output.
+ *  - panic(): an internal simulator invariant was violated (a bug);
+ *             aborts so the failure can be debugged.
+ *  - warn():  something is off but the run can continue.
  */
 
 #ifndef AQUA_SIM_LOGGING_HH
 #define AQUA_SIM_LOGGING_HH
 
-#include <cstdarg>
-#include <string>
-
 namespace aqua::sim {
-
-/** Verbosity levels for inform()/warn() output. */
-enum class LogLevel { Silent, Error, Warn, Info, Debug };
-
-/** Set the global verbosity threshold. */
-void setLogLevel(LogLevel level);
-
-/** Current global verbosity threshold. */
-LogLevel logLevel();
 
 /** Abort with a formatted message: internal invariant violated. */
 [[noreturn]] void panic(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/** Exit with a formatted message: unrecoverable user error. */
-[[noreturn]] void fatal(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
-/** Emit a warning if the log level admits it. */
+/** Print a formatted warning to stderr. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Emit an informational message if the log level admits it. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Emit a debug message if the log level admits it. */
-void debug(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 } // namespace aqua::sim
 

@@ -30,10 +30,10 @@
 #include "model/stream_choice.hh"
 #include "recovery/state_journal.hh"
 #include "serve/scheduler.hh"
+#include "serve/ssd_tier.hh"
 #include "serve/vllm_engine.hh"
 #include "sim/simulation.hh"
 #include "sim/ticks.hh"
-#include "tier/park_agent.hh"
 #include "workload/generator.hh"
 
 using namespace aqua;
@@ -1005,7 +1005,7 @@ struct FederationPair
     exp::MultiServerCluster cluster{2, 2, 11};
     std::vector<cluster::PrefixRegistry *> regs;
     /** Storage tier of server 1's engine (see attachTier()). */
-    std::unique_ptr<tier::ParkAgent> tier1;
+    std::unique_ptr<serve::SsdTier> tier1;
     std::vector<std::unique_ptr<serve::VllmEngine>> engines;
     workload::Request a;
     workload::Request b;
@@ -1040,12 +1040,12 @@ struct FederationPair
     }
 
     /** Attach an SSD park/resume tier to server 1's engine. */
-    tier::ParkAgent &
+    serve::SsdTier &
     attachTier()
     {
-        tier1 = std::make_unique<tier::ParkAgent>(
+        tier1 = std::make_unique<serve::SsdTier>(
             cluster.server(1).server(), 0);
-        engines[1]->attachSessionTier(tier1.get());
+        engines[1]->attachSsdTier(tier1.get());
         return *tier1;
     }
 
@@ -1180,7 +1180,7 @@ TEST(FederationEngine, ParkedSessionResumesInsteadOfFetching)
     // parked copy, the same turn fetches.
     auto run = [](bool parked) {
         FederationPair p;
-        tier::ParkAgent &agent = p.attachTier();
+        serve::SsdTier &agent = p.attachTier();
         p.submitAt(0, p.a, 0);
         Tick bAt = secToTicks(60.0);
         workload::Request b = p.b;
@@ -1191,7 +1191,8 @@ TEST(FederationEngine, ParkedSessionResumesInsteadOfFetching)
             std::uint32_t tokens = b.promptTokens / 2;
             std::uint64_t bytes =
                 p.engines[1]->kvCache().kvBytes(tokens);
-            EXPECT_TRUE(agent.park(7, bytes, tokens, 60.0, 0));
+            EXPECT_TRUE(agent.park(7, bytes, tokens,
+                                   model::KvPrecision::Fp16, 60.0, 0));
         }
         p.submitAt(1, b, bAt);
         p.runUntilFinished(2);

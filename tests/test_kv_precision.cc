@@ -13,7 +13,7 @@
 #include "model/model_spec.hh"
 #include "model/perf_model.hh"
 #include "overload/kv_precision_governor.hh"
-#include "tier/tier_manager.hh"
+#include "serve/ssd_tier.hh"
 #include "trace/trace.hh"
 
 using namespace aqua;
@@ -211,14 +211,12 @@ TEST(KvPrecisionGovernor, PayloadAccountingAndTrace)
 TEST(TierManager, ResumeOverheadTipsCrossover)
 {
     exp::Testbed tb(1, hw::TopologyKind::DirectP2P);
-    tier::TierManager mgr(tb.server().ssd(), {});
+    serve::SsdTier tier(tb.server(), 0);
     Tick stream = secToTicks(0.5);
     Tick prefill = secToTicks(1.0);
     // Streaming wins without overhead (default safety factor < 2x)...
-    EXPECT_EQ(mgr.decideResume(stream, prefill),
-              tier::ResumeDecision::Stream);
+    EXPECT_TRUE(tier.streamWins(stream, prefill));
     // ...but a dequant pass big enough to erase the margin flips the
     // decision to recompute.
-    EXPECT_EQ(mgr.decideResume(stream, prefill, secToTicks(0.5)),
-              tier::ResumeDecision::Recompute);
+    EXPECT_FALSE(tier.streamWins(stream, prefill, secToTicks(0.5)));
 }

@@ -19,8 +19,8 @@
 #include "exp/testbed.hh"
 #include "model/model_spec.hh"
 #include "serve/kv_cache.hh"
+#include "serve/ssd_backend.hh"
 #include "serve/uvm_backend.hh"
-#include "tier/ssd_backend.hh"
 
 using namespace aqua;
 using namespace aqua::sim;

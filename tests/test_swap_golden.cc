@@ -25,8 +25,8 @@
 #include <string>
 
 #include "exp/testbed.hh"
+#include "serve/ssd_tier.hh"
 #include "serve/vllm_engine.hh"
-#include "tier/park_agent.hh"
 
 using namespace aqua;
 using namespace aqua::sim;
@@ -266,22 +266,22 @@ demotedTailRun(double bitrot, std::uint64_t &ssdRead,
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
     auto &backend = tb.makeDramBackend(0);
-    tier::ParkAgentConfig ac;
-    ac.tier.parkAfterSec = 0.5;
-    ac.tier.pressureParkAfterSec = 0.1;
-    tier::ParkAgent agent(tb.server(), 0, ac);
+    SsdTierConfig tc;
+    tc.parkAfterSec = 0.5;
+    tc.pressureParkAfterSec = 0.1;
+    SsdTier agent(tb.server(), 0, tc);
     VllmEngineConfig cfg;
     cfg.kvPoolBytesOverride = smallPool;
     VllmEngine engine(tb.server(), 0, model::codellama34b(),
                       std::make_unique<CfsPolicy>(), backend, cfg);
-    engine.attachSessionTier(&agent);
+    engine.attachSsdTier(&agent);
     tb.server().topology().setSsdBitrot(bitrot);
     for (int i = 0; i < 8; ++i)
         engine.submit(makeRequest(i + 1, 0, 800, 300));
     tb.sim().runUntil(secToTicks(4000.0));
     EXPECT_EQ(engine.finished().size(), 8u);
     ssdRead = tb.server().ssd().bytesRead();
-    tierItems = agent.manager().itemCount();
+    tierItems = agent.trackedCount();
     return snapshot(engine);
 }
 
@@ -320,7 +320,7 @@ TEST(SwapGolden, QuantizedParkedSessionResumes)
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
     auto &backend = tb.makeDramBackend(0);
-    tier::ParkAgent agent(tb.server(), 0);
+    SsdTier agent(tb.server(), 0);
     VllmEngineConfig cfg;
     cfg.kvPoolBytesOverride = smallPool;
     // Demote to int4 at any fill level, so the parked copy is stored
@@ -331,7 +331,7 @@ TEST(SwapGolden, QuantizedParkedSessionResumes)
     cfg.precisionGovernor = gc;
     VllmEngine engine(tb.server(), 0, model::codellama34b(),
                       std::make_unique<FcfsPolicy>(), backend, cfg);
-    engine.attachSessionTier(&agent);
+    engine.attachSsdTier(&agent);
     for (std::uint32_t u = 0; u < 3; ++u) {
         workload::Request r = makeRequest(1 + u, 0, 400, 20);
         r.userId = 7 + u;

@@ -2,25 +2,28 @@
  * @file
  * Tests for the SSD storage tier: the device model (sequential vs
  * random ramp, queue-depth parallelism, degradation and failure), the
- * tier-local DRAM↔SSD move paths, the TierManager's age/heat demotion
- * policy and stream-vs-recompute crossover, the prefetch pipeline's
+ * tier-local DRAM↔SSD move paths, SsdTier's age/heat demotion policy
+ * and stream-vs-recompute crossover, the prefetch pipeline's
  * double-buffered overlap, cancellation and bounce-slot reuse under
  * predictor misses (the tier-generalized staging engine — the flat
- * StagingEngine's own coverage lives in test_staging.cc), and the
- * ParkAgent's park/resume/demote lifecycle.
+ * StagingEngine's own coverage lives in test_staging.cc), and
+ * SsdTier's park/resume/demote lifecycle.
  */
 
 #include <gtest/gtest.h>
 
 #include "exp/testbed.hh"
 #include "hw/ssd.hh"
-#include "tier/park_agent.hh"
-#include "tier/prefetch.hh"
-#include "tier/tier_manager.hh"
+#include "serve/prefetch.hh"
+#include "serve/ssd_tier.hh"
 
 using namespace aqua;
 using namespace aqua::sim;
-using namespace aqua::tier;
+using namespace aqua::serve;
+
+namespace {
+constexpr model::KvPrecision fp16 = model::KvPrecision::Fp16;
+} // anonymous namespace
 
 //
 // hw::Ssd device model.
@@ -136,18 +139,20 @@ TEST(SsdBackend, ScatteredAccessesRouteThroughStaging)
 }
 
 //
-// TierManager policy.
+// SsdTier's demotion policy and resume crossover. The suite keeps the
+// name of the class that used to hold this policy, so test ids stay
+// stable.
 //
 
 TEST(TierManager, AgeSelectsColdUnpinnedDramItems)
 {
-    hw::Ssd ssd;
-    TierManager mgr(ssd); // parkAfterSec 30
-    mgr.registerItem(1, mib, 0);
-    mgr.registerItem(2, mib, 0);
-    mgr.touch(2, secToTicks(29.0));
+    exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
+    SsdTier tier(tb.server(), 0); // parkAfterSec 30
+    tier.noteOffloaded(1, 0);
+    tier.noteOffloaded(2, 0);
+    tier.noteOffloaded(2, secToTicks(29.0));
 
-    auto picks = mgr.selectDemotions(secToTicks(35.0), false);
+    auto picks = tier.selectDemotions(secToTicks(35.0), false);
     // Item 1 aged 35 s; item 2's last touch is 6 s old.
     ASSERT_EQ(picks.size(), 1u);
     EXPECT_EQ(picks[0], 1u);
@@ -155,88 +160,79 @@ TEST(TierManager, AgeSelectsColdUnpinnedDramItems)
 
 TEST(TierManager, HeatDiscountsAge)
 {
-    hw::Ssd ssd;
-    TierManager mgr(ssd); // heatWeight 4
-    mgr.registerItem(1, mib, 0);
-    mgr.registerItem(2, mib, 0);
+    exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
+    SsdTier tier(tb.server(), 0);
+    ASSERT_EQ(SsdTier::heatWeight, 4.0);
+    tier.noteOffloaded(1, 0);
+    tier.noteOffloaded(2, 0);
     // Three touches at t=0: lastTouch stays 0, but the heat divisor
     // (1 + 4*3 = 13) shrinks item 2's effective age to ~2.7 s.
-    mgr.touch(2, 0);
-    mgr.touch(2, 0);
-    mgr.touch(2, 0);
-    auto picks = mgr.selectDemotions(secToTicks(35.0), false);
+    tier.noteOffloaded(2, 0);
+    tier.noteOffloaded(2, 0);
+    tier.noteOffloaded(2, 0);
+    auto picks = tier.selectDemotions(secToTicks(35.0), false);
     ASSERT_EQ(picks.size(), 1u);
     EXPECT_EQ(picks[0], 1u);
 }
 
-TEST(TierManager, PinnedItemsNeverLeaveDram)
-{
-    hw::Ssd ssd;
-    TierManager mgr(ssd);
-    mgr.registerItem(1, mib, 0, /*pinned=*/true);
-    EXPECT_TRUE(mgr.selectDemotions(secToTicks(100.0), true).empty());
-    EXPECT_DEATH(mgr.markDemoted(1, secToTicks(100.0)), "pinned");
-    // Unpinning makes it demotable like any other item.
-    mgr.setPinned(1, false);
-    EXPECT_EQ(mgr.selectDemotions(secToTicks(100.0), false).size(), 1u);
-}
-
 TEST(TierManager, PressureTightensTheThreshold)
 {
-    hw::Ssd ssd;
-    TierManager mgr(ssd); // 30 s normally, 2 s under pressure
-    mgr.registerItem(1, mib, 0);
+    exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
+    SsdTier tier(tb.server(), 0); // 30 s normally, 2 s under pressure
+    tier.noteOffloaded(1, 0);
     Tick now = secToTicks(5.0);
-    EXPECT_TRUE(mgr.selectDemotions(now, false).empty());
-    EXPECT_EQ(mgr.selectDemotions(now, true).size(), 1u);
+    EXPECT_TRUE(tier.selectDemotions(now, false).empty());
+    EXPECT_EQ(tier.selectDemotions(now, true).size(), 1u);
 }
 
 TEST(TierManager, DemotionBudgetCapsEachSettle)
 {
-    hw::Ssd ssd;
-    TierConfig cfg;
-    cfg.maxDemotionsPerSettle = 3;
-    TierManager mgr(ssd, cfg);
+    exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
+    SsdTier tier(tb.server(), 0);
     for (std::uint64_t k = 1; k <= 10; ++k)
-        mgr.registerItem(k, mib, 0);
-    EXPECT_EQ(mgr.selectDemotions(secToTicks(60.0), false).size(), 3u);
+        tier.noteOffloaded(k, 0);
+    EXPECT_EQ(tier.selectDemotions(secToTicks(60.0), false).size(),
+              SsdTier::maxDemotionsPerSettle);
 }
 
 TEST(TierManager, LevelTracksDemotionAndPromotion)
 {
-    hw::Ssd ssd;
-    TierManager mgr(ssd);
-    mgr.registerItem(7, 2 * mib, 0);
-    EXPECT_EQ(mgr.level(7), TierLevel::Dram);
-    mgr.markDemoted(7, secToTicks(1.0));
-    EXPECT_EQ(mgr.level(7), TierLevel::Ssd);
-    // SSD-resident items are not demotion candidates.
-    EXPECT_TRUE(mgr.selectDemotions(secToTicks(100.0), true).empty());
-    mgr.markPromoted(7, secToTicks(2.0));
-    EXPECT_EQ(mgr.level(7), TierLevel::Dram);
-    EXPECT_EQ(mgr.stats().demotions, 1u);
-    EXPECT_EQ(mgr.stats().promotions, 1u);
-    EXPECT_EQ(mgr.stats().demotedBytes, 2 * mib);
-    mgr.remove(7);
-    EXPECT_FALSE(mgr.contains(7));
+    exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
+    SsdTier tier(tb.server(), 0);
+    serve::DramBackend &dram = tb.makeDramBackend(0);
+    auto handle = dram.alloc(2 * mib);
+    ASSERT_TRUE(handle);
+    tier.noteOffloaded(7, 0);
+    tier.noteOffloaded(7, 0);
+    EXPECT_EQ(tier.trackedCount(), 1u);
+    auto moved = tier.demote(7, dram, *handle, 1, secToTicks(1.0));
+    ASSERT_TRUE(moved);
+    // SSD-resident tails are not demotion candidates.
+    EXPECT_EQ(tier.trackedCount(), 0u);
+    EXPECT_TRUE(tier.selectDemotions(secToTicks(100.0), true).empty());
+    // Swap-in promotes the tail; its next swap-out starts cold again,
+    // with no heat carried over from before the demotion.
+    tier.forgetOffloaded(7);
+    tier.backend().free(*moved);
+    tier.noteOffloaded(7, secToTicks(2.0));
+    auto picks = tier.selectDemotions(secToTicks(33.0), false);
+    ASSERT_EQ(picks.size(), 1u);
+    EXPECT_EQ(picks[0], 7u);
+    tier.forgetOffloaded(7);
+    EXPECT_EQ(tier.trackedCount(), 0u);
 }
 
 TEST(TierManager, ResumeDecisionCrossover)
 {
-    hw::Ssd ssd;
-    TierManager mgr(ssd); // resumeSafetyFactor 1.1
+    exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
+    SsdTier tier(tb.server(), 0); // resumeSafetyFactor 1.1
     // Stream clearly cheaper than recompute.
-    EXPECT_EQ(mgr.decideResume(msToTicks(10.0), msToTicks(100.0)),
-              ResumeDecision::Stream);
+    EXPECT_TRUE(tier.streamWins(msToTicks(10.0), msToTicks(100.0)));
     // Within the safety margin: recompute wins the tie.
-    EXPECT_EQ(mgr.decideResume(msToTicks(95.0), msToTicks(100.0)),
-              ResumeDecision::Recompute);
+    EXPECT_FALSE(tier.streamWins(msToTicks(95.0), msToTicks(100.0)));
     // A failed device never streams, however good the estimate.
-    ssd.setFailed(true);
-    EXPECT_EQ(mgr.decideResume(msToTicks(1.0), msToTicks(100.0)),
-              ResumeDecision::Recompute);
-    EXPECT_EQ(mgr.stats().streamResumes, 1u);
-    EXPECT_EQ(mgr.stats().recomputeResumes, 2u);
+    tb.server().topology().markSsdFailed(true);
+    EXPECT_FALSE(tier.streamWins(msToTicks(1.0), msToTicks(100.0)));
 }
 
 //
@@ -269,9 +265,7 @@ TEST(PrefetchPipeline, DoubleBufferingBeatsSingleBuffer)
 {
     auto makespan = [](std::uint32_t buffers) {
         exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-        PrefetchConfig cfg;
-        cfg.buffers = buffers;
-        PrefetchPipeline pipe(tb.server(), 0, cfg);
+        PrefetchPipeline pipe(tb.server(), 0, buffers);
         Tick complete = 0;
         pipe.start(256 * mib, 0,
                    [&](const PrefetchPipeline::Done &d) {
@@ -303,7 +297,7 @@ TEST(PrefetchPipeline, EstimateTracksMakespanAndDegradation)
     double actual = static_cast<double>(complete);
     EXPECT_NEAR(static_cast<double>(estimate), actual, 0.25 * actual);
     // Media degradation inflates the estimate (this is what flips
-    // decideResume to Recompute during an incident).
+    // SsdTier's crossover to recompute during an incident).
     tb.server().topology().degradeSsd(0.1);
     EXPECT_GT(pipe.estimate(256 * mib), 2 * estimate);
 }
@@ -386,43 +380,44 @@ TEST(PrefetchPipeline, MediaFailureMidStreamWindsDownCancelled)
 }
 
 //
-// ParkAgent: the glued park/resume/demote lifecycle.
+// SsdTier's park/resume/demote lifecycle (suite name kept, as above).
 //
 
 TEST(ParkAgent, ParkGatesOnIdleGapAndDriveHealth)
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-    ParkAgent agent(tb.server(), 0);
+    SsdTier tier(tb.server(), 0);
     // Too-short gaps are not worth the media churn.
-    EXPECT_FALSE(agent.park(7, 64 * mib, 500, 5.0, 0));
-    EXPECT_FALSE(agent.park(7, 0, 500, 60.0, 0));
+    EXPECT_FALSE(tier.park(7, 64 * mib, 500, fp16, 5.0, 0));
+    EXPECT_FALSE(tier.park(7, 0, 500, fp16, 60.0, 0));
     // A failed drive takes no new sessions.
     tb.server().topology().markSsdFailed(true);
-    EXPECT_FALSE(agent.park(7, 64 * mib, 500, 60.0, 0));
+    EXPECT_FALSE(tier.park(7, 64 * mib, 500, fp16, 60.0, 0));
     tb.server().topology().markSsdFailed(false);
 
-    EXPECT_TRUE(agent.park(7, 64 * mib, 500, 60.0, 0));
-    EXPECT_EQ(agent.parkedCount(), 1u);
-    EXPECT_EQ(agent.parkedBytes(), 64 * mib);
-    EXPECT_EQ(agent.parkedTokens(7), 500u);
-    EXPECT_EQ(agent.parkedTokens(8), 0u);
+    EXPECT_TRUE(tier.park(7, 64 * mib, 500, fp16, 60.0, 0));
+    EXPECT_EQ(tier.parkedCount(), 1u);
+    EXPECT_EQ(tier.parkedBytes(), 64 * mib);
+    ASSERT_NE(tier.parked(7), nullptr);
+    EXPECT_EQ(tier.parked(7)->tokens, 500u);
+    EXPECT_EQ(tier.parked(8), nullptr);
     EXPECT_GT(tb.server().ssd().bytesWritten(), 0u);
     // A fresher turn supersedes the earlier copy, not leaks beside it.
-    EXPECT_TRUE(agent.park(7, 32 * mib, 300, 60.0, 0));
-    EXPECT_EQ(agent.parkedCount(), 1u);
-    EXPECT_EQ(agent.parkedBytes(), 32 * mib);
+    EXPECT_TRUE(tier.park(7, 32 * mib, 300, fp16, 60.0, 0));
+    EXPECT_EQ(tier.parkedCount(), 1u);
+    EXPECT_EQ(tier.parkedBytes(), 32 * mib);
 }
 
 TEST(ParkAgent, ResumeStreamsAndReleasesTheParkedCopy)
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-    ParkAgent agent(tb.server(), 0);
+    SsdTier tier(tb.server(), 0);
     std::uint64_t freeBefore = tb.server().ssd().freeBytes();
-    ASSERT_TRUE(agent.park(7, 64 * mib, 500, 60.0, 0));
+    ASSERT_TRUE(tier.park(7, 64 * mib, 500, fp16, 60.0, 0));
 
     bool fired = false, streamed = false;
     // Prefill would take far longer than the stream: must stream.
-    ASSERT_TRUE(agent.beginResume(7, 0, secToTicks(5.0),
+    ASSERT_TRUE(tier.beginResume(7, 0, secToTicks(5.0),
                                   [&](bool s) {
                                       fired = true;
                                       streamed = s;
@@ -430,7 +425,7 @@ TEST(ParkAgent, ResumeStreamsAndReleasesTheParkedCopy)
     tb.sim().runUntil(secToTicks(10.0));
     EXPECT_TRUE(fired);
     EXPECT_TRUE(streamed);
-    EXPECT_EQ(agent.parkedCount(), 0u);
+    EXPECT_EQ(tier.parkedCount(), 0u);
     EXPECT_EQ(tb.server().ssd().freeBytes(), freeBefore);
     EXPECT_GT(tb.server().ssd().bytesRead(), 0u);
 }
@@ -438,78 +433,77 @@ TEST(ParkAgent, ResumeStreamsAndReleasesTheParkedCopy)
 TEST(ParkAgent, DegradedDriveFlipsResumeToRecompute)
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-    ParkAgent agent(tb.server(), 0);
-    ASSERT_TRUE(agent.park(7, 64 * mib, 500, 60.0, 0));
+    SsdTier tier(tb.server(), 0);
+    ASSERT_TRUE(tier.park(7, 64 * mib, 500, fp16, 60.0, 0));
     tb.server().topology().degradeSsd(0.001);
     // Streaming off a crawling drive loses to a 50 ms prefill; the
-    // agent drops the parked copy and reports recompute.
-    EXPECT_FALSE(agent.beginResume(7, 0, msToTicks(50.0), {}));
-    EXPECT_EQ(agent.parkedCount(), 0u);
-    EXPECT_EQ(agent.manager().stats().recomputeResumes, 1u);
+    // tier drops the parked copy and reports recompute.
+    EXPECT_FALSE(tier.beginResume(7, 0, msToTicks(50.0), {}));
+    EXPECT_EQ(tier.parkedCount(), 0u);
+    EXPECT_EQ(tier.parked(7), nullptr);
 }
 
 TEST(ParkAgent, CancelMidStreamDropsTheSession)
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-    ParkAgent agent(tb.server(), 0);
+    SsdTier tier(tb.server(), 0);
     std::uint64_t freeBefore = tb.server().ssd().freeBytes();
-    ASSERT_TRUE(agent.park(7, 256 * mib, 2000, 60.0, 0));
+    ASSERT_TRUE(tier.park(7, 256 * mib, 2000, fp16, 60.0, 0));
     bool fired = false, streamed = true;
-    ASSERT_TRUE(agent.beginResume(7, 0, secToTicks(5.0),
+    ASSERT_TRUE(tier.beginResume(7, 0, secToTicks(5.0),
                                   [&](bool s) {
                                       fired = true;
                                       streamed = s;
                                   }));
     // The resumed sequence sheds before the stream lands.
     tb.sim().queue().schedule(msToTicks(2.0),
-                              [&] { agent.cancelResume(7); });
+                              [&] { tier.cancelResume(7); });
     tb.sim().runUntil(secToTicks(10.0));
     EXPECT_TRUE(fired);
     EXPECT_FALSE(streamed);
-    EXPECT_EQ(agent.parkedCount(), 0u);
+    EXPECT_EQ(tier.parkedCount(), 0u);
     EXPECT_EQ(tb.server().ssd().freeBytes(), freeBefore);
 }
 
 TEST(ParkAgent, DemoteMovesDramHandleOntoTheMedia)
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-    ParkAgent agent(tb.server(), 0);
+    SsdTier tier(tb.server(), 0);
     serve::DramBackend &dram = tb.makeDramBackend(0);
     std::uint64_t dramFree = tb.server().dram().freeBytes();
     auto handle = dram.alloc(64 * mib);
     ASSERT_TRUE(handle);
-    agent.noteOffloaded(42, 64 * mib, 0);
+    tier.noteOffloaded(42, 0);
 
     // Cold long enough: the settle pass picks it.
-    auto picks = agent.selectDemotions(secToTicks(60.0), false);
+    auto picks = tier.selectDemotions(secToTicks(60.0), false);
     ASSERT_EQ(picks.size(), 1u);
     EXPECT_EQ(picks[0], 42u);
 
     auto moved =
-        agent.demote(42, dram, *handle, 4, secToTicks(60.0));
+        tier.demote(42, dram, *handle, 4, secToTicks(60.0));
     ASSERT_TRUE(moved);
     EXPECT_EQ(moved->bytes, 64 * mib);
     // The DRAM copy is gone; the bytes sit on the media now.
     EXPECT_EQ(tb.server().dram().freeBytes(), dramFree);
     EXPECT_EQ(tb.server().ssd().bytesWritten(), 64 * mib);
-    EXPECT_EQ(agent.manager().level(42), TierLevel::Ssd);
-    // Swap-in later promotes and forgets it.
-    agent.forgetOffloaded(42, true, secToTicks(61.0));
-    EXPECT_FALSE(agent.manager().contains(42));
-    agent.demotionStore().free(*moved);
+    // The demoted tail left the demotion table.
+    EXPECT_EQ(tier.trackedCount(), 0u);
+    tier.backend().free(*moved);
 }
 
 TEST(ParkAgent, DemoteRefusedOnFailedDrive)
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-    ParkAgent agent(tb.server(), 0);
+    SsdTier tier(tb.server(), 0);
     serve::DramBackend &dram = tb.makeDramBackend(0);
     auto handle = dram.alloc(64 * mib);
     ASSERT_TRUE(handle);
-    agent.noteOffloaded(42, 64 * mib, 0);
+    tier.noteOffloaded(42, 0);
     tb.server().topology().markSsdFailed(true);
-    EXPECT_FALSE(agent.demote(42, dram, *handle, 4, secToTicks(60.0)));
+    EXPECT_FALSE(tier.demote(42, dram, *handle, 4, secToTicks(60.0)));
     // The DRAM copy is untouched and still tracked.
-    EXPECT_TRUE(agent.manager().contains(42));
+    EXPECT_EQ(tier.trackedCount(), 1u);
+    EXPECT_EQ(tier.selectDemotions(secToTicks(60.0), false).size(), 1u);
     dram.free(*handle);
 }

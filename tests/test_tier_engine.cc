@@ -1,10 +1,11 @@
 /**
  * @file
- * End-to-end tests for the serving engine's SessionTier integration:
+ * End-to-end tests for the serving engine's SsdTier integration:
  * cold sessions park their KV on the SSD at finish, returning turns
  * resume by streaming it back (or recompute when the drive is slow or
  * dead), and swapped-out KV that goes cold in DRAM demotes onto the
- * media — the tier the ForceDramOffload brownout rung drains into.
+ * media — the tier the ForceDramOffload brownout rung drains into —
+ * and tearing it all down returns every byte to the drive.
  */
 
 #include <gtest/gtest.h>
@@ -12,8 +13,8 @@
 #include <memory>
 
 #include "exp/testbed.hh"
+#include "serve/ssd_tier.hh"
 #include "serve/vllm_engine.hh"
-#include "tier/park_agent.hh"
 #include "workload/generator.hh"
 
 using namespace aqua;
@@ -64,11 +65,11 @@ TEST(TierEngine, ColdSessionParksAndStreamResumeBeatsReprefill)
     auto run = [](bool tiering, std::uint64_t &streams) {
         exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
         auto &backend = tb.makeDramBackend(0);
-        tier::ParkAgent agent(tb.server(), 0);
+        SsdTier agent(tb.server(), 0);
         VllmEngine engine(tb.server(), 0, model::codellama34b(),
                           std::make_unique<FcfsPolicy>(), backend);
         if (tiering)
-            engine.attachSessionTier(&agent);
+            engine.attachSsdTier(&agent);
 
         engine.submit(coldFirstTurn(1, 7));
         tb.sim().runUntil(secToTicks(10.0));
@@ -97,10 +98,10 @@ TEST(TierEngine, ResumedSessionReleasesAllTierState)
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
     auto &backend = tb.makeDramBackend(0);
-    tier::ParkAgent agent(tb.server(), 0);
+    SsdTier agent(tb.server(), 0);
     VllmEngine engine(tb.server(), 0, model::codellama34b(),
                       std::make_unique<FcfsPolicy>(), backend);
-    engine.attachSessionTier(&agent);
+    engine.attachSsdTier(&agent);
     std::uint64_t ssdFree = tb.server().ssd().freeBytes();
 
     engine.submit(coldFirstTurn(1, 7));
@@ -113,17 +114,17 @@ TEST(TierEngine, ResumedSessionReleasesAllTierState)
     // The parked copy is freed once the stream lands; nothing leaks.
     EXPECT_EQ(agent.parkedCount(), 0u);
     EXPECT_EQ(tb.server().ssd().freeBytes(), ssdFree);
-    EXPECT_EQ(agent.manager().itemCount(), 0u);
+    EXPECT_EQ(agent.trackedCount(), 0u);
 }
 
 TEST(TierEngine, DegradedDriveResumesViaRecompute)
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
     auto &backend = tb.makeDramBackend(0);
-    tier::ParkAgent agent(tb.server(), 0);
+    SsdTier agent(tb.server(), 0);
     VllmEngine engine(tb.server(), 0, model::codellama34b(),
                       std::make_unique<FcfsPolicy>(), backend);
-    engine.attachSessionTier(&agent);
+    engine.attachSsdTier(&agent);
 
     engine.submit(coldFirstTurn(1, 7));
     tb.sim().runUntil(secToTicks(10.0));
@@ -144,10 +145,10 @@ TEST(TierEngine, DriveFailureMidResumeFallsBackToRecompute)
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
     auto &backend = tb.makeDramBackend(0);
-    tier::ParkAgent agent(tb.server(), 0);
+    SsdTier agent(tb.server(), 0);
     VllmEngine engine(tb.server(), 0, model::codellama34b(),
                       std::make_unique<FcfsPolicy>(), backend);
-    engine.attachSessionTier(&agent);
+    engine.attachSsdTier(&agent);
 
     engine.submit(coldFirstTurn(1, 7));
     tb.sim().runUntil(secToTicks(10.0));
@@ -172,15 +173,15 @@ TEST(TierEngine, SwappedColdKvDemotesToSsdAndStillFinishes)
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
     auto &backend = tb.makeDramBackend(0);
     // Aggressive aging so swapped KV demotes within the test horizon.
-    tier::ParkAgentConfig ac;
-    ac.tier.parkAfterSec = 0.5;
-    ac.tier.pressureParkAfterSec = 0.1;
-    tier::ParkAgent agent(tb.server(), 0, ac);
+    SsdTierConfig tc;
+    tc.parkAfterSec = 0.5;
+    tc.pressureParkAfterSec = 0.1;
+    SsdTier agent(tb.server(), 0, tc);
     VllmEngineConfig cfg;
     cfg.kvPoolBytesOverride = std::uint64_t(1) << 30;
     VllmEngine engine(tb.server(), 0, model::codellama34b(),
                       std::make_unique<CfsPolicy>(), backend, cfg);
-    engine.attachSessionTier(&agent);
+    engine.attachSsdTier(&agent);
 
     // Growth past the 1 GiB pool forces swap-outs; preempted KV sits
     // in DRAM long enough for the settle pass to demote it.
@@ -194,7 +195,47 @@ TEST(TierEngine, SwappedColdKvDemotesToSsdAndStillFinishes)
     // Demoted KV came back through the SSD backend on swap-in.
     EXPECT_GT(tb.server().ssd().bytesRead(), 0u);
     // All tier records retired with the sequences.
-    EXPECT_EQ(agent.manager().itemCount(), 0u);
+    EXPECT_EQ(agent.trackedCount(), 0u);
     for (const auto &m : engine.finished())
         EXPECT_EQ(m.tokensGenerated, 300u);
+}
+
+TEST(TierEngine, TeardownReturnsEverySsdByte)
+{
+    exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
+    const hw::Ssd &ssd = tb.server().ssd();
+    auto &backend = tb.makeDramBackend(0);
+    SsdTierConfig tc;
+    tc.parkAfterSec = 0.5;
+    tc.pressureParkAfterSec = 0.1;
+    auto agent = std::make_unique<SsdTier>(tb.server(), 0, tc);
+    VllmEngineConfig cfg;
+    cfg.kvPoolBytesOverride = std::uint64_t(1) << 30;
+    auto engine = std::make_unique<VllmEngine>(
+        tb.server(), 0, model::codellama34b(),
+        std::make_unique<CfsPolicy>(), backend, cfg);
+    engine->attachSsdTier(agent.get());
+
+    // A cold session parks at finish; swap pressure from later
+    // requests then demotes preempted tails onto the media.
+    engine->submit(coldFirstTurn(1, 7));
+    tb.sim().runUntil(secToTicks(10.0));
+    ASSERT_EQ(agent->parkedCount(), 1u);
+    for (int i = 0; i < 8; ++i)
+        engine->submit(makeRequest(i + 2, secToTicks(10.0), 800, 300));
+    // Stop while a demoted tail of a still-swapped sequence sits on
+    // the media next to the parked session.
+    auto demotedLive = [&] {
+        return ssd.capacity() - ssd.freeBytes() > agent->parkedBytes();
+    };
+    while (!demotedLive() && tb.sim().queue().step()) {
+    }
+    ASSERT_TRUE(demotedLive());
+    EXPECT_EQ(agent->parkedCount(), 1u);
+    EXPECT_GT(engine->tierDemotionCount(), 0u);
+    EXPECT_LT(engine->finished().size(), 9u);
+
+    engine.reset();
+    agent.reset();
+    EXPECT_EQ(ssd.freeBytes(), ssd.capacity());
 }

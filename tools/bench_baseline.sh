@@ -57,8 +57,11 @@ if [[ "$ran" == 0 ]]; then
 fi
 
 # The prefix-cache ablation's smoke cells never swap; its full run
-# (well under a second) drives the shared-group swap path, so it is
-# kept too, under names of its own.
+# (well under a second) swaps with the prefix cache on, so it is kept
+# too, under names of its own. It writes a shared-group copy on nearly
+# every swap-out but never joins one (see docs/prefix_caching.md,
+# "Deduplicated offload"); group joins and group reads are pinned by
+# tests/test_swap_golden.cc instead.
 mkdir "$work/full"
 if ! (cd "$work/full" &&
       "$build/bench/abl_prefix_cache" > "$out/abl_prefix_cache.full.txt"); then
