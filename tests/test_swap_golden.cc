@@ -14,7 +14,11 @@
  *  - private tails quantized by the cold-precision governor;
  *  - DRAM tails demoted to the SSD and swapped back in, with and
  *    without at-rest bitrot (a rotted tail requeues for recompute);
- *  - a parked session stored below the serving precision, resumed.
+ *  - a parked session stored below the serving precision, resumed;
+ *  - deadline admission alone under CFS, shedding requests whose
+ *    deadlines the queue has already eaten;
+ *  - admission, the brownout ladder and the precision governor
+ *    together under FCFS, with a fallback backend for the breaker.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +31,7 @@
 #include "exp/testbed.hh"
 #include "serve/ssd_tier.hh"
 #include "serve/vllm_engine.hh"
+#include "trace/trace.hh"
 
 using namespace aqua;
 using namespace aqua::sim;
@@ -96,6 +101,45 @@ snapshot(const VllmEngine &e)
     }
     os << " digest=" << std::hex << metricsDigest(e);
     return os.str();
+}
+
+/** Overload-control counters: sheds by reason, deadline outcomes and
+ *  brownout transitions. */
+std::string
+overloadSnapshot(const VllmEngine &e)
+{
+    std::ostringstream os;
+    os << "shed=" << e.shedCount();
+    if (const auto *a = e.admissionController()) {
+        const overload::AdmissionStats &st = a->stats();
+        os << " admitted=" << st.admitted
+           << " shedDeadline=" << st.shedDeadline
+           << " shedBestEffort=" << st.shedBestEffort
+           << " shedReject=" << st.shedReject
+           << " met=" << st.deadlineMet << " missed=" << st.deadlineMissed;
+    }
+    if (const auto *b = e.brownoutController()) {
+        os << " transitions=" << b->stats().transitions
+           << " escalations=" << b->stats().escalations;
+    }
+    return os.str();
+}
+
+/** @p n requests every 0.5 s, every third one best-effort and the
+ *  rest due @p slackSec to 9 s more after their arrival. */
+void
+submitDeadlineTraffic(VllmEngine &e, int n, double slackSec)
+{
+    for (int i = 0; i < n; ++i) {
+        workload::Request r =
+            makeRequest(i + 1, secToTicks(0.5 * i), 600 + 40 * (i % 5),
+                        200);
+        if (i % 3 == 2)
+            r.bestEffort = true;
+        else
+            r.deadline = r.arrival + secToTicks(slackSec + 3.0 * (i % 4));
+        e.submit(r);
+    }
 }
 
 /** An offload backend that refuses allocations past a byte cap. */
@@ -357,4 +401,75 @@ TEST(SwapGolden, QuantizedParkedSessionResumes)
               "groupWrites=0 sharedOuts=0 dedup=0 reuse=0 sigMiss=0 "
               "detected=0 repaired=0 rotted=0 quantized=3 "
               "quantSaved=185794560 digest=ab7f92769d8ec5b9");
+}
+
+TEST(SwapGolden, AdmissionShedsUnmeetableDeadlinesUnderCfs)
+{
+    exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
+    auto &backend = tb.makeDramBackend(0);
+    VllmEngineConfig cfg;
+    cfg.kvPoolBytesOverride = smallPool;
+    cfg.admission = overload::AdmissionConfig{};
+    VllmEngine engine(tb.server(), 0, model::codellama34b(),
+                      std::make_unique<CfsPolicy>(), backend, cfg);
+    submitDeadlineTraffic(engine, 24, 5.0);
+    tb.sim().runUntil(secToTicks(4000.0));
+
+    EXPECT_EQ(engine.finished().size(), 24u);
+    EXPECT_EQ(snapshot(engine),
+              "finished=24 out=405 in=405 recompute=0 fallback=0 "
+              "demoted=0 parks=0 streamResumes=0 recomputeResumes=0 "
+              "wr=64662208512 rd=64662208512 groupWrites=0 sharedOuts=0 "
+              "dedup=0 reuse=0 sigMiss=0 detected=0 repaired=0 rotted=0 "
+              "digest=346d7bde4d07db5b");
+    EXPECT_EQ(overloadSnapshot(engine),
+              "shed=8 admitted=16 shedDeadline=8 shedBestEffort=0 "
+              "shedReject=0 met=8 missed=8");
+}
+
+TEST(SwapGolden, AllControllersUnderFcfsWithFallback)
+{
+    exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
+    auto &primary = tb.makeDramBackend(0);
+    auto &dram = tb.makeDramBackend(0);
+    CappedBackend fallback(dram, std::uint64_t(900) << 20);
+    VllmEngineConfig cfg;
+    cfg.prefixCache = true;
+    cfg.kvPoolBytesOverride = smallPool;
+    cfg.admission = overload::AdmissionConfig{};
+    overload::BrownoutConfig bc;
+    bc.queueHigh = 4;
+    bc.queueLow = 2;
+    bc.delayHighSec = 4.0;
+    bc.freeLow = -1.0;
+    cfg.brownout = bc;
+    cfg.precisionGovernor = overload::KvPrecisionGovernorConfig{};
+    VllmEngine engine(tb.server(), 0, model::codellama34b(),
+                      std::make_unique<FcfsPolicy>(), primary, cfg);
+    engine.setFallbackBackend(&fallback);
+    trace::TraceLog log;
+    engine.setTraceLog(&log);
+    // The peer link is degraded for the first 15 s: the breaker opens
+    // under the early queue and may close once the link recovers.
+    tb.server().topology().degradePeerLink(0.5);
+    tb.sim().queue().schedule(secToTicks(15.0), [&tb] {
+        tb.server().topology().degradePeerLink(1.0);
+    });
+    submitDeadlineTraffic(engine, 40, 14.0);
+    tb.sim().runUntil(secToTicks(4000.0));
+
+    EXPECT_EQ(engine.finished().size(), 40u);
+    EXPECT_EQ(fallback.usedBytes(), 0u);
+    EXPECT_EQ(snapshot(engine),
+              "finished=40 out=2 in=2 recompute=0 fallback=2 demoted=0 "
+              "parks=0 streamResumes=0 recomputeResumes=0 wr=78888960 "
+              "rd=78888960 groupWrites=0 sharedOuts=0 dedup=0 reuse=0 "
+              "sigMiss=0 detected=0 repaired=0 rotted=0 quantized=2 "
+              "quantSaved=236666880 digest=818f994c166e5e17");
+    EXPECT_EQ(overloadSnapshot(engine),
+              "shed=23 admitted=17 shedDeadline=2 shedBestEffort=10 "
+              "shedReject=11 met=14 missed=3 transitions=8 escalations=3");
+    EXPECT_EQ(log.countCategory("shed"), 23u);
+    EXPECT_EQ(log.countCategory("brownout_level"), 8u);
+    EXPECT_EQ(log.countCategory("kv_precision"), 14u);
 }
