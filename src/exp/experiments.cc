@@ -1001,11 +1001,11 @@ runOverload(const OverloadRunConfig &cfg)
     if (cfg.controlled) {
         overload::AdmissionConfig ac;
         ac.safetyFactor = cfg.safetyFactor;
-        engineCfg.admission = ac;
-        engineCfg.brownout = overload::BrownoutConfig{};
+        engineCfg.overload.admission = ac;
+        engineCfg.overload.brownout = overload::BrownoutConfig{};
     }
     if (cfg.precisionGovernor)
-        engineCfg.precisionGovernor =
+        engineCfg.overload.precisionGovernor =
             overload::KvPrecisionGovernorConfig{};
     serve::VllmEngine consumer(tb.server(), consumerGpu,
                                presetByName(cfg.consumerModel),
@@ -1058,7 +1058,8 @@ runOverload(const OverloadRunConfig &cfg)
     readConsumerStats(res, consumer, tb.sim());
     res.metrics = consumer.finished();
     sortById(res.metrics);
-    res.shed = consumer.shedCount();
+    const overload::Controls &ctl = consumer.overloadControls();
+    res.shed = ctl.shedCount();
     res.fallbackSwaps = consumer.fallbackSwapCount();
     res.unfinished = trace.size() - consumer.finished().size();
     res.elapsedSec = ticksToSec(tb.sim().now());
@@ -1099,7 +1100,7 @@ runOverload(const OverloadRunConfig &cfg)
         res.queueDelayP50Sec = qd.median();
         res.queueDelayP99Sec = qd.p99();
     }
-    if (const auto *bc = consumer.brownoutController()) {
+    if (const auto *bc = ctl.brownoutController()) {
         res.brownout = bc->stats();
         Tick degraded =
             bc->timeAtLevel(overload::BrownoutLevel::ForceDramOffload,
@@ -1108,7 +1109,7 @@ runOverload(const OverloadRunConfig &cfg)
                             tb.sim().now());
         res.secondsDegraded = ticksToSec(degraded);
     }
-    if (const auto *pg = consumer.precisionGovernor())
+    if (const auto *pg = ctl.precisionGovernor())
         res.governor = pg->stats();
     return res;
 }

@@ -117,9 +117,8 @@ class AdmissionController
 
     /**
      * Admit-or-shed verdict for one waiting request at brownout level
-     * @p level. Pure — the engine accounts the acted-on verdict via
-     * recordShed()/recordAdmit() (and emits the "shed" trace event,
-     * since it owns the request context).
+     * @p level. Pure: overload::Controls records the verdict the
+     * engine acts on.
      */
     ShedReason assess(const AdmissionQuery &q,
                       BrownoutLevel level) const;
@@ -135,7 +134,6 @@ class AdmissionController
                           aqua::sim::Tick deadline);
 
     const AdmissionStats &stats() const { return counters; }
-    const ServiceRates &rates() const { return svc; }
 
     /** Deadline attainment over finished requests, [0, 1]. */
     double attainment() const;

@@ -20,10 +20,10 @@
  * flapping around a threshold.
  *
  * The controller is engine-agnostic: it consumes a plain
- * BrownoutSignals snapshot and exposes level queries; the serving
- * engine maps levels to concrete degradations (skip prefix-cache
- * publishes, shrink the CFS slice, prefer the DRAM backend, refuse
- * admission). Every transition is traced and accounted per level.
+ * BrownoutSignals snapshot and exposes the level; overload::Controls
+ * maps levels to concrete degradations (skip prefix-cache publishes,
+ * shrink the CFS slice, prefer the DRAM backend, refuse admission).
+ * Every transition is traced and accounted per level.
  */
 
 #ifndef AQUA_OVERLOAD_BROWNOUT_HH
@@ -147,27 +147,6 @@ class BrownoutController
     BrownoutLevel update(const BrownoutSignals &signals);
 
     BrownoutLevel level() const { return current; }
-
-    //
-    // Level-effect queries for the engine's hot path.
-    //
-
-    bool shedBestEffort() const
-    {
-        return current >= BrownoutLevel::ShedBestEffort;
-    }
-    bool publishDisabled() const
-    {
-        return current >= BrownoutLevel::NoCachePublish;
-    }
-    bool forceDramOffload() const
-    {
-        return current >= BrownoutLevel::ForceDramOffload;
-    }
-    bool rejectingNew() const
-    {
-        return current >= BrownoutLevel::RejectNew;
-    }
 
     /** Multiplier for the CFS slice at the current level. */
     double sliceFactor() const;

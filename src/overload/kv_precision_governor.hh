@@ -106,7 +106,6 @@ class KvPrecisionGovernor
                      std::uint64_t storedBytes);
 
     const KvPrecisionGovernorStats &stats() const { return counters; }
-    const KvPrecisionGovernorConfig &config() const { return cfg; }
 
   private:
     /** Precision the raw signals call for, ignoring hysteresis. */

@@ -10,12 +10,10 @@ using namespace aqua::sim;
 
 namespace {
 
-model::ModelSpec
-applyKvConfig(model::ModelSpec spec, const FlexGenConfig &cfg)
-{
-    spec.kvPrecision = cfg.kvPrecision;
-    return spec;
-}
+/** Prompt tokens processed per prefill iteration. */
+constexpr std::uint32_t chunkTokens = 512;
+/** Call backend->respond() every this many iterations. */
+constexpr std::uint32_t respondEveryIters = 2;
 
 } // anonymous namespace
 
@@ -23,26 +21,13 @@ FlexGenEngine::FlexGenEngine(hw::Server &server, hw::GpuId gpu,
                              const model::ModelSpec &modelSpec,
                              OffloadBackend &backend,
                              FlexGenConfig config)
-    : server(server), myGpu(gpu),
-      spec(applyKvConfig(modelSpec, config)),
+    : server(server), myGpu(gpu), spec(modelSpec),
       perf(spec, server.gpu(gpu).spec()), cfg(config),
       backend(backend), tokens("tokens")
 {
     if (!spec.isText())
         panic("FlexGenEngine: %s is not a text model",
               spec.name.c_str());
-    if (cfg.admission) {
-        // Single-stream engine: prompts are served sequentially, so
-        // the representative rates are per-token prefill and a batch-1
-        // decode step (KV streaming dominates, but the perf-model
-        // decode time bounds it from below; the safety factor covers
-        // the link-bound remainder).
-        overload::ServiceRates rates;
-        rates.prefillPerToken = perf.prefillTime(1024) / 1024;
-        rates.decodePerToken = perf.decodeStepTime(1, 0);
-        admission = std::make_unique<overload::AdmissionController>(
-            rates, *cfg.admission);
-    }
     if (cfg.streamWeights) {
         // ZeRO mode: only runtime buffers plus a per-layer working
         // set live on the GPU; the weights sit in the offload store.
@@ -111,51 +96,7 @@ FlexGenEngine::scheduleStep(Tick when)
     });
 }
 
-overload::ShedReason
-FlexGenEngine::assessPending(const workload::Request &request,
-                             Tick now) const
-{
-    if (!admission)
-        return overload::ShedReason::None;
-    overload::AdmissionQuery q;
-    q.now = now;
-    q.requestId = request.id;
-    q.deadline = request.deadline;
-    q.bestEffort = request.bestEffort;
-    q.promptTokens = request.promptTokens;
-    q.remainingNewTokens = request.maxNewTokens;
-    // Streams already admitted run (or rotate) ahead of this one.
-    for (const auto &a : actives) {
-        q.queuedPrefillTokensAhead +=
-            a->request.promptTokens - a->processedPrompt;
-    }
-    q.runningCount = actives.size();
-    q.maxBatch = 1;
-    return admission->assess(q, overload::BrownoutLevel::Normal);
-}
-
 void
-FlexGenEngine::shedPending(const workload::Request &request,
-                           overload::ShedReason reason, Tick when)
-{
-    workload::RequestMetrics m;
-    m.id = request.id;
-    m.arrival = request.arrival;
-    m.deadline = request.deadline;
-    m.finish = when;
-    m.shed = true;
-    finishedMetrics.push_back(m);
-    ++nSheds;
-    if (admission)
-        admission->recordShed(reason);
-    if (completionCb) {
-        server.simulation().queue().schedule(when, [this, m] {
-            completionCb(m);
-        });
-    }
-}
-
-FlexGenEngine::Active *
 FlexGenEngine::admit(const workload::Request &request)
 {
     auto a = std::make_unique<Active>();
@@ -164,8 +105,6 @@ FlexGenEngine::admit(const workload::Request &request)
     a->metrics.arrival = request.arrival;
     a->metrics.deadline = request.deadline;
     a->metrics.admitted = server.simulation().now();
-    if (admission)
-        admission->recordAdmit();
     // The whole inference context is one offloaded tensor sized for
     // prompt plus generation budget; AQUA decides where it lives.
     std::uint64_t bytes = spec.kvBytes(
@@ -177,40 +116,24 @@ FlexGenEngine::admit(const workload::Request &request)
     }
     a->handle = *handle;
     actives.push_back(std::move(a));
-    return actives.back().get();
 }
 
 FlexGenEngine::Active *
 FlexGenEngine::select()
 {
-    Tick now = server.simulation().now();
     if (cfg.fairSliceTokens == 0) {
-        // FIFO run-to-completion: one stream at a time. Shed queued
-        // prompts whose deadline the queue has already eaten.
-        while (actives.empty() && !pending.empty()) {
-            workload::Request r = pending.front();
+        // FIFO run-to-completion: one stream at a time.
+        if (actives.empty() && !pending.empty()) {
+            admit(pending.front());
             pending.pop_front();
-            overload::ShedReason verdict = assessPending(r, now);
-            if (verdict != overload::ShedReason::None) {
-                shedPending(r, verdict, now);
-                continue;
-            }
-            admit(r);
         }
         return actives.empty() ? nullptr : actives.front().get();
     }
     // CFS: every queued prompt competes; contexts live offloaded, so
     // admitting all of them costs no GPU memory.
-    while (!pending.empty()) {
-        workload::Request r = pending.front();
-        pending.pop_front();
-        overload::ShedReason verdict = assessPending(r, now);
-        if (verdict != overload::ShedReason::None) {
-            shedPending(r, verdict, now);
-            continue;
-        }
+    for (const workload::Request &r : pending)
         admit(r);
-    }
+    pending.clear();
     Active *least = nullptr;
     for (auto &a : actives) {
         if (!least || a->generated < least->generated ||
@@ -227,8 +150,6 @@ FlexGenEngine::finishActive(Active *active, Tick when)
     active->metrics.finish = when;
     active->metrics.tokensGenerated = active->generated;
     finishedMetrics.push_back(active->metrics);
-    if (admission)
-        admission->recordCompletion(when, active->request.deadline);
     if (completionCb) {
         workload::RequestMetrics m = active->metrics;
         server.simulation().queue().schedule(when, [this, m] {
@@ -257,7 +178,7 @@ FlexGenEngine::step()
 
     Tick now = server.simulation().now();
     Tick transfersDone = now;
-    if (++itersSinceRespond >= cfg.respondEveryIters) {
+    if (++itersSinceRespond >= respondEveryIters) {
         itersSinceRespond = 0;
         Tick blocked = backend.respond();
         if (blocked > transfersDone)
@@ -276,7 +197,7 @@ FlexGenEngine::step()
     Tick iterDone;
     if (!a.prefillDone) {
         std::uint32_t chunk =
-            std::min(cfg.chunkTokens,
+            std::min(chunkTokens,
                      a.request.promptTokens - a.processedPrompt);
         // Attention over the earlier tokens needs their KV streamed
         // back in.

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "model/perf_model.hh"
-#include "overload/admission.hh"
 #include "serve/offload_backend.hh"
 #include "stats/timeseries.hh"
 #include "workload/request.hh"
@@ -38,10 +37,6 @@ namespace aqua::serve {
 /** FlexGen engine tunables. */
 struct FlexGenConfig
 {
-    /** Prompt tokens processed per prefill iteration. */
-    std::uint32_t chunkTokens = 512;
-    /** Call backend->respond() every this many iterations. */
-    std::uint32_t respondEveryIters = 2;
     /**
      * Completely fair scheduling across queued prompts (§5 applies
      * CFS to FlexGen too): after this many generated tokens the
@@ -61,21 +56,6 @@ struct FlexGenConfig
      * Deepspeed").
      */
     bool streamWeights = false;
-    /**
-     * Deadline-aware admission: shed queued prompts whose predicted
-     * completion (sequential prefill + decode at this engine's
-     * streaming rates) already misses their deadline. nullopt = every
-     * prompt is eventually served.
-     */
-    std::optional<overload::AdmissionConfig> admission;
-    /**
-     * Precision the streamed KV is stored at (QServe-style quantized
-     * KV). FlexGen's whole cost is KV bytes over the offload link, so
-     * narrower KV directly scales every streaming window — at the
-     * price of per-step dequant compute in the perf model. Fp16 is
-     * the exact legacy behaviour.
-     */
-    model::KvPrecision kvPrecision = model::KvPrecision::Fp16;
 };
 
 /**
@@ -102,13 +82,6 @@ class FlexGenEngine
 
     hw::GpuId gpuId() const { return myGpu; }
     std::uint64_t totalTokens() const { return tokensTotal; }
-    /** Queued prompts dropped by admission control. */
-    std::uint64_t shedCount() const { return nSheds; }
-    const overload::AdmissionController *
-    admissionController() const
-    {
-        return admission.get();
-    }
     const stats::TimeSeries &tokenSeries() const { return tokens; }
     const std::vector<workload::RequestMetrics> &
     finished() const
@@ -130,16 +103,10 @@ class FlexGenEngine
     void scheduleStep(aqua::sim::Tick when);
     void step();
     /** Start a queued request: allocate its offloaded context. */
-    Active *admit(const workload::Request &request);
+    void admit(const workload::Request &request);
     /** Pick the stream to run (FIFO or least-served under CFS). */
     Active *select();
     void finishActive(Active *active, aqua::sim::Tick when);
-    /** Drop a hopeless queued request unserved. */
-    void shedPending(const workload::Request &request,
-                     overload::ShedReason reason, aqua::sim::Tick when);
-    /** Whether @p request can still meet its deadline if started now. */
-    overload::ShedReason assessPending(const workload::Request &request,
-                                       aqua::sim::Tick now) const;
 
     hw::Server &server;
     hw::GpuId myGpu;
@@ -162,8 +129,6 @@ class FlexGenEngine
     bool stepPending = false;
     std::uint32_t itersSinceRespond = 0;
     std::uint64_t tokensTotal = 0;
-    std::uint64_t nSheds = 0;
-    std::unique_ptr<overload::AdmissionController> admission;
     stats::TimeSeries tokens;
 };
 

@@ -56,7 +56,7 @@ struct SchedulerInput
      * before considering it and report hopeless ones in
      * SchedulerDecision::shed.
      */
-    overload::AdmissionController *admission = nullptr;
+    const overload::AdmissionController *admission = nullptr;
     /** Brownout level the admission verdicts honour. */
     overload::BrownoutLevel brownoutLevel =
         overload::BrownoutLevel::Normal;

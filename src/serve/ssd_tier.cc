@@ -100,30 +100,18 @@ SsdTier::cancelResume(std::uint64_t sessionKey)
     dropParked(sessionKey);
 }
 
-void
-SsdTier::noteOffloaded(std::uint64_t key, Tick now)
-{
-    auto [it, fresh] = demotable.try_emplace(key, Tracked{now, 0});
-    if (!fresh) {
-        it->second.lastTouch = now;
-        ++it->second.touches;
-    }
-}
-
 std::vector<std::uint64_t>
 SsdTier::selectDemotions(Tick now, bool pressure) const
 {
     double threshold =
         pressure ? cfg.pressureParkAfterSec : cfg.parkAfterSec;
     std::vector<std::pair<double, std::uint64_t>> ranked;
-    for (const auto &[key, tail] : demotable) {
-        Tick age = now > tail.lastTouch ? now - tail.lastTouch : 0;
-        double effective =
-            ticksToSec(age) / (1.0 + heatWeight * tail.touches);
-        if (effective > threshold)
-            ranked.emplace_back(effective, key);
+    for (const auto &[key, landed] : demotable) {
+        double age = ticksToSec(now > landed ? now - landed : 0);
+        if (age > threshold)
+            ranked.emplace_back(age, key);
     }
-    // Coldest first; key breaks ties deterministically.
+    // Oldest first; key breaks ties deterministically.
     std::sort(ranked.begin(), ranked.end(),
               [](const auto &a, const auto &b) {
                   if (a.first != b.first)

@@ -8,12 +8,12 @@
  * table of swapped-out tails sitting in DRAM, and one record per
  * parked session. SwapStore calls it directly.
  *
- * Two policies live here. Demotion scores each DRAM tail by age
- * discounted by heat and moves the coldest down one tier per settle
- * pass. Resume streams a parked session back only past the crossover
- * where the transfer (behind compute) is cheaper than recomputing the
- * KV — and never when the device is failed or the estimate is
- * inflated by degradation.
+ * Two policies live here. Demotion scores each DRAM tail by its age
+ * since it was last offloaded and moves the oldest down one tier per
+ * settle pass. Resume streams a parked session back only past the
+ * crossover where the transfer (behind compute) is cheaper than
+ * recomputing the KV — and never when the device is failed or the
+ * estimate is inflated by degradation.
  */
 
 #ifndef AQUA_SERVE_SSD_TIER_HH
@@ -64,11 +64,6 @@ class SsdTier
      *  device failed and the engine must re-prefill. */
     using ResumeCallback = std::function<void(bool streamed)>;
 
-    /**
-     * Heat discount: each touch since registration divides effective
-     * age by (1 + heatWeight * touches), so hot tails age slowly.
-     */
-    static constexpr double heatWeight = 4.0;
     /** Demotion budget per settle pass (bounds media churn). */
     static constexpr std::size_t maxDemotionsPerSettle = 4;
 
@@ -159,15 +154,19 @@ class SsdTier
     SsdBackend &backend() { return store; }
 
     /** A swapped sequence's private KV tail landed in host DRAM (a
-     *  tail already tracked counts a touch). */
-    void noteOffloaded(std::uint64_t key, aqua::sim::Tick now);
+     *  tail already tracked restarts its age). */
+    void
+    noteOffloaded(std::uint64_t key, aqua::sim::Tick now)
+    {
+        demotable[key] = now;
+    }
 
     /** The tail left DRAM (swap-in, or the sequence moved on). */
     void forgetOffloaded(std::uint64_t key) { demotable.erase(key); }
 
-    /** Up to maxDemotionsPerSettle tracked tails whose effective age
-     *  exceeds the threshold (pressureParkAfterSec when @p pressure,
-     *  else parkAfterSec), coldest first. */
+    /** Up to maxDemotionsPerSettle tracked tails whose age exceeds
+     *  the threshold (pressureParkAfterSec when @p pressure, else
+     *  parkAfterSec), oldest first. */
     std::vector<std::uint64_t>
     selectDemotions(aqua::sim::Tick now, bool pressure) const;
 
@@ -196,13 +195,6 @@ class SsdTier
     std::size_t trackedCount() const { return demotable.size(); }
 
   private:
-    /** A swapped tail in DRAM, as the demotion policy sees it. */
-    struct Tracked
-    {
-        aqua::sim::Tick lastTouch = 0;
-        std::uint32_t touches = 0;
-    };
-
     /** Free a parked entry's storage. */
     void dropParked(std::uint64_t sessionKey);
 
@@ -210,7 +202,8 @@ class SsdTier
     SsdTierConfig cfg;
     SsdBackend store;
     PrefetchPipeline pipe;
-    std::map<std::uint64_t, Tracked> demotable;
+    /** Swapped tails in DRAM, by key, with when each last landed. */
+    std::map<std::uint64_t, aqua::sim::Tick> demotable;
     std::map<std::uint64_t, Parked> sessions;
 };
 

@@ -100,28 +100,8 @@ VllmEngine::VllmEngine(hw::Server &server, hw::GpuId gpu,
     swaps = std::make_unique<SwapStore>(server, perf, spec.kvPrecision,
                                         *kv, backend, cfg.prefixCache,
                                         prefixStats, integrity);
-
-    if (cfg.admission) {
-        // Service rates from the perf model: amortized prefill cost
-        // per token, and a decode iteration at full batch with a
-        // half-full pool as the representative per-token-per-seat
-        // decode time.
-        overload::ServiceRates rates;
-        rates.prefillPerToken = perf.prefillTime(1024) / 1024;
-        rates.decodePerToken =
-            perf.decodeStepTime(cfg.maxBatch, kv->poolBytes() / 2);
-        admission = std::make_unique<overload::AdmissionController>(
-            rates, *cfg.admission);
-    }
-    if (cfg.brownout) {
-        brownout = std::make_unique<overload::BrownoutController>(
-            *cfg.brownout);
-    }
-    if (cfg.precisionGovernor) {
-        precisionGov =
-            std::make_unique<overload::KvPrecisionGovernor>(
-                *cfg.precisionGovernor, spec.kvPrecision);
-    }
+    controls = overload::Controls(cfg.overload, perf, cfg.maxBatch,
+                                  kv->poolBytes());
 }
 
 VllmEngine::~VllmEngine()
@@ -181,10 +161,7 @@ VllmEngine::setTraceLog(trace::TraceLog *log)
     integrity.setTraceLog(log);
     if (peers)
         peers->setTraceLog(log);
-    if (brownout)
-        brownout->setTraceLog(log);
-    if (precisionGov)
-        precisionGov->setTraceLog(log);
+    controls.setTraceLog(log);
 }
 
 void
@@ -213,28 +190,20 @@ VllmEngine::submit(const workload::Request &request)
     waiting.push_back(raw);
     ++arrivalsSinceInform;
 
-    // Brownout fast-fail at the door: refusing now is cheaper (for
-    // both sides) than queueing a request the ladder will shed at its
-    // first scheduling pass anyway.
-    if (brownout) {
-        Tick now = server.simulation().now();
-        updateBrownout(now);
-        if (brownout->rejectingNew()) {
-            shedSeq(raw, overload::ShedReason::BrownoutReject, now);
-            return;
-        }
-        if (request.bestEffort && brownout->shedBestEffort()) {
-            shedSeq(raw, overload::ShedReason::BrownoutBestEffort,
-                    now);
-            return;
-        }
+    // Brownout fast-fail at the door.
+    Tick now = server.simulation().now();
+    overload::ShedReason door = controls.atArrival(
+        request.bestEffort, [&] { return queueSnapshot(now); });
+    if (door != overload::ShedReason::None) {
+        shedSeq(raw, door, now);
+        return;
     }
     swaps->beginResume(raw, [this] { wake(); });
     // A cross-server fetch never overlaps a resume stream.
     if (peers && cfg.prefixCache && !raw->streamPending)
         peers->beginFetch(raw, [this] { wake(); });
     needResched = true;
-    scheduleStep(server.simulation().now());
+    scheduleStep(now);
 }
 
 void
@@ -284,12 +253,11 @@ VllmEngine::doInform()
     // the engine is hurting, so it reclaims leased memory before the
     // queue (and the shed rate) grows further.
     st.queueDelaySec = oldestWaitingSec(waiting, st.now);
-    st.shedsSinceLast = shedsSinceInform;
+    st.shedsSinceLast = controls.takeShedsSinceInform();
     st.registryHits = prefixStats.registryHits;
     st.registryMisses = prefixStats.registryMisses;
     st.remotePrefixBytes =
         prefixStats.remoteCopyBytes + prefixStats.remoteDecodeReadBytes;
-    shedsSinceInform = 0;
     arrivalsSinceInform = 0;
 
     std::int64_t delta = aquaLib->informStats(st);
@@ -305,12 +273,11 @@ VllmEngine::doInform()
 void
 VllmEngine::publishSeq(Sequence *s, bool atFinish)
 {
-    if (!cfg.prefixCache || s->blocks.empty())
-        return;
-    // Brownout: cache upkeep is optional work. Above NoCachePublish
-    // the engine stops growing the index so freed blocks return to
-    // the pool instead of lingering as evictable cache.
-    if (brownout && brownout->publishDisabled())
+    // Under brownout, cache upkeep is optional work: above
+    // NoCachePublish freed blocks return to the pool instead of
+    // lingering as evictable cache.
+    if (!cfg.prefixCache || s->blocks.empty() ||
+        !controls.publishAllowed())
         return;
     if (peers) {
         peers->publish(s, atFinish);
@@ -399,10 +366,9 @@ VllmEngine::swapOutSeq(Sequence *s, Tick &transfersDone)
     // Overload control hands the store its verdicts: divert to the
     // fallback while the circuit breaker is open, at which precision.
     SwapStore::Payload tail =
-        swaps->swapOut(s, brownout && brownout->forceDramOffload(),
-                       coldPrecision(), transfersDone);
-    if (precisionGov)
-        precisionGov->notePayload(tail.servingBytes, tail.storedBytes);
+        swaps->swapOut(s, controls.divertSwaps(),
+                       controls.coldPrecision(), transfersDone);
+    controls.notePayload(tail.servingBytes, tail.storedBytes);
     if (peers)
         peers->release(s);
     kv->freeBlocks(s->blocks);
@@ -541,8 +507,7 @@ VllmEngine::admitSeq(Sequence *s, Tick &transfersDone)
         // First admission only: readmissions after recompute
         // preemption keep the original queue-delay measurement.
         s->metrics.admitted = server.simulation().now();
-        if (admission)
-            admission->recordAdmit();
+        controls.recordAdmit();
     }
     return true;
 }
@@ -557,10 +522,8 @@ VllmEngine::finishSeq(Sequence *s, Tick when)
     // will have evicted this context by the time they return).
     if (s->request.idleGapSec > 0.0) {
         SwapStore::Payload parked =
-            swaps->park(s, coldPrecision(), when);
-        if (precisionGov)
-            precisionGov->notePayload(parked.servingBytes,
-                                      parked.storedBytes);
+            swaps->park(s, controls.coldPrecision(), when);
+        controls.notePayload(parked.servingBytes, parked.storedBytes);
     }
     // Leave the conversation's KV behind as cache: a follow-up turn
     // that re-sends this context will match it block for block.
@@ -573,8 +536,7 @@ VllmEngine::finishSeq(Sequence *s, Tick when)
     kv->freeBlocks(s->blocks);
     s->blocks.clear();
     removeFrom(running, s);
-    if (admission)
-        admission->recordCompletion(when, s->request.deadline);
+    controls.recordCompletion(when, s->request.deadline);
     retire(s, when);
 }
 
@@ -587,19 +549,7 @@ VllmEngine::shedSeq(Sequence *s, overload::ShedReason reason,
     removeFrom(waiting, s);
     swaps->cancelResume(s);
     s->metrics.shed = true;
-    ++nSheds;
-    ++shedsSinceInform;
-    if (admission)
-        admission->recordShed(reason);
-    if (tracer) {
-        json::Value f;
-        f["request"] = static_cast<std::int64_t>(s->request.id);
-        f["reason"] = std::string(overload::shedReasonName(reason));
-        f["deadline_ns"] = static_cast<std::int64_t>(s->request.deadline);
-        f["waited_sec"] = ticksToSec(when - s->request.arrival);
-        f["best_effort"] = s->request.bestEffort;
-        tracer->emit(when, "shed", std::move(f));
-    }
+    controls.recordShed(s->request, reason, when);
     retire(s, when);
 }
 
@@ -629,65 +579,23 @@ VllmEngine::retire(Sequence *s, Tick when)
     }
 }
 
-void
-VllmEngine::updateBrownout(Tick now)
+overload::QueueSnapshot
+VllmEngine::queueSnapshot(Tick now) const
 {
-    if (!brownout && !precisionGov)
-        return;
-    double freeFrac =
+    overload::QueueSnapshot q;
+    q.now = now;
+    q.waiting = waiting.size();
+    q.swapped = swapped.size();
+    q.oldestWaitSec = oldestWaitingSec(waiting, now);
+    q.freePoolFraction =
         kv->totalBlocks() > 0
             ? static_cast<double>(kv->availableBlocks()) /
                   static_cast<double>(kv->totalBlocks())
             : 1.0;
-    if (brownout) {
-        overload::BrownoutSignals sig;
-        sig.now = now;
-        // Under CFS, overload does not pool in `waiting` (fresh
-        // arrivals carry the lowest vruntime and admit immediately);
-        // it shows up as a growing swapped set time-sharing the
-        // batch. Both are queued work awaiting GPU service.
-        sig.queueDepth = waiting.size() + swapped.size();
-        sig.queueDelaySec = oldestWaitingSec(waiting, now);
-        sig.freePoolFraction = freeFrac;
-        // Offload-path pressure: this GPU is reclaiming its own lease
-        // (producer role), or the backend recently executed a
-        // reclaim-driven evacuation off the donor (consumer role).
-        bool reclaiming = aquaLib && aquaLib->reclaimInProgress();
-        Tick lastEvac = backend.lastEvacuationAt();
-        bool recentEvac =
-            lastEvac != 0 &&
-            now < lastEvac + brownout->config().evacPressureWindow;
-        sig.reclaimPressure = reclaiming || recentEvac;
-        sig.linkHealth = server.topology().peerLink().degradation();
-        brownout->update(sig);
-    }
-    // The precision governor reads the same pressure view: quantize
-    // cold KV harder as the pool empties or the ladder climbs.
-    if (precisionGov) {
-        precisionGov->update(freeFrac,
-                             brownout
-                                 ? brownout->level()
-                                 : overload::BrownoutLevel::Normal,
-                             now);
-    }
-}
-
-std::uint32_t
-VllmEngine::effectiveSliceTokens() const
-{
-    if (!brownout)
-        return cfg.cfsSliceTokens;
-    double scaled = static_cast<double>(cfg.cfsSliceTokens) *
-                    brownout->sliceFactor();
-    auto t = static_cast<std::uint32_t>(scaled);
-    return t > 0 ? t : 1;
-}
-
-model::KvPrecision
-VllmEngine::coldPrecision() const
-{
-    return precisionGov ? precisionGov->coldPrecision()
-                        : spec.kvPrecision;
+    q.reclaiming = aquaLib && aquaLib->reclaimInProgress();
+    q.lastEvacuation = backend.lastEvacuationAt();
+    q.linkHealth = server.topology().peerLink().degradation();
+    return q;
 }
 
 void
@@ -712,17 +620,16 @@ VllmEngine::step()
         // drains DRAM aggressively: the rung reroutes new swaps to
         // DRAM, and the settle pass gives that DRAM somewhere real to
         // spill.
-        swaps->settle(now, brownout && brownout->forceDramOffload(),
-                      swapped);
+        swaps->settle(now, controls.divertSwaps(), swapped);
     }
 
     // Sample overload signals before scheduling so this iteration's
     // decisions honour the current brownout level.
-    updateBrownout(now);
+    controls.atStep([&] { return queueSnapshot(now); });
 
     // Scheduling decision. Fair policies re-evaluate at slice
     // boundaries (or when the run set changed); FCFS every iteration.
-    std::uint32_t slice = effectiveSliceTokens();
+    std::uint32_t slice = controls.sliceTokens(cfg.cfsSliceTokens);
     SchedulerDecision d;
     bool evaluate = true;
     if (policy->isFair()) {
@@ -739,9 +646,8 @@ VllmEngine::step()
         in.sliceTokens = slice;
         in.slackTokens = cfg.slackTokens;
         in.prefixCache = cfg.prefixCache;
-        in.admission = admission.get();
-        in.brownoutLevel = brownout ? brownout->level()
-                                    : overload::BrownoutLevel::Normal;
+        in.admission = controls.admissionController();
+        in.brownoutLevel = controls.level();
         in.now = now;
         d = policy->schedule(in);
         tokensIntoSlice = 0;

@@ -23,9 +23,7 @@
 
 #include "aqua/aqua_lib.hh"
 #include "model/perf_model.hh"
-#include "overload/admission.hh"
-#include "overload/brownout.hh"
-#include "overload/kv_precision_governor.hh"
+#include "overload/controls.hh"
 #include "serve/kv_cache.hh"
 #include "serve/kv_integrity.hh"
 #include "serve/lora_cache.hh"
@@ -126,19 +124,6 @@ struct VllmEngineConfig
      */
     double federationSafetyFactor = 1.2;
     /**
-     * Deadline-aware admission control: shed waiting requests whose
-     * predicted completion already misses their deadline instead of
-     * serving them late (goodput over throughput). nullopt = off.
-     */
-    std::optional<overload::AdmissionConfig> admission;
-    /**
-     * Graceful brownout ladder mapping overload signals to service
-     * degradations (shed best-effort, stop cache publishes, shrink
-     * the CFS slice, prefer the DRAM backend, reject new). nullopt =
-     * off.
-     */
-    std::optional<overload::BrownoutConfig> brownout;
-    /**
      * Precision the KV cache is served at (QServe-style quantized KV).
      * Scales block sizes, swap/park payloads, staging transfers and
      * registry streams — smaller transfers land lower on the link
@@ -155,13 +140,10 @@ struct VllmEngineConfig
      * by this). 1.0 (default) = dense reads, exact legacy behaviour.
      */
     double sparseReadFraction = 1.0;
-    /**
-     * Pressure-driven cold-KV precision demotion
-     * (quantize-before-evict): under memory pressure, swap-out tails
-     * and parked sessions are quantized below the serving precision
-     * before leaving HBM. nullopt = off.
-     */
-    std::optional<overload::KvPrecisionGovernorConfig> precisionGovernor;
+    /** Overload control: deadline-aware admission, the brownout
+     *  ladder and the cold-KV precision governor (each off unless
+     *  its config is set). */
+    overload::ControlsConfig overload;
 };
 
 /** Sharing-path counters kept by the engine (all zero when off). */
@@ -331,10 +313,8 @@ class VllmEngine
                           std::uint32_t serverIndex,
                           core::AquaLib *lib);
 
-    /**
-     * Trace overload-control events ("shed", "brownout_level") into
-     * @p log (non-owning; null disables).
-     */
+    /** Trace overload-control, prefix-hit and integrity events into
+     *  @p log (non-owning; null disables). */
     void setTraceLog(trace::TraceLog *log);
 
     /**
@@ -394,13 +374,6 @@ class VllmEngine
     std::uint64_t recomputeCount() const { return nRecomputes; }
 
     //
-    // Overload control (null / zero unless configured).
-    //
-
-    /** Requests shed by admission control or brownout. */
-    std::uint64_t shedCount() const { return nSheds; }
-
-    //
     // Storage tier (all zero unless attachSsdTier()).
     //
 
@@ -431,22 +404,8 @@ class VllmEngine
     {
         return swaps->stats().fallbackSwaps;
     }
-    const overload::AdmissionController *
-    admissionController() const
-    {
-        return admission.get();
-    }
-    const overload::BrownoutController *
-    brownoutController() const
-    {
-        return brownout.get();
-    }
-    /** Cold-KV precision governor (null unless configured). */
-    const overload::KvPrecisionGovernor *
-    precisionGovernor() const
-    {
-        return precisionGov.get();
-    }
+    /** Overload control: shed counts and the configured controllers. */
+    const overload::Controls &overloadControls() const { return controls; }
     /** Sharing-path counters (all zero unless cfg.prefixCache). */
     const PrefixCacheEngineStats &
     prefixEngineStats() const
@@ -518,18 +477,11 @@ class VllmEngine
     /** Move a preempted sequence to waiting to re-prefill it all. */
     void requeueForRecompute(Sequence *s, std::vector<Sequence *> &from);
 
-    /** Sample overload signals and advance the brownout ladder. */
-    void updateBrownout(aqua::sim::Tick now);
+    /** The queues and offload-path state overload control reads. */
+    overload::QueueSnapshot queueSnapshot(aqua::sim::Tick now) const;
 
     /** A KV stream landed: re-run scheduling now. */
     void wake();
-
-    /** CFS slice length after brownout shrinking. */
-    std::uint32_t effectiveSliceTokens() const;
-
-    /** Precision KV leaving HBM is quantized to right now (the
-     *  serving precision unless the governor is demoting). */
-    model::KvPrecision coldPrecision() const;
 
     //
     // Prefix-cache sharing (active only with cfg.prefixCache).
@@ -562,9 +514,7 @@ class VllmEngine
     core::AquaLib *aquaLib = nullptr;
     trace::TraceLog *tracer = nullptr;
 
-    std::unique_ptr<overload::AdmissionController> admission;
-    std::unique_ptr<overload::BrownoutController> brownout;
-    std::unique_ptr<overload::KvPrecisionGovernor> precisionGov;
+    overload::Controls controls;
 
     /** Weights + runtime overhead reservation. */
     std::optional<aqua::mem::Region> weightsRegion;
@@ -599,8 +549,6 @@ class VllmEngine
     std::uint64_t nSwapOuts = 0;
     std::uint64_t nSwapIns = 0;
     std::uint64_t nRecomputes = 0;
-    std::uint64_t nSheds = 0;
-    std::uint64_t shedsSinceInform = 0;
 
     PrefixCacheEngineStats prefixStats;
     KvIntegrity integrity;

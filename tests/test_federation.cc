@@ -1136,7 +1136,7 @@ TEST(FederationEngine, ShedMidStreamClosesTheTicketAndFreesTheSlot)
     // deadline is already unmeetable), while its federation stream
     // is still on the fabric. The home admits one consumer at a time.
     serve::VllmEngineConfig ec;
-    ec.admission = overload::AdmissionConfig{};
+    ec.overload.admission = overload::AdmissionConfig{};
     DirectoryConfig dir;
     dir.maxRemoteConsumers = 1;
     FederationPair p(ec, dir);
@@ -1147,7 +1147,7 @@ TEST(FederationEngine, ShedMidStreamClosesTheTicketAndFreesTheSlot)
     p.submitAt(1, b, bAt);
 
     p.cluster.sim().runUntil(bAt + 100 * nsPerUs);
-    ASSERT_EQ(p.engines[1]->shedCount(), 1u);
+    ASSERT_EQ(p.engines[1]->overloadControls().shedCount(), 1u);
     ASSERT_EQ(p.cluster.directory(0).activeFetches(), 1u);
     std::vector<DirectoryEntry> adverts = p.homedAdverts();
     ASSERT_EQ(adverts.size(), 1u);

@@ -95,7 +95,7 @@ snapshot(const VllmEngine &e)
        << " sigMiss=" << p.sigMismatches << " detected=" << in.detected
        << " repaired=" << in.repairedRetransmit
        << " rotted=" << in.recomputeFallbacks;
-    if (const auto *g = e.precisionGovernor()) {
+    if (const auto *g = e.overloadControls().precisionGovernor()) {
         os << " quantized=" << g->stats().demotedPayloads
            << " quantSaved=" << g->stats().savedBytes;
     }
@@ -109,8 +109,9 @@ std::string
 overloadSnapshot(const VllmEngine &e)
 {
     std::ostringstream os;
-    os << "shed=" << e.shedCount();
-    if (const auto *a = e.admissionController()) {
+    const overload::Controls &ctl = e.overloadControls();
+    os << "shed=" << ctl.shedCount();
+    if (const auto *a = ctl.admissionController()) {
         const overload::AdmissionStats &st = a->stats();
         os << " admitted=" << st.admitted
            << " shedDeadline=" << st.shedDeadline
@@ -118,7 +119,7 @@ overloadSnapshot(const VllmEngine &e)
            << " shedReject=" << st.shedReject
            << " met=" << st.deadlineMet << " missed=" << st.deadlineMissed;
     }
-    if (const auto *b = e.brownoutController()) {
+    if (const auto *b = ctl.brownoutController()) {
         os << " transitions=" << b->stats().transitions
            << " escalations=" << b->stats().escalations;
     }
@@ -256,7 +257,7 @@ TEST(SwapGolden, BreakerDivertsToSmallFallbackThenFailsBack)
     bc.queueHigh = 2;
     bc.queueLow = 1;
     bc.freeLow = -1.0;
-    cfg.brownout = bc;
+    cfg.overload.brownout = bc;
     VllmEngine engine(tb.server(), 0, model::codellama34b(),
                       std::make_unique<CfsPolicy>(), primary, cfg);
     engine.setFallbackBackend(&fallback);
@@ -282,15 +283,17 @@ TEST(SwapGolden, GovernorQuantizesPrivateTails)
     auto &backend = tb.makeDramBackend(0);
     VllmEngineConfig cfg;
     cfg.kvPoolBytesOverride = smallPool;
-    cfg.precisionGovernor = overload::KvPrecisionGovernorConfig{};
+    cfg.overload.precisionGovernor =
+        overload::KvPrecisionGovernorConfig{};
     VllmEngine engine(tb.server(), 0, model::codellama34b(),
                       std::make_unique<CfsPolicy>(), backend, cfg);
     for (int i = 0; i < 8; ++i)
         engine.submit(makeRequest(i + 1, 0, 800, 300));
     tb.sim().runUntil(secToTicks(4000.0));
 
-    ASSERT_NE(engine.precisionGovernor(), nullptr);
-    EXPECT_GT(engine.precisionGovernor()->stats().demotedPayloads, 0u);
+    const auto *gov = engine.overloadControls().precisionGovernor();
+    ASSERT_NE(gov, nullptr);
+    EXPECT_GT(gov->stats().demotedPayloads, 0u);
     EXPECT_EQ(snapshot(engine),
               "finished=8 out=161 in=161 recompute=0 fallback=0 "
               "demoted=0 parks=0 streamResumes=0 recomputeResumes=0 "
@@ -372,7 +375,7 @@ TEST(SwapGolden, QuantizedParkedSessionResumes)
     overload::KvPrecisionGovernorConfig gc;
     gc.freeFp8 = 1.0;
     gc.freeInt4 = 1.0;
-    cfg.precisionGovernor = gc;
+    cfg.overload.precisionGovernor = gc;
     VllmEngine engine(tb.server(), 0, model::codellama34b(),
                       std::make_unique<FcfsPolicy>(), backend, cfg);
     engine.attachSsdTier(&agent);
@@ -409,7 +412,7 @@ TEST(SwapGolden, AdmissionShedsUnmeetableDeadlinesUnderCfs)
     auto &backend = tb.makeDramBackend(0);
     VllmEngineConfig cfg;
     cfg.kvPoolBytesOverride = smallPool;
-    cfg.admission = overload::AdmissionConfig{};
+    cfg.overload.admission = overload::AdmissionConfig{};
     VllmEngine engine(tb.server(), 0, model::codellama34b(),
                       std::make_unique<CfsPolicy>(), backend, cfg);
     submitDeadlineTraffic(engine, 24, 5.0);
@@ -436,14 +439,15 @@ TEST(SwapGolden, AllControllersUnderFcfsWithFallback)
     VllmEngineConfig cfg;
     cfg.prefixCache = true;
     cfg.kvPoolBytesOverride = smallPool;
-    cfg.admission = overload::AdmissionConfig{};
+    cfg.overload.admission = overload::AdmissionConfig{};
     overload::BrownoutConfig bc;
     bc.queueHigh = 4;
     bc.queueLow = 2;
     bc.delayHighSec = 4.0;
     bc.freeLow = -1.0;
-    cfg.brownout = bc;
-    cfg.precisionGovernor = overload::KvPrecisionGovernorConfig{};
+    cfg.overload.brownout = bc;
+    cfg.overload.precisionGovernor =
+        overload::KvPrecisionGovernorConfig{};
     VllmEngine engine(tb.server(), 0, model::codellama34b(),
                       std::make_unique<FcfsPolicy>(), primary, cfg);
     engine.setFallbackBackend(&fallback);

@@ -2,7 +2,7 @@
  * @file
  * Tests for the SSD storage tier: the device model (sequential vs
  * random ramp, queue-depth parallelism, degradation and failure), the
- * tier-local DRAM↔SSD move paths, SsdTier's age/heat demotion policy
+ * tier-local DRAM↔SSD move paths, SsdTier's age demotion policy
  * and stream-vs-recompute crossover, the prefetch pipeline's
  * double-buffered overlap, cancellation and bounce-slot reuse under
  * predictor misses (the tier-generalized staging engine — the flat
@@ -158,23 +158,6 @@ TEST(TierManager, AgeSelectsColdUnpinnedDramItems)
     EXPECT_EQ(picks[0], 1u);
 }
 
-TEST(TierManager, HeatDiscountsAge)
-{
-    exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-    SsdTier tier(tb.server(), 0);
-    ASSERT_EQ(SsdTier::heatWeight, 4.0);
-    tier.noteOffloaded(1, 0);
-    tier.noteOffloaded(2, 0);
-    // Three touches at t=0: lastTouch stays 0, but the heat divisor
-    // (1 + 4*3 = 13) shrinks item 2's effective age to ~2.7 s.
-    tier.noteOffloaded(2, 0);
-    tier.noteOffloaded(2, 0);
-    tier.noteOffloaded(2, 0);
-    auto picks = tier.selectDemotions(secToTicks(35.0), false);
-    ASSERT_EQ(picks.size(), 1u);
-    EXPECT_EQ(picks[0], 1u);
-}
-
 TEST(TierManager, PressureTightensTheThreshold)
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
@@ -210,8 +193,8 @@ TEST(TierManager, LevelTracksDemotionAndPromotion)
     // SSD-resident tails are not demotion candidates.
     EXPECT_EQ(tier.trackedCount(), 0u);
     EXPECT_TRUE(tier.selectDemotions(secToTicks(100.0), true).empty());
-    // Swap-in promotes the tail; its next swap-out starts cold again,
-    // with no heat carried over from before the demotion.
+    // Swap-in promotes the tail; its next swap-out starts a fresh
+    // age.
     tier.forgetOffloaded(7);
     tier.backend().free(*moved);
     tier.noteOffloaded(7, secToTicks(2.0));
