@@ -63,8 +63,6 @@ BatchEngine::scheduleStep(Tick when)
     if (stepPending)
         return;
     EventQueue &q = server.simulation().queue();
-    if (when < q.now())
-        when = q.now();
     stepPending = true;
     q.schedule(when, [this] {
         stepPending = false;

@@ -225,7 +225,7 @@ KvCache::acquirePrefix(const TokenChain &chain, std::uint64_t maxTokens,
     }
     // Borrowing cache-only blocks turns them live again.
     notePeak();
-    return {std::move(m.blocks), m.tokens, m.partialTokens};
+    return m;
 }
 
 std::size_t
@@ -242,8 +242,7 @@ KvCache::probePrefixBlocks(const TokenChain &chain,
 void
 KvCache::publishPrefix(const TokenChain &chain, std::uint64_t tokens,
                        const std::vector<BlockId> &blockIds,
-                       aqua::sim::Tick now, bool insert,
-                       std::uint64_t insertTokens)
+                       aqua::sim::Tick now, std::uint64_t insertTokens)
 {
     // Refresh content signatures for every covered block so offload
     // round trips can be checked for byte identity.
@@ -256,7 +255,7 @@ KvCache::publishPrefix(const TokenChain &chain, std::uint64_t tokens,
         setBlockSig(blockIds[i], chain.sig(first, count));
     }
     std::uint64_t indexed = std::min(covered, insertTokens);
-    if (!insert || indexed == 0)
+    if (indexed == 0)
         return;
     std::vector<BlockId> newly =
         index.insert(chain, indexed, blockIds, now);

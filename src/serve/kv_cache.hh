@@ -134,14 +134,9 @@ class KvCache
     // Prefix caching and copy-on-write sharing.
     //
 
-    /** Result of acquirePrefix: matched blocks with references taken. */
-    struct PrefixAcquire
-    {
-        std::vector<aqua::mem::BlockId> blocks;
-        std::uint64_t tokens = 0;
-        /** Tokens valid in a trailing partial block (0 = all full). */
-        std::uint32_t partialTokens = 0;
-    };
+    /** Result of acquirePrefix: the index match, with one reference
+     *  per matched block taken for the caller. */
+    using PrefixAcquire = PrefixIndex::Match;
 
     /**
      * Borrow the longest cached chain matching @p chain (capped at
@@ -167,7 +162,6 @@ class KvCache
      * indexed block, which keeps the chain resident (and shareable)
      * after the owning sequence releases its blocks.
      *
-     * @param insert false recomputes signatures only (no indexing).
      * @param insertTokens Cap on tokens actually indexed (signatures
      *        still cover all of @p tokens). Lets an engine that is a
      *        cluster *replica* for the chain's tail refresh signatures
@@ -175,7 +169,7 @@ class KvCache
      */
     void publishPrefix(const TokenChain &chain, std::uint64_t tokens,
                        const std::vector<aqua::mem::BlockId> &blockIds,
-                       aqua::sim::Tick now, bool insert = true,
+                       aqua::sim::Tick now,
                        std::uint64_t insertTokens = ~std::uint64_t(0));
 
     /**

@@ -38,14 +38,6 @@ LoraCache::~LoraCache()
         gpu.hbm().free(*reservation);
 }
 
-const model::LoraAdapter &
-LoraCache::adapter(model::LoraId id) const
-{
-    if (id >= pool.size())
-        panic("LoraCache: bad adapter id %u", id);
-    return pool[id];
-}
-
 bool
 LoraCache::resident(model::LoraId id) const
 {

@@ -88,8 +88,6 @@ class LoraCache
     std::uint64_t hits() const { return nHits; }
     std::uint64_t misses() const { return nMisses; }
 
-    const model::LoraAdapter &adapter(model::LoraId id) const;
-
   private:
     struct Entry
     {

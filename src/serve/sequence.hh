@@ -51,6 +51,28 @@ struct SwapState
 };
 
 /**
+ * A leading prefix a sequence serves directly from a home GPU's
+ * resident copy over NVLink (cluster prefix registry): those blocks
+ * never appear in Sequence::blocks, and a registry lease (pin) keeps
+ * them resident on the home until released. Only PrefixCache writes
+ * it.
+ */
+struct BorrowedLead
+{
+    /** Leading full blocks served remotely (0 = none borrowed). */
+    std::uint32_t blocks = 0;
+
+    /** Tokens covered by the lead. */
+    std::uint64_t tokens = 0;
+
+    /** Home GPU serving the lead. */
+    hw::GpuId home = hw::hostDramId;
+
+    /** Registry lease id held on the home chain (0 = none). */
+    std::uint64_t pin = 0;
+};
+
+/**
  * One in-flight request plus its KV-cache residency state.
  */
 struct Sequence
@@ -111,33 +133,9 @@ struct Sequence
      *  RemoteServer and count as a prefix hit), not a resume. */
     bool streamFederated = false;
 
-    //
-    // Prefix-cache sharing state (zero when caching is off).
-    //
-
-    /** Tokens served from the prefix cache at admission (their
-     *  prefill compute and KV writes were skipped). */
-    std::uint32_t cachedTokens = 0;
-
-    //
-    // Cluster prefix-registry state (zero when the cluster path is
-    // off). A *borrowed* sequence serves its leading prefix blocks
-    // directly from the home GPU's resident copy over NVLink: those
-    // blocks never appear in `blocks`, and a registry lease (pin)
-    // keeps them resident on the home until released.
-    //
-
-    /** Leading full blocks served remotely (0 = none borrowed). */
-    std::uint32_t remoteLeadBlocks = 0;
-
-    /** Tokens covered by the borrowed lead. */
-    std::uint64_t remoteLeadTokens = 0;
-
-    /** Home GPU serving the borrowed lead. */
-    hw::GpuId remoteHome = hw::hostDramId;
-
-    /** Registry lease id held on the home chain (0 = none). */
-    std::uint64_t remotePin = 0;
+    /** Leading prefix served in place from a peer GPU (PrefixCache's
+     *  alone; zero unless borrowed). */
+    BorrowedLead lead;
 
     workload::RequestMetrics metrics;
 

@@ -32,9 +32,6 @@ SwapStore::~SwapStore()
 std::size_t
 SwapStore::sharedLeadBlocks(const Sequence *s) const
 {
-    // A borrowed lead lives on the home GPU, not in s->blocks.
-    if (s->remoteLeadBlocks > 0)
-        return 0;
     // Leading run of full blocks some other holder (the index or a
     // peer sequence) also references: exactly the blocks whose
     // contents are recoverable from a shared-group backend copy.

@@ -76,7 +76,8 @@ class SwapStore
      * and before it frees the blocks: the shared lead to its group
      * copy, the private tail quantized to @p cold onto the primary
      * backend or, when @p divert (the circuit breaker is open), the
-     * fallback. Transfers extend @p transfersDone.
+     * fallback. A sequence with a borrowed lead never swaps (the
+     * engine recomputes it). Transfers extend @p transfersDone.
      * @return The private tail.
      */
     Payload swapOut(Sequence *s, bool divert, model::KvPrecision cold,

@@ -1,10 +1,8 @@
 #include "serve/vllm_engine.hh"
 
 #include <algorithm>
-#include <array>
 #include <utility>
 
-#include "serve/prefix_peers.hh"
 #include "sim/logging.hh"
 
 namespace aqua::serve {
@@ -102,16 +100,19 @@ VllmEngine::VllmEngine(hw::Server &server, hw::GpuId gpu,
                                         prefixStats, integrity);
     controls = overload::Controls(cfg.overload, perf, cfg.maxBatch,
                                   kv->poolBytes());
+    if (cfg.prefixCache)
+        prefix.emplace(server, myGpu, cfg, *kv, prefixStats, integrity,
+                       controls);
 }
 
 VllmEngine::~VllmEngine()
 {
     // Unwind cluster-registry state first: outstanding read leases,
-    // then (in ~PrefixPeers) every chain this engine advertised.
-    if (peers) {
+    // then (in ~PrefixCache) every chain this engine advertised.
+    if (prefix) {
         for (auto &seq : all)
-            peers->releaseLead(seq.get());
-        peers.reset();
+            prefix->releaseLead(seq.get());
+        prefix.reset();
     }
     // Release swapped sequences' offloaded KV, then (in ~SwapStore)
     // the shared-prefix group copies.
@@ -137,12 +138,8 @@ void
 VllmEngine::attachClusterPrefix(cluster::PrefixRegistry *registry,
                                 core::AquaLib *lib)
 {
-    peers.reset();
-    if (cfg.clusterPrefix && registry && lib) {
-        peers = std::make_unique<PrefixPeers>(server, myGpu, cfg, *kv,
-                                              prefixStats, integrity,
-                                              *registry, *lib, tracer);
-    }
+    if (prefix)
+        prefix->attachRegistry(cfg.clusterPrefix ? registry : nullptr, lib);
 }
 
 void
@@ -150,17 +147,16 @@ VllmEngine::attachFederation(hw::Fabric *fabric,
                              std::uint32_t serverIndex,
                              core::AquaLib *lib)
 {
-    if (peers && fabric && lib)
-        peers->attachFabric(*fabric, serverIndex, *lib, perf);
+    if (prefix && fabric && lib)
+        prefix->attachFabric(*fabric, serverIndex, *lib, perf);
 }
 
 void
 VllmEngine::setTraceLog(trace::TraceLog *log)
 {
-    tracer = log;
     integrity.setTraceLog(log);
-    if (peers)
-        peers->setTraceLog(log);
+    if (prefix)
+        prefix->setTraceLog(log);
     controls.setTraceLog(log);
 }
 
@@ -178,10 +174,10 @@ VllmEngine::submit(const workload::Request &request)
     }
     auto seq = std::make_unique<Sequence>();
     seq->request = request;
-    // Every chain query sits behind cfg.prefixCache: other engines
+    // Every chain query sits behind the prefix cache: other engines
     // skip the chain's per-sequence token-function copy.
-    if (cfg.prefixCache)
-        seq->chain = TokenChain(tokenFnFor(request), blockTokens);
+    if (prefix)
+        prefix->track(seq.get());
     seq->metrics.id = request.id;
     seq->metrics.arrival = request.arrival;
     seq->metrics.deadline = request.deadline;
@@ -200,8 +196,8 @@ VllmEngine::submit(const workload::Request &request)
     }
     swaps->beginResume(raw, [this] { wake(); });
     // A cross-server fetch never overlaps a resume stream.
-    if (peers && cfg.prefixCache && !raw->streamPending)
-        peers->beginFetch(raw, [this] { wake(); });
+    if (prefix && !raw->streamPending)
+        prefix->beginFetch(raw, [this] { wake(); });
     needResched = true;
     scheduleStep(now);
 }
@@ -240,8 +236,6 @@ VllmEngine::recordFreeMemory()
 void
 VllmEngine::doInform()
 {
-    if (!aquaLib)
-        return;
     core::EngineStats st;
     st.now = server.simulation().now();
     st.pendingRequests = waiting.size();
@@ -271,60 +265,6 @@ VllmEngine::doInform()
 }
 
 void
-VllmEngine::publishSeq(Sequence *s, bool atFinish)
-{
-    // Under brownout, cache upkeep is optional work: above
-    // NoCachePublish freed blocks return to the pool instead of
-    // lingering as evictable cache.
-    if (!cfg.prefixCache || s->blocks.empty() ||
-        !controls.publishAllowed())
-        return;
-    if (peers) {
-        peers->publish(s, atFinish);
-        return;
-    }
-    // Simulated token contents are deterministic per request stream,
-    // so every computed position is publishable; publishPrefix caps
-    // coverage at what the blocks hold.
-    kv->publishPrefix(s->chain, s->kvTokens(), s->blocks,
-                      server.simulation().now());
-}
-
-void
-VllmEngine::countPrefixHit(const Sequence *s, std::size_t nBlocks,
-                           std::uint64_t tokens)
-{
-    // Tokens by BlockOrigin: Local, RemotePeer, Dram, RemoteServer.
-    std::array<std::uint64_t, 4> by{};
-    std::uint64_t covered = 0;
-    for (std::size_t i = 0; i < nBlocks && covered < tokens; ++i) {
-        std::uint64_t tk =
-            std::min<std::uint64_t>(blockTokens, tokens - covered);
-        by[static_cast<std::size_t>(kv->blockOrigin(s->blocks[i]))] += tk;
-        covered += tk;
-    }
-    auto [local, remote, dram, remoteServer] = by;
-    // A borrowed lead serves from the peer with no local blocks.
-    remote += s->remoteLeadTokens;
-    prefixStats.hitTokensLocal += local;
-    prefixStats.hitTokensRemote += remote;
-    prefixStats.hitTokensDram += dram;
-    prefixStats.hitTokensRemoteServer += remoteServer;
-    if (tracer) {
-        json::Value f;
-        f["request"] = static_cast<std::int64_t>(s->request.id);
-        f["tokens"] = static_cast<std::int64_t>(tokens);
-        f["local"] = static_cast<std::int64_t>(local);
-        f["remote_peer"] = static_cast<std::int64_t>(remote);
-        f["dram"] = static_cast<std::int64_t>(dram);
-        f["remote_server"] =
-            static_cast<std::int64_t>(remoteServer);
-        tracer->emit(server.simulation().now(), "prefix_hit",
-                     std::move(f));
-    }
-}
-
-void
 VllmEngine::requeueForRecompute(Sequence *s,
                                 std::vector<Sequence *> &from)
 {
@@ -340,39 +280,38 @@ VllmEngine::requeueForRecompute(Sequence *s,
 void
 VllmEngine::swapOutSeq(Sequence *s, Tick &transfersDone)
 {
-    if (cfg.preemption == PreemptionMode::Recompute ||
-        !s->prefilled || s->remoteLeadBlocks > 0) {
-        // vLLM's recompute policy: drop the KV; the sequence will
-        // re-prefill its whole context (prompt + generated) when it
-        // is scheduled again. No transfer, but FLOPs later. Also
-        // used for sequences caught mid-prefill: vLLM never swaps
-        // an unprefilled sequence. With prefix caching the computed
-        // context is published first, so the re-prefill resumes from
-        // whatever the cache still holds at readmission. A borrowed
-        // remote lead can never swap — the lease is released and the
-        // context recomputed (or re-fetched) on readmission.
-        if (s->prefilled)
-            publishSeq(s);
-        if (peers)
-            peers->release(s);
-        kv->freeBlocks(s->blocks);
-        s->blocks.clear();
+    // vLLM's recompute policy drops the KV; the sequence re-prefills
+    // its whole context (prompt + generated) when it is scheduled
+    // again. No transfer, but FLOPs later. Also used for sequences
+    // caught mid-prefill (vLLM never swaps an unprefilled sequence)
+    // and for a borrowed remote lead, which can never swap: the lease
+    // is released and the context recomputed (or re-fetched) on
+    // readmission.
+    bool recompute = cfg.preemption == PreemptionMode::Recompute ||
+                     !s->prefilled || s->lead.blocks > 0;
+    // With prefix caching the computed context is published first: a
+    // swapped prefix stays resident (index references survive the
+    // frees below), and a re-prefill resumes from whatever the cache
+    // still holds at readmission.
+    if (prefix && s->prefilled)
+        prefix->publish(s);
+    if (!recompute) {
+        // Overload control hands the store its verdicts: divert to the
+        // fallback while the circuit breaker is open, at which
+        // precision.
+        SwapStore::Payload tail =
+            swaps->swapOut(s, controls.divertSwaps(),
+                           controls.coldPrecision(), transfersDone);
+        controls.notePayload(tail.servingBytes, tail.storedBytes);
+    }
+    if (prefix)
+        prefix->release(s);
+    kv->freeBlocks(s->blocks);
+    s->blocks.clear();
+    if (recompute) {
         requeueForRecompute(s, running);
         return;
     }
-    // With prefix caching the prefix stays resident: index references
-    // survive the borrower's frees below.
-    publishSeq(s);
-    // Overload control hands the store its verdicts: divert to the
-    // fallback while the circuit breaker is open, at which precision.
-    SwapStore::Payload tail =
-        swaps->swapOut(s, controls.divertSwaps(),
-                       controls.coldPrecision(), transfersDone);
-    controls.notePayload(tail.servingBytes, tail.storedBytes);
-    if (peers)
-        peers->release(s);
-    kv->freeBlocks(s->blocks);
-    s->blocks.clear();
     s->state = Sequence::State::Swapped;
     removeFrom(running, s);
     swapped.push_back(s);
@@ -415,7 +354,7 @@ VllmEngine::admitSeq(Sequence *s, Tick &transfersDone)
     std::uint32_t streamed = 0;
     if (s->streamedTokens > 0 && s->prefilledTokens == 0) {
         streamed = std::exchange(s->streamedTokens, 0);
-        s->prefilledTokens = s->cachedTokens = streamed;
+        s->prefilledTokens = streamed;
     }
     // Adapter residency comes first: a missing adapter stalls the
     // iteration for its load (vLLM loads adapters synchronously).
@@ -431,75 +370,28 @@ VllmEngine::admitSeq(Sequence *s, Tick &transfersDone)
         s->adapterHeld = true;
         transfersDone = std::max(transfersDone, loaded);
     }
+    // The prefix cache grants the blocks whose prefill is skipped.
+    KvCache::PrefixAcquire grant;
+    if (prefix && s->prefilledTokens == 0)
+        grant = prefix->acquire(s, transfersDone);
     // kvTokens() so a recompute-preempted sequence gets room for its
-    // whole regenerated context.
-    std::size_t need = kv->blocksForTokens(s->kvTokens());
-
-    // Prefix-cache admission: borrow every resident block matching
-    // the context (capped one short of the full context so at least
-    // one token is always computed) and skip their prefill.
-    KvCache::PrefixAcquire acq;
-    if (cfg.prefixCache && s->prefilledTokens == 0) {
-        std::uint64_t match = s->kvTokens() > 0 ? s->kvTokens() - 1 : 0;
-        acq = kv->acquirePrefix(s->chain, match,
-                                server.simulation().now());
-        // Local miss (or partial coverage): ask the cluster registry
-        // whether a peer GPU homes a longer chain.
-        if (peers)
-            peers->acquire(s, acq, transfersDone);
-        if (acq.partialTokens > 0) {
-            // The shared tail will be appended to during prefill:
-            // copy-on-write it now (the cached original stays valid
-            // for future matches).
-            auto forked = kv->forkBlock(acq.blocks.back());
-            if (forked) {
-                acq.blocks.back() = *forked;
-                ++prefixStats.cowForks;
-            } else {
-                // Pool exhausted: drop the partial part of the match.
-                kv->freeBlocks({acq.blocks.back()});
-                acq.blocks.pop_back();
-                acq.tokens -= acq.partialTokens;
-                acq.partialTokens = 0;
-            }
-        }
-    }
-
-    // A borrowed lead lives on the home GPU; it needs no local blocks.
-    need -= s->remoteLeadBlocks;
-
-    auto blocks = kv->allocateBlocks(need - acq.blocks.size());
+    // whole regenerated context. A borrowed lead lives on the home GPU;
+    // it needs no local blocks.
+    std::size_t need = kv->blocksForTokens(s->kvTokens()) - s->lead.blocks;
+    auto blocks = kv->allocateBlocks(need - grant.blocks.size());
     if (!blocks) {
-        if (!acq.blocks.empty())
-            kv->freeBlocks(acq.blocks);
-        if (peers)
-            peers->releaseLead(s);
+        if (prefix)
+            prefix->abandon(s, grant);
         releaseAdapter(s);
         return false;
     }
-    std::size_t hitBlocks = acq.blocks.size();
-    std::uint64_t hitTokens = acq.tokens;
-    if (acq.tokens > 0) {
-        s->prefilledTokens = static_cast<std::uint32_t>(acq.tokens);
-        s->cachedTokens = static_cast<std::uint32_t>(acq.tokens);
-    }
-    s->blocks = std::move(acq.blocks);
+    if (grant.tokens > 0)
+        s->prefilledTokens = static_cast<std::uint32_t>(grant.tokens);
+    std::size_t grantBlocks = grant.blocks.size();
+    s->blocks = std::move(grant.blocks);
     s->blocks.insert(s->blocks.end(), blocks->begin(), blocks->end());
-    if (streamed > 0 && s->streamFederated) {
-        // A fetched chain's KV landed in the leading blocks: tag them
-        // so hit accounting (and any later local reuse after
-        // publishSeq) knows the content crossed the fabric. A resume
-        // restores the session's own context and counts no hit.
-        hitBlocks = std::min(kv->blocksForTokens(streamed),
-                             s->blocks.size());
-        hitTokens = streamed;
-        for (std::size_t i = 0; i < hitBlocks; ++i)
-            kv->setBlockOrigin(s->blocks[i], BlockOrigin::RemoteServer);
-    }
-    if (hitTokens > 0) {
-        prefixStats.cachedTokens += hitTokens;
-        countPrefixHit(s, hitBlocks, hitTokens);
-    }
+    if (prefix)
+        prefix->countHit(s, grantBlocks, grant.tokens, streamed);
     s->state = Sequence::State::Running;
     removeFrom(waiting, s);
     running.push_back(s);
@@ -527,12 +419,13 @@ VllmEngine::finishSeq(Sequence *s, Tick when)
     }
     // Leave the conversation's KV behind as cache: a follow-up turn
     // that re-sends this context will match it block for block.
-    publishSeq(s, /*atFinish=*/true);
+    if (prefix)
+        prefix->publish(s, /*atFinish=*/true);
     // Nothing hashes a finished sequence again (all keeps it for its
     // metrics), so its memo goes now.
     s->chain.release();
-    if (peers)
-        peers->release(s);
+    if (prefix)
+        prefix->release(s);
     kv->freeBlocks(s->blocks);
     s->blocks.clear();
     removeFrom(running, s);
@@ -710,7 +603,8 @@ VllmEngine::step()
             s->prefilled = true;
             // Publish the freshly computed context so concurrent
             // arrivals with the same prefix share it immediately.
-            publishSeq(s);
+            if (prefix)
+                prefix->publish(s);
             if (s->generated == 0) {
                 // Prefill emits the first output token.
                 s->generated = 1;
@@ -729,18 +623,15 @@ VllmEngine::step()
         for (Sequence *s : decodeBatch) {
             if (s->state != Sequence::State::Running)
                 continue;
-            if (s->remoteLeadBlocks > 0 &&
-                server.topology().gpuFailed(s->remoteHome)) {
+            if (prefix && prefix->leadLost(s)) {
                 // The home GPU died under the borrowed lead: release
                 // the (already broken) lease and re-prefill locally.
-                ++prefixStats.remoteBrokenChains;
                 swapOutSeq(s, transfersDone);
                 didTransfers = true;
                 continue;
             }
             std::size_t need =
-                kv->blocksForTokens(s->kvTokens() + 1) -
-                s->remoteLeadBlocks;
+                kv->blocksForTokens(s->kvTokens() + 1) - s->lead.blocks;
             while (s->blocks.size() < need) {
                 if (auto block = kv->allocateBlock()) {
                     s->blocks.push_back(*block);
@@ -767,18 +658,14 @@ VllmEngine::step()
         }
         decodeBatch.assign(running.begin(), running.end());
         std::uint64_t residentKv = 0;
-        std::uint64_t remoteKv = 0;
-        for (Sequence *s : decodeBatch) {
+        for (Sequence *s : decodeBatch)
             residentKv += kv->kvBytes(s->kvTokens());
-            remoteKv += kv->kvBytes(s->remoteLeadTokens);
-        }
         if (!decodeBatch.empty()) {
             Tick t = perf.decodeStepTime(decodeBatch.size(), residentKv);
             // Borrowed leads are attended out of their home GPUs'
             // HBM: charge the peer-link read on top of the compute.
-            // Sparse attention touches only a fraction of the lead.
-            if (remoteKv > 0)
-                t += peers->decodeReadTime(remoteKv);
+            if (prefix)
+                t += prefix->leadReadTime(decodeBatch);
             completion = server.gpu(myGpu).submitComputeAfter(
                 transfersDone, t);
             if (iterationCb) {
@@ -788,12 +675,11 @@ VllmEngine::step()
                     ids.push_back(s->request.id);
                 iterationCb(completion, ids);
             }
-            // finishSeq mutates `running`; iterate over the copy.
+            // finishSeq mutates `running`; iterate over the copy. Every
+            // first token came from its sequence's prefill iteration.
             for (Sequence *s : decodeBatch) {
                 ++s->generated;
                 ++produced;
-                if (s->metrics.firstToken == 0)
-                    s->metrics.firstToken = completion;
                 if (s->done())
                     finishSeq(s, completion);
             }

@@ -28,7 +28,7 @@
 #include "serve/kv_integrity.hh"
 #include "serve/lora_cache.hh"
 #include "serve/offload_backend.hh"
-#include "serve/prefix_peers.hh"
+#include "serve/prefix_cache.hh"
 #include "serve/scheduler.hh"
 #include "serve/sequence.hh"
 #include "serve/swap_store.hh"
@@ -174,8 +174,6 @@ struct PrefixCacheEngineStats
     /** Registry lookups that missed or were unusable (dead home,
      *  signature mismatch, pin refused, self-home). */
     std::uint64_t registryMisses = 0;
-    /** Full blocks admitted from remote home chains. */
-    std::uint64_t remoteHitBlocks = 0;
     /** Bytes streamed from peer homes into local blocks at admission. */
     std::uint64_t remoteCopyBytes = 0;
     /** Bytes read from peer homes by decode steps of borrowed leads. */
@@ -227,7 +225,6 @@ struct PrefixCacheEngineStats
         sigMismatches += o.sigMismatches;
         registryHits += o.registryHits;
         registryMisses += o.registryMisses;
-        remoteHitBlocks += o.remoteHitBlocks;
         remoteCopyBytes += o.remoteCopyBytes;
         remoteDecodeReadBytes += o.remoteDecodeReadBytes;
         borrowAdmissions += o.borrowAdmissions;
@@ -251,7 +248,7 @@ struct PrefixCacheEngineStats
 };
 // A counter added above must be summed in operator+= too.
 static_assert(sizeof(PrefixCacheEngineStats) ==
-              28 * sizeof(std::uint64_t));
+              27 * sizeof(std::uint64_t));
 
 /**
  * The serving engine.
@@ -292,10 +289,11 @@ class VllmEngine
 
     /**
      * Attach the cluster prefix registry plus the AquaLib carrying
-     * this engine's southbound REST access. When cfg.clusterPrefix is
-     * set, registers this GPU's RegistryAgent (pin/promote callbacks)
-     * and enables the remote prefix-read admission path; otherwise a
-     * no-op. Both non-owning; must outlive the engine.
+     * this engine's southbound REST access. When cfg.clusterPrefix and
+     * cfg.prefixCache are set, registers this GPU's RegistryAgent
+     * (pin/promote callbacks) and enables the remote prefix-read
+     * admission path; otherwise a no-op. Both non-owning; must outlive
+     * the engine.
      */
     void attachClusterPrefix(cluster::PrefixRegistry *registry,
                              core::AquaLib *lib);
@@ -483,25 +481,6 @@ class VllmEngine
     /** A KV stream landed: re-run scheduling now. */
     void wake();
 
-    //
-    // Prefix-cache sharing (active only with cfg.prefixCache).
-    //
-
-    /**
-     * Publish a sequence's computed KV into the prefix index, and —
-     * on the cluster path — register its shareable chain boundaries
-     * with the registry. @p atFinish additionally publishes the full
-     * conversation-history boundary (only final contexts recur as a
-     * follow-up turn's prefix).
-     */
-    void publishSeq(Sequence *s, bool atFinish = false);
-
-    /** Tally a prefix hit of @p tokens served by the leading
-     *  @p nBlocks of s->blocks (plus any borrowed lead) by block
-     *  origin, and emit a "prefix_hit" trace event. */
-    void countPrefixHit(const Sequence *s, std::size_t nBlocks,
-                        std::uint64_t tokens);
-
     hw::Server &server;
     hw::GpuId myGpu;
     model::ModelSpec spec;
@@ -512,7 +491,6 @@ class VllmEngine
     /** backend is an AQUA consumer (fixed, so not re-read per step). */
     bool aquaBackend;
     core::AquaLib *aquaLib = nullptr;
-    trace::TraceLog *tracer = nullptr;
 
     overload::Controls controls;
 
@@ -552,9 +530,9 @@ class VllmEngine
 
     PrefixCacheEngineStats prefixStats;
     KvIntegrity integrity;
-    /** Registry and federation paths (null unless cfg.clusterPrefix
-     *  and attachClusterPrefix()); destroyed before the counters. */
-    std::unique_ptr<PrefixPeers> peers;
+    /** Every prefix-cache decision (empty unless cfg.prefixCache);
+     *  destroyed before the counters. */
+    std::optional<PrefixCache> prefix;
     /** Where offloaded KV lives (after kv, destroyed before it). */
     std::unique_ptr<SwapStore> swaps;
 

@@ -67,8 +67,8 @@ TEST(FleetSums, PrefixCacheEngineStatsSumsEveryCounter)
     serve::PrefixCacheEngineStats s =
         checkSumsEveryCounter<serve::PrefixCacheEngineStats>();
     EXPECT_EQ(s.cachedTokens, 101u);
-    EXPECT_EQ(s.hitTokensRemoteServer, 101u * 20);
-    EXPECT_EQ(s.fedStreamBytes, 101u * 28);
+    EXPECT_EQ(s.hitTokensRemoteServer, 101u * 19);
+    EXPECT_EQ(s.fedStreamBytes, 101u * 27);
 }
 
 TEST(FleetSums, DirectoryStatsSumsEveryCounter)
