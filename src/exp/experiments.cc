@@ -1205,7 +1205,7 @@ runTiering(const TieringRunConfig &cfg)
 
     if (ssdTier) {
         res.parkedAtEnd = ssdTier->parkedCount();
-        res.prefetch = ssdTier->pipeline().stats();
+        res.prefetch = ssdTier->plan().stats();
         const stats::Summary &overlap = res.prefetch.overlapEfficiency;
         if (!overlap.empty())
             res.overlapEfficiencyMean = overlap.mean();

@@ -18,7 +18,7 @@
 #include "hw/fabric.hh"
 #include "model/model_spec.hh"
 #include "placer/placer.hh"
-#include "serve/prefetch.hh"
+#include "serve/transfer_plan.hh"
 #include "serve/vllm_engine.hh"
 #include "stats/timeseries.hh"
 #include "workload/request.hh"
@@ -581,7 +581,8 @@ struct TieringRunResult : ConsumerStats
     double coldTtftP99Sec = 0.0;
     double warmTtftP50Sec = 0.0;
 
-    /** Prefetch pipeline accounting (zero without tiering). */
+    /** Resume-stream accounting of the tier's TransferPlan (zero
+     *  without tiering). */
     serve::PrefetchStats prefetch;
     double overlapEfficiencyMean = 0.0;
 

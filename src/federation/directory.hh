@@ -10,7 +10,7 @@
  * advertises its registry's *home* chains (keyed by the same dual
  * rolling hashes) to every peer server, so a consumer can discover a
  * remote copy and weigh streaming it over the inter-server fabric
- * against local re-prefill (federation/cost_model.hh).
+ * against local re-prefill (serve::PrefixCache::beginFetch).
  *
  * Consistency model — Harvest-style opportunistic, not transactional:
  *

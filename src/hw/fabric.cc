@@ -98,24 +98,6 @@ Fabric::transfer(std::size_t srcServer, std::size_t dstServer,
     return t;
 }
 
-TransferTiming
-Fabric::streamKv(std::size_t srcServer, GpuId srcGpu,
-                 std::size_t dstServer, GpuId dstGpu,
-                 std::uint64_t bytes, TransferCallback cb,
-                 Tick earliest)
-{
-    Topology &src = serverTopology(srcServer);
-    Topology &dst = serverTopology(dstServer);
-    TransferTiming out =
-        src.copy(srcGpu, hostDramId, bytes, {}, earliest);
-    TransferTiming hop =
-        transfer(srcServer, dstServer, bytes, {}, out.complete);
-    TransferTiming in =
-        dst.copy(hostDramId, dstGpu, bytes, std::move(cb),
-                 hop.complete);
-    return {out.start, in.complete};
-}
-
 Tick
 Fabric::queueBacklog(std::size_t srcServer,
                      std::size_t dstServer) const
@@ -130,17 +112,6 @@ Fabric::queueBacklog(std::size_t srcServer,
     Tick free = std::max({nics[srcServer].tx->freeAt(),
                           nics[dstServer].rx->freeAt(), wayFree});
     return free > now ? free - now : 0;
-}
-
-Tick
-Fabric::streamEstimate(std::size_t srcServer, std::size_t dstServer,
-                       std::uint64_t bytes) const
-{
-    const Topology &src = serverTopology(srcServer);
-    const Topology &dst = serverTopology(dstServer);
-    return src.hostTransferDuration(bytes) + wire.transferTime(bytes) +
-           dst.hostTransferDuration(bytes) +
-           queueBacklog(srcServer, dstServer);
 }
 
 } // namespace aqua::hw

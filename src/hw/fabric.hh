@@ -19,11 +19,11 @@
  *    (min 1); extra flows queue on the earliest-free spine way. An
  *    oversubscription of 1 is a non-blocking fabric.
  *
- * A federated KV stream is a three-hop chain wired through each
- * server's Topology routing: home GPU → host DRAM over the source
- * server's PCIe, NIC → NIC over the wire, host DRAM → consumer GPU
- * over the destination server's PCIe. Each hop starts when the
- * previous one lands, so intra-server port contention and fabric
+ * The Fabric moves bytes NIC to NIC only. A federated KV stream is
+ * serve::TransferPlan's three-hop route through each server's attached
+ * Topology: home GPU → host DRAM over the source server's PCIe, the
+ * wire, host DRAM → consumer GPU over the destination server's PCIe,
+ * in 32 MiB windows, so intra-server port contention and fabric
  * queueing compose.
  */
 
@@ -93,8 +93,8 @@ class Fabric
     const FabricStats &stats() const { return counters; }
 
     /**
-     * Register a server's intra-server topology so streamKv() can
-     * chain its PCIe hops. Must be called for every server before
+     * Register a server's intra-server topology so a stream's route
+     * can chain its PCIe hops. Must be called for every server before
      * streaming to or from it.
      */
     void attachServer(std::size_t server, Topology &topology);
@@ -124,31 +124,17 @@ class Fabric
                             TransferCallback cb = {},
                             aqua::sim::Tick earliest = 0);
 
-    /**
-     * Issue a full federated KV stream: home GPU → host DRAM on the
-     * source server, the wire hop, host DRAM → consumer GPU on the
-     * destination server. Each hop chains on the previous one.
-     * Both endpoints' topologies must be attached; a failed source
-     * GPU panics (check before issuing, as Topology::copy does).
-     */
-    TransferTiming streamKv(std::size_t srcServer, GpuId srcGpu,
-                            std::size_t dstServer, GpuId dstGpu,
-                            std::uint64_t bytes,
-                            TransferCallback cb = {},
-                            aqua::sim::Tick earliest = 0);
-
-    /**
-     * Pure timing estimate of streamKv() for the cost model: PCIe-out
-     * + wire + PCIe-in durations at current degradation, plus the
-     * current queueing backlog on the path's NIC ports and the
-     * emptiest spine way. No state is mutated.
-     */
-    aqua::sim::Tick streamEstimate(std::size_t srcServer,
-                                   std::size_t dstServer,
-                                   std::uint64_t bytes) const;
+    /** Pure wire time of one @p bytes transfer at the current
+     *  degradation, without queueing. */
+    aqua::sim::Tick
+    wireDuration(std::uint64_t bytes) const
+    {
+        return wire.transferTime(bytes);
+    }
 
     /** Current backlog (ticks until free) on the path's NIC ports and
-     *  the emptiest spine way; the congestion term of the estimate. */
+     *  the emptiest spine way: the congestion term a stream's cost
+     *  estimate adds to its idle-path makespan. */
     aqua::sim::Tick queueBacklog(std::size_t srcServer,
                                  std::size_t dstServer) const;
 

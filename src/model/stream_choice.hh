@@ -5,7 +5,7 @@
  * Two deciders in the stack weigh streaming a stored KV copy against
  * re-prefilling it at the roofline rate: the storage tier's
  * park-resume path (serve::SsdTier) and the cross-server prefix
- * federation (federation::FederationCostModel). Both compare the same
+ * federation fetch (serve::PrefixCache). Both compare the same
  * quantities — an estimated stream makespan plus any fixed overhead
  * (dequant passes, control-plane hops) against the prefill time —
  * scaled by a safety factor that biases toward recompute when the
@@ -25,7 +25,7 @@ namespace aqua::model {
 /**
  * Whether streaming a stored copy beats recomputing it.
  *
- * @param streamEstimate Predicted stream makespan (queueing + wire).
+ * @param streamEstimate Predicted stream makespan (hops + queueing).
  * @param streamOverhead Fixed extra cost of the streamed path
  *        (dequant on arrival, control-plane round trips).
  * @param prefillTime Roofline re-prefill time of the covered tokens.

@@ -66,13 +66,15 @@ BrownoutController::calm(const BrownoutSignals &s) const
 {
     // The queue must be under its low-water marks; a pressured offload
     // path additionally holds the circuit breaker open (keep diverting
-    // swaps while the donor reclaims or the link is degraded). The
-    // free-pool fraction does not gate recovery: it legitimately stays
-    // low for the lifetime of a busy engine.
+    // swaps while the donor reclaims or the link is degraded). Only
+    // the breaker's own rung is held: RejectNew still steps down to
+    // it, or a pressured path would refuse every arrival with an
+    // empty queue. The free-pool fraction does not gate recovery: it
+    // legitimately stays low for the lifetime of a busy engine.
     if (s.queueDepth > cfg.queueLow ||
         s.queueDelaySec > cfg.delayLowSec)
         return false;
-    if (current >= BrownoutLevel::ForceDramOffload &&
+    if (current == BrownoutLevel::ForceDramOffload &&
         (s.reclaimPressure || s.linkHealth <= cfg.linkHealthLow))
         return false;
     return true;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 
+#include "model/stream_choice.hh"
 #include "serve/vllm_engine.hh"
 
 namespace aqua::serve {
@@ -11,13 +12,18 @@ using namespace aqua::sim;
 
 constexpr std::uint32_t blockTokens = VllmEngine::blockTokens;
 
+/** Control-plane cost of a federation fetch: the fetch_begin grant and
+ *  the fetch_end validation, each one coordinator round trip. */
+constexpr Tick fetchControlTicks = 2 * nsPerUs;
+
 PrefixCache::PrefixCache(hw::Server &server, hw::GpuId gpu,
                          const VllmEngineConfig &cfg, KvCache &kv,
                          PrefixCacheEngineStats &stats,
                          KvIntegrity &integrity,
                          const overload::Controls &controls)
     : server(server), myGpu(gpu), cfg(cfg), kv(kv), stats(stats),
-      integrity(integrity), controls(controls)
+      integrity(integrity), controls(controls),
+      fetches(server.simulation())
 {
 }
 
@@ -42,7 +48,7 @@ PrefixCache::attachRegistry(cluster::PrefixRegistry *reg,
         kv.setEvictionObserver({});
         registry = nullptr;
         lib = nullptr;
-        fedCost.reset();
+        fedPerf = nullptr;
     }
     if (!reg || !regLib)
         return;
@@ -66,10 +72,7 @@ PrefixCache::attachFabric(hw::Fabric &fab, std::uint32_t serverIndex,
     fabric = &fab;
     fedServer = serverIndex;
     fedLib = &flib;
-    federation::FederationCostConfig fc;
-    fc.safetyFactor = cfg.federationSafetyFactor;
-    fedCost = std::make_unique<federation::FederationCostModel>(
-        *fabric, perf, fc);
+    fedPerf = &perf;
 }
 
 KvCache::PrefixAcquire
@@ -215,7 +218,7 @@ PrefixCache::countHit(const Sequence *s, std::size_t grantBlocks,
 {
     std::size_t nBlocks = grantBlocks;
     std::uint64_t tokens = grantTokens;
-    if (streamed > 0 && s->streamFederated) {
+    if (streamed > 0 && s->stream.origin == KvStream::Origin::Federation) {
         // A fetched chain's KV landed in the leading blocks: tag them
         // so hit accounting (and any later local reuse after publish)
         // knows the content crossed the fabric. A resume restores the
@@ -384,7 +387,7 @@ PrefixCache::candidates(const Sequence *s, std::size_t localFull) const
 void
 PrefixCache::beginFetch(Sequence *s, std::function<void()> landed)
 {
-    if (!cfg.federation || !fedCost)
+    if (!cfg.federation || !fedPerf)
         return;
     std::vector<core::AquaLib::PrefixCandidate> cands = candidates(s, 0);
     if (cands.empty())
@@ -408,20 +411,32 @@ PrefixCache::beginFetch(Sequence *s, std::function<void()> landed)
         ++stats.clusterSigMismatches;
         return;
     }
-    // Stream-vs-recompute, priced at the fabric's current state
-    // (degradation, queue backlog) and the chain's wire bytes.
-    federation::FederationDecision verdict =
-        fedCost->decide(fl.chain.homeServer, fedServer, fl.chain.bytes,
-                        fl.chain.tokens, cfg.kvPrecision);
-    if (!verdict.stream) {
+    // Stream-vs-recompute (the crossover SsdTier's resume uses too),
+    // priced at the fabric's current state: the windowed stream's
+    // idle-path makespan at the current degradation plus the path's
+    // queue backlog, and on the streamed side the control round trips
+    // and a dequant pass for a quantized chain. The NIC is far
+    // narrower than NVLink and the spine oversubscribed, so the
+    // verdict flips with chain length, degradation and backlog. No
+    // hop's duration depends on the home GPU, which only the grant
+    // names.
+    std::uint32_t home = fl.chain.homeServer;
+    Tick streamEstimate =
+        fetches.estimate(TransferPlan::fabricRoute(*fabric, home, myGpu,
+                                                   fedServer, myGpu),
+                         fl.chain.bytes) +
+        fabric->queueBacklog(home, fedServer);
+    Tick overhead = fetchControlTicks +
+                    fedPerf->dequantTimeAt(fl.chain.bytes, cfg.kvPrecision);
+    Tick prefill = fedPerf->prefillTime(fl.chain.tokens);
+    if (!model::streamBeatsRecompute(streamEstimate, overhead, prefill,
+                                     cfg.federationSafetyFactor)) {
         ++stats.fedRecomputeDecisions;
         if (tracer) {
             json::Value f;
             f["request"] = static_cast<std::int64_t>(s->request.id);
-            f["stream_estimate"] =
-                static_cast<std::int64_t>(verdict.streamEstimate);
-            f["prefill_estimate"] =
-                static_cast<std::int64_t>(verdict.prefillEstimate);
+            f["stream_estimate"] = static_cast<std::int64_t>(streamEstimate);
+            f["prefill_estimate"] = static_cast<std::int64_t>(prefill);
             tracer->emit(server.simulation().now(), "fed_recompute",
                          std::move(f));
         }
@@ -437,8 +452,6 @@ PrefixCache::beginFetch(Sequence *s, std::function<void()> landed)
         return;
     }
     Tick now = server.simulation().now();
-    s->streamPending = true;
-    s->streamFederated = true;
     auto tokens = static_cast<std::uint32_t>(grant.tokens);
     std::uint64_t bytes = grant.bytes;
     if (tracer) {
@@ -449,16 +462,22 @@ PrefixCache::beginFetch(Sequence *s, std::function<void()> landed)
         f["bytes"] = static_cast<std::int64_t>(bytes);
         tracer->emit(now, "fed_stream_begin", std::move(f));
     }
-    fabric->streamKv(
-        grant.homeServer, grant.homeGpu, fedServer, myGpu, bytes,
+    TransferPlan::StreamId id = fetches.start(
+        TransferPlan::fabricRoute(*fabric, grant.homeServer,
+                                  grant.homeGpu, fedServer, myGpu),
+        bytes, now,
         [this, s, tokens, bytes, home = grant.homeServer,
-         ticket = grant.ticket, landed = std::move(landed)] {
-            s->streamPending = false;
+         ticket = grant.ticket,
+         landed = std::move(landed)](const TransferPlan::Done &d) {
+            s->stream.plan = nullptr;
             // Close the ticket whatever happens next: it frees the
             // home's admission slot and reports payload validity (the
             // chain may have been evicted or its home lost while the
-            // stream was on the wire).
-            bool valid = fedLib->federationFetchDone(home, ticket);
+            // stream was on the wire). A stream wound down early (the
+            // request shed, or the home GPU failed) delivered only part
+            // of the payload.
+            bool valid = fedLib->federationFetchDone(home, ticket) &&
+                         !d.cancelled;
             if (s->state == Sequence::State::Waiting) {
                 if (valid) {
                     s->streamedTokens = tokens;
@@ -478,8 +497,8 @@ PrefixCache::beginFetch(Sequence *s, std::function<void()> landed)
                              std::move(f));
             }
             landed();
-        },
-        now);
+        });
+    s->stream = {&fetches, id, KvStream::Origin::Federation};
 }
 
 void

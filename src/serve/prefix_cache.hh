@@ -11,18 +11,18 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <set>
 #include <vector>
 
 #include "aqua/aqua_lib.hh"
 #include "cluster/prefix_registry.hh"
-#include "federation/cost_model.hh"
 #include "hw/fabric.hh"
+#include "model/perf_model.hh"
 #include "overload/controls.hh"
 #include "serve/kv_cache.hh"
 #include "serve/kv_integrity.hh"
 #include "serve/sequence.hh"
+#include "serve/transfer_plan.hh"
 #include "trace/trace.hh"
 
 namespace aqua::serve {
@@ -40,8 +40,7 @@ struct PrefixCacheEngineStats;
  * over NVLink, and this GPU's resident chains are published for the
  * others. With a fabric attached, the federation directory names a
  * chain homed on another server: a fresh arrival streams it over the
- * fabric while it waits, when the cost model says that beats
- * recomputing. The engine holds one whenever cfg.prefixCache is set.
+ * fabric while it waits, when that beats recomputing. The engine holds one whenever cfg.prefixCache is set.
  */
 class PrefixCache
 {
@@ -73,7 +72,8 @@ class PrefixCache
 
     /** Attach the inter-server fabric (after the registry): it
      *  carries KV streams to @p serverIndex, @p lib the /federation
-     *  REST access; @p perf prices recompute for the cost model. */
+     *  REST access; @p perf prices recompute for the stream-vs-recompute
+     *  check. */
     void attachFabric(hw::Fabric &fabric, std::uint32_t serverIndex,
                       core::AquaLib &lib, const model::PerfModel &perf);
 
@@ -90,8 +90,9 @@ class PrefixCache
      * Start a cross-server prefix stream for a fresh arrival whose
      * chain no GPU in this scale-up domain holds: directory lookup,
      * signature check, cost-model verdict, home admission, then the
-     * fabric stream. On success @p s waits with streamPending set;
-     * @p landed runs when the stream ends (validated or not).
+     * windowed fabric stream. On success @p s waits on its stream
+     * handle; @p landed runs when the stream ends (validated, invalid
+     * or wound down cancelled).
      */
     void beginFetch(Sequence *s, std::function<void()> landed);
 
@@ -208,12 +209,15 @@ class PrefixCache
     cluster::PrefixRegistry *registry = nullptr;
     core::AquaLib *lib = nullptr;
 
-    /** The fabric, this server's index on it and the /federation REST
-     *  access (meaningful while fedCost is set). */
+    /** The fabric, this server's index on it, the /federation REST
+     *  access and the recompute pricing (meaningful while fedPerf is
+     *  set). */
     hw::Fabric *fabric = nullptr;
     std::uint32_t fedServer = 0;
     core::AquaLib *fedLib = nullptr;
-    std::unique_ptr<federation::FederationCostModel> fedCost;
+    const model::PerfModel *fedPerf = nullptr;
+    /** Carries the federation fetches into this GPU. */
+    TransferPlan fetches;
 
     /** Chains this GPU homes (pinned on registry demand). */
     std::map<std::uint64_t, Chain> homeChains;

@@ -18,6 +18,25 @@
 
 namespace aqua::serve {
 
+class TransferPlan;
+
+/**
+ * The KV stream a waiting sequence is fed by, a parked-session resume
+ * or a federation fetch: the plan carrying it (cleared when the stream
+ * lands or winds down), its id there, and its origin, which outlives
+ * the stream for hit accounting (a fetch counts as a prefix hit).
+ */
+struct KvStream
+{
+    enum class Origin : std::uint8_t { Resume, Federation };
+    TransferPlan *plan = nullptr;
+    std::uint64_t id = 0;
+    Origin origin = Origin::Resume;
+
+    /** Admission waits while a stream is in flight. */
+    bool pending() const { return plan != nullptr; }
+};
+
 /**
  * Where a swapped sequence's KV lives below HBM. Only SwapStore reads
  * or writes it.
@@ -122,16 +141,11 @@ struct Sequence
     // delivered count as pre-prefilled at the next admission.
     //
 
-    /** A KV stream is in flight; admission waits for it to land (or
-     *  wind down cancelled). */
-    bool streamPending = false;
+    /** The stream feeding the sequence; shedding cancels it. */
+    KvStream stream;
 
     /** Context tokens the completed stream delivered. */
     std::uint32_t streamedTokens = 0;
-
-    /** The stream is a federation fetch (its blocks are tagged
-     *  RemoteServer and count as a prefix hit), not a resume. */
-    bool streamFederated = false;
 
     /** Leading prefix served in place from a peer GPU (PrefixCache's
      *  alone; zero unless borrowed). */

@@ -10,7 +10,9 @@ namespace aqua::serve {
 using namespace aqua::sim;
 
 SsdTier::SsdTier(hw::Server &server, hw::GpuId gpu, SsdTierConfig config)
-    : server(server), cfg(config), store(server, gpu), pipe(server, gpu)
+    : server(server), cfg(config), store(server, gpu),
+      resumes(server.simulation()),
+      resumeRoute(TransferPlan::ssdRoute(server, gpu))
 {
     if (cfg.parkAfterSec <= 0 || cfg.pressureParkAfterSec <= 0)
         panic("SsdTier: park thresholds must be positive");
@@ -34,7 +36,7 @@ SsdTier::park(std::uint64_t sessionKey, std::uint64_t bytes,
     // Bulk sequential dump, window-sized accesses: parking rides the
     // fast end of the drive's sequential-vs-random ramp.
     std::uint64_t nChunks = std::max<std::uint64_t>(
-        1, bytes / PrefetchPipeline::windowBytes);
+        1, bytes / TransferPlan::windowBytes);
     store.write(*handle, bytes, nChunks, now);
     sessions[sessionKey] = Parked{*handle, tokens, precision, 0};
     return true;
@@ -57,33 +59,34 @@ SsdTier::streamWins(Tick streamEstimate, Tick prefillTime,
                                        cfg.resumeSafetyFactor);
 }
 
-bool
+TransferPlan::StreamId
 SsdTier::beginResume(std::uint64_t sessionKey, Tick now,
                      Tick prefillTime, ResumeCallback done,
                      Tick streamOverhead)
 {
     auto it = sessions.find(sessionKey);
     if (it == sessions.end() || it->second.stream != 0)
-        return false;
+        return 0;
     std::uint64_t bytes = it->second.handle.bytes;
     // The crossover check sees the device as it is *now*: degradation
     // inflates the estimate (and failure forces recompute), so a
     // mid-incident resume naturally falls back to re-prefilling. A
     // quantized parked copy streams fewer bytes but adds its dequant
     // pass as streamOverhead.
-    if (!streamWins(pipe.estimate(bytes), prefillTime, streamOverhead)) {
+    if (!streamWins(resumes.estimate(resumeRoute, bytes), prefillTime,
+                    streamOverhead)) {
         dropParked(sessionKey);
-        return false;
+        return 0;
     }
-    it->second.stream = pipe.start(
-        bytes, now,
+    it->second.stream = resumes.start(
+        resumeRoute, bytes, now,
         [this, sessionKey,
-         done = std::move(done)](const PrefetchPipeline::Done &d) {
+         done = std::move(done)](const TransferPlan::Done &d) {
             dropParked(sessionKey);
             if (done)
                 done(!d.cancelled);
         });
-    return true;
+    return it->second.stream;
 }
 
 void
@@ -92,9 +95,9 @@ SsdTier::cancelResume(std::uint64_t sessionKey)
     auto it = sessions.find(sessionKey);
     if (it == sessions.end())
         return;
-    if (it->second.stream != 0 && pipe.active(it->second.stream)) {
+    if (it->second.stream != 0 && resumes.active(it->second.stream)) {
         // The stream's completion callback frees the entry.
-        pipe.cancel(it->second.stream);
+        resumes.cancel(it->second.stream);
         return;
     }
     dropParked(sessionKey);

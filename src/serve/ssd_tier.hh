@@ -3,8 +3,8 @@
  * SsdTier: the storage tier below host DRAM.
  *
  * One class owns everything under DRAM: the SsdBackend that holds
- * parked and demoted payloads, the PrefetchPipeline that streams
- * parked KV back SSD→DRAM→HBM behind the decode compute, the demotion
+ * parked and demoted payloads, the TransferPlan that streams parked
+ * KV back SSD→DRAM→HBM behind the decode compute, the demotion
  * table of swapped-out tails sitting in DRAM, and one record per
  * parked session. SwapStore calls it directly.
  *
@@ -27,8 +27,8 @@
 
 #include "hw/server.hh"
 #include "model/kv_precision.hh"
-#include "serve/prefetch.hh"
 #include "serve/ssd_backend.hh"
+#include "serve/transfer_plan.hh"
 #include "sim/ticks.hh"
 
 namespace aqua::serve {
@@ -60,7 +60,7 @@ class SsdTier
 {
   public:
     /** Resume outcome: streamed = the KV landed in HBM via the
-     *  prefetch pipeline; false = the stream was cancelled or the
+     *  transfer plan; false = the stream was cancelled or the
      *  device failed and the engine must re-prefill. */
     using ResumeCallback = std::function<void(bool streamed)>;
 
@@ -76,7 +76,7 @@ class SsdTier
         /** Precision the copy was stored at. */
         model::KvPrecision precision = model::KvPrecision::Fp16;
         /** Resume stream in flight (0 = none). */
-        PrefetchPipeline::StreamId stream = 0;
+        TransferPlan::StreamId stream = 0;
     };
 
     /** Parked and demoted payloads still on the media at teardown
@@ -119,15 +119,16 @@ class SsdTier
      *        before it is usable (e.g. dequantizing a parked copy
      *        stored below the serving precision); counts against
      *        streaming in the crossover.
-     * @retval true Streaming; @p done fires when the stream lands (or
-     *         winds down cancelled). The parked entry is consumed.
-     * @retval false Recompute: nothing parked, a stream already in
-     *         flight, or the stream loses the crossover (the parked
-     *         entry is then dropped); @p done never fires.
+     * @return The stream on plan(), which @p done reports on when it
+     *         lands (or winds down cancelled); the parked entry is
+     *         consumed. 0 = recompute: nothing parked, a stream
+     *         already in flight, or the stream loses the crossover
+     *         (the parked entry is then dropped); @p done never fires.
      */
-    bool beginResume(std::uint64_t sessionKey, aqua::sim::Tick now,
-                     aqua::sim::Tick prefillTime, ResumeCallback done,
-                     aqua::sim::Tick streamOverhead = 0);
+    TransferPlan::StreamId
+    beginResume(std::uint64_t sessionKey, aqua::sim::Tick now,
+                aqua::sim::Tick prefillTime, ResumeCallback done,
+                aqua::sim::Tick streamOverhead = 0);
 
     /**
      * Predictor miss: the resuming request was shed (or the session
@@ -186,7 +187,8 @@ class SsdTier
     // Introspection.
     //
 
-    PrefetchPipeline &pipeline() { return pipe; }
+    /** Carries the resume streams. */
+    TransferPlan &plan() { return resumes; }
     /** Sessions currently parked on the SSD. */
     std::size_t parkedCount() const { return sessions.size(); }
     /** Bytes those sessions hold on the media. */
@@ -201,7 +203,9 @@ class SsdTier
     hw::Server &server;
     SsdTierConfig cfg;
     SsdBackend store;
-    PrefetchPipeline pipe;
+    TransferPlan resumes;
+    /** SSD → DRAM → this tier's GPU. */
+    TransferPlan::Route resumeRoute;
     /** Swapped tails in DRAM, by key, with when each last landed. */
     std::map<std::uint64_t, aqua::sim::Tick> demotable;
     std::map<std::uint64_t, Parked> sessions;

@@ -342,10 +342,10 @@ SwapStore::beginResume(Sequence *s, std::function<void()> landed)
     // makespan against what re-prefilling the parked context costs at
     // the roofline rate. Streaming starts immediately so the windows
     // overlap whatever the GPU is already decoding.
-    bool streaming = tier->beginResume(
+    TransferPlan::StreamId stream = tier->beginResume(
         key, now, perf.prefillTime(usable),
         [this, s, usable, landed = std::move(landed)](bool streamed) {
-            s->streamPending = false;
+            s->stream.plan = nullptr;
             if (s->state != Sequence::State::Waiting)
                 return; // shed while the stream was in flight
             // Signature-verify the streamed KV on arrival. A hit means
@@ -364,20 +364,10 @@ SwapStore::beginResume(Sequence *s, std::function<void()> landed)
             landed();
         },
         streamOverhead);
-    if (streaming)
-        s->streamPending = true;
+    if (stream != 0)
+        s->stream = {&tier->plan(), stream, KvStream::Origin::Resume};
     else
         ++counters.recomputeResumes;
-}
-
-void
-SwapStore::cancelResume(const Sequence *s)
-{
-    // Predictor miss: shedding a resuming request cancels its
-    // in-flight prefetch stream (windows already issued are wasted).
-    // A federation stream runs on; its end closes the fetch ticket.
-    if (tier && s->streamPending && !s->streamFederated)
-        tier->cancelResume(s->request.userId);
 }
 
 void

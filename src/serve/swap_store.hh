@@ -95,13 +95,10 @@ class SwapStore
                  aqua::sim::Tick when);
 
     /** Stream a follow-up turn's parked session KV back when that
-     *  beats re-prefilling: @p s then waits with streamPending set,
-     *  and @p landed runs when the stream ends (unless @p s was shed
-     *  meanwhile). */
+     *  beats re-prefilling: @p s then waits on its stream handle, and
+     *  @p landed runs when the stream ends (unless @p s was shed
+     *  meanwhile, which cancels it through the handle). */
     void beginResume(Sequence *s, std::function<void()> landed);
-
-    /** Cancel a shed request's resume stream. */
-    void cancelResume(const Sequence *s);
 
     /** Demotion settle pass over @p swapped: move aged tails from DRAM
      *  to the SSD (@p pressure: the ForceDramOffload rung is on). */

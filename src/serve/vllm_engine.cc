@@ -196,7 +196,7 @@ VllmEngine::submit(const workload::Request &request)
     }
     swaps->beginResume(raw, [this] { wake(); });
     // A cross-server fetch never overlaps a resume stream.
-    if (prefix && !raw->streamPending)
+    if (prefix && !raw->stream.pending())
         prefix->beginFetch(raw, [this] { wake(); });
     needResched = true;
     scheduleStep(now);
@@ -346,7 +346,7 @@ VllmEngine::admitSeq(Sequence *s, Tick &transfersDone)
     // still landing: hold the sequence in waiting rather than gate the
     // whole iteration's compute on it. The stream's completion
     // callback reschedules.
-    if (s->streamPending)
+    if (s->stream.pending())
         return false;
     // A landed stream's context counts as already prefilled (its KV
     // arrives in the blocks allocated below), so only the rest of the
@@ -440,7 +440,10 @@ VllmEngine::shedSeq(Sequence *s, overload::ShedReason reason,
     s->state = Sequence::State::Finished;
     s->chain.release();
     removeFrom(waiting, s);
-    swaps->cancelResume(s);
+    // Stop the stream the request was waiting on, resume or fetch: no
+    // further window is issued, and its end releases what it held.
+    if (s->stream.pending())
+        s->stream.plan->cancel(s->stream.id);
     s->metrics.shed = true;
     controls.recordShed(s->request, reason, when);
     retire(s, when);

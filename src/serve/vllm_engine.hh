@@ -118,8 +118,8 @@ struct VllmEngineConfig
      */
     bool federation = false;
     /**
-     * Safety factor the federation cost model applies to the streamed
-     * side of the crossover; > 1 biases toward recompute when the
+     * Safety factor the federation fetch's stream-vs-recompute check
+     * applies to the streamed side; > 1 biases toward recompute when the
      * estimates are close.
      */
     double federationSafetyFactor = 1.2;

@@ -7,9 +7,11 @@
  * anti-entropy repair and its differential check against the
  * full-table reference round, admission caps, fetch-ticket
  * validation, journal replay, frozen routes), the multi-server
- * testbed factory, and the engine level: the race of a home eviction
- * against an in-flight federation stream, a shed mid-stream, and a
- * parked-session resume taking precedence over a fetch.
+ * testbed factory, the windowed fabric route of serve::TransferPlan,
+ * and the engine level: the race of a home eviction against an
+ * in-flight federation stream, a shed mid-stream, a home GPU failure
+ * mid-fetch, and a parked-session resume taking precedence over a
+ * fetch.
  */
 
 #include <gtest/gtest.h>
@@ -31,6 +33,7 @@
 #include "recovery/state_journal.hh"
 #include "serve/scheduler.hh"
 #include "serve/ssd_tier.hh"
+#include "serve/transfer_plan.hh"
 #include "serve/vllm_engine.hh"
 #include "sim/simulation.hh"
 #include "sim/ticks.hh"
@@ -370,18 +373,63 @@ TEST(Fabric, NicPortsSerializeConcurrentFlows)
 
 TEST(Fabric, StreamEstimateMatchesIdleStream)
 {
+    // On an idle fabric the estimate has no queueing term: the longest
+    // path through the (window, hop) grid of PCIe-out, wire and
+    // PCIe-in, which is exactly when the last window lands, whether
+    // the payload fits one window or spans several.
+    for (std::uint64_t bytes : {16 * mb, 33 * mb, 151 * mb}) {
+        auto cluster = exp::Testbed::makeMultiServerCluster(2, 2);
+        hw::Fabric &fab = cluster->fabric();
+        Simulation &sim = cluster->sim();
+        serve::TransferPlan plan(sim);
+        serve::TransferPlan::Route route =
+            serve::TransferPlan::fabricRoute(fab, 0, 0, 1, 0);
+        Tick est = plan.estimate(route, bytes) + fab.queueBacklog(0, 1);
+        Tick done = 0;
+        plan.start(route, bytes, 0,
+                   [&done](const serve::TransferPlan::Done &d) {
+                       done = d.complete;
+                   });
+        sim.runUntil(sim.now() + secToTicks(10.0));
+        ASSERT_GT(done, 0u);
+        EXPECT_NEAR(double(done), double(est), double(est) * 0.01);
+        EXPECT_EQ(done, est) << bytes / mb << " MiB";
+    }
+}
+
+TEST(Fabric, SingleWindowStreamLandsAtTheThreeHopTick)
+{
+    // A payload of one window crosses the three hops exactly as a
+    // store-and-forward chain of them does: home GPU → DRAM, the wire,
+    // DRAM → consumer GPU, each hop starting when the previous lands.
+    std::uint64_t bytes = serve::TransferPlan::windowBytes;
+    auto chained = [bytes] {
+        auto cluster = exp::Testbed::makeMultiServerCluster(2, 2);
+        hw::Fabric &fab = cluster->fabric();
+        hw::TransferTiming out = fab.serverTopology(0).copy(
+            0, hw::hostDramId, bytes, {}, 0);
+        hw::TransferTiming wire =
+            fab.transfer(0, 1, bytes, {}, out.complete);
+        return fab.serverTopology(1)
+            .copy(hw::hostDramId, 0, bytes, {}, wire.complete)
+            .complete;
+    };
     auto cluster = exp::Testbed::makeMultiServerCluster(2, 2);
-    hw::Fabric &fab = cluster->fabric();
-    Tick est = fab.streamEstimate(0, 1, 16 * mb);
-    Tick done = 0;
     Simulation &sim = cluster->sim();
-    fab.streamKv(0, 0, 1, 0, 16 * mb,
-                 [&done, &sim] { done = sim.now(); });
+    serve::TransferPlan plan(sim);
+    serve::TransferPlan::Done done;
+    plan.start(serve::TransferPlan::fabricRoute(cluster->fabric(), 0, 0, 1,
+                                                0),
+               bytes, 0,
+               [&done](const serve::TransferPlan::Done &d) { done = d; });
     sim.runUntil(sim.now() + secToTicks(10.0));
-    ASSERT_GT(done, 0u);
-    // On an idle fabric the estimate has no queueing term: PCIe-out
-    // + wire + PCIe-in, which is exactly when the last hop lands.
-    EXPECT_NEAR(double(done), double(est), double(est) * 0.01);
+    EXPECT_FALSE(done.cancelled);
+    EXPECT_EQ(done.bytes, bytes);
+    EXPECT_EQ(done.complete, chained());
+    // Nothing overlaps within one window.
+    EXPECT_EQ(done.overlapEfficiency, 0.0);
+    EXPECT_EQ(plan.stats().windowsIssued, 1u);
+    EXPECT_EQ(cluster->fabric().stats().transfers, 1u);
 }
 
 //
@@ -1151,13 +1199,37 @@ TEST(FederationEngine, ShedMidStreamClosesTheTicketAndFreesTheSlot)
     ASSERT_EQ(p.cluster.directory(0).activeFetches(), 1u);
     std::vector<DirectoryEntry> adverts = p.homedAdverts();
     ASSERT_EQ(adverts.size(), 1u);
-    // The slot is taken while the shed request's stream runs on.
+    // The slot is still taken: the shed request's first window is on
+    // its way.
     EXPECT_FALSE(p.cluster.directory(0)
                      .fetchBegin(adverts[0].key, adverts[0].verify, 1)
                      .ok);
 
+    // The 768-token preamble is 144 MiB, five windows. The shed
+    // cancelled the stream, so it winds down when its first window
+    // leaves the home GPU, long before the payload could have landed,
+    // and its end closes the ticket there.
+    std::uint64_t bytes = adverts[0].bytes;
+    ASSERT_GT(bytes, 4 * serve::TransferPlan::windowBytes);
+    serve::TransferPlan idle(p.cluster.sim());
+    Tick payloadEnd =
+        bAt + idle.estimate(serve::TransferPlan::fabricRoute(
+                                p.cluster.fabric(), 0, 0, 1, 0),
+                            bytes);
+    Tick boundary =
+        bAt + p.cluster.fabric().serverTopology(0).hostTransferDuration(
+                  serve::TransferPlan::windowBytes);
+    ASSERT_LT(boundary, payloadEnd);
+    p.cluster.sim().runUntil(boundary);
+    EXPECT_EQ(p.cluster.directory(0).activeFetches(), 0u);
+    FetchGrant next = p.cluster.directory(0).fetchBegin(
+        adverts[0].key, adverts[0].verify, 1);
+    EXPECT_TRUE(next.ok);
+    p.cluster.directory(0).fetchEnd(next.ticket);
+
     p.cluster.sim().runUntil(bAt + secToTicks(5.0));
-    // Stream end closed the ticket: the home admits the next fetch.
+    // The stream's end closed the ticket: the home admits the next
+    // fetch.
     EXPECT_EQ(p.cluster.directory(0).activeFetches(), 0u);
     EXPECT_TRUE(p.cluster.directory(0)
                     .fetchBegin(adverts[0].key, adverts[0].verify, 1)
@@ -1170,6 +1242,33 @@ TEST(FederationEngine, ShedMidStreamClosesTheTicketAndFreesTheSlot)
     EXPECT_EQ(es.hitTokensRemoteServer, 0u);
     ASSERT_EQ(p.engines[1]->finished().size(), 1u);
     EXPECT_TRUE(p.engines[1]->finished()[0].shed);
+}
+
+TEST(FederationEngine, HomeGpuFailureMidFetchFallsBackToRecompute)
+{
+    // The home GPU fails while b's fetch is on its first window. The
+    // stream must wind down before its next window touches the dark
+    // GPU (no transfer panic), close the ticket, and leave b to
+    // re-prefill.
+    FederationPair p;
+    p.submitAt(0, p.a, 0);
+    Tick bAt = secToTicks(60.0);
+    p.submitAt(1, p.b, bAt);
+    p.cluster.sim().queue().schedule(bAt + 200 * nsPerUs, [&] {
+        ASSERT_EQ(p.cluster.directory(0).activeFetches(), 1u);
+        p.cluster.server(0).server().topology().markGpuFailed(0, true);
+    });
+
+    p.runUntilFinished(2);
+    ASSERT_EQ(p.engines[1]->finished().size(), 1u);
+    EXPECT_FALSE(p.engines[1]->finished()[0].shed);
+    EXPECT_EQ(p.cluster.directory(0).activeFetches(), 0u);
+    const serve::PrefixCacheEngineStats &es =
+        p.engines[1]->prefixEngineStats();
+    EXPECT_EQ(es.fedStreamDecisions, 1u);
+    EXPECT_EQ(es.fedStreamsInvalidated, 1u);
+    EXPECT_EQ(es.fedStreamsCompleted, 0u);
+    EXPECT_EQ(es.hitTokensRemoteServer, 0u);
 }
 
 TEST(FederationEngine, ParkedSessionResumesInsteadOfFetching)

@@ -271,6 +271,17 @@ TEST(Brownout, BreakerHeldOpenWhilePathPressured)
     // Path pressure gone: normal one-rung descent resumes.
     EXPECT_EQ(ctl.update(signals(4.0, 0, 0.0)),
               BrownoutLevel::NoCachePublish);
+
+    // From RejectNew the pressured path holds only the breaker's rung:
+    // the ladder steps down to ForceDramOffload and stays there, so
+    // arrivals are admitted again while swaps keep diverting.
+    BrownoutController top(cfg);
+    top.update(signals(1.0, cfg.queueHigh, 0.0, 0.05, true));
+    ASSERT_EQ(top.level(), BrownoutLevel::RejectNew);
+    EXPECT_EQ(top.update(signals(2.0, 0, 0.0, 1.0, true)),
+              BrownoutLevel::ForceDramOffload);
+    EXPECT_EQ(top.update(signals(3.0, 0, 0.0, 1.0, false, 0.5)),
+              BrownoutLevel::ForceDramOffload);
 }
 
 TEST(Brownout, SliceFactorHalvesPerLevel)

@@ -3,10 +3,10 @@
  * Tests for the SSD storage tier: the device model (sequential vs
  * random ramp, queue-depth parallelism, degradation and failure), the
  * tier-local DRAM↔SSD move paths, SsdTier's age demotion policy
- * and stream-vs-recompute crossover, the prefetch pipeline's
- * double-buffered overlap, cancellation and bounce-slot reuse under
- * predictor misses (the tier-generalized staging engine — the flat
- * StagingEngine's own coverage lives in test_staging.cc), and
+ * and stream-vs-recompute crossover, the transfer plan's SSD route
+ * (double-buffered overlap, cancellation and bounce-slot reuse under
+ * predictor misses; the flat StagingEngine's own coverage lives in
+ * test_staging.cc, the fabric route's in test_federation.cc), and
  * SsdTier's park/resume/demote lifecycle.
  */
 
@@ -14,8 +14,8 @@
 
 #include "exp/testbed.hh"
 #include "hw/ssd.hh"
-#include "serve/prefetch.hh"
 #include "serve/ssd_tier.hh"
+#include "serve/transfer_plan.hh"
 
 using namespace aqua;
 using namespace aqua::sim;
@@ -219,16 +219,18 @@ TEST(TierManager, ResumeDecisionCrossover)
 }
 
 //
-// PrefetchPipeline: windowed SSD→DRAM→HBM streaming.
+// TransferPlan on the SSD route: windowed SSD→DRAM→HBM streaming
+// (suite name kept from the streamer it replaced).
 //
 
 TEST(PrefetchPipeline, StreamDeliversAllBytesWithOverlap)
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-    PrefetchPipeline pipe(tb.server(), 0);
-    PrefetchPipeline::Done done;
+    TransferPlan plan(tb.sim());
+    auto ssd = TransferPlan::ssdRoute(tb.server(), 0);
+    TransferPlan::Done done;
     bool fired = false;
-    pipe.start(256 * mib, 0, [&](const PrefetchPipeline::Done &d) {
+    plan.start(ssd, 256 * mib, 0, [&](const TransferPlan::Done &d) {
         done = d;
         fired = true;
     });
@@ -240,18 +242,19 @@ TEST(PrefetchPipeline, StreamDeliversAllBytesWithOverlap)
     // Double buffering must hide at least half of the shorter stage
     // (the acceptance bar the bench enforces end to end).
     EXPECT_GE(done.overlapEfficiency, 0.5);
-    EXPECT_EQ(pipe.stats().streamsCompleted, 1u);
-    EXPECT_EQ(pipe.stats().bytesStreamed, 256 * mib);
+    EXPECT_EQ(plan.stats().streamsCompleted, 1u);
+    EXPECT_EQ(plan.stats().bytesStreamed, 256 * mib);
 }
 
 TEST(PrefetchPipeline, DoubleBufferingBeatsSingleBuffer)
 {
     auto makespan = [](std::uint32_t buffers) {
         exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-        PrefetchPipeline pipe(tb.server(), 0, buffers);
+        TransferPlan plan(tb.sim(), buffers);
+        auto ssd = TransferPlan::ssdRoute(tb.server(), 0);
         Tick complete = 0;
-        pipe.start(256 * mib, 0,
-                   [&](const PrefetchPipeline::Done &d) {
+        plan.start(ssd, 256 * mib, 0,
+                   [&](const TransferPlan::Done &d) {
                        complete = d.complete;
                    });
         tb.sim().runUntil(secToTicks(10.0));
@@ -267,10 +270,11 @@ TEST(PrefetchPipeline, DoubleBufferingBeatsSingleBuffer)
 TEST(PrefetchPipeline, EstimateTracksMakespanAndDegradation)
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-    PrefetchPipeline pipe(tb.server(), 0);
-    Tick estimate = pipe.estimate(256 * mib);
+    TransferPlan plan(tb.sim());
+    auto ssd = TransferPlan::ssdRoute(tb.server(), 0);
+    Tick estimate = plan.estimate(ssd, 256 * mib);
     Tick complete = 0;
-    pipe.start(256 * mib, 0, [&](const PrefetchPipeline::Done &d) {
+    plan.start(ssd, 256 * mib, 0, [&](const TransferPlan::Done &d) {
         complete = d.complete;
     });
     tb.sim().runUntil(secToTicks(10.0));
@@ -282,32 +286,33 @@ TEST(PrefetchPipeline, EstimateTracksMakespanAndDegradation)
     // Media degradation inflates the estimate (this is what flips
     // SsdTier's crossover to recompute during an incident).
     tb.server().topology().degradeSsd(0.1);
-    EXPECT_GT(pipe.estimate(256 * mib), 2 * estimate);
+    EXPECT_GT(plan.estimate(ssd, 256 * mib), 2 * estimate);
 }
 
 TEST(PrefetchPipeline, CancellationStopsFutureWindows)
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-    PrefetchPipeline pipe(tb.server(), 0);
-    PrefetchPipeline::Done done;
+    TransferPlan plan(tb.sim());
+    auto ssd = TransferPlan::ssdRoute(tb.server(), 0);
+    TransferPlan::Done done;
     bool fired = false;
-    auto id = pipe.start(512 * mib, 0,
-                         [&](const PrefetchPipeline::Done &d) {
+    auto id = plan.start(ssd, 512 * mib, 0,
+                         [&](const TransferPlan::Done &d) {
                              done = d;
                              fired = true;
                          });
-    EXPECT_TRUE(pipe.active(id));
+    EXPECT_TRUE(plan.active(id));
     // Predictor miss shortly after the stream starts.
     tb.sim().queue().schedule(msToTicks(5.0),
-                              [&] { EXPECT_TRUE(pipe.cancel(id)); });
+                              [&] { EXPECT_TRUE(plan.cancel(id)); });
     tb.sim().runUntil(secToTicks(10.0));
     ASSERT_TRUE(fired);
     EXPECT_TRUE(done.cancelled);
     EXPECT_LT(done.bytes, 512 * mib);
-    EXPECT_FALSE(pipe.active(id));
+    EXPECT_FALSE(plan.active(id));
     // A wound-down stream cannot be cancelled again.
-    EXPECT_FALSE(pipe.cancel(id));
-    const PrefetchStats &s = pipe.stats();
+    EXPECT_FALSE(plan.cancel(id));
+    const PrefetchStats &s = plan.stats();
     EXPECT_EQ(s.streamsCancelled, 1u);
     EXPECT_GT(s.windowsCancelled, 0u);
     // In-flight windows at cancel time are charged as waste.
@@ -318,17 +323,19 @@ TEST(PrefetchPipeline, CancellationStopsFutureWindows)
 TEST(PrefetchPipeline, SlotsReusedCleanlyAfterCancelledStream)
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-    PrefetchPipeline pipe(tb.server(), 0);
-    auto first = pipe.start(512 * mib, 0);
-    PrefetchPipeline::Done done;
+    TransferPlan plan(tb.sim());
+    auto ssd = TransferPlan::ssdRoute(tb.server(), 0);
+    auto first = plan.start(ssd, 512 * mib, 0);
+    TransferPlan::Done done;
     bool fired = false;
     // Cancel the first stream mid-flight and immediately start a
-    // second one: its windows queue on the same bounce buffers the
-    // first stream's in-flight windows still occupy.
+    // second one: its windows queue on the media and PCIe behind the
+    // first stream's in-flight windows, with bounce buffers of its
+    // own.
     tb.sim().queue().schedule(msToTicks(5.0), [&] {
-        pipe.cancel(first);
-        pipe.start(128 * mib, tb.sim().now(),
-                   [&](const PrefetchPipeline::Done &d) {
+        plan.cancel(first);
+        plan.start(ssd, 128 * mib, tb.sim().now(),
+                   [&](const TransferPlan::Done &d) {
                        done = d;
                        fired = true;
                    });
@@ -338,18 +345,19 @@ TEST(PrefetchPipeline, SlotsReusedCleanlyAfterCancelledStream)
     EXPECT_FALSE(done.cancelled);
     EXPECT_EQ(done.bytes, 128 * mib);
     EXPECT_GE(done.overlapEfficiency, 0.0);
-    EXPECT_EQ(pipe.stats().streamsCompleted, 1u);
-    EXPECT_EQ(pipe.stats().streamsCancelled, 1u);
-    EXPECT_EQ(pipe.stats().bytesStreamed, 128 * mib);
+    EXPECT_EQ(plan.stats().streamsCompleted, 1u);
+    EXPECT_EQ(plan.stats().streamsCancelled, 1u);
+    EXPECT_EQ(plan.stats().bytesStreamed, 128 * mib);
 }
 
 TEST(PrefetchPipeline, MediaFailureMidStreamWindsDownCancelled)
 {
     exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
-    PrefetchPipeline pipe(tb.server(), 0);
-    PrefetchPipeline::Done done;
+    TransferPlan plan(tb.sim());
+    auto ssd = TransferPlan::ssdRoute(tb.server(), 0);
+    TransferPlan::Done done;
     bool fired = false;
-    pipe.start(512 * mib, 0, [&](const PrefetchPipeline::Done &d) {
+    plan.start(ssd, 512 * mib, 0, [&](const TransferPlan::Done &d) {
         done = d;
         fired = true;
     });
