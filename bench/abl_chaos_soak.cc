@@ -14,7 +14,8 @@
  *    AND at the end: coordinator lease/refcount accounting consistent,
  *    no lease double-granted, every pinned registry chain homed on a
  *    live GPU (Coordinator::auditInvariants +
- *    PrefixRegistry::auditInvariants).
+ *    PrefixRegistry::auditInvariants). At the end, each journal must
+ *    also replay to its live service (recovery::replayDivergence).
  *  - Conservation: every corruption the hardware drew was detected at
  *    read time and repaired or recomputed — zero silent corruptions —
  *    and no tensor byte differs from the fault-free twin without a
@@ -45,6 +46,7 @@
 #include "exp/testbed.hh"
 #include "fault/fault.hh"
 #include "recovery/recovery_manager.hh"
+#include "recovery/replay_check.hh"
 #include "sim/logging.hh"
 #include "sim/ticks.hh"
 #include "stats/table.hh"
@@ -215,6 +217,15 @@ runSoak(std::uint64_t seed, const FaultPlan *plan, bool bare)
     producer.startHeartbeats(horizon);
     tb.sim().runUntil(horizon);
     audit("end");
+    // Replay equals live: each journal rebuilds its service exactly.
+    if (!bare) {
+        for (const std::string &v : recovery::replayDivergence(
+                 tb.coordinator(), *tb.coordinatorJournal()))
+            res.violations.push_back("end " + v);
+        for (const std::string &v : recovery::replayDivergence(
+                 registry, *tb.prefixRegistryJournal()))
+            res.violations.push_back("end " + v);
+    }
 
     for (core::TensorId id : ids)
         res.signatures.push_back(consumer.tensorSignature(id));

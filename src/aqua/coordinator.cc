@@ -11,12 +11,6 @@ using aqua::sim::panic;
 
 namespace {
 
-const char *
-placementName(Placement p)
-{
-    return p == Placement::PeerGpu ? "peer" : "dram";
-}
-
 Location
 locationFromJson(const json::Value &v, const char *placementKey,
                  const char *gpuKey)
@@ -33,38 +27,25 @@ void
 locationToJson(json::Value &v, const Location &loc,
                const char *placementKey, const char *gpuKey)
 {
-    v[placementKey] = std::string(placementName(loc.placement));
+    v[placementKey] = loc.placement == Placement::PeerGpu ? "peer" : "dram";
     v[gpuKey] = loc.gpu;
-}
-
-/** Fields of an order or done record: a tensor and its destination. */
-json::Value
-moveFields(TensorId id, const Location &to)
-{
-    json::Value f;
-    f["tensor"] = id;
-    locationToJson(f, to, "to", "to_gpu");
-    return f;
 }
 
 } // anonymous namespace
 
 void
-Coordinator::jlog(const char *op, json::Value fields)
+Coordinator::commitLocked(Record r)
 {
+    applyLocked(r);
     if (journal)
-        journal->append(op, std::move(fields));
+        journal->append(std::move(r));
 }
 
 void
 Coordinator::assignProducer(hw::GpuId consumer, hw::GpuId producer)
 {
     std::lock_guard<std::mutex> lock(mtx);
-    assignments[consumer] = producer;
-    json::Value f;
-    f["consumer"] = consumer;
-    f["producer"] = producer;
-    jlog("assign", std::move(f));
+    commitLocked(Assign{consumer, producer});
 }
 
 std::optional<hw::GpuId>
@@ -82,20 +63,13 @@ Coordinator::lease(hw::GpuId producer, std::uint64_t bytes,
                    aqua::sim::Tick now)
 {
     std::lock_guard<std::mutex> lock(mtx);
-    ProducerState &p = producers[producer];
     // An unfinished reclaim means consumers are still evacuating this
     // producer; a fresh offer would race the drain.
-    if (p.reclaimRequested && p.usedBytes > 0)
+    auto it = producers.find(producer);
+    if (it != producers.end() && it->second.reclaimRequested &&
+        it->second.usedBytes > 0)
         return LeaseResult::ReclaimOutstanding;
-    p.leasedBytes += bytes;
-    p.reclaimRequested = false;
-    p.alive = true;
-    p.lastHeartbeat = now;
-    json::Value f;
-    f["gpu"] = producer;
-    f["bytes"] = bytes;
-    f["now"] = static_cast<std::uint64_t>(now);
-    jlog("lease", std::move(f));
+    commitLocked(Lease{producer, bytes, now});
     return LeaseResult::Ok;
 }
 
@@ -117,10 +91,7 @@ void
 Coordinator::setLeaseTtl(aqua::sim::Tick newTtl)
 {
     std::lock_guard<std::mutex> lock(mtx);
-    ttl = newTtl;
-    json::Value f;
-    f["ticks"] = static_cast<std::uint64_t>(newTtl);
-    jlog("ttl", std::move(f));
+    commitLocked(Ttl{newTtl});
 }
 
 std::vector<hw::GpuId>
@@ -129,18 +100,11 @@ Coordinator::expireLeasesLocked(aqua::sim::Tick now)
     std::vector<hw::GpuId> expired;
     if (ttl == 0 || now == 0)
         return expired;
-    for (auto &[gpu, p] : producers) {
+    for (const auto &[gpu, p] : producers) {
         if (!p.alive || now <= p.lastHeartbeat + ttl)
             continue;
-        p.alive = false;
-        // Dead lease: the memory must come back regardless of what
-        // the (unreachable) producer wanted.
-        p.reclaimRequested = true;
-        p.reclaimUrgency = ReclaimUrgency::Urgent;
+        commitLocked(Expire{gpu});
         expired.push_back(gpu);
-        json::Value f;
-        f["gpu"] = gpu;
-        jlog("expire", std::move(f));
     }
     return expired;
 }
@@ -168,26 +132,18 @@ Coordinator::requestReclaim(hw::GpuId producer, ReclaimUrgency urgency)
     if (it == producers.end())
         panic("Coordinator::requestReclaim: unknown producer %d",
               producer);
-    ProducerState &p = it->second;
-    if (!p.reclaimRequested)
-        p.reclaimUrgency = urgency;
-    else if (urgency == ReclaimUrgency::Urgent)
-        p.reclaimUrgency = ReclaimUrgency::Urgent;
-    p.reclaimRequested = true;
-    json::Value f;
-    f["gpu"] = producer;
-    f["urgency"] = std::string(reclaimUrgencyName(p.reclaimUrgency));
-    jlog("reclaim", std::move(f));
+    // Urgency only ratchets up while a reclaim drains.
+    const ProducerState &p = it->second;
+    if (p.reclaimRequested && urgency == ReclaimUrgency::Graceful)
+        urgency = p.reclaimUrgency;
+    commitLocked(Reclaim{producer, urgency});
 }
 
 void
 Coordinator::setGracefulEvacBatch(std::size_t ordersPerRespond)
 {
     std::lock_guard<std::mutex> lock(mtx);
-    gracefulBatch = ordersPerRespond;
-    json::Value f;
-    f["n"] = static_cast<std::uint64_t>(ordersPerRespond);
-    jlog("evac_batch", std::move(f));
+    commitLocked(EvacBatch{ordersPerRespond});
 }
 
 bool
@@ -209,10 +165,7 @@ Coordinator::releaseLease(hw::GpuId producer)
         return ReleaseResult::UnknownProducer;
     if (it->second.usedBytes != 0)
         return ReleaseResult::StillOccupied;
-    producers.erase(it);
-    json::Value f;
-    f["gpu"] = producer;
-    jlog("release", std::move(f));
+    commitLocked(Release{producer});
     return ReleaseResult::Ok;
 }
 
@@ -238,27 +191,14 @@ Coordinator::allocateLocked(hw::GpuId consumer, std::uint64_t bytes)
             pit->second.usedBytes + bytes <= pit->second.leasedBytes) {
             loc.placement = Placement::PeerGpu;
             loc.gpu = assigned->second;
-            pit->second.usedBytes += bytes;
         }
     }
-    // Fallback: host DRAM, "just like previous work" (§3).
-    TensorState state;
-    state.id = nextTensor++;
-    state.consumer = consumer;
-    state.bytes = bytes;
-    state.location = loc;
-    tensors[state.id] = state;
-    // Outcome-carrying record: replay recreates the placement without
+    // Fallback: host DRAM, "just like previous work" (§3). The record
+    // carries the outcome: replay recreates the placement without
     // re-running the policy (producer occupancy may have changed).
-    if (journal) {
-        json::Value f;
-        f["tensor"] = state.id;
-        f["consumer"] = consumer;
-        f["bytes"] = bytes;
-        locationToJson(f, loc, "placement", "gpu");
-        jlog("alloc", std::move(f));
-    }
-    return Allocation{state.id, loc};
+    TensorId id = nextTensor;
+    commitLocked(Alloc{id, consumer, bytes, loc, false});
+    return Allocation{id, loc};
 }
 
 Coordinator::Allocation
@@ -282,18 +222,10 @@ Coordinator::free(TensorId id)
     if (t.migratingTo)
         panic("Coordinator::free: tensor %llu is mid-migration",
               static_cast<unsigned long long>(id));
-    if (t.location.placement == Placement::PeerGpu) {
-        auto pit = producers.find(t.location.gpu);
-        if (pit == producers.end())
-            panic("Coordinator::free: tensor on unknown producer");
-        pit->second.usedBytes -= t.bytes;
-    }
-    tensors.erase(it);
-    if (journal) {
-        json::Value f;
-        f["tensor"] = id;
-        jlog("free", std::move(f));
-    }
+    if (t.location.placement == Placement::PeerGpu &&
+        producers.find(t.location.gpu) == producers.end())
+        panic("Coordinator::free: tensor on unknown producer");
+    commitLocked(Free{id});
 }
 
 std::vector<MigrationOrder>
@@ -309,7 +241,7 @@ Coordinator::respond(hw::GpuId consumer, aqua::sim::Tick now)
     // iterations with the copies instead of taking a stop-the-world
     // flush. Urgent and emergency reclaims always flush everything.
     std::size_t gracefulIssued = 0;
-    for (auto &[id, t] : tensors) {
+    for (const auto &[id, t] : tensors) {
         if (t.consumer != consumer || t.migratingTo)
             continue;
         if (t.location.placement != Placement::PeerGpu)
@@ -331,11 +263,9 @@ Coordinator::respond(hw::GpuId consumer, aqua::sim::Tick now)
         order.to = Location{Placement::HostDram, hw::hostDramId};
         order.emergency = emergency;
         order.urgency = urgency;
-        t.migratingTo = order.to;
+        commitLocked(Order{id, order.to});
         if (urgency == ReclaimUrgency::Graceful)
             ++gracefulIssued;
-        if (journal)
-            jlog("order", moveFields(id, order.to));
         orders.push_back(order);
     }
 
@@ -346,8 +276,8 @@ Coordinator::respond(hw::GpuId consumer, aqua::sim::Tick now)
         auto pit = producers.find(assigned->second);
         if (pit != producers.end() && pit->second.alive &&
             !pit->second.reclaimRequested) {
-            ProducerState &p = pit->second;
-            for (auto &[id, t] : tensors) {
+            const ProducerState &p = pit->second;
+            for (const auto &[id, t] : tensors) {
                 if (t.consumer != consumer || t.migratingTo)
                     continue;
                 if (t.location.placement != Placement::HostDram)
@@ -361,12 +291,9 @@ Coordinator::respond(hw::GpuId consumer, aqua::sim::Tick now)
                 order.to =
                     Location{Placement::PeerGpu, assigned->second};
                 order.urgency = ReclaimUrgency::Graceful;
-                // Reserve destination space immediately so concurrent
-                // allocations cannot oversubscribe the lease.
-                p.usedBytes += t.bytes;
-                t.migratingTo = order.to;
-                if (journal)
-                    jlog("order", moveFields(id, order.to));
+                // The order reserves destination space immediately so
+                // concurrent allocations cannot oversubscribe the lease.
+                commitLocked(Order{id, order.to});
                 orders.push_back(order);
             }
         }
@@ -382,7 +309,7 @@ Coordinator::doneMoving(const MigrationOrder &order)
     if (it == tensors.end())
         panic("Coordinator::doneMoving: unknown tensor %llu",
               static_cast<unsigned long long>(order.tensor));
-    TensorState &t = it->second;
+    const TensorState &t = it->second;
     if (!t.migratingTo) {
         // Duplicate ack: a consumer re-delivers unacknowledged
         // /done_moving calls after REST failures, and a post-crash
@@ -398,17 +325,10 @@ Coordinator::doneMoving(const MigrationOrder &order)
     if (!(*t.migratingTo == order.to))
         panic("Coordinator::doneMoving: order does not match the "
               "in-flight migration");
-    // Release the source's lease bytes if it was on a producer.
-    if (t.location.placement == Placement::PeerGpu) {
-        auto pit = producers.find(t.location.gpu);
-        if (pit == producers.end())
-            panic("Coordinator::doneMoving: unknown source producer");
-        pit->second.usedBytes -= t.bytes;
-    }
-    t.location = order.to;
-    t.migratingTo.reset();
-    if (journal)
-        jlog("done", moveFields(order.tensor, order.to));
+    if (t.location.placement == Placement::PeerGpu &&
+        producers.find(t.location.gpu) == producers.end())
+        panic("Coordinator::doneMoving: unknown source producer");
+    commitLocked(Done{order.tensor, order.to});
 }
 
 Location
@@ -457,7 +377,7 @@ Coordinator::bytesInDram() const
 //
 
 void
-Coordinator::attachJournal(aqua::recovery::StateJournal *j)
+Coordinator::attachJournal(Journal *j)
 {
     std::lock_guard<std::mutex> lock(mtx);
     journal = j;
@@ -581,158 +501,122 @@ Coordinator::restoreState(const json::Value &snapshot)
 }
 
 void
-Coordinator::eraseTensorLocked(TensorId id)
+Coordinator::applyLocked(const Record &rec)
 {
-    auto it = tensors.find(id);
-    if (it == tensors.end())
-        return;
-    TensorState &t = it->second;
-    if (t.location.placement == Placement::PeerGpu) {
-        auto pit = producers.find(t.location.gpu);
+    // Return a tensor's bytes to the producer under @p loc, if any.
+    auto releaseBytes = [this](const Location &loc, std::uint64_t bytes) {
+        if (loc.placement != Placement::PeerGpu)
+            return;
+        auto pit = producers.find(loc.gpu);
         if (pit != producers.end())
-            pit->second.usedBytes -=
-                std::min(pit->second.usedBytes, t.bytes);
-    }
-    // A reserved promotion destination holds bytes too.
-    if (t.migratingTo &&
-        t.migratingTo->placement == Placement::PeerGpu) {
-        auto pit = producers.find(t.migratingTo->gpu);
-        if (pit != producers.end())
-            pit->second.usedBytes -=
-                std::min(pit->second.usedBytes, t.bytes);
-    }
-    tensors.erase(it);
-}
-
-void
-Coordinator::applyJournalRecordLocked(const std::string &op,
-                                      const json::Value &f)
-{
-    if (op == "assign") {
-        assignments[static_cast<hw::GpuId>(f.getInt("consumer", 0))] =
-            static_cast<hw::GpuId>(f.getInt("producer", 0));
-    } else if (op == "lease") {
-        ProducerState &p =
-            producers[static_cast<hw::GpuId>(f.getInt("gpu", 0))];
-        p.leasedBytes += static_cast<std::uint64_t>(f.getInt("bytes", 0));
-        p.reclaimRequested = false;
-        p.alive = true;
-        p.lastHeartbeat =
-            static_cast<aqua::sim::Tick>(f.getInt("now", 0));
-    } else if (op == "lease_set") {
-        ProducerState &p =
-            producers[static_cast<hw::GpuId>(f.getInt("gpu", 0))];
-        p.leasedBytes =
-            std::max(p.leasedBytes,
-                     static_cast<std::uint64_t>(f.getInt("bytes", 0)));
-        p.alive = true;
-        p.lastHeartbeat =
-            static_cast<aqua::sim::Tick>(f.getInt("now", 0));
-    } else if (op == "expire") {
-        auto it =
-            producers.find(static_cast<hw::GpuId>(f.getInt("gpu", 0)));
-        if (it != producers.end()) {
-            it->second.alive = false;
-            it->second.reclaimRequested = true;
-            it->second.reclaimUrgency = ReclaimUrgency::Urgent;
-        }
-    } else if (op == "reclaim") {
-        auto it =
-            producers.find(static_cast<hw::GpuId>(f.getInt("gpu", 0)));
-        if (it != producers.end()) {
-            it->second.reclaimRequested = true;
-            it->second.reclaimUrgency =
-                reclaimUrgencyFromName(f.getString("urgency", "urgent"));
-        }
-    } else if (op == "release") {
-        producers.erase(static_cast<hw::GpuId>(f.getInt("gpu", 0)));
-    } else if (op == "alloc" || op == "adopt") {
-        TensorState t;
-        t.id = static_cast<TensorId>(f.getInt("tensor", 0));
-        t.consumer = static_cast<hw::GpuId>(f.getInt("consumer", 0));
-        t.bytes = static_cast<std::uint64_t>(f.getInt("bytes", 0));
-        t.location = locationFromJson(f, "placement", "gpu");
-        tensors[t.id] = t;
-        nextTensor = std::max(nextTensor, t.id + 1);
-        if (t.location.placement == Placement::PeerGpu) {
-            ProducerState &p = producers[t.location.gpu];
-            p.usedBytes += t.bytes;
-            // An adopted tensor is physically resident: the effective
-            // lease covered it, whatever the journal remembered.
-            if (op == "adopt")
-                p.leasedBytes = std::max(p.leasedBytes, p.usedBytes);
-        }
-    } else if (op == "free" || op == "orphan") {
-        eraseTensorLocked(static_cast<TensorId>(f.getInt("tensor", 0)));
-    } else if (op == "order") {
-        auto it =
-            tensors.find(static_cast<TensorId>(f.getInt("tensor", 0)));
-        if (it != tensors.end()) {
-            Location to = locationFromJson(f, "to", "to_gpu");
-            it->second.migratingTo = to;
-            if (to.placement == Placement::PeerGpu)
-                producers[to.gpu].usedBytes += it->second.bytes;
-        }
-    } else if (op == "done") {
-        auto it =
-            tensors.find(static_cast<TensorId>(f.getInt("tensor", 0)));
-        if (it != tensors.end() && it->second.migratingTo) {
-            TensorState &t = it->second;
-            if (t.location.placement == Placement::PeerGpu) {
-                auto pit = producers.find(t.location.gpu);
-                if (pit != producers.end())
-                    pit->second.usedBytes -=
-                        std::min(pit->second.usedBytes, t.bytes);
-            }
-            t.location = *t.migratingTo;
-            t.migratingTo.reset();
-        }
-    } else if (op == "relocate") {
-        auto it =
-            tensors.find(static_cast<TensorId>(f.getInt("tensor", 0)));
-        if (it != tensors.end()) {
-            TensorState &t = it->second;
-            Location to = locationFromJson(f, "placement", "gpu");
-            if (t.migratingTo &&
-                t.migratingTo->placement == Placement::PeerGpu) {
-                auto pit = producers.find(t.migratingTo->gpu);
-                if (pit != producers.end())
-                    pit->second.usedBytes -=
-                        std::min(pit->second.usedBytes, t.bytes);
-            }
-            t.migratingTo.reset();
-            if (!(t.location == to)) {
-                if (t.location.placement == Placement::PeerGpu) {
-                    auto pit = producers.find(t.location.gpu);
-                    if (pit != producers.end())
-                        pit->second.usedBytes -= std::min(
-                            pit->second.usedBytes, t.bytes);
-                }
-                if (to.placement == Placement::PeerGpu) {
-                    ProducerState &p = producers[to.gpu];
+            pit->second.usedBytes -= std::min(pit->second.usedBytes, bytes);
+    };
+    std::visit(
+        recovery::Overloaded{
+            [&](const Assign &r) { assignments[r.consumer] = r.producer; },
+            [&](const Lease &r) {
+                ProducerState &p = producers[r.gpu];
+                p.leasedBytes += r.bytes;
+                p.reclaimRequested = false;
+                p.alive = true;
+                p.lastHeartbeat = r.now;
+            },
+            [&](const LeaseSet &r) {
+                ProducerState &p = producers[r.gpu];
+                p.leasedBytes = std::max(p.leasedBytes, r.bytes);
+                p.alive = true;
+                p.lastHeartbeat = r.now;
+            },
+            [&](const Ttl &r) { ttl = r.ticks; },
+            [&](const EvacBatch &r) { gracefulBatch = r.orders; },
+            [&](const Expire &r) {
+                auto it = producers.find(r.gpu);
+                if (it == producers.end())
+                    return;
+                // Dead lease: the memory must come back regardless of
+                // what the (unreachable) producer wanted.
+                it->second.alive = false;
+                it->second.reclaimRequested = true;
+                it->second.reclaimUrgency = ReclaimUrgency::Urgent;
+            },
+            [&](const Reclaim &r) {
+                auto it = producers.find(r.gpu);
+                if (it == producers.end())
+                    return;
+                it->second.reclaimRequested = true;
+                it->second.reclaimUrgency = r.urgency;
+            },
+            [&](const Release &r) { producers.erase(r.gpu); },
+            [&](const Alloc &r) {
+                tensors[r.tensor] =
+                    TensorState{r.tensor, r.consumer, r.bytes, r.location,
+                                std::nullopt};
+                nextTensor = std::max(nextTensor, r.tensor + 1);
+                if (r.location.placement != Placement::PeerGpu)
+                    return;
+                ProducerState &p = producers[r.location.gpu];
+                p.usedBytes += r.bytes;
+                if (r.adopt)
+                    p.leasedBytes = std::max(p.leasedBytes, p.usedBytes);
+            },
+            [&](const Free &r) {
+                auto it = tensors.find(r.tensor);
+                if (it == tensors.end())
+                    return;
+                const TensorState &t = it->second;
+                releaseBytes(t.location, t.bytes);
+                // A reserved promotion destination holds bytes too.
+                if (t.migratingTo)
+                    releaseBytes(*t.migratingTo, t.bytes);
+                tensors.erase(it);
+            },
+            [&](const Order &r) {
+                auto it = tensors.find(r.tensor);
+                if (it == tensors.end())
+                    return;
+                it->second.migratingTo = r.to;
+                if (r.to.placement == Placement::PeerGpu)
+                    producers[r.to.gpu].usedBytes += it->second.bytes;
+            },
+            [&](const Done &r) {
+                auto it = tensors.find(r.tensor);
+                if (it == tensors.end() || !it->second.migratingTo)
+                    return;
+                TensorState &t = it->second;
+                // The source's lease bytes come back.
+                releaseBytes(t.location, t.bytes);
+                t.location = r.to;
+                t.migratingTo.reset();
+            },
+            [&](const Relocate &r) {
+                auto it = tensors.find(r.tensor);
+                if (it == tensors.end())
+                    return;
+                TensorState &t = it->second;
+                // Drop any in-flight migration, releasing a reserved
+                // promotion destination.
+                if (t.migratingTo)
+                    releaseBytes(*t.migratingTo, t.bytes);
+                t.migratingTo.reset();
+                if (t.location == r.location)
+                    return;
+                releaseBytes(t.location, t.bytes);
+                if (r.location.placement == Placement::PeerGpu) {
+                    ProducerState &p = producers[r.location.gpu];
                     p.usedBytes += t.bytes;
-                    p.leasedBytes =
-                        std::max(p.leasedBytes, p.usedBytes);
+                    p.leasedBytes = std::max(p.leasedBytes, p.usedBytes);
                 }
-                t.location = to;
-            }
-        }
-    } else if (op == "ttl") {
-        ttl = static_cast<aqua::sim::Tick>(f.getInt("ticks", 0));
-    } else if (op == "evac_batch") {
-        gracefulBatch = static_cast<std::size_t>(f.getInt("n", 0));
-    } else {
-        panic("Coordinator::applyJournalRecord: unknown op '%s'",
-              op.c_str());
-    }
+                t.location = r.location;
+            },
+        },
+        rec);
 }
 
 void
-Coordinator::applyJournalRecord(const std::string &op,
-                                const json::Value &fields)
+Coordinator::apply(const Record &r)
 {
     std::lock_guard<std::mutex> lock(mtx);
-    applyJournalRecordLocked(op, fields);
+    applyLocked(r);
 }
 
 Coordinator::ResyncSummary
@@ -744,89 +628,36 @@ Coordinator::resync(hw::GpuId gpu,
     std::lock_guard<std::mutex> lock(mtx);
     ResyncSummary out;
     if (leaseBytes) {
-        ProducerState &p = producers[gpu];
-        out.leaseAdopted = *leaseBytes > p.leasedBytes;
-        p.leasedBytes = std::max(p.leasedBytes, *leaseBytes);
-        p.alive = true;
-        p.lastHeartbeat = now;
-        json::Value f;
-        f["gpu"] = gpu;
-        f["bytes"] = p.leasedBytes;
-        f["now"] = static_cast<std::uint64_t>(now);
-        jlog("lease_set", std::move(f));
+        auto it = producers.find(gpu);
+        out.leaseAdopted =
+            *leaseBytes > (it == producers.end() ? 0 : it->second.leasedBytes);
+        commitLocked(LeaseSet{gpu, *leaseBytes, now});
     }
     for (const SurvivorTensor &st : held) {
         auto it = tensors.find(st.id);
         if (it == tensors.end()) {
             // The journal lost this allocation (dropped tail). The
             // survivor physically holds the bytes: adopt it.
-            TensorState t;
-            t.id = st.id;
-            t.consumer = gpu;
-            t.bytes = st.bytes;
-            t.location = st.location;
-            tensors[t.id] = t;
-            nextTensor = std::max(nextTensor, t.id + 1);
-            if (t.location.placement == Placement::PeerGpu) {
-                ProducerState &p = producers[t.location.gpu];
-                p.usedBytes += t.bytes;
-                p.leasedBytes = std::max(p.leasedBytes, p.usedBytes);
-            }
-            json::Value f;
-            f["tensor"] = t.id;
-            f["consumer"] = gpu;
-            f["bytes"] = t.bytes;
-            locationToJson(f, t.location, "placement", "gpu");
-            jlog("adopt", std::move(f));
+            commitLocked(Alloc{st.id, gpu, st.bytes, st.location, true});
             ++out.adopted;
             continue;
         }
-        TensorState &t = it->second;
-        bool hadMigration = t.migratingTo.has_value();
+        const TensorState &t = it->second;
         bool moved = !(t.location == st.location);
-        if (!hadMigration && !moved) {
-            ++out.confirmed;
-            continue;
-        }
-        // Survivor truth: drop any journaled in-flight migration
-        // (releasing a reserved promotion destination) and put the
-        // tensor where the survivor says it is.
-        if (t.migratingTo &&
-            t.migratingTo->placement == Placement::PeerGpu) {
-            auto pit = producers.find(t.migratingTo->gpu);
-            if (pit != producers.end())
-                pit->second.usedBytes -=
-                    std::min(pit->second.usedBytes, t.bytes);
-        }
-        t.migratingTo.reset();
-        if (moved) {
-            if (t.location.placement == Placement::PeerGpu) {
-                auto pit = producers.find(t.location.gpu);
-                if (pit != producers.end())
-                    pit->second.usedBytes -=
-                        std::min(pit->second.usedBytes, t.bytes);
-            }
-            if (st.location.placement == Placement::PeerGpu) {
-                ProducerState &p = producers[st.location.gpu];
-                p.usedBytes += t.bytes;
-                p.leasedBytes = std::max(p.leasedBytes, p.usedBytes);
-            }
-            t.location = st.location;
+        if (moved)
             ++out.relocated;
-        } else {
+        else
             ++out.confirmed;
-        }
-        json::Value f;
-        f["tensor"] = t.id;
-        locationToJson(f, t.location, "placement", "gpu");
-        jlog("relocate", std::move(f));
+        // Survivor truth: drop any journaled in-flight migration and
+        // put the tensor where the survivor says it is.
+        if (moved || t.migratingTo)
+            commitLocked(Relocate{st.id, st.location});
     }
     return out;
 }
 
 Coordinator::OrphanSweep
-Coordinator::sweepOrphans(const std::vector<hw::GpuId> &reporters,
-                          aqua::sim::Tick now)
+Coordinator::sweepOrphans(const std::vector<hw::GpuId> &reporters)
 {
     std::lock_guard<std::mutex> lock(mtx);
     OrphanSweep out;
@@ -839,25 +670,16 @@ Coordinator::sweepOrphans(const std::vector<hw::GpuId> &reporters,
         if (!reported(t.consumer))
             orphans.push_back(id);
     for (TensorId id : orphans) {
-        out.droppedBytes += tensors[id].bytes;
-        eraseTensorLocked(id);
-        json::Value f;
-        f["tensor"] = id;
-        jlog("orphan", std::move(f));
+        out.droppedBytes += tensors.at(id).bytes;
+        commitLocked(Free{id});
         ++out.droppedTensors;
     }
-    for (auto &[gpu, p] : producers) {
+    for (const auto &[gpu, p] : producers) {
         if (reported(gpu) || !p.alive)
             continue;
         // The donor never resynced: treat its lease as dead so any
         // resident tensors evacuate as emergencies.
-        p.alive = false;
-        p.reclaimRequested = true;
-        p.reclaimUrgency = ReclaimUrgency::Urgent;
-        p.lastHeartbeat = now;
-        json::Value f;
-        f["gpu"] = gpu;
-        jlog("expire", std::move(f));
+        commitLocked(Expire{gpu});
         ++out.deadProducers;
     }
     return out;

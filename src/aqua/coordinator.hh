@@ -22,6 +22,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <variant>
 #include <vector>
 
 #include "aqua/types.hh"
@@ -30,6 +31,7 @@
 #include "sim/ticks.hh"
 
 namespace aqua::recovery {
+template <class Record>
 class StateJournal;
 } // namespace aqua::recovery
 
@@ -243,14 +245,96 @@ class Coordinator
     std::uint64_t bytesInDram() const;
 
     //
-    // Crash recovery (src/recovery). Every durable mutation is written
-    // through the attached journal; a cold restart restores the
-    // snapshot, replays the pending tail, then reconciles against
-    // survivor resync reports.
+    // Crash recovery (src/recovery). Every durable mutation is one
+    // Record, apply()d live and on replay alike (state_journal.hh).
+    // Heartbeats are soft state: /heartbeat rewrites lastHeartbeat and
+    // alive without a record, and a resync's LeaseSet re-asserts both.
     //
 
+    /** @p consumer is statically paired with @p producer. */
+    struct Assign
+    {
+        hw::GpuId consumer = hw::hostDramId;
+        hw::GpuId producer = hw::hostDramId;
+    };
+    /** A producer offered @p bytes more; the lease revives at @p now. */
+    struct Lease
+    {
+        hw::GpuId gpu = hw::hostDramId;
+        std::uint64_t bytes = 0;
+        aqua::sim::Tick now = 0;
+    };
+    /** A resyncing donor re-asserted a lease of at least @p bytes. */
+    struct LeaseSet
+    {
+        hw::GpuId gpu = hw::hostDramId;
+        std::uint64_t bytes = 0;
+        aqua::sim::Tick now = 0;
+    };
+    struct Ttl
+    {
+        aqua::sim::Tick ticks = 0;
+    };
+    struct EvacBatch
+    {
+        std::size_t orders = 0;
+    };
+    /** The lease died (TTL expiry, or a donor that never resynced). */
+    struct Expire
+    {
+        hw::GpuId gpu = hw::hostDramId;
+    };
+    /** A reclaim raised, at its ratcheted urgency. */
+    struct Reclaim
+    {
+        hw::GpuId gpu = hw::hostDramId;
+        ReclaimUrgency urgency = ReclaimUrgency::Urgent;
+    };
+    struct Release
+    {
+        hw::GpuId gpu = hw::hostDramId;
+    };
+    /** A tensor placed (the policy's outcome). An adopted one comes from
+     *  a survivor's report; the lease grows to cover it. */
+    struct Alloc
+    {
+        TensorId tensor = invalidTensor;
+        hw::GpuId consumer = hw::hostDramId;
+        std::uint64_t bytes = 0;
+        Location location;
+        bool adopt = false;
+    };
+    /** A tensor dropped: freed, or swept as an orphan. */
+    struct Free
+    {
+        TensorId tensor = invalidTensor;
+    };
+    /** A migration order issued; a peer destination is reserved. */
+    struct Order
+    {
+        TensorId tensor = invalidTensor;
+        Location to;
+    };
+    /** A migration landed at @p to. */
+    struct Done
+    {
+        TensorId tensor = invalidTensor;
+        Location to;
+    };
+    /** Survivor truth: the tensor sits at @p location with no
+     *  migration in flight. */
+    struct Relocate
+    {
+        TensorId tensor = invalidTensor;
+        Location location;
+    };
+    using Record =
+        std::variant<Assign, Lease, LeaseSet, Ttl, EvacBatch, Expire,
+                     Reclaim, Release, Alloc, Free, Order, Done, Relocate>;
+    using Journal = aqua::recovery::StateJournal<Record>;
+
     /** Attach (or detach, with nullptr) the write-ahead journal. */
-    void attachJournal(aqua::recovery::StateJournal *j);
+    void attachJournal(Journal *j);
 
     /** Full-state export, suitable as a journal snapshot. */
     json::Value exportState() const;
@@ -262,9 +346,9 @@ class Coordinator
     /** Restore a full-state export taken by exportState(). */
     void restoreState(const json::Value &snapshot);
 
-    /** Re-apply one journaled mutation (replay; never re-journaled). */
-    void applyJournalRecord(const std::string &op,
-                            const json::Value &fields);
+    /** Apply one record: the only change to journaled state, live
+     *  and on replay (never re-journaled). */
+    void apply(const Record &r);
 
     /** One tensor a survivor reports holding, with where it lives. */
     struct SurvivorTensor
@@ -315,8 +399,7 @@ class Coordinator
      * recomputes on return) and their leases marked dead so resident
      * tensors evacuate as emergencies.
      */
-    OrphanSweep sweepOrphans(const std::vector<hw::GpuId> &reporters,
-                             aqua::sim::Tick now);
+    OrphanSweep sweepOrphans(const std::vector<hw::GpuId> &reporters);
 
     /**
      * Global safety audit: per-producer used-byte accounting must
@@ -340,12 +423,10 @@ class Coordinator
 
     Allocation allocateLocked(hw::GpuId consumer, std::uint64_t bytes);
     std::vector<hw::GpuId> expireLeasesLocked(aqua::sim::Tick now);
-    void applyJournalRecordLocked(const std::string &op,
-                                  const json::Value &fields);
-    /** Journal one mutation (no-op without an attached journal). */
-    void jlog(const char *op, json::Value fields);
+    void applyLocked(const Record &r);
+    /** Apply @p r, then journal it (if a journal is attached). */
+    void commitLocked(Record r);
     json::Value exportStateLocked() const;
-    void eraseTensorLocked(TensorId id);
 
     mutable std::mutex mtx;
     TensorId nextTensor = 1;
@@ -354,7 +435,7 @@ class Coordinator
     std::map<hw::GpuId, ProducerState> producers;
     std::map<hw::GpuId, hw::GpuId> assignments;
     std::map<TensorId, TensorState> tensors;
-    aqua::recovery::StateJournal *journal = nullptr;
+    Journal *journal = nullptr;
 };
 
 } // namespace aqua::core

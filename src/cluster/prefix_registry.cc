@@ -16,24 +16,32 @@ PrefixRegistry::gpuAlive(hw::GpuId gpu) const
 }
 
 void
-PrefixRegistry::jlog(const char *op, json::Value fields)
+PrefixRegistry::commit(Record r)
 {
+    apply(r);
     if (journal)
-        journal->append(op, std::move(fields));
+        journal->append(std::move(r));
 }
 
 void
 PrefixRegistry::traceChain(Tick now, const char *category,
                            const Chain &chain)
 {
+    traceChain(now, category, chain, chain.home, chain.replicas.size());
+}
+
+void
+PrefixRegistry::traceChain(Tick now, const char *category,
+                           const Chain &chain, hw::GpuId home,
+                           std::size_t replicas)
+{
     if (!tracer)
         return;
     json::Object fields;
     fields["chain"] = static_cast<std::int64_t>(chain.key);
-    fields["home"] = chain.home;
+    fields["home"] = home;
     fields["blocks"] = static_cast<std::int64_t>(chain.blocks);
-    fields["replicas"] =
-        static_cast<std::int64_t>(chain.replicas.size());
+    fields["replicas"] = static_cast<std::int64_t>(replicas);
     tracer->emit(now, category, json::Value(std::move(fields)));
 }
 
@@ -54,26 +62,8 @@ PrefixRegistry::publish(hw::GpuId gpu, std::uint64_t key,
         it = chains.end();
     }
     if (it == chains.end()) {
-        Chain chain;
-        chain.key = key;
-        chain.verify = verify;
-        chain.blocks = blocks;
-        chain.tokens = tokens;
-        chain.bytes = bytes;
-        chain.chainSig = chainSig;
-        chain.home = gpu;
-        chain.publishers = 1;
-        traceChain(now, "registry_home", chain);
-        json::Value f;
-        f["key"] = key;
-        f["verify"] = verify;
-        f["blocks"] = blocks;
-        f["tokens"] = tokens;
-        f["bytes"] = bytes;
-        f["chain_sig"] = chainSig;
-        f["home"] = gpu;
-        jlog("home", std::move(f));
-        chains.emplace(key, std::move(chain));
+        commit(Home{key, verify, blocks, tokens, bytes, chainSig, gpu});
+        traceChain(now, "registry_home", chains.at(key));
         if (observer.published)
             observer.published(key, verify, blocks, tokens, bytes,
                                chainSig);
@@ -88,13 +78,8 @@ PrefixRegistry::publish(hw::GpuId gpu, std::uint64_t key,
         return {PublishRole::Home, gpu};
     if (std::find(chain.replicas.begin(), chain.replicas.end(), gpu) ==
         chain.replicas.end()) {
-        chain.replicas.push_back(gpu);
-        ++chain.publishers;
+        commit(Replica{key, gpu});
         ++counters.replicaPublishes;
-        json::Value f;
-        f["key"] = key;
-        f["gpu"] = gpu;
-        jlog("replica", std::move(f));
     }
     return {PublishRole::Replica, chain.home};
 }
@@ -183,41 +168,38 @@ PrefixRegistry::pin(hw::GpuId consumer, std::uint64_t key,
             return {};
         }
     }
-    std::uint64_t id = nextPin++;
-    chain.pins.emplace(id, consumer);
-    pinChain.emplace(id, chain.key);
+    std::uint64_t id = nextPin;
+    commit(Pin{id, chain.key, consumer});
     ++counters.pins;
-    json::Value f;
-    f["pin"] = id;
-    f["key"] = chain.key;
-    f["gpu"] = consumer;
-    jlog("pin", std::move(f));
     return {true, id, chain.home};
+}
+
+bool
+PrefixRegistry::dropPin(std::uint64_t pin)
+{
+    auto ref = pinChain.find(pin);
+    if (ref == pinChain.end())
+        return false;
+    std::uint64_t key = ref->second;
+    commit(Unpin{pin});
+    auto it = chains.find(key);
+    if (it == chains.end())
+        return true;
+    const Chain &chain = it->second;
+    if (chain.pins.empty() && gpuAlive(chain.home)) {
+        auto agent = agents.find(chain.home);
+        if (agent != agents.end())
+            agent->second.setPinned(chain.key, false);
+    }
+    return true;
 }
 
 void
 PrefixRegistry::unpin(std::uint64_t pin, Tick now)
 {
     (void)now;
-    auto ref = pinChain.find(pin);
-    if (ref == pinChain.end())
-        return;
-    std::uint64_t key = ref->second;
-    pinChain.erase(ref);
-    ++counters.unpins;
-    json::Value f;
-    f["pin"] = pin;
-    jlog("unpin", std::move(f));
-    auto it = chains.find(key);
-    if (it == chains.end())
-        return;
-    Chain &chain = it->second;
-    chain.pins.erase(pin);
-    if (chain.pins.empty() && gpuAlive(chain.home)) {
-        auto agent = agents.find(chain.home);
-        if (agent != agents.end())
-            agent->second.setPinned(chain.key, false);
-    }
+    if (dropPin(pin))
+        ++counters.unpins;
 }
 
 void
@@ -232,36 +214,31 @@ PrefixRegistry::breakPins(Chain &chain)
 bool
 PrefixRegistry::promoteOrInvalidate(Chain &chain, Tick now)
 {
-    breakPins(chain);
-    while (!chain.replicas.empty()) {
-        hw::GpuId next = chain.replicas.front();
-        chain.replicas.erase(chain.replicas.begin());
-        --chain.publishers;
+    // Ask the replicas in publish order until one accepts. The walk
+    // reads a copy and the chain changes only in apply(): an agent's
+    // promote can re-enter evictNotify, but only for chains its engine
+    // homes, and this one it holds as a replica.
+    const std::uint64_t key = chain.key;
+    const hw::GpuId oldHome = chain.home;
+    const std::vector<hw::GpuId> candidates = chain.replicas;
+    for (hw::GpuId next : candidates) {
         if (!gpuAlive(next))
             continue;
         auto agent = agents.find(next);
-        if (agent == agents.end() ||
-            !agent->second.promote(chain.key))
+        if (agent == agents.end() || !agent->second.promote(key))
             continue;
-        traceChain(now, "registry_unhome", chain);
-        chain.home = next;
+        commit(Promote{key, next});
         ++counters.promotions;
+        traceChain(now, "registry_unhome", chain, oldHome,
+                   chain.replicas.size());
         traceChain(now, "registry_promote", chain);
         traceChain(now, "registry_home", chain);
-        json::Value f;
-        f["key"] = chain.key;
-        f["home"] = next;
-        jlog("promote", std::move(f));
         return true;
     }
     ++counters.invalidations;
-    traceChain(now, "registry_unhome", chain);
-    traceChain(now, "registry_invalidate", chain);
-    std::uint64_t key = chain.key;
-    json::Value f;
-    f["key"] = key;
-    jlog("invalidate", std::move(f));
-    chains.erase(key);
+    traceChain(now, "registry_unhome", chain, oldHome, 0);
+    traceChain(now, "registry_invalidate", chain, oldHome, 0);
+    commit(Invalidate{key});
     if (observer.invalidated)
         observer.invalidated(key);
     return false;
@@ -279,14 +256,8 @@ PrefixRegistry::evictNotify(hw::GpuId gpu, std::uint64_t key,
     if (gpu != chain.home) {
         auto pos = std::find(chain.replicas.begin(),
                              chain.replicas.end(), gpu);
-        if (pos != chain.replicas.end()) {
-            chain.replicas.erase(pos);
-            --chain.publishers;
-            json::Value f;
-            f["key"] = chain.key;
-            f["gpu"] = gpu;
-            jlog("replica_drop", std::move(f));
-        }
+        if (pos != chain.replicas.end())
+            commit(ReplicaDrop{chain.key, gpu});
         return EvictAction::Ignored;
     }
     return promoteOrInvalidate(chain, now) ? EvictAction::Promoted
@@ -308,39 +279,15 @@ PrefixRegistry::onGpuFailed(hw::GpuId gpu, Tick now)
             stale.push_back(id);
     }
     for (std::uint64_t id : stale) {
-        auto ref = pinChain.find(id);
-        if (ref == pinChain.end())
-            continue;
-        std::uint64_t key = ref->second;
-        pinChain.erase(ref);
-        ++counters.brokenPins;
-        json::Value jf;
-        jf["pin"] = id;
-        jlog("unpin", std::move(jf));
-        auto it = chains.find(key);
-        if (it == chains.end())
-            continue;
-        Chain &chain = it->second;
-        chain.pins.erase(id);
-        if (chain.pins.empty() && gpuAlive(chain.home)) {
-            auto agent = agents.find(chain.home);
-            if (agent != agents.end())
-                agent->second.setPinned(chain.key, false);
-        }
+        if (dropPin(id))
+            ++counters.brokenPins;
     }
 
     std::vector<std::uint64_t> homed;
-    for (auto &[key, chain] : chains) {
-        auto pos = std::find(chain.replicas.begin(),
-                             chain.replicas.end(), gpu);
-        if (pos != chain.replicas.end()) {
-            chain.replicas.erase(pos);
-            --chain.publishers;
-            json::Value f;
-            f["key"] = key;
-            f["gpu"] = gpu;
-            jlog("replica_drop", std::move(f));
-        }
+    for (const auto &[key, chain] : chains) {
+        if (std::find(chain.replicas.begin(), chain.replicas.end(),
+                      gpu) != chain.replicas.end())
+            commit(ReplicaDrop{key, gpu});
         if (chain.home == gpu)
             homed.push_back(key);
     }
@@ -394,8 +341,9 @@ PrefixRegistry::chainRefs(std::uint64_t key) const
     auto it = chains.find(key & keyMask);
     if (it == chains.end())
         return 0;
-    return it->second.publishers +
-           static_cast<std::uint32_t>(it->second.pins.size());
+    // Publishers (the home and its replicas) plus pins.
+    return static_cast<std::uint32_t>(1 + it->second.replicas.size() +
+                                      it->second.pins.size());
 }
 
 //
@@ -403,7 +351,7 @@ PrefixRegistry::chainRefs(std::uint64_t key) const
 //
 
 void
-PrefixRegistry::attachJournal(aqua::recovery::StateJournal *j)
+PrefixRegistry::attachJournal(Journal *j)
 {
     journal = j;
     if (journal)
@@ -433,11 +381,8 @@ PrefixRegistry::exportState() const
         e["bytes"] = c.bytes;
         e["chain_sig"] = c.chainSig;
         e["home"] = c.home;
-        e["publishers"] = c.publishers;
-        json::Array reps;
-        for (hw::GpuId r : c.replicas)
-            reps.push_back(json::Value(r));
-        e["replicas"] = json::Value(std::move(reps));
+        e["replicas"] =
+            json::Value(json::Array(c.replicas.begin(), c.replicas.end()));
         json::Array pins;
         for (const auto &[id, consumer] : c.pins) {
             json::Value p;
@@ -479,8 +424,6 @@ PrefixRegistry::restoreState(const json::Value &snapshot)
             c.chainSig =
                 static_cast<std::uint64_t>(e.getInt("chain_sig", 0));
             c.home = static_cast<hw::GpuId>(e.getInt("home", 0));
-            c.publishers =
-                static_cast<std::uint32_t>(e.getInt("publishers", 1));
             if (const json::Value *reps = e.find("replicas"))
                 for (const json::Value &r : reps->asArray())
                     c.replicas.push_back(
@@ -500,90 +443,77 @@ PrefixRegistry::restoreState(const json::Value &snapshot)
 }
 
 void
-PrefixRegistry::applyJournalRecord(const std::string &op,
-                                   const json::Value &f)
+PrefixRegistry::apply(const Record &rec)
 {
-    std::uint64_t key = static_cast<std::uint64_t>(f.getInt("key", 0));
-    if (op == "home") {
-        Chain c;
-        c.key = key;
-        c.verify = static_cast<std::uint64_t>(f.getInt("verify", 0));
-        c.blocks = static_cast<std::uint32_t>(f.getInt("blocks", 0));
-        c.tokens = static_cast<std::uint64_t>(f.getInt("tokens", 0));
-        c.bytes = static_cast<std::uint64_t>(f.getInt("bytes", 0));
-        c.chainSig =
-            static_cast<std::uint64_t>(f.getInt("chain_sig", 0));
-        c.home = static_cast<hw::GpuId>(f.getInt("home", 0));
-        c.publishers = 1;
-        chains[key] = std::move(c);
-    } else if (op == "replica") {
-        auto it = chains.find(key);
-        if (it != chains.end()) {
-            it->second.replicas.push_back(
-                static_cast<hw::GpuId>(f.getInt("gpu", 0)));
-            ++it->second.publishers;
-        }
-    } else if (op == "replica_drop") {
-        auto it = chains.find(key);
-        if (it != chains.end()) {
-            Chain &c = it->second;
-            auto pos = std::find(
-                c.replicas.begin(), c.replicas.end(),
-                static_cast<hw::GpuId>(f.getInt("gpu", 0)));
-            if (pos != c.replicas.end()) {
-                c.replicas.erase(pos);
-                --c.publishers;
-            }
-        }
-    } else if (op == "promote") {
-        auto it = chains.find(key);
-        if (it != chains.end()) {
-            Chain &c = it->second;
-            breakPins(c);
-            // Live promotion pops (and discards) replicas from the
-            // front until one accepts; replay replicates that walk.
-            hw::GpuId home =
-                static_cast<hw::GpuId>(f.getInt("home", 0));
-            while (!c.replicas.empty()) {
-                hw::GpuId next = c.replicas.front();
-                c.replicas.erase(c.replicas.begin());
-                --c.publishers;
-                if (next == home)
-                    break;
-            }
-            c.home = home;
-        }
-    } else if (op == "invalidate") {
-        auto it = chains.find(key);
-        if (it != chains.end()) {
-            breakPins(it->second);
-            chains.erase(it);
-        }
-    } else if (op == "pin") {
-        auto it = chains.find(key);
-        std::uint64_t id =
-            static_cast<std::uint64_t>(f.getInt("pin", 0));
-        if (it != chains.end()) {
-            it->second.pins.emplace(
-                id, static_cast<hw::GpuId>(f.getInt("gpu", 0)));
-            pinChain.emplace(id, key);
-        }
-        nextPin = std::max(nextPin, id + 1);
-    } else if (op == "unpin") {
-        std::uint64_t id =
-            static_cast<std::uint64_t>(f.getInt("pin", 0));
-        auto ref = pinChain.find(id);
-        if (ref != pinChain.end()) {
-            auto it = chains.find(ref->second);
-            if (it != chains.end())
-                it->second.pins.erase(id);
-            pinChain.erase(ref);
-        }
-    } else {
-        aqua::sim::panic(
-            "PrefixRegistry::applyJournalRecord: unknown op '%s'",
-            op.c_str());
-    }
+    std::visit(
+        recovery::Overloaded{
+            [&](const Home &r) {
+                chains[r.key] = Chain{.key = r.key,
+                                      .verify = r.verify,
+                                      .blocks = r.blocks,
+                                      .tokens = r.tokens,
+                                      .bytes = r.bytes,
+                                      .chainSig = r.chainSig,
+                                      .home = r.home,
+                                      .replicas = {},
+                                      .pins = {}};
+            },
+            [&](const Replica &r) {
+                auto it = chains.find(r.key);
+                if (it == chains.end())
+                    return;
+                it->second.replicas.push_back(r.gpu);
+            },
+            [&](const ReplicaDrop &r) {
+                auto it = chains.find(r.key);
+                if (it == chains.end())
+                    return;
+                Chain &c = it->second;
+                auto pos = std::find(c.replicas.begin(), c.replicas.end(),
+                                     r.gpu);
+                if (pos != c.replicas.end())
+                    c.replicas.erase(pos);
+            },
+            [&](const Promote &r) {
+                auto it = chains.find(r.key);
+                if (it == chains.end())
+                    return;
+                Chain &c = it->second;
+                breakPins(c);
+                // The replicas asked before the new home (they refused
+                // or were dead) go with it.
+                auto pos = std::find(c.replicas.begin(), c.replicas.end(),
+                                     r.home);
+                c.replicas.erase(c.replicas.begin(),
+                                 pos == c.replicas.end() ? pos : pos + 1);
+                c.home = r.home;
+            },
+            [&](const Invalidate &r) {
+                auto it = chains.find(r.key);
+                if (it == chains.end())
+                    return;
+                breakPins(it->second);
+                chains.erase(it);
+            },
+            [&](const Pin &r) {
+                auto it = chains.find(r.key);
+                if (it != chains.end()) {
+                    it->second.pins.emplace(r.pin, r.gpu);
+                    pinChain.emplace(r.pin, r.key);
+                }
+                nextPin = std::max(nextPin, r.pin + 1);
+            },
+            [&](const Unpin &r) {
+                auto ref = pinChain.find(r.pin);
+                if (ref == pinChain.end())
+                    return;
+                auto it = chains.find(ref->second);
+                if (it != chains.end())
+                    it->second.pins.erase(r.pin);
+                pinChain.erase(ref);
+            },
+        },
+        rec);
 }
 
 PrefixRegistry::ResyncSummary

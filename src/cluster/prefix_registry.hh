@@ -24,6 +24,7 @@
 #include <functional>
 #include <map>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "hw/gpu.hh"
@@ -32,6 +33,7 @@
 #include "trace/trace.hh"
 
 namespace aqua::recovery {
+template <class Record>
 class StateJournal;
 } // namespace aqua::recovery
 
@@ -254,11 +256,65 @@ class PrefixRegistry
     std::uint32_t chainRefs(std::uint64_t key) const;
 
     //
-    // Crash recovery (src/recovery).
+    // Crash recovery (src/recovery). Every change to the chain and pin
+    // maps is one Record, apply()d live and on replay alike; live
+    // methods only decide (ask agents, walk replicas).
     //
 
+    /** A chain gained a home (first publisher, or a fresh publisher
+     *  after its dead home's chain was invalidated). */
+    struct Home
+    {
+        std::uint64_t key = 0;
+        std::uint64_t verify = 0;
+        std::uint32_t blocks = 0;
+        std::uint64_t tokens = 0;
+        std::uint64_t bytes = 0;
+        std::uint64_t chainSig = 0;
+        hw::GpuId home = hw::hostDramId;
+    };
+    /** @p gpu published a copy of a chain homed elsewhere. */
+    struct Replica
+    {
+        std::uint64_t key = 0;
+        hw::GpuId gpu = hw::hostDramId;
+    };
+    /** @p gpu dropped its replica copy. */
+    struct ReplicaDrop
+    {
+        std::uint64_t key = 0;
+        hw::GpuId gpu = hw::hostDramId;
+    };
+    /** The home died or evicted and the replica @p home took over:
+     *  pins break, and every replica ahead of it in publish order
+     *  (refused or dead) is dropped with it. */
+    struct Promote
+    {
+        std::uint64_t key = 0;
+        hw::GpuId home = hw::hostDramId;
+    };
+    /** No copy left: pins break and the chain is gone. */
+    struct Invalidate
+    {
+        std::uint64_t key = 0;
+    };
+    /** Read lease @p pin on a chain, held by @p gpu. */
+    struct Pin
+    {
+        std::uint64_t pin = 0;
+        std::uint64_t key = 0;
+        hw::GpuId gpu = hw::hostDramId;
+    };
+    struct Unpin
+    {
+        std::uint64_t pin = 0;
+    };
+    using Record = std::variant<Home, Replica, ReplicaDrop, Promote,
+                                Invalidate, Pin, Unpin>;
+    using Journal = aqua::recovery::StateJournal<Record>;
+
     /** Attach (or detach, with nullptr) the write-ahead journal. */
-    void attachJournal(aqua::recovery::StateJournal *j);
+    void attachJournal(Journal *j);
 
     /** Full-state export, suitable as a journal snapshot. */
     json::Value exportState() const;
@@ -270,9 +326,9 @@ class PrefixRegistry
     /** Restore a full-state export taken by exportState(). */
     void restoreState(const json::Value &snapshot);
 
-    /** Re-apply one journaled mutation (replay; never re-journaled). */
-    void applyJournalRecord(const std::string &op,
-                            const json::Value &fields);
+    /** Apply one record: the only change to journaled state, live
+     *  and on replay (never re-journaled). */
+    void apply(const Record &r);
 
     /**
      * Freeze mutating REST traffic while a resync is in flight:
@@ -320,8 +376,6 @@ class PrefixRegistry
         hw::GpuId home = hw::hostDramId;
         /** Non-home GPUs that also published the chain. */
         std::vector<hw::GpuId> replicas;
-        /** Cluster-wide publish refcount (home + replicas). */
-        std::uint32_t publishers = 0;
         /** Active read leases: pin id -> consumer GPU. */
         std::map<std::uint64_t, hw::GpuId> pins;
     };
@@ -331,10 +385,16 @@ class PrefixRegistry
      *  @return false when the chain was erased. */
     bool promoteOrInvalidate(Chain &chain, aqua::sim::Tick now);
     void breakPins(Chain &chain);
+    /** Release lease @p pin; the chain's last one unpins the home's
+     *  blocks. @return false for an unknown (stale) id. */
+    bool dropPin(std::uint64_t pin);
+    /** Apply @p r, then journal it (if a journal is attached). */
+    void commit(Record r);
     void traceChain(aqua::sim::Tick now, const char *category,
                     const Chain &chain);
-    /** Journal one mutation (no-op without an attached journal). */
-    void jlog(const char *op, json::Value fields);
+    void traceChain(aqua::sim::Tick now, const char *category,
+                    const Chain &chain, hw::GpuId home,
+                    std::size_t replicas);
 
     std::unordered_map<std::uint64_t, Chain> chains;
     std::unordered_map<std::uint64_t, std::uint64_t> pinChain;
@@ -345,7 +405,7 @@ class PrefixRegistry
     std::uint64_t keyMask = ~0ull;
     std::uint64_t nextPin = 1;
     PrefixRegistryStats counters;
-    aqua::recovery::StateJournal *journal = nullptr;
+    Journal *journal = nullptr;
     bool frozenFlag = false;
 };
 

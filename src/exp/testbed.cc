@@ -98,12 +98,12 @@ recovery::RecoveryManager &
 Testbed::makeRecovery()
 {
     if (!recoveryMgr) {
-        coordJournal = std::make_unique<recovery::StateJournal>();
+        coordJournal = std::make_unique<core::Coordinator::Journal>();
         recoveryMgr = std::make_unique<recovery::RecoveryManager>(
             *simulation, coord, *coordJournal);
         if (registry) {
             registryJournal =
-                std::make_unique<recovery::StateJournal>();
+                std::make_unique<cluster::PrefixRegistry::Journal>();
             recoveryMgr->attachRegistry(*registry, *registryJournal);
         }
     }

@@ -118,14 +118,14 @@ class Testbed
 
     /** The coordinator's journal once makeRecovery() ran; else null.
      *  Benches compact it to model a flushed steady-state checkpoint. */
-    recovery::StateJournal *coordinatorJournal()
+    core::Coordinator::Journal *coordinatorJournal()
     {
         return coordJournal.get();
     }
 
     /** The prefix registry's journal once makeRecovery() attached it
      *  (makePrefixRegistry() first); else null. */
-    recovery::StateJournal *prefixRegistryJournal()
+    cluster::PrefixRegistry::Journal *prefixRegistryJournal()
     {
         return registryJournal.get();
     }
@@ -141,8 +141,8 @@ class Testbed
     std::unique_ptr<cluster::PrefixRegistry> registry;
     std::vector<std::unique_ptr<core::AquaLib>> libs;
     std::vector<std::unique_ptr<serve::OffloadBackend>> backends;
-    std::unique_ptr<recovery::StateJournal> coordJournal;
-    std::unique_ptr<recovery::StateJournal> registryJournal;
+    std::unique_ptr<core::Coordinator::Journal> coordJournal;
+    std::unique_ptr<cluster::PrefixRegistry::Journal> registryJournal;
     std::unique_ptr<recovery::RecoveryManager> recoveryMgr;
     /** Libs already registered as resync survivors. */
     std::size_t survivorsRegistered = 0;

@@ -55,10 +55,11 @@ FederationDirectory::addPeer(std::uint32_t serverId,
 }
 
 void
-FederationDirectory::jlog(const char *op, Value fields)
+FederationDirectory::commit(Record r)
 {
+    apply(r);
     if (journal)
-        journal->append(op, std::move(fields));
+        journal->append(std::move(r));
 }
 
 void
@@ -121,11 +122,10 @@ FederationDirectory::onChainPublished(
     e.bytes = bytes;
     e.chainSig = chainSig;
     e.server = cfg.serverId;
-    e.version = ++seq;
+    e.version = seq + 1;
     e.tombstone = false;
-    putLocal(e);
+    commit(Advert{e});
     ++counters.advertsPublished;
-    jlog("advert", advertToJson(e));
     trace("fed_advert", e);
     pushToPeers(e);
 }
@@ -136,17 +136,10 @@ FederationDirectory::onChainInvalidated(std::uint64_t key)
     auto it = local.find(key);
     if (it == local.end() || it->second.tombstone)
         return;
-    DirectoryEntry e = it->second;
-    e.tombstone = true;
-    e.version = ++seq;
-    putLocal(e);
+    commit(Tombstone{key, seq + 1});
     ++counters.tombstones;
-    Value f;
-    f["key"] = static_cast<std::int64_t>(key);
-    f["version"] = static_cast<std::int64_t>(e.version);
-    jlog("tombstone", std::move(f));
-    trace("fed_tombstone", e);
-    pushToPeers(e);
+    trace("fed_tombstone", it->second);
+    pushToPeers(it->second);
 }
 
 std::uint64_t
@@ -458,7 +451,7 @@ FederationDirectory::remoteAdvertCount() const
 //
 
 void
-FederationDirectory::attachJournal(aqua::recovery::StateJournal *j)
+FederationDirectory::attachJournal(Journal *j)
 {
     journal = j;
     if (journal) {
@@ -502,32 +495,25 @@ FederationDirectory::restoreState(const Value &snapshot)
 }
 
 void
-FederationDirectory::applyJournalRecord(const std::string &op,
-                                        const Value &fields)
+FederationDirectory::apply(const Record &rec)
 {
-    if (op == "advert") {
-        DirectoryEntry e = advertFromJson(fields);
-        putLocal(e);
-        seq = std::max(seq, e.version);
-        return;
-    }
-    if (op == "tombstone") {
-        std::uint64_t key =
-            static_cast<std::uint64_t>(fields.getInt("key", 0));
-        std::uint64_t version =
-            static_cast<std::uint64_t>(fields.getInt("version", 0));
-        auto it = local.find(key);
-        if (it != local.end()) {
-            DirectoryEntry e = it->second;
-            e.tombstone = true;
-            e.version = version;
-            putLocal(e);
-        }
-        seq = std::max(seq, version);
-        return;
-    }
-    panic("FederationDirectory::applyJournalRecord: unknown op '%s'",
-          op.c_str());
+    std::visit(recovery::Overloaded{
+                   [&](const Advert &r) {
+                       putLocal(r.entry);
+                       seq = std::max(seq, r.entry.version);
+                   },
+                   [&](const Tombstone &r) {
+                       auto it = local.find(r.key);
+                       if (it != local.end()) {
+                           DirectoryEntry e = it->second;
+                           e.tombstone = true;
+                           e.version = r.version;
+                           putLocal(e);
+                       }
+                       seq = std::max(seq, r.version);
+                   },
+               },
+               rec);
 }
 
 } // namespace aqua::federation

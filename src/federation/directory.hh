@@ -44,11 +44,12 @@
  *    (the version check catches every mutation); stalls are
  *    impossible (the stream always completes, only its payload may be
  *    declared worthless).
- *  - Local adverts are journal-backed (recovery/StateJournal) and
- *    replay through the recovery machinery after a
- *    coordinator_crash; remote views are soft state refilled by the
- *    peers' next anti-entropy rounds (an emptied view's digest
- *    mismatches, so one round refills it).
+ *  - Local adverts are journal-backed: each change to them is an
+ *    Advert or Tombstone record, applied by the same apply() live
+ *    and on replay (recovery/state_journal.hh), so they replay
+ *    exactly after a coordinator_crash. Remote views are soft state
+ *    refilled by the peers' next anti-entropy rounds (an emptied
+ *    view's digest mismatches, so one round refills it).
  */
 
 #ifndef AQUA_FEDERATION_DIRECTORY_HH
@@ -56,6 +57,7 @@
 
 #include <cstdint>
 #include <map>
+#include <variant>
 #include <vector>
 
 #include "aqua/rest.hh"
@@ -65,6 +67,7 @@
 #include "trace/trace.hh"
 
 namespace aqua::recovery {
+template <class Record>
 class StateJournal;
 } // namespace aqua::recovery
 
@@ -303,11 +306,27 @@ class FederationDirectory
     std::size_t localAdvertCount() const { return local.size(); }
 
     //
-    // Crash recovery (src/recovery) — mirrors PrefixRegistry.
+    // Crash recovery (src/recovery) — mirrors PrefixRegistry: every
+    // change to the local adverts and the version source is one
+    // Record, apply()d live and on replay alike.
     //
 
+    /** A chain gained a local home: its new advert. */
+    struct Advert
+    {
+        DirectoryEntry entry;
+    };
+    /** A local chain was withdrawn at @p version. */
+    struct Tombstone
+    {
+        std::uint64_t key = 0;
+        std::uint64_t version = 0;
+    };
+    using Record = std::variant<Advert, Tombstone>;
+    using Journal = aqua::recovery::StateJournal<Record>;
+
     /** Attach (or detach, with nullptr) the write-ahead journal. */
-    void attachJournal(aqua::recovery::StateJournal *j);
+    void attachJournal(Journal *j);
 
     /** Full-state export of the authoritative local adverts. */
     json::Value exportState() const;
@@ -318,19 +337,19 @@ class FederationDirectory
     /** Restore a full-state export taken by exportState(). */
     void restoreState(const json::Value &snapshot);
 
-    /** Re-apply one journaled mutation (replay; never re-journaled). */
-    void applyJournalRecord(const std::string &op,
-                            const json::Value &fields);
+    /** Apply one record: the only change to journaled state, live
+     *  and on replay (never re-journaled). */
+    void apply(const Record &r);
 
     /** Freeze mutating traffic during a coordinator crash window:
      *  federation_rest maps a frozen directory to a retryable 503. */
     void setFrozen(bool f) { frozenFlag = f; }
     bool frozen() const { return frozenFlag; }
 
-    /** Serialize an advert to its wire/journal JSON form. */
+    /** Serialize an advert to its wire/snapshot JSON form. */
     static json::Value advertToJson(const DirectoryEntry &e);
 
-    /** Parse an advert from its wire/journal JSON form. */
+    /** Parse an advert from its wire/snapshot JSON form. */
     static DirectoryEntry advertFromJson(const json::Value &v);
 
   private:
@@ -366,7 +385,8 @@ class FederationDirectory
     /** Dispatch one advert to one peer's router, now. */
     void pushToPeer(const Peer &peer, const DirectoryEntry &entry);
 
-    void jlog(const char *op, json::Value fields);
+    /** Apply @p r, then journal it (if a journal is attached). */
+    void commit(Record r);
     void trace(const char *category, const DirectoryEntry &e);
 
     aqua::sim::Simulation &sim;
@@ -386,7 +406,7 @@ class FederationDirectory
     /** Monotonic advert version source (per directory). */
     std::uint64_t seq = 0;
     trace::TraceLog *tracer = nullptr;
-    aqua::recovery::StateJournal *journal = nullptr;
+    Journal *journal = nullptr;
     bool frozenFlag = false;
     bool antiEntropyArmed = false;
     DirectoryStats counters;

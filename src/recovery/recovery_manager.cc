@@ -7,30 +7,43 @@ namespace aqua::recovery {
 using aqua::sim::Tick;
 using json::Value;
 
+template <class Owner>
+void
+RecoveryManager::attach(Owner &owner, typename Owner::Journal &journal)
+{
+    owner.attachJournal(&journal);
+    auto restart = [this, &owner, &journal](std::uint32_t loseTail) {
+        std::uint64_t before = journal.stats().droppedRecords;
+        journal.dropTail(loseTail);
+        counters.droppedRecords += journal.stats().droppedRecords - before;
+        return replay(owner, journal);
+    };
+    journals.push_back({restart, [&journal] { journal.compact(); }});
+}
+
 RecoveryManager::RecoveryManager(aqua::sim::Simulation &sim,
                                  core::Coordinator &coord,
-                                 StateJournal &coordJournal)
+                                 core::Coordinator::Journal &coordJournal)
     : sim(sim), coord(coord), coordJournal(coordJournal)
 {
-    coord.attachJournal(&coordJournal);
+    attach(coord, coordJournal);
 }
 
 void
 RecoveryManager::attachRegistry(cluster::PrefixRegistry &reg,
-                                StateJournal &journal)
+                                cluster::PrefixRegistry::Journal &journal)
 {
     registry = &reg;
-    registryJournal = &journal;
-    reg.attachJournal(&journal);
+    attach(reg, journal);
 }
 
 void
-RecoveryManager::attachFederation(federation::FederationDirectory &dir,
-                                  StateJournal &journal)
+RecoveryManager::attachFederation(
+    federation::FederationDirectory &dir,
+    federation::FederationDirectory::Journal &journal)
 {
     federationDir = &dir;
-    federationJournal = &journal;
-    dir.attachJournal(&journal);
+    attach(dir, journal);
 }
 
 void
@@ -54,46 +67,6 @@ RecoveryManager::trace(const char *category, Value fields)
 {
     if (tracer)
         tracer->emit(sim.now(), category, std::move(fields));
-}
-
-std::size_t
-RecoveryManager::replayCoordinator()
-{
-    coord.reset();
-    if (coordJournal.snapshot())
-        coord.restoreState(*coordJournal.snapshot());
-    const auto &tail = coordJournal.pending();
-    for (const JournalRecord &r : tail)
-        coord.applyJournalRecord(r.op, r.fields);
-    return tail.size();
-}
-
-std::size_t
-RecoveryManager::replayRegistry()
-{
-    if (!registry || !registryJournal)
-        return 0;
-    registry->reset();
-    if (registryJournal->snapshot())
-        registry->restoreState(*registryJournal->snapshot());
-    const auto &tail = registryJournal->pending();
-    for (const JournalRecord &r : tail)
-        registry->applyJournalRecord(r.op, r.fields);
-    return tail.size();
-}
-
-std::size_t
-RecoveryManager::replayFederation()
-{
-    if (!federationDir || !federationJournal)
-        return 0;
-    federationDir->reset();
-    if (federationJournal->snapshot())
-        federationDir->restoreState(*federationJournal->snapshot());
-    const auto &tail = federationJournal->pending();
-    for (const JournalRecord &r : tail)
-        federationDir->applyJournalRecord(r.op, r.fields);
-    return tail.size();
 }
 
 void
@@ -120,31 +93,13 @@ RecoveryManager::onCoordinatorRestart(Tick now,
 {
     ++counters.restarts;
 
-    // The crash loses the unflushed journal tail: the newest records
-    // never reached durable media. Survivor resync below is what
-    // makes that loss safe.
-    if (loseTail > 0) {
-        std::uint64_t before = coordJournal.stats().droppedRecords;
-        coordJournal.dropTail(loseTail);
-        counters.droppedRecords +=
-            coordJournal.stats().droppedRecords - before;
-        if (registryJournal) {
-            before = registryJournal->stats().droppedRecords;
-            registryJournal->dropTail(loseTail);
-            counters.droppedRecords +=
-                registryJournal->stats().droppedRecords - before;
-        }
-        if (federationJournal) {
-            before = federationJournal->stats().droppedRecords;
-            federationJournal->dropTail(loseTail);
-            counters.droppedRecords +=
-                federationJournal->stats().droppedRecords - before;
-        }
-    }
-
-    // Cold restart: snapshot + tail replay rebuilds the services.
-    std::size_t replayed =
-        replayCoordinator() + replayRegistry() + replayFederation();
+    // The crash loses each journal's unflushed tail: the newest
+    // records never reached durable media. Survivor resync below is
+    // what makes that loss safe. Then the cold restart: snapshot plus
+    // tail replay rebuilds every service.
+    std::size_t replayed = 0;
+    for (const Journaled &j : journals)
+        replayed += j.restart(loseTail);
     counters.replayedRecords += replayed;
     {
         Value ev;
@@ -173,8 +128,7 @@ RecoveryManager::onCoordinatorRestart(Tick now,
     // Whatever no survivor re-reported is gone with its owner: sweep
     // the tensors so accounting matches reality, and mark silent
     // producers for urgent reclaim.
-    core::Coordinator::OrphanSweep sweep =
-        coord.sweepOrphans(reporters, now);
+    core::Coordinator::OrphanSweep sweep = coord.sweepOrphans(reporters);
     counters.orphanedTensors += sweep.droppedTensors;
     counters.orphanedBytes += sweep.droppedBytes;
 
@@ -198,11 +152,8 @@ RecoveryManager::onCoordinatorRestart(Tick now,
 
     // Fold the post-recovery state into a fresh snapshot: the next
     // crash replays from here instead of re-walking the resync.
-    coordJournal.compact();
-    if (registryJournal)
-        registryJournal->compact();
-    if (federationJournal)
-        federationJournal->compact();
+    for (const Journaled &j : journals)
+        j.compact();
 
     Value ev;
     ev["restart"] = static_cast<std::int64_t>(counters.restarts);

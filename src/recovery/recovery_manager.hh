@@ -11,9 +11,9 @@
  *     mutating traffic (registry_rest maps frozen to 503) so engine
  *     calls racing the restart back off instead of mutating
  *     half-restored state.
- *  2. *Replay* — at restart the coordinator and registry rebuild from
- *     their StateJournals: restore the latest snapshot, re-apply the
- *     pending tail (minus the crash's lost unflushed records).
+ *  2. *Replay* — at restart every attached service rebuilds from its
+ *     StateJournal: restore the latest snapshot, re-apply the pending
+ *     tail (minus the crash's lost unflushed records).
  *  3. *Resync* — each surviving AquaLib re-asserts its ground truth
  *     (held lease, owned tensors at their survivor-believed
  *     locations) via POST /resync; the coordinator adopts what the
@@ -31,6 +31,7 @@
 #define AQUA_RECOVERY_RECOVERY_MANAGER_HH
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "aqua/aqua_lib.hh"
@@ -87,7 +88,7 @@ class RecoveryManager
      */
     RecoveryManager(aqua::sim::Simulation &sim,
                     core::Coordinator &coord,
-                    StateJournal &coordJournal);
+                    core::Coordinator::Journal &coordJournal);
 
     RecoveryManager(const RecoveryManager &) = delete;
     RecoveryManager &operator=(const RecoveryManager &) = delete;
@@ -98,7 +99,7 @@ class RecoveryManager
      * coordinator-hosted, so one crash takes out both).
      */
     void attachRegistry(cluster::PrefixRegistry &registry,
-                        StateJournal &registryJournal);
+                        cluster::PrefixRegistry::Journal &registryJournal);
 
     /**
      * Attach the domain's federation directory and its journal; the
@@ -107,8 +108,9 @@ class RecoveryManager
      * remote views are soft state repaired by the peers' anti-entropy
      * rounds after the thaw.
      */
-    void attachFederation(federation::FederationDirectory &directory,
-                          StateJournal &directoryJournal);
+    void attachFederation(
+        federation::FederationDirectory &directory,
+        federation::FederationDirectory::Journal &directoryJournal);
 
     /**
      * Register a per-GPU AquaLib as a resync participant. Instances
@@ -134,19 +136,27 @@ class RecoveryManager
     const RecoveryStats &stats() const { return counters; }
 
   private:
+    /** One attached service's journal, type-erased. */
+    struct Journaled
+    {
+        /** Lose the crash's unflushed tail, then replay() the owner;
+         *  returns the records re-applied. */
+        std::function<std::size_t(std::uint32_t loseTail)> restart;
+        std::function<void()> compact;
+    };
+
     void trace(const char *category, json::Value fields);
-    /** Restore one journal into its owner; returns replayed count. */
-    std::size_t replayCoordinator();
-    std::size_t replayRegistry();
-    std::size_t replayFederation();
+    /** Attach @p journal to @p owner and add both to the restart. */
+    template <class Owner>
+    void attach(Owner &owner, typename Owner::Journal &journal);
 
     aqua::sim::Simulation &sim;
     core::Coordinator &coord;
-    StateJournal &coordJournal;
+    core::Coordinator::Journal &coordJournal;
     cluster::PrefixRegistry *registry = nullptr;
-    StateJournal *registryJournal = nullptr;
     federation::FederationDirectory *federationDir = nullptr;
-    StateJournal *federationJournal = nullptr;
+    /** Coordinator first, then in attach order. */
+    std::vector<Journaled> journals;
     std::vector<core::AquaLib *> survivors;
     trace::TraceLog *tracer = nullptr;
     RecoveryStats counters;

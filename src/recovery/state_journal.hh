@@ -3,16 +3,23 @@
  * Append-only, snapshot-compacted journal of durable control-plane
  * mutations.
  *
- * The coordinator and the cluster prefix registry write every durable
- * state change through a StateJournal. A crashed coordinator restarts
- * cold and rebuilds its maps by restoring the latest snapshot and
- * replaying the pending tail; the journal is the only thing that
- * survives a coordinator_crash fault.
+ * Three services write every durable state change through a
+ * StateJournal: the coordinator, the cluster prefix registry and the
+ * federation directory. Each declares its own `Record`, a
+ * std::variant with one small struct per journaled op, and an
+ * `apply(const Record &)` that is the only code changing its
+ * journaled maps: a live method decides, applies the record, then
+ * appends it here. A crashed coordinator restarts cold and rebuilds
+ * each service with replay(): restore the latest snapshot, then
+ * apply the pending tail through that same apply. Replay therefore
+ * equals live by construction. The journal is the only thing that
+ * survives a coordinator_crash fault; nothing outside the process
+ * reads it, so records stay typed and need no codec.
  *
  * Compaction: once the pending tail grows past compactEvery records,
  * the journal asks its owner (via the snapshot provider) for a full
- * state export, stores it as the new snapshot, and drops the tail.
- * This bounds replay time the same way a real write-ahead log's
+ * exportState() JSON snapshot, stores it, and drops the tail. This
+ * bounds replay time the same way a real write-ahead log's
  * checkpointing does.
  *
  * dropTail() models the crash losing the last few *unflushed* records
@@ -23,22 +30,15 @@
 #ifndef AQUA_RECOVERY_STATE_JOURNAL_HH
 #define AQUA_RECOVERY_STATE_JOURNAL_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "json/json.hh"
 
 namespace aqua::recovery {
-
-/** One durable mutation: an op tag plus its outcome fields. */
-struct JournalRecord
-{
-    std::string op;
-    json::Value fields;
-};
 
 struct StateJournalConfig
 {
@@ -56,6 +56,8 @@ struct StateJournalStats
     std::uint64_t droppedRecords = 0;
 };
 
+/** A journal of one owner's typed records. */
+template <class Record>
 class StateJournal
 {
   public:
@@ -75,11 +77,11 @@ class StateJournal
         snapshotFn = std::move(provider);
     }
 
-    /** Append one durable mutation; may trigger auto-compaction. */
+    /** Append one applied mutation; may trigger auto-compaction. */
     void
-    append(const std::string &op, json::Value fields)
+    append(Record r)
     {
-        tail.push_back(JournalRecord{op, std::move(fields)});
+        tail.push_back(std::move(r));
         ++counters.appends;
         if (cfg.compactEvery > 0 && snapshotFn &&
             tail.size() >= cfg.compactEvery)
@@ -114,7 +116,7 @@ class StateJournal
     const std::optional<json::Value> &snapshot() const { return snap; }
 
     /** Records appended since the last compaction, oldest first. */
-    const std::vector<JournalRecord> &pending() const { return tail; }
+    const std::vector<Record> &pending() const { return tail; }
 
     const StateJournalStats &stats() const { return counters; }
 
@@ -122,9 +124,35 @@ class StateJournal
     StateJournalConfig cfg;
     std::function<json::Value()> snapshotFn;
     std::optional<json::Value> snap;
-    std::vector<JournalRecord> tail;
+    std::vector<Record> tail;
     StateJournalStats counters;
 };
+
+/** Visitor over a Record: one lambda per record struct. */
+template <class... Fs>
+struct Overloaded : Fs...
+{
+    using Fs::operator()...;
+};
+template <class... Fs>
+Overloaded(Fs...) -> Overloaded<Fs...>;
+
+/**
+ * Cold-restart @p owner from @p journal: drop its state, restore the
+ * latest snapshot, then re-apply the pending tail.
+ * @return Records re-applied.
+ */
+template <class Owner>
+std::size_t
+replay(Owner &owner, const StateJournal<typename Owner::Record> &journal)
+{
+    owner.reset();
+    if (journal.snapshot())
+        owner.restoreState(*journal.snapshot());
+    for (const typename Owner::Record &r : journal.pending())
+        owner.apply(r);
+    return journal.pending().size();
+}
 
 } // namespace aqua::recovery
 

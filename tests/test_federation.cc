@@ -37,6 +37,7 @@
 #include "serve/vllm_engine.hh"
 #include "sim/simulation.hh"
 #include "sim/ticks.hh"
+#include "tests/replay_equals_live.hh"
 #include "workload/generator.hh"
 
 using namespace aqua;
@@ -615,12 +616,13 @@ TEST(Directory, ReplicaPromotionKeepsTheTicketValid)
 TEST(Directory, JournalReplayRestoresLocalAdverts)
 {
     DirectoryPair p;
-    recovery::StateJournal journal;
+    FederationDirectory::Journal journal;
     p.d0->attachJournal(&journal);
     ASSERT_TRUE(pub(p.reg0, 0, 0xa1, 0xb1));
     ASSERT_TRUE(pub(p.reg0, 0, 0xc2, 0xd2));
     p.reg0.evictNotify(0, 0xc2, 0xd2, p.sim.now());
     ASSERT_EQ(journal.pending().size(), 3u);
+    EXPECT_TRUE(replayEqualsLive(*p.d0, journal));
 
     json::Value snapshot = p.d0->exportState();
     p.d0->reset();
@@ -628,8 +630,7 @@ TEST(Directory, JournalReplayRestoresLocalAdverts)
 
     // Tail-only replay (no snapshot) rebuilds the table and the
     // version source.
-    for (const recovery::JournalRecord &r : journal.pending())
-        p.d0->applyJournalRecord(r.op, r.fields);
+    recovery::replay(*p.d0, journal);
     EXPECT_EQ(p.d0->localAdvertCount(), 2u);
     json::Value replayed = p.d0->exportState();
     EXPECT_EQ(replayed.dump(), snapshot.dump());
@@ -642,6 +643,7 @@ TEST(Directory, JournalReplayRestoresLocalAdverts)
         p.d1->lookup({cluster::CandidateKey{0xe3, 0xf3, 4}});
     ASSERT_TRUE(hit.found);
     EXPECT_GT(hit.entry.version, 3u);
+    EXPECT_TRUE(replayEqualsLive(*p.d0, journal));
 }
 
 TEST(Directory, FrozenRoutesAreRetryable)
@@ -760,7 +762,7 @@ TEST(AntiEntropy, ResetOrRestoredPeerIsRefilledInOneRound)
 TEST(AntiEntropy, IncrementalDigestsMatchRecomputation)
 {
     DirectoryPair p;
-    recovery::StateJournal journal;
+    FederationDirectory::Journal journal;
     p.d0->attachJournal(&journal);
     auto check = [&p] {
         EXPECT_EQ(p.d0->localDigest(), recomputeLocalDigest(*p.d0));
@@ -793,10 +795,10 @@ TEST(AntiEntropy, IncrementalDigestsMatchRecomputation)
     p.d0->reset();
     EXPECT_EQ(p.d0->localDigest(), 0u);
     check();
-    for (const recovery::JournalRecord &r : journal.pending())
-        p.d0->applyJournalRecord(r.op, r.fields);
+    recovery::replay(*p.d0, journal);
     check();
     EXPECT_EQ(p.d0->localDigest(), live);
+    EXPECT_TRUE(replayEqualsLive(*p.d0, journal));
 
     // So does restoreState().
     json::Value snapshot = p.d0->exportState();

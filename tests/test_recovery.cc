@@ -2,7 +2,9 @@
  * @file
  * Tests for the crash-recovery subsystem: StateJournal mechanics,
  * coordinator journal replay and survivor resync, registry replay and
- * Harvest-style rehoming, the frozen-registry retryable-503 contract,
+ * Harvest-style rehoming, federation-directory recovery, the
+ * replay-equals-live check after every journaled run, the
+ * frozen-registry retryable-503 contract,
  * the coordinator_crash / payload_corrupt / ssd_bitrot fault kinds,
  * seeded retry-backoff jitter, and the emergency-evacuation ×
  * ssd_fail overlap invariant.
@@ -12,8 +14,10 @@
 
 #include "exp/testbed.hh"
 #include "fault/fault.hh"
+#include "federation/directory.hh"
 #include "recovery/recovery_manager.hh"
 #include "recovery/state_journal.hh"
+#include "tests/replay_equals_live.hh"
 #include "trace/trace.hh"
 
 using namespace aqua;
@@ -28,27 +32,11 @@ namespace {
 constexpr std::uint64_t mb = std::uint64_t(1) << 20;
 constexpr std::uint64_t gb = std::uint64_t(1) << 30;
 
-/** Replay @p journal into a cold coordinator. */
-void
-replayInto(Coordinator &c, const StateJournal &j)
+/** The journal mechanics' record type: just an op tag. */
+struct TestRecord
 {
-    c.reset();
-    if (j.snapshot())
-        c.restoreState(*j.snapshot());
-    for (const JournalRecord &r : j.pending())
-        c.applyJournalRecord(r.op, r.fields);
-}
-
-/** Replay @p journal into a cold registry. */
-void
-replayInto(PrefixRegistry &reg, const StateJournal &j)
-{
-    reg.reset();
-    if (j.snapshot())
-        reg.restoreState(*j.snapshot());
-    for (const JournalRecord &r : j.pending())
-        reg.applyJournalRecord(r.op, r.fields);
-}
+    std::string op;
+};
 
 PublishResult
 pub(PrefixRegistry &reg, hw::GpuId gpu, std::uint64_t key,
@@ -67,11 +55,9 @@ pub(PrefixRegistry &reg, hw::GpuId gpu, std::uint64_t key,
 
 TEST(StateJournal, AppendCompactDropTail)
 {
-    StateJournal j;
-    json::Value f;
-    f["x"] = std::int64_t(1);
-    j.append("op_a", f);
-    j.append("op_b", f);
+    StateJournal<TestRecord> j;
+    j.append({"op_a"});
+    j.append({"op_b"});
     EXPECT_EQ(j.pending().size(), 2u);
     EXPECT_FALSE(j.snapshot());
 
@@ -88,8 +74,8 @@ TEST(StateJournal, AppendCompactDropTail)
     EXPECT_EQ(j.stats().compactions, 1u);
     EXPECT_EQ(j.stats().compactedRecords, 2u);
 
-    j.append("op_c", f);
-    j.append("op_d", f);
+    j.append({"op_c"});
+    j.append({"op_d"});
     j.dropTail(1); // lose the newest unflushed record
     ASSERT_EQ(j.pending().size(), 1u);
     EXPECT_EQ(j.pending()[0].op, "op_c");
@@ -102,14 +88,14 @@ TEST(StateJournal, AutoCompactsAtThreshold)
 {
     StateJournalConfig cfg;
     cfg.compactEvery = 4;
-    StateJournal j(cfg);
+    StateJournal<TestRecord> j(cfg);
     int exports = 0;
     j.setSnapshotProvider([&] {
         ++exports;
         return json::Value();
     });
     for (int i = 0; i < 10; ++i)
-        j.append("op", json::Value());
+        j.append({"op"});
     // Compactions at the 4th and 8th appends; 2 records pending.
     EXPECT_EQ(exports, 2);
     EXPECT_EQ(j.pending().size(), 2u);
@@ -122,7 +108,7 @@ TEST(StateJournal, AutoCompactsAtThreshold)
 TEST(CoordinatorRecovery, ReplayRebuildsIdenticalState)
 {
     Coordinator live;
-    StateJournal j;
+    Coordinator::Journal j;
     live.attachJournal(&j);
 
     live.setLeaseTtl(msToTicks(20.0));
@@ -137,9 +123,10 @@ TEST(CoordinatorRecovery, ReplayRebuildsIdenticalState)
     live.doneMoving(orders[0]);
 
     Coordinator cold;
-    replayInto(cold, j);
+    replay(cold, j);
     EXPECT_EQ(cold.exportState().dump(), live.exportState().dump());
     EXPECT_TRUE(cold.auditInvariants().empty());
+    EXPECT_TRUE(replayEqualsLive(live, j));
     (void)a;
 }
 
@@ -148,7 +135,7 @@ TEST(CoordinatorRecovery, SnapshotCompactionPreservesReplay)
     Coordinator live;
     StateJournalConfig cfg;
     cfg.compactEvery = 3; // force mid-run compactions
-    StateJournal j(cfg);
+    Coordinator::Journal j(cfg);
     live.attachJournal(&j);
 
     live.assignProducer(0, 1);
@@ -158,14 +145,36 @@ TEST(CoordinatorRecovery, SnapshotCompactionPreservesReplay)
     EXPECT_GE(j.stats().compactions, 1u);
 
     Coordinator cold;
-    replayInto(cold, j);
+    replay(cold, j);
     EXPECT_EQ(cold.exportState().dump(), live.exportState().dump());
+    EXPECT_TRUE(replayEqualsLive(live, j));
+}
+
+TEST(CoordinatorRecovery, SweepExpiryReplaysToTheLiveState)
+{
+    // The orphan sweep's expiry and TTL expiry share one record and
+    // one apply: a donor swept dead keeps the heartbeat it last sent.
+    Coordinator live;
+    Coordinator::Journal j;
+    live.attachJournal(&j);
+    live.lease(1, 10 * gb, 5);
+    live.allocate(0, gb);
+    Coordinator::OrphanSweep sweep = live.sweepOrphans({0});
+    EXPECT_EQ(sweep.deadProducers, 1u);
+    EXPECT_FALSE(live.leaseAlive(1));
+    EXPECT_EQ(live.producerState(1).lastHeartbeat, 5u);
+
+    // Compared unmasked: hb and alive included.
+    Coordinator cold;
+    replay(cold, j);
+    EXPECT_EQ(cold.exportState().dump(), live.exportState().dump());
+    EXPECT_TRUE(replayEqualsLive(live, j));
 }
 
 TEST(CoordinatorRecovery, LostTailIsRepairedBySurvivorResync)
 {
     Coordinator live;
-    StateJournal j;
+    Coordinator::Journal j;
     live.attachJournal(&j);
     live.assignProducer(0, 1);
     live.lease(1, 10 * gb, 0);
@@ -173,10 +182,14 @@ TEST(CoordinatorRecovery, LostTailIsRepairedBySurvivorResync)
     auto lost = live.allocate(0, 2 * gb);
     ASSERT_EQ(lost.location.placement, Placement::PeerGpu);
 
-    // The crash loses the newest record (the second allocation).
+    EXPECT_TRUE(replayEqualsLive(live, j));
+
+    // The crash loses the newest record (the second allocation), and
+    // the replay check sees the journal fall behind the live state.
     j.dropTail(1);
+    EXPECT_FALSE(replayDivergence(live, j).empty());
     Coordinator cold;
-    replayInto(cold, j);
+    replay(cold, j);
     EXPECT_EQ(cold.liveTensors(), 1u);
     EXPECT_EQ(cold.bytesOnProducers(), gb);
 
@@ -202,18 +215,19 @@ TEST(CoordinatorRecovery, LostTailIsRepairedBySurvivorResync)
 TEST(CoordinatorRecovery, SweepOrphansDropsSilentConsumers)
 {
     Coordinator live;
-    StateJournal j;
+    Coordinator::Journal j;
     live.attachJournal(&j);
     live.assignProducer(0, 1);
     live.assignProducer(2, 1);
     live.lease(1, 10 * gb, 0);
     live.allocate(0, gb);
     live.allocate(2, 2 * gb);
+    EXPECT_TRUE(replayEqualsLive(live, j));
 
     Coordinator cold;
-    replayInto(cold, j);
+    replay(cold, j);
     // Only GPU 0 reports back; GPU 2's tensors are orphans.
-    Coordinator::OrphanSweep sweep = cold.sweepOrphans({0, 1}, 0);
+    Coordinator::OrphanSweep sweep = cold.sweepOrphans({0, 1});
     EXPECT_EQ(sweep.droppedTensors, 1u);
     EXPECT_EQ(sweep.droppedBytes, 2 * gb);
     EXPECT_TRUE(cold.auditInvariants().empty());
@@ -246,7 +260,7 @@ TEST(CoordinatorRecovery, DuplicateDoneMovingAckIsAbsorbed)
 TEST(RegistryRecovery, ReplayRebuildsIdenticalState)
 {
     PrefixRegistry live;
-    StateJournal j;
+    PrefixRegistry::Journal j;
     live.attachJournal(&j);
 
     pub(live, 0, 0xa1, 0xb1);
@@ -261,7 +275,7 @@ TEST(RegistryRecovery, ReplayRebuildsIdenticalState)
     live.evictNotify(1, 0xc2, 0xd2, 0); // invalidated
 
     PrefixRegistry cold;
-    replayInto(cold, j);
+    replay(cold, j);
     EXPECT_EQ(cold.exportState().dump(), live.exportState().dump());
     EXPECT_EQ(cold.homeOf(0xa1), 0);
     EXPECT_EQ(cold.activePins(), 1u);
@@ -272,12 +286,13 @@ TEST(RegistryRecovery, ReplayRebuildsIdenticalState)
     PinResult again = cold.pin(1, 0xa1, 0xb1, 0);
     ASSERT_TRUE(again.ok);
     EXPECT_NE(again.pin, pin.pin);
+    EXPECT_TRUE(replayEqualsLive(live, j));
 }
 
 TEST(RegistryRecovery, ResyncPromotesOrInvalidatesOrphanedHomes)
 {
     PrefixRegistry reg;
-    StateJournal j;
+    PrefixRegistry::Journal j;
     reg.attachJournal(&j);
 
     // Chain A homed on GPU 0 with a replica on 1; chain B homed on 0
@@ -292,8 +307,10 @@ TEST(RegistryRecovery, ResyncPromotesOrInvalidatesOrphanedHomes)
     reg.setAgent(1, live); // only GPU 1 survives
     reg.setAliveFn([](hw::GpuId gpu) { return gpu == 1; });
 
+    EXPECT_TRUE(replayEqualsLive(reg, j));
+
     PrefixRegistry cold;
-    replayInto(cold, j);
+    replay(cold, j);
     cold.setAgent(1, live);
     cold.setAliveFn([](hw::GpuId gpu) { return gpu == 1; });
 
@@ -499,7 +516,135 @@ TEST(RecoveryManager, CrashMidEvacuationRecoversLeasesAndTensors)
               Placement::HostDram);
     EXPECT_EQ(consumer.tensorSignature(*id), sig);
     EXPECT_TRUE(tb.coordinator().auditInvariants().empty());
+    EXPECT_TRUE(replayEqualsLive(tb.coordinator(), *tb.coordinatorJournal()));
     (void)producer;
+}
+
+TEST(RecoveryManager, FederationReplaysWithLostTailAndADeadDonor)
+{
+    exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
+    AquaLib &producer = tb.makeAquaLib(1);
+    AquaLib &consumer = tb.makeAquaLib(0);
+    PrefixRegistry &reg = tb.makePrefixRegistry();
+    RecoveryManager &rm = tb.makeRecovery();
+    federation::FederationDirectory dir(tb.sim(), reg);
+    federation::FederationDirectory::Journal dirJournal;
+    rm.attachFederation(dir, dirJournal);
+    tb.assign(0, 1);
+
+    producer.confirmDonate(10 * gb);
+    auto id = consumer.allocateTensor(256 * mb);
+    ASSERT_TRUE(id);
+    ASSERT_EQ(consumer.tensorLocation(*id).placement,
+              Placement::PeerGpu);
+    consumer.writeTensor(*id, 256 * mb, 128);
+    std::uint64_t sig = consumer.tensorSignature(*id);
+
+    // Two chains homed on GPU 0: the directory advertises both.
+    RegistryAgent agent;
+    agent.setPinned = [](std::uint64_t, bool) { return true; };
+    agent.promote = [](std::uint64_t) { return true; };
+    reg.setAgent(0, agent);
+    pub(reg, 0, 0xa1, 0xb1);
+    pub(reg, 0, 0xc2, 0xd2);
+    ASSERT_EQ(dir.localAdvertCount(), 2u);
+    EXPECT_TRUE(replayEqualsLive(dir, dirJournal));
+
+    // The donor's software dies before the crash (its HBM stays
+    // readable for the grace window), so it never resyncs. The crash
+    // loses each journal's newest record: the consumer's allocation,
+    // and the second chain's home and advert.
+    FaultInjector inj(tb.sim(), tb.server().topology(),
+                      tb.rest().router());
+    inj.registerLib(producer);
+    rm.wire(inj);
+    FaultPlan plan;
+    FaultSpec gpuFail;
+    gpuFail.kind = FaultKind::GpuFail;
+    gpuFail.at = msToTicks(5.0);
+    gpuFail.duration = 0;
+    gpuFail.gpu = 1;
+    gpuFail.grace = msToTicks(200.0);
+    plan.add(gpuFail);
+    FaultSpec crash;
+    crash.kind = FaultKind::CoordinatorCrash;
+    crash.at = msToTicks(10.0);
+    crash.duration = msToTicks(5.0);
+    crash.loseTail = 1;
+    plan.add(crash);
+    inj.arm(plan);
+
+    tb.sim().runUntil(msToTicks(12.0));
+    EXPECT_TRUE(dir.frozen());
+    tb.sim().runUntil(msToTicks(20.0));
+    EXPECT_FALSE(dir.frozen());
+    EXPECT_FALSE(reg.frozen());
+    EXPECT_EQ(rm.stats().droppedRecords, 3u);
+    EXPECT_EQ(rm.stats().survivorsResynced, 1u);
+    EXPECT_EQ(rm.stats().survivorsUnreachable, 1u);
+    // The lost advert is gone with the lost home; the other replayed.
+    EXPECT_EQ(dir.localAdvertCount(), 1u);
+    EXPECT_EQ(reg.homeOf(0xa1), 0);
+    EXPECT_EQ(reg.homeOf(0xc2), hw::hostDramId);
+    // The consumer re-asserted its allocation; the silent donor's
+    // lease is dead, so the tensor evacuates as an emergency.
+    EXPECT_EQ(tb.coordinator().liveTensors(), 1u);
+    EXPECT_FALSE(tb.coordinator().leaseAlive(1));
+    EXPECT_TRUE(replayEqualsLive(tb.coordinator(),
+                                 *tb.coordinatorJournal()));
+    EXPECT_TRUE(replayEqualsLive(reg, *tb.prefixRegistryJournal()));
+    EXPECT_TRUE(replayEqualsLive(dir, dirJournal));
+
+    consumer.respond();
+    EXPECT_EQ(consumer.tensorLocation(*id).placement,
+              Placement::HostDram);
+    EXPECT_EQ(consumer.tensorSignature(*id), sig);
+    EXPECT_EQ(consumer.stats().emergencyMigrations, 1u);
+    pub(reg, 0, 0xe3, 0xf3, tb.sim().now());
+    EXPECT_EQ(dir.localAdvertCount(), 2u);
+    EXPECT_TRUE(replayEqualsLive(tb.coordinator(),
+                                 *tb.coordinatorJournal()));
+    EXPECT_TRUE(replayEqualsLive(reg, *tb.prefixRegistryJournal()));
+    EXPECT_TRUE(replayEqualsLive(dir, dirJournal));
+}
+
+TEST(RecoveryManager, SurvivorThatCannotReachTheRestartIsSwept)
+{
+    exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
+    AquaLib &producer = tb.makeAquaLib(1);
+    AquaLib &consumer = tb.makeAquaLib(0);
+    RecoveryManager &rm = tb.makeRecovery();
+    tb.assign(0, 1);
+    producer.confirmDonate(10 * gb);
+    ASSERT_TRUE(consumer.allocateTensor(256 * mb));
+
+    // An outage outlasts the restart: no survivor's /resync gets
+    // through, so the sweep drops what nobody re-asserted.
+    FaultInjector inj(tb.sim(), tb.server().topology(),
+                      tb.rest().router());
+    rm.wire(inj);
+    FaultPlan plan;
+    FaultSpec crash;
+    crash.kind = FaultKind::CoordinatorCrash;
+    crash.at = msToTicks(10.0);
+    crash.duration = msToTicks(5.0);
+    plan.add(crash);
+    FaultSpec outage;
+    outage.kind = FaultKind::CoordinatorOutage;
+    outage.at = msToTicks(14.0);
+    outage.duration = secToTicks(1.0);
+    plan.add(outage);
+    inj.arm(plan);
+
+    tb.sim().runUntil(msToTicks(20.0));
+    EXPECT_EQ(rm.stats().survivorsResynced, 0u);
+    EXPECT_EQ(rm.stats().survivorsUnreachable, 2u);
+    EXPECT_EQ(rm.stats().orphanedTensors, 1u);
+    EXPECT_EQ(rm.stats().orphanedBytes, 256 * mb);
+    EXPECT_EQ(tb.coordinator().liveTensors(), 0u);
+    EXPECT_FALSE(tb.coordinator().leaseAlive(1));
+    EXPECT_TRUE(replayEqualsLive(tb.coordinator(),
+                                 *tb.coordinatorJournal()));
 }
 
 //
