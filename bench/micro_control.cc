@@ -14,6 +14,7 @@
 #include "exp/experiments.hh"
 #include "json/json.hh"
 #include "opt/lp.hh"
+#include "opt/milp.hh"
 #include "placer/placer.hh"
 
 using namespace aqua;
@@ -93,6 +94,26 @@ BM_PlacerSmallCluster(benchmark::State &state)
     }
 }
 BENCHMARK(BM_PlacerSmallCluster);
+
+void
+BM_PlacerNodeBudget(benchmark::State &state)
+{
+    // The repository benchmark's cluster placement: the 8x2 instance
+    // under a 3,000-node budget, so LP host time reads per node.
+    placer::PlacementInput input =
+        exp::makeClusterInput(8, 2, "balanced", 2);
+    opt::MilpOptions options;
+    options.maxNodes = 3000;
+    placer::Placement p;
+    for (auto _ : state) {
+        p = placer::AquaPlacer(options).place(input);
+        benchmark::DoNotOptimize(p.objective);
+    }
+    state.counters["nodes"] = static_cast<double>(p.nodesExplored);
+    state.counters["lp_iterations"] =
+        static_cast<double>(p.lpIterations);
+}
+BENCHMARK(BM_PlacerNodeBudget)->Unit(benchmark::kMillisecond);
 
 } // anonymous namespace
 

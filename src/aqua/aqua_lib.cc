@@ -204,6 +204,13 @@ AquaLib::freeTensor(TensorId id)
         traceEvent("free_unacked", std::move(ev));
         return;
     }
+    if (out.resp.status == RestStatus::NotFound) {
+        ++counters.freesAfterSweep;
+        Value ev;
+        ev["tensor"] = static_cast<std::int64_t>(id);
+        traceEvent("free_after_sweep", std::move(ev));
+        return;
+    }
     if (!out.resp.ok()) {
         panic("AquaLib(gpu%d): /free failed: %s", myGpu,
               out.resp.body.dump().c_str());

@@ -110,6 +110,8 @@ struct AquaLibStats
     std::uint64_t federationCalls = 0;
     /** Successful /resync round trips after a coordinator restart. */
     std::uint64_t resyncs = 0;
+    /** /free answered 404: an orphan sweep had dropped the tensor. */
+    std::uint64_t freesAfterSweep = 0;
     /** Migration payloads whose signature check failed on arrival. */
     std::uint64_t corruptionsDetected = 0;
     /** Detected corruptions repaired by retransmission. */
@@ -171,7 +173,12 @@ class AquaLib
      */
     std::optional<TensorId> allocateTensor(std::uint64_t bytes);
 
-    /** Free an AQUA TENSOR. */
+    /**
+     * Free an AQUA TENSOR. A coordinator that no longer knows @p id
+     * (an orphan sweep after its restart dropped it while this GPU
+     * still held it) answers 404; the free is counted and traced as
+     * free_after_sweep.
+     */
     void freeTensor(TensorId id);
 
     /**

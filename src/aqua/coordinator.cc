@@ -213,11 +213,18 @@ Coordinator::allocate(hw::GpuId consumer, std::uint64_t bytes,
 void
 Coordinator::free(TensorId id)
 {
+    if (!freeIfKnown(id))
+        panic("Coordinator::free: unknown tensor %llu",
+              static_cast<unsigned long long>(id));
+}
+
+bool
+Coordinator::freeIfKnown(TensorId id)
+{
     std::lock_guard<std::mutex> lock(mtx);
     auto it = tensors.find(id);
     if (it == tensors.end())
-        panic("Coordinator::free: unknown tensor %llu",
-              static_cast<unsigned long long>(id));
+        return false;
     const TensorState &t = it->second;
     if (t.migratingTo)
         panic("Coordinator::free: tensor %llu is mid-migration",
@@ -226,6 +233,7 @@ Coordinator::free(TensorId id)
         producers.find(t.location.gpu) == producers.end())
         panic("Coordinator::free: tensor on unknown producer");
     commitLocked(Free{id});
+    return true;
 }
 
 std::vector<MigrationOrder>

@@ -214,6 +214,16 @@ class Coordinator
     void free(TensorId id);
 
     /**
+     * /free from the REST edge: as free(), but an id the coordinator
+     * does not hold changes nothing. An orphan sweep after a restart
+     * drops the tensors of a survivor that could not resync, and that
+     * survivor still frees them later.
+     *
+     * @return false if @p id is unknown.
+     */
+    bool freeIfKnown(TensorId id);
+
+    /**
      * /respond: migration orders pending for @p consumer.
      *
      * Orders move tensors off reclaiming producers to DRAM, and

@@ -216,7 +216,12 @@ CoordinatorRestService::CoordinatorRestService(Coordinator &coordinator)
         std::int64_t tensor = req.getInt("tensor", 0);
         if (tensor <= 0)
             return badRequest("free needs tensor");
-        coord.free(static_cast<TensorId>(tensor));
+        if (!coord.freeIfKnown(static_cast<TensorId>(tensor))) {
+            RestResponse resp;
+            resp.status = RestStatus::NotFound;
+            resp.body["error"] = "unknown tensor";
+            return resp;
+        }
         return okBody();
     });
 

@@ -68,7 +68,7 @@ compareRatio(double a, double b)
 BoundedSimplex::BoundedSimplex(const LinearProgram &lp,
                                SimplexOptions options)
     : opt(options), n(lp.numVars()), m(lp.numRows()), cols(n + m),
-      width(cols + 1)
+      width(n + 1)
 {
     initial.assign(std::size_t(m) * width, 0.0);
     lo.resize(cols);
@@ -84,8 +84,7 @@ BoundedSimplex::BoundedSimplex(const LinearProgram &lp,
         double *dst = &initial[std::size_t(i) * width];
         for (const auto &[var, coeff] : r.coeffs)
             dst[var] += coeff;
-        dst[n + i] = 1.0;
-        dst[cols] = r.rhs;
+        dst[n] = r.rhs;
         // a_i x + s_i = b_i: the slack's sign encodes the relation.
         switch (r.rel) {
           case Relation::LessEq:
@@ -105,9 +104,12 @@ BoundedSimplex::BoundedSimplex(const LinearProgram &lp,
     baseLo.assign(lo.begin(), lo.begin() + n);
     baseHi.assign(hi.begin(), hi.begin() + n);
     x.assign(cols, 0.0);
-    d.assign(cols, 0.0);
+    d.assign(n, 0.0);
+    w.assign(n, 0.0);
     status.assign(cols, Status::AtLower);
     basic.assign(m, -1);
+    slotCol.assign(n, -1);
+    colSlot.assign(cols, -1);
     coldStart();
 }
 
@@ -130,13 +132,25 @@ BoundedSimplex::resetBounds()
 }
 
 void
-BoundedSimplex::coldStart()
+BoundedSimplex::loadSlackBasis()
 {
     tab = initial;
+    for (int j = 0; j < n; ++j) {
+        slotCol[j] = j;
+        colSlot[j] = j;
+    }
     for (int i = 0; i < m; ++i) {
         basic[i] = n + i;
-        status[n + i] = Status::Basic;
+        colSlot[n + i] = -1;
     }
+}
+
+void
+BoundedSimplex::coldStart()
+{
+    loadSlackBasis();
+    for (int i = 0; i < m; ++i)
+        status[n + i] = Status::Basic;
     for (int j = 0; j < n; ++j) {
         status[j] = cost[j] < 0.0 && std::isfinite(hi[j])
                   ? Status::AtUpper : Status::AtLower;
@@ -156,9 +170,7 @@ BoundedSimplex::loadBasis(const Basis &target)
     if (static_cast<int>(target.size()) != cols ||
         std::count(target.begin(), target.end(), Status::Basic) != m)
         return false;
-    tab = initial;
-    for (int i = 0; i < m; ++i)
-        basic[i] = n + i;
+    loadSlackBasis();
     // Gauss-Jordan: bring each basic variable in on the row, among
     // those still held by a departing slack, with the largest entry.
     for (int j = 0; j < n; ++j) {
@@ -169,7 +181,7 @@ BoundedSimplex::loadBasis(const Basis &target)
         for (int i = 0; i < m; ++i) {
             if (basic[i] < n || target[basic[i]] == Status::Basic)
                 continue;
-            double a = std::abs(row(i)[j]);
+            double a = std::abs(row(i)[colSlot[j]]);
             if (a > best) {
                 best = a;
                 r = i;
@@ -197,13 +209,13 @@ BoundedSimplex::computePrimal()
             status[j] = Status::AtLower;
         x[j] = status[j] == Status::AtLower ? lo[j] : hi[j];
         if (x[j] != 0.0)
-            nonzero.push_back(j);
+            nonzero.emplace_back(colSlot[j], x[j]);
     }
     for (int i = 0; i < m; ++i) {
         const double *r = row(i);
-        double v = r[cols];
-        for (int j : nonzero)
-            v -= r[j] * x[j];
+        double v = r[n];
+        for (const auto &[k, xj] : nonzero)
+            v -= r[k] * xj;
         x[basic[i]] = v;
     }
 }
@@ -211,27 +223,24 @@ BoundedSimplex::computePrimal()
 void
 BoundedSimplex::computeDuals()
 {
-    std::copy(cost.begin(), cost.end(), d.begin());
+    for (int k = 0; k < n; ++k)
+        d[k] = cost[slotCol[k]];
     for (int i = 0; i < m; ++i) {
         double c = cost[basic[i]];
         if (c == 0.0)
             continue;
         const double *r = row(i);
-        for (int j = 0; j < cols; ++j)
-            d[j] -= c * r[j];
+        for (int k = 0; k < n; ++k)
+            d[k] -= c * r[k];
     }
-    for (int i = 0; i < m; ++i)
-        d[basic[i]] = 0.0;
 }
 
 bool
 BoundedSimplex::dualFeasible() const
 {
-    for (int j = 0; j < cols; ++j) {
-        if (status[j] == Status::Basic || fixed(j))
-            continue;
-        if (status[j] == Status::AtLower ? d[j] < -opt.eps
-                                         : d[j] > opt.eps)
+    for (int j : movable) {
+        double dj = d[colSlot[j]];
+        if (status[j] == Status::AtLower ? dj < -opt.eps : dj > opt.eps)
             return false;
     }
     return true;
@@ -240,43 +249,55 @@ BoundedSimplex::dualFeasible() const
 void
 BoundedSimplex::pivot(int r, int q)
 {
+    int k = colSlot[q];
+    int p = basic[r];
     double *pr = row(r);
-    double inv = 1.0 / pr[q];
-    nonzero.clear();
+    double inv = 1.0 / pr[k];
+    // Slot k passes from q to p, whose unit entry divides to inv. A
+    // zero keeps its sign, as in the full tableau, which skips zeros.
+    pr[k] = 1.0;
     for (int j = 0; j < width; ++j) {
-        if (pr[j] != 0.0) {
-            pr[j] *= inv;
-            nonzero.push_back(j);
-        }
+        double v = pr[j] * inv;
+        pr[j] = pr[j] != 0.0 ? v : pr[j];
     }
-    pr[q] = 1.0;
     for (int i = 0; i < m; ++i) {
         double *pi = row(i);
-        double f = pi[q];
+        double f = pi[k];
         if (i == r || f == 0.0)
             continue;
-        for (int j : nonzero)
+        pi[k] = 0.0;
+        for (int j = 0; j < width; ++j)
             pi[j] -= f * pr[j];
-        pi[q] = 0.0;
     }
-    double f = d[q];
+    double f = d[k];
     if (f != 0.0) {
-        for (int j : nonzero) {
-            if (j < cols)
-                d[j] -= f * pr[j];
-        }
-        d[q] = 0.0;
+        d[k] = 0.0;
+        for (int j = 0; j < n; ++j)
+            d[j] -= f * pr[j];
     }
+    slotCol[k] = p;
+    colSlot[p] = k;
+    colSlot[q] = -1;
     basic[r] = q;
     ++pivotsSinceLoad;
 }
 
 void
+BoundedSimplex::swapMovable(int q, int p)
+{
+    movable.erase(std::lower_bound(movable.begin(), movable.end(), q));
+    if (!fixed(p))
+        movable.insert(
+            std::lower_bound(movable.begin(), movable.end(), p), p);
+}
+
+void
 BoundedSimplex::shift(int q, double delta)
 {
+    int k = colSlot[q];
     x[q] += delta;
     for (int i = 0; i < m; ++i)
-        x[basic[i]] -= row(i)[q] * delta;
+        x[basic[i]] -= row(i)[k] * delta;
 }
 
 void
@@ -323,33 +344,34 @@ BoundedSimplex::dual(double cutoff)
         const double *rr = row(r);
         int q = -1;
         double best = inf;
-        for (int j = 0; j < cols; ++j) {
-            if (status[j] == Status::Basic || fixed(j))
-                continue;
-            double a = rr[j];
+        double pivotAbs = 0.0;
+        for (int j : movable) {
+            int k = colSlot[j];
+            double a = rr[k];
             if (std::abs(a) <= opt.eps)
                 continue;
             bool atLower = status[j] == Status::AtLower;
             double rate = atLower ? -a : a;
             if (up ? rate <= 0.0 : rate >= 0.0)
                 continue;
-            double dj = std::max(0.0, atLower ? d[j] : -d[j]);
+            double dj = std::max(0.0, atLower ? d[k] : -d[k]);
             double ratio = dj / std::abs(a);
             int c = q < 0 ? -1 : compareRatio(ratio, best);
             // On a tie the larger pivot is the stabler one; Bland
             // keeps the smaller index.
-            if (c < 0 ||
-                (c == 0 && !bland && std::abs(a) > std::abs(rr[q]))) {
+            if (c < 0 || (c == 0 && !bland && std::abs(a) > pivotAbs)) {
                 best = ratio;
                 q = j;
+                pivotAbs = std::abs(a);
             }
         }
         if (q < 0)
             return LpStatus::Infeasible;
 
         double target = up ? lo[p] : hi[p];
-        shift(q, (x[p] - target) / rr[q]);
+        shift(q, (x[p] - target) / rr[colSlot[q]]);
         pivot(r, q);
+        swapMovable(q, p);
         status[q] = Status::Basic;
         status[p] = up ? Status::AtLower : Status::AtUpper;
         x[p] = target;
@@ -360,7 +382,6 @@ BoundedSimplex::dual(double cutoff)
 LpStatus
 BoundedSimplex::primal()
 {
-    std::vector<double> w(cols);
     for (;;) {
         // Phase 1 prices the sum of bound violations; once there are
         // none, phase 2 prices the objective.
@@ -373,18 +394,16 @@ BoundedSimplex::primal()
                 continue;
             infeasible = true;
             const double *r = row(i);
-            for (int j = 0; j < cols; ++j)
-                w[j] -= c * r[j];
+            for (int k = 0; k < n; ++k)
+                w[k] -= c * r[k];
         }
         const std::vector<double> &price = infeasible ? w : d;
 
         int q = -1;
         double best = 0.0;
-        for (int j = 0; j < cols; ++j) {
-            if (status[j] == Status::Basic || fixed(j))
-                continue;
-            double g = status[j] == Status::AtLower ? -price[j]
-                                                    : price[j];
+        for (int j : movable) {
+            double g = status[j] == Status::AtLower ? -price[colSlot[j]]
+                                                    : price[colSlot[j]];
             if (g <= opt.eps)
                 continue;
             if (bland) {
@@ -404,12 +423,13 @@ BoundedSimplex::primal()
         // Ratio test: the entering column moves in direction dir until
         // it reaches its other bound or a basic variable reaches one.
         // In phase 1 a violated basic stops where it turns feasible.
+        int k = colSlot[q];
         double dir = status[q] == Status::AtLower ? 1.0 : -1.0;
         double step = hi[q] - lo[q];
         int r = -1;
         bool toUpper = false;
         for (int i = 0; i < m; ++i) {
-            double a = row(i)[q];
+            double a = row(i)[k];
             if (std::abs(a) <= opt.eps)
                 continue;
             double g = -a * dir;
@@ -445,7 +465,7 @@ BoundedSimplex::primal()
             if (c < 0 ||
                 (c == 0 && r >= 0 &&
                  (bland ? p < basic[r]
-                        : std::abs(a) > std::abs(row(r)[q])))) {
+                        : std::abs(a) > std::abs(row(r)[k])))) {
                 step = lim;
                 r = i;
                 toUpper = upper;
@@ -465,6 +485,7 @@ BoundedSimplex::primal()
         } else {
             int p = basic[r];
             pivot(r, q);
+            swapMovable(q, p);
             status[q] = Status::Basic;
             status[p] = toUpper ? Status::AtUpper : Status::AtLower;
             x[p] = toUpper ? hi[p] : lo[p];
@@ -481,19 +502,24 @@ BoundedSimplex::solve(double cutoff)
     bland = false;
     if (pivotsSinceLoad > kRefactorPivots && !loadBasis(basis()))
         coldStart();
+    // Bounds, hence fixedness, change only between solves.
+    movable.clear();
+    for (int j = 0; j < cols; ++j) {
+        if (status[j] != Status::Basic && !fixed(j))
+            movable.push_back(j);
+    }
     computePrimal();
     computeDuals();
     // A boxed column on the wrong bound for its reduced cost moves to
     // the other bound, which costs no pivot.
     bool flipped = false;
-    for (int j = 0; j < cols; ++j) {
-        if (status[j] == Status::Basic || fixed(j))
-            continue;
-        if (status[j] == Status::AtLower && d[j] < -opt.eps &&
+    for (int j : movable) {
+        double dj = d[colSlot[j]];
+        if (status[j] == Status::AtLower && dj < -opt.eps &&
             std::isfinite(hi[j])) {
             status[j] = Status::AtUpper;
             flipped = true;
-        } else if (status[j] == Status::AtUpper && d[j] > opt.eps &&
+        } else if (status[j] == Status::AtUpper && dj > opt.eps &&
                    std::isfinite(lo[j])) {
             status[j] = Status::AtLower;
             flipped = true;

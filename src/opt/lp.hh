@@ -1,7 +1,7 @@
 /**
  * @file
  * Linear-programming solver: a bounded-variable primal/dual simplex
- * on a dense tableau.
+ * on a dense tableau of the nonbasic columns.
  *
  * The substrate beneath AQUA-PLACER: the paper encodes Algorithm 1 in
  * Gurobi; we solve the same MILP with our own simplex + branch and
@@ -9,9 +9,12 @@
  * hundred columns and a few dozen rows), so the tableau stays dense.
  * Variable bounds are implicit: a nonbasic column sits at one of its
  * bounds instead of occupying a row, so each row of the tableau is a
- * real constraint. The tableau persists between solves, which lets
- * branch and bound tighten a bound and re-solve warm with the dual
- * simplex instead of starting over.
+ * real constraint. Basic columns are unit vectors and are not stored:
+ * each row holds one entry per nonbasic column plus the right-hand
+ * side, every entry equal bit for bit to the full tableau's. The
+ * tableau persists between solves, which lets branch and bound tighten
+ * a bound and re-solve warm with the dual simplex instead of starting
+ * over.
  */
 
 #ifndef AQUA_OPT_LP_HH
@@ -133,6 +136,14 @@ struct SimplexOptions
  * degenerate pivots, until a pivot makes progress again. After a few
  * hundred updates the tableau is rebuilt from the LP's rows for the
  * current basis, which sheds accumulated round-off.
+ *
+ * The tableau stores B^-1 [N | b] only: slot k of a row holds nonbasic
+ * column slotCol[k], and the last slot the right-hand side. A pivot
+ * hands the entering column's slot to the leaving one, whose entries
+ * (1/a_rq in the pivot row, -a_iq/a_rq elsewhere) are exactly what a
+ * full-tableau update writes into it; every other entry gets that
+ * update's value too, so the pivots, iterates and round-off equal
+ * those of a solver that keeps all n + m columns.
  */
 class BoundedSimplex
 {
@@ -206,10 +217,14 @@ class BoundedSimplex
         return x[j] > hi[j] + opt.eps * (1.0 + std::abs(hi[j]));
     }
 
+    /** The slack basis's tableau [A | b] and slot maps. */
+    void loadSlackBasis();
     void computePrimal();
     void computeDuals();
     bool dualFeasible() const;
     void pivot(int r, int q);
+    /** Keep movable sorted after @p q entered and @p p left. */
+    void swapMovable(int q, int p);
     /** Move nonbasic @p q by @p delta; basic values follow. */
     void shift(int q, double delta);
     void noteStep(double step);
@@ -217,15 +232,18 @@ class BoundedSimplex
     LpStatus primal();
 
     SimplexOptions opt;
-    /** Variables, rows, columns, tableau row stride (columns + rhs). */
+    /** Variables, rows, columns, tableau row stride (nonbasics + rhs). */
     int n = 0;
     int m = 0;
     int cols = 0;
     int width = 0;
-    /** [A | I | b] as built from the LP, for cold starts and loads. */
+    /** [A | b] as built from the LP, for cold starts and loads. */
     std::vector<double> initial;
-    /** B^-1 [A | I | b]. */
+    /** B^-1 [N | b], one slot per nonbasic column. */
     std::vector<double> tab;
+    /** slotCol[k]: the column in slot k; colSlot[j]: -1 if basic. */
+    std::vector<int> slotCol;
+    std::vector<int> colSlot;
     /** Column bounds now, and the LP's own. */
     std::vector<double> lo;
     std::vector<double> hi;
@@ -234,12 +252,18 @@ class BoundedSimplex
     std::vector<double> cost;
     /** Column values (basic values are current after each step). */
     std::vector<double> x;
-    /** Reduced costs. */
+    /** Reduced costs, by slot. */
     std::vector<double> d;
+    /** Phase-1 prices, by slot. */
+    std::vector<double> w;
     std::vector<Status> status;
     /** basic[i]: the column basic in row i. */
     std::vector<int> basic;
-    std::vector<int> nonzero;
+    /** Nonbasic, non-fixed columns in increasing order: the pricing
+     *  and ratio-test candidates, so ties break by column index. */
+    std::vector<int> movable;
+    /** (slot, value) of nonbasic columns off zero, in column order. */
+    std::vector<std::pair<int, double>> nonzero;
     std::uint64_t iters = 0;
     std::uint64_t pivotsSinceLoad = 0;
     int degenerateRun = 0;

@@ -15,6 +15,7 @@
 #include "exp/experiments.hh"
 #include "opt/lp.hh"
 #include "placer/placer.hh"
+#include "tests/lp_generator.hh"
 #include "tests/reference_lp.hh"
 
 using namespace aqua::opt;
@@ -134,16 +135,7 @@ TEST(Lp, FixedVariableViaEqualBounds)
 TEST(Lp, DegenerateProblemTerminates)
 {
     // Classic cycling-prone instance; Bland's rule must terminate.
-    LinearProgram lp;
-    int x1 = lp.addVar(0.0, inf, -0.75);
-    int x2 = lp.addVar(0.0, inf, 150.0);
-    int x3 = lp.addVar(0.0, inf, -0.02);
-    int x4 = lp.addVar(0.0, inf, 6.0);
-    lp.addRow({{x1, 0.25}, {x2, -60.0}, {x3, -0.04}, {x4, 9.0}},
-              Relation::LessEq, 0.0);
-    lp.addRow({{x1, 0.5}, {x2, -90.0}, {x3, -0.02}, {x4, 3.0}},
-              Relation::LessEq, 0.0);
-    lp.addRow({{x3, 1.0}}, Relation::LessEq, 1.0);
+    LinearProgram lp = test::bealeLp();
     LpResult r = solveLp(lp);
     ASSERT_TRUE(r.optimal());
     EXPECT_NEAR(r.objective, -0.05, 1e-6);
@@ -177,51 +169,7 @@ TEST(Lp, EmptyObjectiveFeasibility)
 
 namespace {
 
-/** Random small-integer LPs: bounded, free-above and fixed columns,
- *  all three relations, zero and negative right-hand sides. */
-class LpGenerator
-{
-  public:
-    explicit LpGenerator(std::uint64_t seed) : rng(seed) {}
-
-    int
-    pick(int lo, int hi)
-    {
-        return std::uniform_int_distribution<int>(lo, hi)(rng);
-    }
-
-    LinearProgram
-    make()
-    {
-        LinearProgram lp;
-        int vars = pick(1, 7);
-        int rows = pick(0, 6);
-        for (int j = 0; j < vars; ++j) {
-            double lo = pick(0, 2) == 0 ? pick(-4, 3) : 0.0;
-            double hi = pick(0, 3) == 0 ? inf : lo + pick(0, 6);
-            lp.addVar(lo, hi, pick(-5, 5));
-        }
-        for (int i = 0; i < rows; ++i) {
-            std::vector<std::pair<int, double>> coeffs;
-            for (int j = 0; j < vars; ++j) {
-                if (pick(0, 9) < 6)
-                    coeffs.emplace_back(j, pick(-4, 4));
-            }
-            int rel = pick(0, 4);
-            // Zero right-hand sides make degenerate vertices common.
-            double rhs = pick(0, 2) == 0 ? 0.0 : pick(-10, 12);
-            lp.addRow(std::move(coeffs),
-                      rel < 2   ? Relation::LessEq
-                      : rel < 4 ? Relation::GreaterEq
-                                : Relation::Equal,
-                      rhs);
-        }
-        return lp;
-    }
-
-  private:
-    std::mt19937_64 rng;
-};
+using test::LpGenerator;
 
 double
 objectiveTolerance(double obj)
@@ -294,16 +242,7 @@ TEST(LpDifferential, BealeCyclingLpMatchesReference)
 {
     // Beale's LP cycles under the textbook largest-coefficient rule;
     // the degenerate-stall switch to Bland must still terminate.
-    LinearProgram lp;
-    int x1 = lp.addVar(0.0, inf, -0.75);
-    int x2 = lp.addVar(0.0, inf, 150.0);
-    int x3 = lp.addVar(0.0, inf, -0.02);
-    int x4 = lp.addVar(0.0, inf, 6.0);
-    lp.addRow({{x1, 0.25}, {x2, -60.0}, {x3, -0.04}, {x4, 9.0}},
-              Relation::LessEq, 0.0);
-    lp.addRow({{x1, 0.5}, {x2, -90.0}, {x3, -0.02}, {x4, 3.0}},
-              Relation::LessEq, 0.0);
-    lp.addRow({{x3, 1.0}}, Relation::LessEq, 1.0);
+    LinearProgram lp = test::bealeLp();
     LpResult got = solveLp(lp);
     expectMatchesReference(lp, got.status, got);
     EXPECT_NEAR(got.objective, -0.05, 1e-9);
@@ -315,20 +254,7 @@ TEST(LpDifferential, DegenerateDuplicateRowsMatchReference)
     // the origin is degenerate.
     LpGenerator gen(77);
     for (int k = 0; k < 300; ++k) {
-        LinearProgram lp;
-        int vars = gen.pick(2, 6);
-        for (int j = 0; j < vars; ++j)
-            lp.addVar(0.0, gen.pick(0, 1) ? inf : 3.0, gen.pick(-3, 3));
-        std::vector<std::pair<int, double>> coeffs;
-        for (int j = 0; j < vars; ++j)
-            coeffs.emplace_back(j, gen.pick(-2, 2));
-        for (int copy = 0; copy < 3; ++copy)
-            lp.addRow(coeffs, Relation::LessEq, 0.0);
-        lp.addRow(coeffs, Relation::Equal, 0.0);
-        std::vector<std::pair<int, double>> sum;
-        for (int j = 0; j < vars; ++j)
-            sum.emplace_back(j, 1.0);
-        lp.addRow(sum, Relation::LessEq, gen.pick(0, 4));
+        LinearProgram lp = gen.makeDuplicateRows();
         LpResult got = solveLp(lp);
         SCOPED_TRACE(k);
         expectMatchesReference(lp, got.status, got);
@@ -498,4 +424,128 @@ TEST(LpDifferential, PlacerNodeLpsMatchReference)
         }
     }
     EXPECT_GT(solves, 60);
+}
+
+//
+// Branches no placement LP takes: each test reaches one, and the
+// coverage job gates src/opt/lp.cc at full reach.
+//
+
+TEST(LpBranches, NonbasicOnAnInfiniteBoundMovesToTheOtherBound)
+{
+    // A reset bound leaves x at an upper bound that is now infinite.
+    LinearProgram lp;
+    int x = lp.addVar(0.0, inf, -1.0);
+    lp.addRow({{x, 1.0}}, Relation::LessEq, 4.0);
+    BoundedSimplex simplex(lp);
+    simplex.setBounds(x, 0.0, 2.0);
+    simplex.coldStart();
+    ASSERT_EQ(simplex.basis()[x], BoundedSimplex::Status::AtUpper);
+    simplex.resetBounds();
+    ASSERT_EQ(simplex.solve(), LpStatus::Optimal);
+    EXPECT_EQ(simplex.objective(), -4.0);
+
+    // A loaded basis puts a >= row's slack at its infinite lower bound.
+    LinearProgram ge;
+    int y = ge.addVar(0.0, 10.0, 1.0);
+    ge.addRow({{y, 1.0}}, Relation::GreaterEq, 3.0);
+    BoundedSimplex loaded(ge);
+    using S = BoundedSimplex::Status;
+    ASSERT_TRUE(loaded.loadBasis({S::Basic, S::AtLower}));
+    ASSERT_EQ(loaded.solve(), LpStatus::Optimal);
+    EXPECT_EQ(loaded.basis(), (BoundedSimplex::Basis{S::Basic, S::AtUpper}));
+    EXPECT_EQ(loaded.solution()[y], 3.0);
+}
+
+TEST(LpBranches, IterationLimitStopsDualAndPrimal)
+{
+    SimplexOptions none;
+    none.maxIterations = 0;
+    // Nonnegative costs: the slack basis is dual feasible, so the
+    // dual simplex has the violated >= row to repair.
+    LinearProgram dual;
+    int x = dual.addVar(0.0, inf, 1.0);
+    int y = dual.addVar(0.0, inf, 1.0);
+    dual.addRow({{x, 1.0}, {y, 1.0}}, Relation::GreaterEq, 10.0);
+    EXPECT_EQ(solveLp(dual, none).status, LpStatus::IterLimit);
+    EXPECT_EQ(solveLp(dual).status, LpStatus::Optimal);
+    // A negative cost with no upper bound needs the primal simplex.
+    LinearProgram primal;
+    int z = primal.addVar(0.0, inf, -1.0);
+    primal.addRow({{z, 1.0}}, Relation::LessEq, 4.0);
+    EXPECT_EQ(solveLp(primal, none).status, LpStatus::IterLimit);
+    EXPECT_EQ(solveLp(primal).status, LpStatus::Optimal);
+}
+
+TEST(LpBranches, DegenerateChainTurnsPrimalPricingToBland)
+{
+    // x_{j+1} <= x_j down a chain of 60, x_0 <= 1, maximize the last:
+    // each of the first 59 pivots is degenerate, so pricing goes to
+    // Bland's rule after 50 of them.
+    constexpr int kChain = 60;
+    LinearProgram lp;
+    for (int j = 0; j < kChain; ++j)
+        lp.addVar(0.0, inf, j == kChain - 1 ? -1.0 : 0.0);
+    for (int j = 0; j + 1 < kChain; ++j)
+        lp.addRow({{j + 1, 1.0}, {j, -1.0}}, Relation::LessEq, 0.0);
+    lp.addRow({{0, 1.0}}, Relation::LessEq, 1.0);
+    LpResult r = solveLp(lp);
+    ASSERT_TRUE(r.optimal());
+    EXPECT_EQ(r.objective, -1.0);
+    EXPECT_EQ(r.iterations, std::uint64_t(kChain));
+}
+
+TEST(LpBranches, RefactorOfANearSingularBasisStartsCold)
+{
+    // With a pivot tolerance below the refactor's 1e-9, the simplex
+    // pivots on a 1e-12 entry that the periodic rebuild then rejects.
+    SimplexOptions fine;
+    fine.eps = 1e-15;
+    LinearProgram lp;
+    int x = lp.addVar(0.0, inf, -1.0);
+    lp.addRow({{x, 1e-12}}, Relation::LessEq, 1.0);
+    BoundedSimplex simplex(lp, fine);
+    ASSERT_EQ(simplex.solve(), LpStatus::Optimal);
+    // Fixing x at 0 and freeing it again takes one pivot each way.
+    constexpr int kCycles = 250;
+    for (int cycle = 0; cycle < kCycles; ++cycle) {
+        simplex.setBounds(x, 0.0, 0.0);
+        ASSERT_EQ(simplex.solve(), LpStatus::Optimal);
+        ASSERT_EQ(simplex.iterations(), 1u);
+        simplex.resetBounds();
+        ASSERT_EQ(simplex.solve(), LpStatus::Optimal);
+        ASSERT_EQ(simplex.iterations(), 1u);
+        ASSERT_EQ(simplex.basis()[x], BoundedSimplex::Status::Basic);
+    }
+    // 501 pivots since the last load: the rebuild fails and the solve
+    // starts cold, where fixing x costs no pivot.
+    simplex.setBounds(x, 0.0, 0.0);
+    ASSERT_EQ(simplex.solve(), LpStatus::Optimal);
+    EXPECT_EQ(simplex.iterations(), 0u);
+    EXPECT_EQ(simplex.objective(), 0.0);
+}
+
+TEST(LpBranches, BoxedColumnOnTheWrongBoundFlipsFree)
+{
+    using S = BoundedSimplex::Status;
+    // At its lower bound with a negative reduced cost.
+    LinearProgram lp;
+    int x = lp.addVar(0.0, inf, -1.0);
+    lp.addRow({{x, 1.0}}, Relation::LessEq, 4.0);
+    BoundedSimplex lower(lp);
+    lower.setBounds(x, 0.0, 2.0);
+    ASSERT_EQ(lower.solve(), LpStatus::Optimal);
+    EXPECT_EQ(lower.iterations(), 0u);
+    EXPECT_EQ(lower.basis()[x], S::AtUpper);
+    EXPECT_EQ(lower.objective(), -2.0);
+    // At its upper bound with a positive reduced cost.
+    LinearProgram up;
+    int y = up.addVar(0.0, 5.0, 1.0);
+    up.addRow({{y, 1.0}}, Relation::LessEq, 4.0);
+    BoundedSimplex upper(up);
+    ASSERT_TRUE(upper.loadBasis({S::AtUpper, S::Basic}));
+    ASSERT_EQ(upper.solve(), LpStatus::Optimal);
+    EXPECT_EQ(upper.iterations(), 0u);
+    EXPECT_EQ(upper.basis()[y], S::AtLower);
+    EXPECT_EQ(upper.objective(), 0.0);
 }

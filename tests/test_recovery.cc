@@ -647,6 +647,47 @@ TEST(RecoveryManager, SurvivorThatCannotReachTheRestartIsSwept)
                                  *tb.coordinatorJournal()));
 }
 
+TEST(RecoveryManager, FreeAfterTheSweepIsAnsweredUnknown)
+{
+    // The survivor that missed the restart still holds its tensor
+    // after the sweep dropped it: once the outage ends, its /free gets
+    // a 404 the library counts instead of a coordinator panic.
+    exp::Testbed tb(2, hw::TopologyKind::DirectP2P);
+    AquaLib &producer = tb.makeAquaLib(1);
+    AquaLib &consumer = tb.makeAquaLib(0);
+    RecoveryManager &rm = tb.makeRecovery();
+    tb.assign(0, 1);
+    producer.confirmDonate(10 * gb);
+    std::optional<TensorId> id = consumer.allocateTensor(256 * mb);
+    ASSERT_TRUE(id);
+
+    FaultInjector inj(tb.sim(), tb.server().topology(),
+                      tb.rest().router());
+    rm.wire(inj);
+    FaultPlan plan;
+    FaultSpec crash;
+    crash.kind = FaultKind::CoordinatorCrash;
+    crash.at = msToTicks(10.0);
+    crash.duration = msToTicks(5.0);
+    plan.add(crash);
+    FaultSpec outage;
+    outage.kind = FaultKind::CoordinatorOutage;
+    outage.at = msToTicks(14.0);
+    outage.duration = msToTicks(10.0);
+    plan.add(outage);
+    inj.arm(plan);
+
+    tb.sim().runUntil(msToTicks(30.0));
+    ASSERT_EQ(rm.stats().orphanedTensors, 1u);
+    ASSERT_EQ(tb.coordinator().liveTensors(), 0u);
+    consumer.freeTensor(*id);
+    EXPECT_EQ(consumer.stats().freesAfterSweep, 1u);
+    EXPECT_EQ(tb.coordinator().liveTensors(), 0u);
+    EXPECT_TRUE(tb.coordinator().auditInvariants().empty());
+    EXPECT_TRUE(replayEqualsLive(tb.coordinator(),
+                                 *tb.coordinatorJournal()));
+}
+
 //
 // Seeded retry-backoff jitter (satellite).
 //
